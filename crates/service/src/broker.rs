@@ -16,12 +16,21 @@
 //!    `AllocPolicy::Exact`, a [`Lease`] is issued, and the per-node
 //!    ledgers are settled while the stripe locks are still held.
 //!
-//! Lock order is global and strict — tenant registry, then lease
-//! table, then node stripes in ascending node order, then the memory
-//! manager — so concurrent clients can never deadlock.
+//! Lock order is global and strict — lease table, then node stripes
+//! in ascending node order, then the memory manager — so concurrent
+//! clients can never deadlock. The tenant registry is not in that
+//! order: it is an immutable snapshot shared as an `Arc` and swapped
+//! whenever a tenant registers, so a request holds its lock only for
+//! the instant it takes a reference, never while planning. (A
+//! checkpoint holds it across the capture so no tenant registers
+//! mid-capture; no path takes it while holding another broker lock.)
+//!
+//! Fair-share admission costs O(tenants) per candidate tier: the
+//! snapshot carries every tenant's guarantee on every tier, and one
+//! pass over a tier's locked stripes sums every tenant's holdings.
 
 use crate::board::TrafficBoard;
-use crate::tenant::{Priority, TenantId, TenantSpec, TenantState, TenantStats};
+use crate::tenant::{Priority, Registry, TenantId, TenantRecord, TenantSpec, TenantStats};
 use crate::ServiceError;
 use hetmem_alloc::AllocRequest;
 use hetmem_core::{attr, MemAttrs};
@@ -29,8 +38,8 @@ use hetmem_memsim::{
     AccessEngine, AllocPolicy, Machine, ManagerState, MemoryManager, Phase, PhaseReport, RegionId,
 };
 use hetmem_placement::{
-    normalize_initiator, PlacementEngine, PlacementError, PlanRequest, ShareMode, TierPolicy,
-    TierSnapshot,
+    normalize_initiator, PlacementEngine, PlacementError, PlanRequest, RankedCandidates, ShareMode,
+    TierPolicy, TierSnapshot,
 };
 use hetmem_telemetry::{
     AttrFallback, BatchCoalesced, ContentionStall, Event, LeaseExpired, LeaseRevoked, QuotaClamp,
@@ -39,7 +48,7 @@ use hetmem_telemetry::{
 use hetmem_topology::{MemoryKind, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 #[path = "guidance.rs"]
 pub mod guidance;
@@ -202,6 +211,9 @@ struct NodeLedger {
     used_by: BTreeMap<TenantId, u64>,
 }
 
+/// Locked ledger stripes by node.
+type Stripes<'a> = BTreeMap<NodeId, MutexGuard<'a, NodeLedger>>;
+
 /// One tenant's registration and lifetime counters inside a
 /// [`BrokerState`] capture.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -346,7 +358,9 @@ pub struct Broker {
     engine: AccessEngine,
     mm: Mutex<MemoryManager>,
     stripes: BTreeMap<NodeId, Mutex<NodeLedger>>,
-    tenants: Mutex<BTreeMap<TenantId, TenantState>>,
+    /// The current registry snapshot; `register` and `restore` swap in
+    /// a new one, requests only clone the `Arc`.
+    registry: RwLock<Arc<Registry>>,
     next_tenant: AtomicU32,
     leases: Mutex<BTreeMap<LeaseId, LeaseRecord>>,
     next_lease: AtomicU64,
@@ -420,6 +434,7 @@ impl Broker {
             .and_then(|ranked| ranked.iter().find_map(|tv| node_kind.get(&tv.node).copied()))
             .unwrap_or(MemoryKind::Dram);
         let board = TrafficBoard::new(node_kind.keys().copied());
+        let registry = RwLock::new(Arc::new(Registry::build(Vec::new(), &tier_capacity)));
         Broker {
             id,
             engine: AccessEngine::new(machine.clone()),
@@ -429,7 +444,7 @@ impl Broker {
             sink: TelemetrySink::disabled(),
             mm: Mutex::new(mm),
             stripes,
-            tenants: Mutex::new(BTreeMap::new()),
+            registry,
             next_tenant: AtomicU32::new(0),
             leases: Mutex::new(BTreeMap::new()),
             next_lease: AtomicU64::new(0),
@@ -499,16 +514,18 @@ impl Broker {
     }
 
     /// Registers a tenant. Fails on duplicate names and on explicit
-    /// reservations that oversubscribe a tier.
+    /// reservations that oversubscribe a tier. Every tenant's
+    /// guarantee changes with the registry, so this swaps in a new
+    /// snapshot; requests already planning keep the one they loaded.
     pub fn register(&self, spec: TenantSpec) -> Result<TenantId, ServiceError> {
-        let mut tenants = self.tenants.lock().expect("tenants poisoned");
-        if tenants.values().any(|t| t.name == spec.get_name()) {
+        let mut registry = self.registry.write().expect("registry poisoned");
+        if registry.iter().any(|(_, t)| t.name == spec.get_name()) {
             return Err(ServiceError::DuplicateTenant(spec.get_name().to_string()));
         }
         for (&kind, &bytes) in spec.get_reserve() {
             let capacity = self.tier_capacity.get(&kind).copied().unwrap_or(0);
             let reserved: u64 =
-                tenants.values().map(|t| t.reserve.get(&kind).copied().unwrap_or(0)).sum();
+                registry.iter().map(|(_, t)| t.reserve.get(&kind).copied().unwrap_or(0)).sum();
             if reserved + bytes > capacity {
                 return Err(ServiceError::Reservation {
                     kind,
@@ -518,56 +535,119 @@ impl Broker {
             }
         }
         let id = TenantId(self.next_tenant.fetch_add(1, Ordering::Relaxed));
-        tenants.insert(
-            id,
-            TenantState {
-                name: spec.get_name().to_string(),
-                priority: spec.get_priority(),
-                quota: spec.get_quota().clone(),
-                reserve: spec.get_reserve().clone(),
-                lease_ttl: spec.get_lease_ttl(),
-                admits: 0,
-                clamps: 0,
-                stalls: 0,
-            },
-        );
+        *registry = Arc::new(registry.with(id, TenantRecord::new(&spec), &self.tier_capacity));
         Ok(id)
+    }
+
+    /// The current registry snapshot. The lock is held only to clone
+    /// the `Arc`.
+    fn registry(&self) -> Arc<Registry> {
+        self.registry.read().expect("registry poisoned").clone()
     }
 
     /// Looks a tenant up by name.
     pub fn tenant_id(&self, name: &str) -> Option<TenantId> {
-        self.tenants
-            .lock()
-            .expect("tenants poisoned")
-            .iter()
-            .find(|(_, t)| t.name == name)
-            .map(|(&id, _)| id)
+        self.registry().iter().find(|(_, t)| t.name == name).map(|(id, _)| id)
     }
 
-    /// The guaranteed floor of tenant `id` on tier `kind`:
-    /// its explicit reservation plus its weight-proportional share of
-    /// the unreserved capacity.
-    fn guarantee(
+    /// Ranks the candidate nodes for `req`: the attribute walk, then
+    /// degraded tiers demoted to last resort, then nodes outside this
+    /// broker's shard dropped. Returns the ranking (for its
+    /// attribute-fallback facts) with the ranked nodes.
+    fn rank_candidates(
         &self,
-        registry: &BTreeMap<TenantId, TenantState>,
-        id: TenantId,
-        kind: MemoryKind,
-    ) -> u64 {
-        let capacity = self.tier_capacity.get(&kind).copied().unwrap_or(0);
-        let reserved: u64 =
-            registry.values().map(|t| t.reserve.get(&kind).copied().unwrap_or(0)).sum();
-        let weights: u64 = registry.values().map(|t| t.priority.weight()).sum();
-        let Some(me) = registry.get(&id) else {
-            return 0;
-        };
-        let my_reserve = me.reserve.get(&kind).copied().unwrap_or(0);
-        let unreserved = capacity.saturating_sub(reserved);
-        let share = if weights == 0 {
-            0
-        } else {
-            (unreserved as u128 * me.priority.weight() as u128 / weights as u128) as u64
-        };
-        my_reserve + share
+        req: &AllocRequest,
+    ) -> Result<(RankedCandidates, Vec<NodeId>), ServiceError> {
+        let initiator =
+            normalize_initiator(req.get_initiator(), self.machine.topology().machine_cpuset())
+                .map_err(ranking_error)?;
+        let mut ranking = self
+            .placer
+            .rank(req.get_criterion(), &initiator, req.scope())
+            .map_err(ranking_error)?;
+        // Graceful degradation: nodes on degraded tiers drop to
+        // last-resort rank (stable within each group), so requests
+        // fall back to healthy tiers instead of hard-failing, yet a
+        // fully-degraded machine still serves from what it has.
+        {
+            let degraded = self.degraded.lock().expect("degraded poisoned");
+            if !degraded.is_empty() {
+                ranking.demote_last_resort(|n| {
+                    self.node_kind.get(&n).is_some_and(|k| degraded.contains(k))
+                });
+            }
+        }
+        // A federation member only places on its own shard; candidates
+        // it does not own drop out here. An empty remainder falls
+        // through to an `Admission` shortfall of the full size — the
+        // residual the federation forwards to a peer.
+        let ranked =
+            ranking.nodes().into_iter().filter(|n| self.node_kind.contains_key(n)).collect();
+        Ok((ranking, ranked))
+    }
+
+    /// Locks the stripe of every node sharing a tier with a candidate,
+    /// in ascending node order (deadlock freedom), so tier-level share
+    /// math sees a consistent snapshot.
+    fn lock_tiers(&self, ranked: &[NodeId]) -> Stripes<'_> {
+        let tiers: BTreeSet<MemoryKind> =
+            ranked.iter().filter_map(|n| self.node_kind.get(n).copied()).collect();
+        self.node_kind
+            .iter()
+            .filter(|(_, kind)| tiers.contains(kind))
+            .map(|(&node, _)| (node, self.stripes[&node].lock().expect("stripe poisoned")))
+            .collect()
+    }
+
+    /// Snapshots every tier the locked `stripes` cover for the tenant
+    /// at index `me` of `registry`. One pass over the stripes sums the
+    /// tier's free bytes and every tenant's holdings; the requester's
+    /// own holdings, its guarantee and the other tenants' unclaimed
+    /// guarantees then come from the registry's precomputed floors, so
+    /// each tier costs O(tenants). The admission arithmetic itself
+    /// (quota clamp, fair-share / static test) lives in the placement
+    /// engine's `TierPolicy`.
+    fn tier_snapshots(
+        &self,
+        registry: &Registry,
+        me: usize,
+        stripes: &Stripes<'_>,
+    ) -> BTreeMap<MemoryKind, TierSnapshot> {
+        let mut tiers: BTreeMap<MemoryKind, (u64, Vec<u64>)> = BTreeMap::new();
+        for (node, ledger) in stripes {
+            let (free, held) =
+                tiers.entry(self.node_kind[node]).or_insert_with(|| (0, vec![0; registry.len()]));
+            *free += ledger.free;
+            for (&tenant, &bytes) in &ledger.used_by {
+                // Holdings of a tenant registered after this snapshot
+                // was taken do not count, as they never did.
+                if let Some(i) = registry.index(tenant) {
+                    held[i] += bytes;
+                }
+            }
+        }
+        let quota = &registry.record(me).quota;
+        tiers
+            .into_iter()
+            .map(|(kind, (free, held))| {
+                let floors = registry.guarantees(kind);
+                let others_shortfall = floors
+                    .iter()
+                    .zip(&held)
+                    .enumerate()
+                    .filter(|&(i, _)| i != me)
+                    .map(|(_, (&floor, &used))| floor.saturating_sub(used))
+                    .sum();
+                let snapshot = TierSnapshot {
+                    free,
+                    used_by_requester: held[me],
+                    guarantee: floors[me],
+                    others_shortfall,
+                    quota: quota.get(&kind).copied(),
+                };
+                (kind, snapshot)
+            })
+            .collect()
     }
 
     /// Serves one allocation request for `tenant`. On success the
@@ -594,104 +674,25 @@ impl Broker {
         if self.epoch.load(Ordering::SeqCst) < self.stall_until.load(Ordering::SeqCst) {
             return Err(ServiceError::Stalled);
         }
-        // Snapshot the registry so share math is stable for this
-        // request without holding the lock through planning.
-        let registry = {
-            let tenants = self.tenants.lock().expect("tenants poisoned");
-            if !tenants.contains_key(&tenant) {
-                return Err(ServiceError::UnknownTenant(format!("{tenant}")));
-            }
-            tenants.clone()
-        };
-        let ttl = ttl.or(registry[&tenant].lease_ttl);
-        let initiator =
-            normalize_initiator(req.get_initiator(), self.machine.topology().machine_cpuset())
-                .map_err(ranking_error)?;
-        let mut ranking = self
-            .placer
-            .rank(req.get_criterion(), &initiator, req.scope())
-            .map_err(ranking_error)?;
+        // The registry snapshot keeps share math stable for this
+        // request without a lock or a copy.
+        let registry = self.registry();
+        let me = registry
+            .index(tenant)
+            .ok_or_else(|| ServiceError::UnknownTenant(format!("{tenant}")))?;
+        let record = registry.record(me);
+        let ttl = ttl.or(record.lease_ttl);
+        let (ranking, ranked) = self.rank_candidates(req)?;
         if self.sink.enabled() && ranking.attr_fell_back() {
             self.sink.emit(Event::AttrFallback(AttrFallback {
                 requested: ranking.requested().0,
                 used: ranking.used().0,
             }));
         }
-        // Graceful degradation: nodes on degraded tiers drop to
-        // last-resort rank (stable within each group), so requests
-        // fall back to healthy tiers instead of hard-failing, yet a
-        // fully-degraded machine still serves from what it has.
-        {
-            let degraded = self.degraded.lock().expect("degraded poisoned");
-            if !degraded.is_empty() {
-                ranking.demote_last_resort(|n| {
-                    self.node_kind.get(&n).is_some_and(|k| degraded.contains(k))
-                });
-            }
-        }
-        // A federation member only places on its own shard; candidates
-        // it does not own drop out here. An empty remainder falls
-        // through to an `Admission` shortfall of the full size — the
-        // residual the federation forwards to a peer.
-        let ranked: Vec<NodeId> =
-            ranking.nodes().into_iter().filter(|n| self.node_kind.contains_key(n)).collect();
         let size = req.size();
 
-        // Lock the stripes of every node sharing a tier with a
-        // candidate, in ascending node order (deadlock freedom), so
-        // tier-level share math sees a consistent snapshot.
-        let tiers: BTreeSet<MemoryKind> =
-            ranked.iter().filter_map(|n| self.node_kind.get(n).copied()).collect();
-        let mut guards: BTreeMap<NodeId, MutexGuard<'_, NodeLedger>> = BTreeMap::new();
-        for (&node, &kind) in &self.node_kind {
-            if tiers.contains(&kind) {
-                guards.insert(node, self.stripes[&node].lock().expect("stripe poisoned"));
-            }
-        }
-
-        // Tier aggregates under the locks.
-        let tier_free = |guards: &BTreeMap<NodeId, MutexGuard<'_, NodeLedger>>,
-                         kind: MemoryKind| {
-            guards
-                .iter()
-                .filter(|(n, _)| self.node_kind.get(n) == Some(&kind))
-                .map(|(_, g)| g.free)
-                .sum::<u64>()
-        };
-        let tier_used_by = |guards: &BTreeMap<NodeId, MutexGuard<'_, NodeLedger>>,
-                            kind: MemoryKind,
-                            who: TenantId| {
-            guards
-                .iter()
-                .filter(|(n, _)| self.node_kind.get(n) == Some(&kind))
-                .map(|(_, g)| g.used_by.get(&who).copied().unwrap_or(0))
-                .sum::<u64>()
-        };
-
-        // Snapshot each candidate tier under the locks; the admission
-        // arithmetic itself (quota clamp, fair-share / static test)
-        // lives in the placement engine's `TierPolicy`.
-        let mut snapshots: BTreeMap<MemoryKind, TierSnapshot> = BTreeMap::new();
-        for &kind in &tiers {
-            let others_shortfall: u64 = registry
-                .keys()
-                .filter(|&&id| id != tenant)
-                .map(|&id| {
-                    self.guarantee(&registry, id, kind)
-                        .saturating_sub(tier_used_by(&guards, kind, id))
-                })
-                .sum();
-            snapshots.insert(
-                kind,
-                TierSnapshot {
-                    free: tier_free(&guards, kind),
-                    used_by_requester: tier_used_by(&guards, kind, tenant),
-                    guarantee: self.guarantee(&registry, tenant, kind),
-                    others_shortfall,
-                    quota: registry[&tenant].quota.get(&kind).copied(),
-                },
-            );
-        }
+        let mut guards = self.lock_tiers(&ranked);
+        let snapshots = self.tier_snapshots(&registry, me, &guards);
         let mut admission =
             TierPolicy::new(self.policy.as_share_mode(), self.node_kind.clone(), snapshots);
 
@@ -705,13 +706,12 @@ impl Broker {
             |n| guards[&n].free,
             &mut admission,
         );
-        let tenant_name = registry[&tenant].name.clone();
         let clamps: Vec<QuotaClamp> = plan
             .clamps
             .iter()
             .map(|c| QuotaClamp {
                 broker: self.id,
-                tenant: tenant_name.clone(),
+                tenant: record.name.clone(),
                 node: c.node,
                 requested: c.requested,
                 allowed: c.allowed,
@@ -727,10 +727,7 @@ impl Broker {
         };
         if !plan.is_complete() {
             emit_clamps(self, &clamps);
-            let mut tenants = self.tenants.lock().expect("tenants poisoned");
-            if let Some(t) = tenants.get_mut(&tenant) {
-                t.clamps += clamps.len() as u64;
-            }
+            record.clamps.fetch_add(clamps.len() as u64, Ordering::Relaxed);
             return Err(ServiceError::Admission {
                 requested: size,
                 granted: size - plan.shortfall,
@@ -771,18 +768,13 @@ impl Broker {
             id,
             LeaseRecord { tenant, region, placement: placement.clone(), ttl, expires_at },
         );
-        {
-            let mut tenants = self.tenants.lock().expect("tenants poisoned");
-            if let Some(t) = tenants.get_mut(&tenant) {
-                t.admits += 1;
-                t.clamps += clamps.len() as u64;
-            }
-        }
+        record.admits.fetch_add(1, Ordering::Relaxed);
+        record.clamps.fetch_add(clamps.len() as u64, Ordering::Relaxed);
         emit_clamps(self, &clamps);
         if self.sink.enabled() {
             self.sink.emit(Event::TenantAdmit(TenantAdmit {
                 broker: self.id,
-                tenant: tenant_name,
+                tenant: record.name.clone(),
                 lease: id.0,
                 size: granted,
                 placement: placement.clone(),
@@ -844,79 +836,16 @@ impl Broker {
         if self.epoch.load(Ordering::SeqCst) < self.stall_until.load(Ordering::SeqCst) {
             return None;
         }
-        let registry = {
-            let tenants = self.tenants.lock().expect("tenants poisoned");
-            if !tenants.contains_key(&tenant) {
-                return None;
-            }
-            tenants.clone()
-        };
-        let ttl = ttl.or(registry[&tenant].lease_ttl);
+        let registry = self.registry();
+        let me = registry.index(tenant)?;
+        let record = registry.record(me);
+        let ttl = ttl.or(record.lease_ttl);
         let head = &reqs[0];
-        let initiator =
-            normalize_initiator(head.get_initiator(), self.machine.topology().machine_cpuset())
-                .ok()?;
-        let mut ranking = self.placer.rank(head.get_criterion(), &initiator, head.scope()).ok()?;
-        let attr_fell_back = ranking.attr_fell_back();
-        let (attr_requested, attr_used) = (ranking.requested().0, ranking.used().0);
-        {
-            let degraded = self.degraded.lock().expect("degraded poisoned");
-            if !degraded.is_empty() {
-                ranking.demote_last_resort(|n| {
-                    self.node_kind.get(&n).is_some_and(|k| degraded.contains(k))
-                });
-            }
-        }
-        let ranked: Vec<NodeId> =
-            ranking.nodes().into_iter().filter(|n| self.node_kind.contains_key(n)).collect();
+        let (ranking, ranked) = self.rank_candidates(head).ok()?;
         let total: u64 = reqs.iter().map(|r| r.size()).sum();
 
-        let tiers: BTreeSet<MemoryKind> =
-            ranked.iter().filter_map(|n| self.node_kind.get(n).copied()).collect();
-        let mut guards: BTreeMap<NodeId, MutexGuard<'_, NodeLedger>> = BTreeMap::new();
-        for (&node, &kind) in &self.node_kind {
-            if tiers.contains(&kind) {
-                guards.insert(node, self.stripes[&node].lock().expect("stripe poisoned"));
-            }
-        }
-        let tier_free = |guards: &BTreeMap<NodeId, MutexGuard<'_, NodeLedger>>,
-                         kind: MemoryKind| {
-            guards
-                .iter()
-                .filter(|(n, _)| self.node_kind.get(n) == Some(&kind))
-                .map(|(_, g)| g.free)
-                .sum::<u64>()
-        };
-        let tier_used_by = |guards: &BTreeMap<NodeId, MutexGuard<'_, NodeLedger>>,
-                            kind: MemoryKind,
-                            who: TenantId| {
-            guards
-                .iter()
-                .filter(|(n, _)| self.node_kind.get(n) == Some(&kind))
-                .map(|(_, g)| g.used_by.get(&who).copied().unwrap_or(0))
-                .sum::<u64>()
-        };
-        let mut snapshots: BTreeMap<MemoryKind, TierSnapshot> = BTreeMap::new();
-        for &kind in &tiers {
-            let others_shortfall: u64 = registry
-                .keys()
-                .filter(|&&id| id != tenant)
-                .map(|&id| {
-                    self.guarantee(&registry, id, kind)
-                        .saturating_sub(tier_used_by(&guards, kind, id))
-                })
-                .sum();
-            snapshots.insert(
-                kind,
-                TierSnapshot {
-                    free: tier_free(&guards, kind),
-                    used_by_requester: tier_used_by(&guards, kind, tenant),
-                    guarantee: self.guarantee(&registry, tenant, kind),
-                    others_shortfall,
-                    quota: registry[&tenant].quota.get(&kind).copied(),
-                },
-            );
-        }
+        let mut guards = self.lock_tiers(&ranked);
+        let snapshots = self.tier_snapshots(&registry, me, &guards);
         let mut admission =
             TierPolicy::new(self.policy.as_share_mode(), self.node_kind.clone(), snapshots);
         let plan = self.placer.plan(
@@ -982,12 +911,11 @@ impl Broker {
             return None;
         }
 
-        let tenant_name = registry[&tenant].name.clone();
-        if self.sink.enabled() && attr_fell_back {
+        if self.sink.enabled() && ranking.attr_fell_back() {
             // One merged walk ⇒ one attribute substitution.
             self.sink.emit(Event::AttrFallback(AttrFallback {
-                requested: attr_requested,
-                used: attr_used,
+                requested: ranking.requested().0,
+                used: ranking.used().0,
             }));
         }
         let mut results: Vec<Result<Lease, ServiceError>> = Vec::with_capacity(reqs.len());
@@ -1010,16 +938,11 @@ impl Broker {
                     expires_at,
                 },
             );
-            {
-                let mut tenants = self.tenants.lock().expect("tenants poisoned");
-                if let Some(t) = tenants.get_mut(&tenant) {
-                    t.admits += 1;
-                }
-            }
+            record.admits.fetch_add(1, Ordering::Relaxed);
             if self.sink.enabled() {
                 self.sink.emit(Event::TenantAdmit(TenantAdmit {
                     broker: self.id,
-                    tenant: tenant_name.clone(),
+                    tenant: record.name.clone(),
                     lease: id.0,
                     size: granted,
                     placement: placement.clone(),
@@ -1041,7 +964,7 @@ impl Broker {
             self.sink.emit(Event::BatchCoalesced(BatchCoalesced {
                 broker: self.id,
                 shard,
-                tenant: tenant_name,
+                tenant: record.name.clone(),
                 merged: committed.len() as u64,
                 bytes,
             }));
@@ -1076,7 +999,7 @@ impl Broker {
     fn settle_free(&self, record: &LeaseRecord) {
         {
             let nodes: BTreeSet<NodeId> = record.placement.iter().map(|&(n, _)| n).collect();
-            let mut guards: BTreeMap<NodeId, MutexGuard<'_, NodeLedger>> = nodes
+            let mut guards: Stripes<'_> = nodes
                 .iter()
                 .map(|&n| (n, self.stripes[&n].lock().expect("stripe poisoned")))
                 .collect();
@@ -1118,13 +1041,7 @@ impl Broker {
             ReclaimCause::Revoked { .. } => self.revoked_total.fetch_add(1, Ordering::Relaxed),
         };
         if self.sink.enabled() {
-            let tenant = self
-                .tenants
-                .lock()
-                .expect("tenants poisoned")
-                .get(&record.tenant)
-                .map(|t| t.name.clone())
-                .unwrap_or_else(|| format!("{}", record.tenant));
+            let tenant = self.registry().name(record.tenant);
             let reason = match &cause {
                 ReclaimCause::Expired { ttl } => {
                     self.sink.emit(Event::LeaseExpired(LeaseExpired {
@@ -1182,7 +1099,7 @@ impl Broker {
     /// Renews every lease the tenant holds in one call — the wire
     /// heartbeat. Returns the number of leases whose clock was reset.
     pub fn heartbeat(&self, tenant: TenantId) -> Result<u64, ServiceError> {
-        if !self.tenants.lock().expect("tenants poisoned").contains_key(&tenant) {
+        if self.registry().index(tenant).is_none() {
             return Err(ServiceError::UnknownTenant(format!("{tenant}")));
         }
         let now = self.epoch.load(Ordering::SeqCst);
@@ -1348,22 +1265,24 @@ impl Broker {
     /// only epoch-boundary captures are exactly replayable because the
     /// contention board resets per epoch.
     pub fn snapshot_state(&self) -> BrokerState {
-        // Lock order: tenants → leases → stripes → manager, same as
-        // every other broker path.
-        let tenants = self.tenants.lock().expect("tenants poisoned");
+        // Lock order: leases → stripes → manager, same as every other
+        // broker path. The registry's read lock is held throughout so
+        // no tenant registers mid-capture: every captured lease's
+        // holder is in the capture.
+        let registry = self.registry.read().expect("registry poisoned");
         let leases = self.leases.lock().expect("leases poisoned");
-        let tenant_entries = tenants
+        let tenant_entries = registry
             .iter()
-            .map(|(&id, t)| TenantEntry {
+            .map(|(id, t)| TenantEntry {
                 id: id.0,
                 name: t.name.clone(),
                 priority: t.priority,
                 quota: t.quota.iter().map(|(&k, &v)| (k, v)).collect(),
                 reserve: t.reserve.iter().map(|(&k, &v)| (k, v)).collect(),
                 lease_ttl: t.lease_ttl,
-                admits: t.admits,
-                clamps: t.clamps,
-                stalls: t.stalls,
+                admits: t.admits.load(Ordering::Relaxed),
+                clamps: t.clamps.load(Ordering::Relaxed),
+                stalls: t.stalls.load(Ordering::Relaxed),
             })
             .collect();
         let lease_entries = leases
@@ -1438,7 +1357,7 @@ impl Broker {
         let mut broker = Broker::with_shard(machine.clone(), attrs, state.policy, state.id, &shard);
         let mm = MemoryManager::restore(machine, &state.manager).map_err(|e| err(e.to_string()))?;
 
-        let mut tenants: BTreeMap<TenantId, TenantState> = BTreeMap::new();
+        let mut tenants: BTreeMap<TenantId, Arc<TenantRecord>> = BTreeMap::new();
         for t in &state.tenants {
             if t.id >= state.next_tenant {
                 return Err(err(format!(
@@ -1448,16 +1367,16 @@ impl Broker {
             }
             let previous = tenants.insert(
                 TenantId(t.id),
-                TenantState {
+                Arc::new(TenantRecord {
                     name: t.name.clone(),
                     priority: t.priority,
                     quota: t.quota.iter().copied().collect(),
                     reserve: t.reserve.iter().copied().collect(),
                     lease_ttl: t.lease_ttl,
-                    admits: t.admits,
-                    clamps: t.clamps,
-                    stalls: t.stalls,
-                },
+                    admits: AtomicU64::new(t.admits),
+                    clamps: AtomicU64::new(t.clamps),
+                    stalls: AtomicU64::new(t.stalls),
+                }),
             );
             if previous.is_some() {
                 return Err(err(format!("duplicate tenant #{}", t.id)));
@@ -1533,7 +1452,8 @@ impl Broker {
         }
 
         *broker.mm.get_mut().expect("mm poisoned") = mm;
-        *broker.tenants.get_mut().expect("tenants poisoned") = tenants;
+        *broker.registry.get_mut().expect("registry poisoned") =
+            Arc::new(Registry::build(tenants.into_iter().collect(), &broker.tier_capacity));
         *broker.leases.get_mut().expect("leases poisoned") = leases;
         *broker.degraded.get_mut().expect("degraded poisoned") =
             state.degraded.iter().copied().collect();
@@ -1580,16 +1500,9 @@ impl Broker {
             stall_ns = stall_ns.max(node_stall);
             stalled += 1;
             if self.sink.enabled() {
-                let name = self
-                    .tenants
-                    .lock()
-                    .expect("tenants poisoned")
-                    .get(&tenant)
-                    .map(|t| t.name.clone())
-                    .unwrap_or_else(|| format!("{tenant}"));
                 self.sink.emit(Event::ContentionStall(ContentionStall {
                     broker: self.id,
-                    tenant: name,
+                    tenant: self.registry().name(tenant),
                     node,
                     stall_ns: node_stall,
                     sharers,
@@ -1597,9 +1510,8 @@ impl Broker {
             }
         }
         if stalled > 0 {
-            let mut tenants = self.tenants.lock().expect("tenants poisoned");
-            if let Some(t) = tenants.get_mut(&tenant) {
-                t.stalls += stalled;
+            if let Some(t) = self.registry().get(tenant) {
+                t.stalls.fetch_add(stalled, Ordering::Relaxed);
             }
         }
         stall_ns
@@ -1607,16 +1519,21 @@ impl Broker {
 
     /// Runs a memsim phase for `tenant` against the shared manager,
     /// then charges contention for the traffic it generated in the
-    /// current epoch.
+    /// current epoch. A phase touching a region with no live
+    /// allocation — its lease released, expired or revoked — is
+    /// refused with [`ServiceError::UnknownRegion`] and runs nothing.
     pub fn run_phase(&self, tenant: TenantId, phase: &Phase) -> Result<ServedPhase, ServiceError> {
-        {
-            let tenants = self.tenants.lock().expect("tenants poisoned");
-            if !tenants.contains_key(&tenant) {
-                return Err(ServiceError::UnknownTenant(format!("{tenant}")));
-            }
+        if self.registry().index(tenant).is_none() {
+            return Err(ServiceError::UnknownTenant(format!("{tenant}")));
         }
         let report = {
             let mm = self.mm.lock().expect("mm poisoned");
+            // Checked under the same guard as the engine call: the
+            // engine panics on a freed region, and a panic here would
+            // poison the manager for every tenant.
+            if let Some(gone) = phase.accesses.iter().find(|a| mm.region(a.region).is_none()) {
+                return Err(ServiceError::UnknownRegion(gone.region.0));
+            }
             self.engine.run_phase(&mm, phase)
         };
         let traffic: Vec<(NodeId, u64)> =
@@ -1628,7 +1545,7 @@ impl Broker {
 
     /// Snapshot of every tenant's standing.
     pub fn tenants(&self) -> Vec<TenantStats> {
-        let registry = self.tenants.lock().expect("tenants poisoned").clone();
+        let registry = self.registry();
         let mut held: BTreeMap<TenantId, BTreeMap<MemoryKind, u64>> = BTreeMap::new();
         for (&node, stripe) in &self.stripes {
             let kind = self.node_kind[&node];
@@ -1638,15 +1555,15 @@ impl Broker {
             }
         }
         registry
-            .into_iter()
+            .iter()
             .map(|(id, t)| TenantStats {
                 id,
-                name: t.name,
+                name: t.name.clone(),
                 priority: t.priority,
                 held: held.remove(&id).unwrap_or_default(),
-                admits: t.admits,
-                clamps: t.clamps,
-                stalls: t.stalls,
+                admits: t.admits.load(Ordering::Relaxed),
+                clamps: t.clamps.load(Ordering::Relaxed),
+                stalls: t.stalls.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -1669,7 +1586,7 @@ impl Broker {
                 *lease_bytes.entry(node).or_insert(0) += bytes;
             }
         }
-        let mut guards: BTreeMap<NodeId, MutexGuard<'_, NodeLedger>> = BTreeMap::new();
+        let mut guards: Stripes<'_> = BTreeMap::new();
         for (&node, stripe) in &self.stripes {
             guards.insert(node, stripe.lock().expect("stripe poisoned"));
         }
@@ -1715,16 +1632,355 @@ mod tests {
     use super::*;
     use hetmem_alloc::Fallback;
     use hetmem_core::discovery;
-    use hetmem_topology::GIB;
+    use hetmem_memsim::{AccessPattern, BufferAccess, PAGE_SIZE};
+    use hetmem_topology::{GIB, MIB};
+    use proptest::prelude::*;
 
     fn knl_broker(policy: ArbitrationPolicy) -> Broker {
+        knl_member(policy, false)
+    }
+
+    /// A KNL broker arbitrating every node, or a federation member
+    /// owning two DRAM and two MCDRAM nodes.
+    fn knl_member(policy: ArbitrationPolicy, sharded: bool) -> Broker {
         let machine = Arc::new(Machine::knl_snc4_flat());
         let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("attrs"));
-        Broker::new(machine, attrs, policy)
+        if !sharded {
+            return Broker::new(machine, attrs, policy);
+        }
+        let shard: BTreeSet<NodeId> = [0, 1, 4, 5].into_iter().map(NodeId).collect();
+        Broker::with_shard(machine, attrs, policy, 1, &shard)
     }
 
     fn bw_request(bytes: u64) -> AllocRequest {
         AllocRequest::new(bytes).criterion(attr::BANDWIDTH).fallback(Fallback::PartialSpill)
+    }
+
+    /// The guarantee formula as admission evaluated it per request
+    /// before the registry snapshot precomputed it: a tenant's
+    /// reservation plus its weight-proportional share of the
+    /// unreserved tier, summed from the whole registry on every call.
+    fn reference_guarantee(
+        broker: &Broker,
+        registry: &Registry,
+        id: TenantId,
+        kind: MemoryKind,
+    ) -> u64 {
+        let capacity = broker.tier_capacity.get(&kind).copied().unwrap_or(0);
+        let reserved: u64 =
+            registry.iter().map(|(_, t)| t.reserve.get(&kind).copied().unwrap_or(0)).sum();
+        let weights: u64 = registry.iter().map(|(_, t)| t.priority.weight()).sum();
+        let Some(me) = registry.get(id) else {
+            return 0;
+        };
+        let my_reserve = me.reserve.get(&kind).copied().unwrap_or(0);
+        let unreserved = capacity.saturating_sub(reserved);
+        let share = if weights == 0 {
+            0
+        } else {
+            (unreserved as u128 * me.priority.weight() as u128 / weights as u128) as u64
+        };
+        my_reserve + share
+    }
+
+    /// The per-tenant shortfall loop admission ran before
+    /// [`Broker::tier_snapshots`]: every other tenant's guarantee and
+    /// holdings recomputed per candidate tier, O(tenants²).
+    fn reference_tier_snapshots(
+        broker: &Broker,
+        registry: &Registry,
+        tenant: TenantId,
+        guards: &Stripes<'_>,
+    ) -> BTreeMap<MemoryKind, TierSnapshot> {
+        let tiers: BTreeSet<MemoryKind> = guards.keys().map(|n| broker.node_kind[n]).collect();
+        let tier_free = |kind: MemoryKind| {
+            guards
+                .iter()
+                .filter(|(n, _)| broker.node_kind.get(n) == Some(&kind))
+                .map(|(_, g)| g.free)
+                .sum::<u64>()
+        };
+        let tier_used_by = |kind: MemoryKind, who: TenantId| {
+            guards
+                .iter()
+                .filter(|(n, _)| broker.node_kind.get(n) == Some(&kind))
+                .map(|(_, g)| g.used_by.get(&who).copied().unwrap_or(0))
+                .sum::<u64>()
+        };
+        let mut snapshots = BTreeMap::new();
+        for kind in tiers {
+            let others_shortfall: u64 = registry
+                .iter()
+                .map(|(id, _)| id)
+                .filter(|&id| id != tenant)
+                .map(|id| {
+                    reference_guarantee(broker, registry, id, kind)
+                        .saturating_sub(tier_used_by(kind, id))
+                })
+                .sum();
+            snapshots.insert(
+                kind,
+                TierSnapshot {
+                    free: tier_free(kind),
+                    used_by_requester: tier_used_by(kind, tenant),
+                    guarantee: reference_guarantee(broker, registry, tenant, kind),
+                    others_shortfall,
+                    quota: registry.get(tenant).expect("registered").quota.get(&kind).copied(),
+                },
+            );
+        }
+        snapshots
+    }
+
+    /// `TierSnapshot` fields in a comparable form.
+    type SnapshotFields = Vec<(MemoryKind, u64, u64, u64, u64, Option<u64>)>;
+
+    fn fields(snapshots: &BTreeMap<MemoryKind, TierSnapshot>) -> SnapshotFields {
+        snapshots
+            .iter()
+            .map(|(&k, s)| {
+                (k, s.free, s.used_by_requester, s.guarantee, s.others_shortfall, s.quota)
+            })
+            .collect()
+    }
+
+    const PRIORITIES: [Priority; 3] = [Priority::Batch, Priority::Normal, Priority::Latency];
+    const POLICIES: [ArbitrationPolicy; 3] =
+        [ArbitrationPolicy::FairShare, ArbitrationPolicy::Fcfs, ArbitrationPolicy::StaticPartition];
+
+    /// Registers one generated tenant: priority, and optional HBM/DRAM
+    /// reservation and quota in MiB (0 = none). Oversubscribing
+    /// reservations are refused, as they would be in service.
+    fn register_generated(
+        broker: &Broker,
+        i: usize,
+        (p, reserve, quota, kind): (usize, u64, u64, bool),
+    ) {
+        let kind = if kind { MemoryKind::Hbm } else { MemoryKind::Dram };
+        let mut spec = TenantSpec::new(format!("t{i}")).priority(PRIORITIES[p % 3]);
+        if reserve > 0 {
+            spec = spec.reserve(kind, reserve * MIB);
+        }
+        if quota > 0 {
+            spec = spec.quota(kind, quota * MIB);
+        }
+        let _ = broker.register(spec);
+    }
+
+    /// Checks the snapshot path against the reference for one acquire
+    /// of `tenant`, under the same locks, then runs the acquire and
+    /// checks it against the plan the reference snapshots produce.
+    fn acquire_matches_reference(
+        broker: &Broker,
+        tenant: TenantId,
+        req: &AllocRequest,
+    ) -> Result<Option<Lease>, String> {
+        let registry = broker.registry();
+        let Some(me) = registry.index(tenant) else {
+            return Err(format!("{tenant} not registered"));
+        };
+        let (_, ranked) = broker.rank_candidates(req).map_err(|e| e.to_string())?;
+        let expected = {
+            let guards = broker.lock_tiers(&ranked);
+            let fast = broker.tier_snapshots(&registry, me, &guards);
+            let reference = reference_tier_snapshots(broker, &registry, tenant, &guards);
+            prop_assert_eq!(fields(&fast), fields(&reference));
+            let plan = |snapshots| {
+                let mut policy = TierPolicy::new(
+                    broker.policy.as_share_mode(),
+                    broker.node_kind.clone(),
+                    snapshots,
+                );
+                broker.placer.plan(
+                    &PlanRequest {
+                        size: req.size(),
+                        mode: req.get_fallback().as_telemetry(),
+                        page_quantize: false,
+                    },
+                    &ranked,
+                    |n| guards[&n].free,
+                    &mut policy,
+                )
+            };
+            let expected = plan(reference);
+            prop_assert_eq!(plan(fast), expected.clone());
+            expected
+        };
+        match broker.acquire(tenant, req) {
+            Ok(lease) => {
+                prop_assert!(expected.is_complete(), "granted an incomplete plan: {expected:?}");
+                let planned: Vec<(NodeId, u64)> = expected
+                    .chunks
+                    .iter()
+                    .map(|&(n, b)| (n, b.div_ceil(PAGE_SIZE) * PAGE_SIZE))
+                    .filter(|&(_, b)| b > 0)
+                    .collect();
+                prop_assert_eq!(lease.placement(), &planned[..]);
+                Ok(Some(lease))
+            }
+            Err(ServiceError::Admission { requested, granted }) => {
+                prop_assert!(!expected.is_complete(), "denied a complete plan: {expected:?}");
+                prop_assert_eq!(
+                    (requested, granted),
+                    (req.size(), req.size() - expected.shortfall)
+                );
+                Ok(None)
+            }
+            // Page rounding can overflow a nearly-full node at commit;
+            // that happens to the reference plan just the same.
+            Err(ServiceError::Commit(_)) if expected.is_complete() => Ok(None),
+            Err(e) => Err(format!("unexpected error {e}")),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random registries (1–64 tenants, mixed priorities, reserves
+        /// and quotas) over random stripe holdings: the precomputed
+        /// snapshot path gives every tenant the reference snapshots.
+        #[test]
+        fn tier_snapshots_match_the_reference_on_random_holdings(
+            tenants in prop::collection::vec((0usize..3, 0u64..2048, 0u64..4096, any::<bool>()), 1..65),
+            holdings in prop::collection::vec((0usize..8, 0usize..70, 0u64..(4 * GIB)), 0..160),
+            frees in prop::collection::vec(0u64..(8 * GIB), 8..9),
+            policy in prop::sample::select(POLICIES.to_vec()),
+            sharded in any::<bool>(),
+        ) {
+            let broker = knl_member(policy, sharded);
+            for (i, &t) in tenants.iter().enumerate() {
+                register_generated(&broker, i, t);
+            }
+            // Holdings may name ids past the registry (a tenant that
+            // registered after the snapshot was taken).
+            let nodes: Vec<NodeId> = broker.stripes.keys().copied().collect();
+            for &(node, tenant, bytes) in &holdings {
+                let mut ledger = broker.stripes[&nodes[node % nodes.len()]].lock().unwrap();
+                ledger.used_by.insert(TenantId(tenant as u32), bytes);
+            }
+            for (node, &free) in nodes.iter().zip(&frees) {
+                broker.stripes[node].lock().unwrap().free = free;
+            }
+            let registry = broker.registry();
+            let guards = broker.lock_tiers(&nodes);
+            for (me, (id, _)) in registry.iter().enumerate() {
+                prop_assert_eq!(
+                    fields(&broker.tier_snapshots(&registry, me, &guards)),
+                    fields(&reference_tier_snapshots(&broker, &registry, id, &guards)),
+                    "tenant {id}"
+                );
+            }
+        }
+
+        /// Interleaved register / acquire / release on a live broker
+        /// (standalone or a federation member): every acquire sees the
+        /// reference snapshots and grants what the reference plan does.
+        #[test]
+        fn acquire_outcomes_match_the_reference(
+            ops in prop::collection::vec(
+                (0u8..10, (0usize..3, 0u64..2048, 0u64..4096, any::<bool>()), 0usize..64, 1u64..4096, 0u8..4),
+                1..120,
+            ),
+            policy in prop::sample::select(POLICIES.to_vec()),
+            sharded in any::<bool>(),
+        ) {
+            let broker = knl_member(policy, sharded);
+            let mut leases: Vec<Lease> = Vec::new();
+            let mut registered = 0usize;
+            for (op, spec, who, mib, shape) in ops {
+                let tenants = broker.tenants();
+                if op < 2 || tenants.is_empty() {
+                    register_generated(&broker, registered, spec);
+                    registered += 1;
+                } else if op < 8 {
+                    let tenant = tenants[who % tenants.len()].id;
+                    let criterion = if shape & 1 == 0 { attr::BANDWIDTH } else { attr::CAPACITY };
+                    let fallback =
+                        if shape & 2 == 0 { Fallback::PartialSpill } else { Fallback::NextTarget };
+                    let req = AllocRequest::new(mib * MIB).criterion(criterion).fallback(fallback);
+                    if let Some(lease) = acquire_matches_reference(&broker, tenant, &req)? {
+                        leases.push(lease);
+                    }
+                } else if !leases.is_empty() {
+                    let lease = leases.swap_remove(who % leases.len());
+                    broker.release(lease).expect("release");
+                }
+            }
+            broker.check_invariants().map_err(|e| e.to_string())?;
+            for lease in leases {
+                broker.release(lease).expect("release");
+            }
+        }
+    }
+
+    #[test]
+    fn registering_a_tenant_reshapes_every_guarantee_from_the_next_acquire() {
+        // Two identical brokers with leases outstanding; one gains a
+        // third tenant, and from the next acquire on every other
+        // tenant plans against the smaller guarantees.
+        let brokers =
+            [knl_broker(ArbitrationPolicy::FairShare), knl_broker(ArbitrationPolicy::FairShare)];
+        for broker in &brokers {
+            let a = broker.register(TenantSpec::new("a")).expect("register");
+            let b = broker.register(TenantSpec::new("b")).expect("register");
+            // Both leases stay held for the rest of the test.
+            let _ = broker.acquire(a, &bw_request(2 * GIB)).expect("admitted");
+            let _ = broker.acquire(b, &bw_request(GIB)).expect("admitted");
+        }
+        let [before, after] = &brokers;
+        let (a, b) = (TenantId(0), TenantId(1));
+        let floors = |broker: &Broker| {
+            let registry = broker.registry();
+            registry.guarantees(MemoryKind::Hbm).to_vec()
+        };
+        let hbm = before.tier_capacity[&MemoryKind::Hbm];
+        assert_eq!(floors(before), vec![hbm / 2, hbm / 2]);
+
+        let c = after.register(TenantSpec::new("c").priority(Priority::Latency)).expect("register");
+        let registry = after.registry();
+        let reshaped = floors(after);
+        for id in [a, b, c] {
+            let floor = reshaped[registry.index(id).expect("registered")];
+            assert_eq!(floor, reference_guarantee(after, &registry, id, MemoryKind::Hbm));
+        }
+        assert_eq!(reshaped[..2], [hbm / 4, hbm / 4], "weights 2:2:4 quarter a and b");
+
+        // A hog request from `a` must now leave c's whole unclaimed
+        // guarantee (hbm/2) free besides b's, which shrank by hbm/4:
+        // it gets hbm/4 fewer fast bytes, up to page rounding.
+        let hog = |broker: &Broker| broker.acquire(a, &bw_request(15 * GIB)).expect("spills");
+        let (wide, narrow) = (hog(before), hog(after));
+        let lost = wide.fast_bytes() - narrow.fast_bytes();
+        assert!(lost.abs_diff(hbm / 4) <= 8 * PAGE_SIZE, "{wide:?} vs {narrow:?}");
+        assert!(after.tenants().iter().any(|t| t.id == a && t.clamps > 0), "the hog is clamped");
+        for (broker, lease) in [(before, wide), (after, narrow)] {
+            broker.release(lease).expect("release");
+            broker.check_invariants().expect("clean");
+        }
+    }
+
+    #[test]
+    fn phase_over_an_expired_lease_is_refused_and_the_broker_keeps_serving() {
+        let broker = knl_broker(ArbitrationPolicy::FairShare);
+        let t = broker.register(TenantSpec::new("t").lease_ttl(1)).expect("register");
+        let lease = broker.acquire(t, &bw_request(GIB)).expect("admitted");
+        let region = lease.region();
+        std::mem::forget(lease);
+        broker.advance_epoch(); // TTL 1: reclaimed
+        assert_eq!(broker.live_leases(), 0);
+        let phase = Phase {
+            name: "stale".into(),
+            accesses: vec![BufferAccess::new(region, GIB, 0, AccessPattern::Sequential)],
+            threads: 16,
+            initiator: "0-15".parse().expect("cpuset"),
+            compute_ns: 0.0,
+        };
+        let err = broker.run_phase(t, &phase).expect_err("the region is gone");
+        assert_eq!(err, ServiceError::UnknownRegion(region.0));
+        assert_eq!(err.code(), "unknown_region");
+        let next = broker.acquire(t, &bw_request(GIB)).expect("the broker still serves");
+        broker.release(next).expect("release");
+        broker.check_invariants().expect("clean");
     }
 
     #[test]
@@ -1742,8 +1998,18 @@ mod tests {
         let b = broker
             .register(TenantSpec::new("b").quota(MemoryKind::Hbm, 2 * GIB))
             .expect("register");
+        let r = broker
+            .register(
+                TenantSpec::new("r").priority(Priority::Batch).reserve(MemoryKind::Hbm, 4 * GIB),
+            )
+            .expect("register");
         let la = broker.acquire(a, &bw_request(3 * GIB)).expect("admitted");
         let _lb = broker.acquire(b, &bw_request(4 * GIB)).expect("admitted");
+        // Fair share clamps the hog: b's and r's unclaimed guarantees
+        // stay free.
+        let _hog = broker.acquire(a, &bw_request(12 * GIB)).expect("spills");
+        let clamps = |broker: &Broker| broker.tenants()[a.0 as usize].clamps;
+        assert!(clamps(&broker) > 0, "the hog is clamped");
         broker.advance_epoch();
         broker.advance_epoch();
         broker.set_tier_degraded(MemoryKind::Dram, true);
@@ -1773,6 +2039,19 @@ mod tests {
         let fresh_r = restored.acquire(b, &bw_request(GIB)).expect("admitted");
         let fresh_o = broker.acquire(b, &bw_request(GIB)).expect("admitted");
         assert_eq!(fresh_r.id(), fresh_o.id());
+        // The restored registry carries the same guarantees: the
+        // reserving tenant and another clamped hog are granted alike.
+        let before = clamps(&broker);
+        for (tenant, bytes) in [(r, 4 * GIB), (a, 12 * GIB), (b, GIB)] {
+            let grant = |broker: &Broker| {
+                broker
+                    .acquire(tenant, &bw_request(bytes))
+                    .map(|l| (l.id(), l.size(), l.fast_bytes(), l.placement().to_vec()))
+            };
+            assert_eq!(grant(&restored), grant(&broker), "{tenant}");
+        }
+        assert!(clamps(&broker) > before, "the second hog is clamped too");
+        assert_eq!(clamps(&restored), clamps(&broker));
         assert_eq!(restored.snapshot_state(), broker.snapshot_state());
     }
 

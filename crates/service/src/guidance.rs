@@ -27,7 +27,7 @@
 //! [`BrokerState`](super::BrokerState) — record mode refuses guided
 //! service, so replay never needs it.
 
-use super::{Broker, NodeLedger};
+use super::{Broker, Stripes};
 use crate::tenant::TenantId;
 use hetmem_core::attr;
 use hetmem_guidance::{
@@ -41,7 +41,7 @@ use hetmem_topology::NodeId;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 /// Configuration of the broker's guided service mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,36 +107,18 @@ impl Broker {
     /// entry.
     pub fn guided_overhead(&self) -> Option<Vec<(String, f64)>> {
         let g = self.guidance.as_ref()?;
-        let registry = self.tenants.lock().expect("tenants poisoned").clone();
+        let registry = self.registry();
         let planes = g.planes.lock().expect("guidance planes poisoned");
-        Some(
-            planes
-                .iter()
-                .map(|(t, p)| {
-                    let name =
-                        registry.get(t).map(|s| s.name.clone()).unwrap_or_else(|| format!("{t}"));
-                    (name, p.overhead_ns())
-                })
-                .collect(),
-        )
+        Some(planes.iter().map(|(&t, p)| (registry.name(t), p.overhead_ns())).collect())
     }
 
     /// Per-tenant lifetime guidance counters, when guided (harnesses
     /// gate overhead and move counts on these).
     pub fn guided_stats(&self) -> Option<Vec<(String, GuidanceStats)>> {
         let g = self.guidance.as_ref()?;
-        let registry = self.tenants.lock().expect("tenants poisoned").clone();
+        let registry = self.registry();
         let planes = g.planes.lock().expect("guidance planes poisoned");
-        Some(
-            planes
-                .iter()
-                .map(|(t, p)| {
-                    let name =
-                        registry.get(t).map(|s| s.name.clone()).unwrap_or_else(|| format!("{t}"));
-                    (name, *p.stats())
-                })
-                .collect(),
-        )
+        Some(planes.iter().map(|(&t, p)| (registry.name(t), *p.stats())).collect())
     }
 
     /// Feeds one served phase into the calling tenant's plane and
@@ -155,7 +137,7 @@ impl Broker {
             if self.sink.enabled() {
                 self.sink.emit(Event::SampleRateChanged(SampleRateChanged {
                     broker: self.id,
-                    tenant: self.tenant_name(tenant),
+                    tenant: self.registry().name(tenant),
                     old_period,
                     new_period,
                 }));
@@ -182,6 +164,9 @@ impl Broker {
     /// guidance is off or no tenant has run a phase yet.
     pub(crate) fn guided_fold(&self) {
         let Some(g) = &self.guidance else { return };
+        // Loaded before any guidance lock: the registry lock is never
+        // taken while another broker lock is held.
+        let registry = self.registry();
         let mut planes = g.planes.lock().expect("guidance planes poisoned");
         if planes.is_empty() {
             return;
@@ -216,7 +201,6 @@ impl Broker {
             .into_iter()
             .filter(|n| self.node_kind.get(n).is_some_and(|&kind| kind != self.fast_kind))
             .collect();
-        let registry = self.tenants.lock().expect("tenants poisoned").clone();
 
         // Demotions first, every tenant: free the hot tier before the
         // promotions below compete for it.
@@ -241,7 +225,7 @@ impl Broker {
 
         // Promotions in descending priority (ties by tenant id).
         let mut order: Vec<TenantId> = planes.keys().copied().collect();
-        order.sort_by_key(|t| {
+        order.sort_by_key(|&t| {
             (Reverse(registry.get(t).map(|s| s.priority.weight()).unwrap_or(0)), t.0)
         });
         for tenant in order {
@@ -263,13 +247,9 @@ impl Broker {
                 budget.charge(cost_ns);
                 plane.record_move(region, true, cost_ns);
                 if self.sink.enabled() {
-                    let name = registry
-                        .get(&tenant)
-                        .map(|s| s.name.clone())
-                        .unwrap_or_else(|| format!("{tenant}"));
                     self.sink.emit(Event::HotPromoted(HotPromoted {
                         broker: self.id,
-                        tenant: name,
+                        tenant: registry.name(tenant),
                         region: region.0,
                         to,
                         bytes,
@@ -331,7 +311,7 @@ impl Broker {
         let tenant = record.tenant;
         let nodes: BTreeSet<NodeId> =
             record.placement.iter().map(|&(n, _)| n).chain(std::iter::once(target)).collect();
-        let mut guards: BTreeMap<NodeId, MutexGuard<'_, NodeLedger>> = nodes
+        let mut guards: Stripes<'_> = nodes
             .iter()
             .filter_map(|&n| self.stripes.get(&n).map(|s| (n, s.lock().expect("stripe poisoned"))))
             .collect();
@@ -357,15 +337,6 @@ impl Broker {
         }
         record.placement = placement;
         Some((report.cost_ns, report.bytes_moved))
-    }
-
-    fn tenant_name(&self, tenant: TenantId) -> String {
-        self.tenants
-            .lock()
-            .expect("tenants poisoned")
-            .get(&tenant)
-            .map(|t| t.name.clone())
-            .unwrap_or_else(|| format!("{tenant}"))
     }
 }
 

@@ -117,6 +117,9 @@ pub enum ServiceError {
         /// The peer whose digest went stale.
         peer: u32,
     },
+    /// A phase touches a region with no live allocation: its lease was
+    /// released, expired or revoked. Nothing ran.
+    UnknownRegion(u64),
 }
 
 /// Stable wire codes for every [`ServiceError`] variant, in
@@ -139,6 +142,7 @@ pub const ERROR_CODES: &[&str] = &[
     "snapshot",
     "peer_unreachable",
     "stale_digest",
+    "unknown_region",
 ];
 
 impl ServiceError {
@@ -168,6 +172,7 @@ impl ServiceError {
             ServiceError::Snapshot(_) => "snapshot",
             ServiceError::PeerUnreachable(_) => "peer_unreachable",
             ServiceError::StaleDigest { .. } => "stale_digest",
+            ServiceError::UnknownRegion(_) => "unknown_region",
         }
     }
 
@@ -222,6 +227,9 @@ impl std::fmt::Display for ServiceError {
             }
             ServiceError::StaleDigest { peer } => {
                 write!(f, "peer #{peer} refused the forward: its capacity digest is stale")
+            }
+            ServiceError::UnknownRegion(id) => {
+                write!(f, "region #{id} has no live allocation (released, expired or revoked)")
             }
         }
     }

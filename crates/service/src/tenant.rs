@@ -3,6 +3,8 @@
 
 use hetmem_topology::MemoryKind;
 use std::collections::BTreeMap;
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 
 /// Opaque tenant handle issued by [`crate::Broker::register`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -148,9 +150,10 @@ impl TenantSpec {
     }
 }
 
-/// Internal registry record for one tenant.
-#[derive(Debug, Clone)]
-pub(crate) struct TenantState {
+/// Internal registry record for one tenant: its registration, fixed
+/// once registered, and its lifetime counters.
+#[derive(Debug)]
+pub(crate) struct TenantRecord {
     pub(crate) name: String,
     pub(crate) priority: Priority,
     pub(crate) quota: BTreeMap<MemoryKind, u64>,
@@ -158,11 +161,143 @@ pub(crate) struct TenantState {
     /// Default TTL applied to this tenant's leases, in epochs.
     pub(crate) lease_ttl: Option<u64>,
     /// Admissions granted (lifetime counter).
-    pub(crate) admits: u64,
+    pub(crate) admits: AtomicU64,
     /// Quota clamps suffered (lifetime counter).
-    pub(crate) clamps: u64,
+    pub(crate) clamps: AtomicU64,
     /// Contention stalls charged (lifetime counter).
-    pub(crate) stalls: u64,
+    pub(crate) stalls: AtomicU64,
+}
+
+impl TenantRecord {
+    /// A fresh record for `spec` with zeroed counters.
+    pub(crate) fn new(spec: &TenantSpec) -> TenantRecord {
+        TenantRecord {
+            name: spec.name.clone(),
+            priority: spec.priority,
+            quota: spec.quota.clone(),
+            reserve: spec.reserve.clone(),
+            lease_ttl: spec.lease_ttl,
+            admits: AtomicU64::new(0),
+            clamps: AtomicU64::new(0),
+            stalls: AtomicU64::new(0),
+        }
+    }
+}
+
+/// An immutable snapshot of the tenant registry, shared as an `Arc`
+/// and replaced wholesale whenever a tenant registers (or a broker is
+/// restored). Requests read it without a lock or a copy.
+///
+/// Besides each tenant's record it holds every tenant's guaranteed
+/// floor on every tier, computed once here, so fair-share admission
+/// costs O(tenants) per candidate tier instead of recomputing each
+/// other tenant's guarantee from the whole registry. The records —
+/// and with them the lifetime counters, which are atomics — are
+/// shared by every generation of the snapshot, so a counter bumped
+/// through a superseded snapshot is never lost.
+#[derive(Debug)]
+pub(crate) struct Registry {
+    /// Registered tenant ids, ascending. Index `i` of `records` and of
+    /// every `guarantees` row describes `ids[i]`.
+    ids: Vec<TenantId>,
+    records: Vec<Arc<TenantRecord>>,
+    /// Per tier, every tenant's guaranteed floor by index.
+    guarantees: BTreeMap<MemoryKind, Vec<u64>>,
+}
+
+impl Registry {
+    /// A snapshot of `tenants` on tiers of `tier_capacity` bytes.
+    /// `tenants` must be sorted by id without duplicates.
+    ///
+    /// A tenant's guarantee on a tier is its explicit reservation plus
+    /// its weight-proportional share of the unreserved capacity. The
+    /// sums saturate so a corrupt restored registry cannot overflow;
+    /// for every registry [`crate::Broker::register`] admits they are
+    /// exact, because reservations never oversubscribe a tier.
+    pub(crate) fn build(
+        tenants: Vec<(TenantId, Arc<TenantRecord>)>,
+        tier_capacity: &BTreeMap<MemoryKind, u64>,
+    ) -> Registry {
+        let (ids, records): (Vec<TenantId>, Vec<Arc<TenantRecord>>) = tenants.into_iter().unzip();
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "registry ids must ascend");
+        let weights: u64 = records.iter().map(|t| t.priority.weight()).sum();
+        let guarantees = tier_capacity
+            .iter()
+            .map(|(&kind, &capacity)| {
+                let reserve = |t: &TenantRecord| t.reserve.get(&kind).copied().unwrap_or(0);
+                let reserved = records.iter().map(|t| reserve(t)).fold(0, u64::saturating_add);
+                let unreserved = capacity.saturating_sub(reserved);
+                let floors = records
+                    .iter()
+                    .map(|t| {
+                        let share = if weights == 0 {
+                            0
+                        } else {
+                            (unreserved as u128 * t.priority.weight() as u128 / weights as u128)
+                                as u64
+                        };
+                        reserve(t).saturating_add(share)
+                    })
+                    .collect();
+                (kind, floors)
+            })
+            .collect();
+        Registry { ids, records, guarantees }
+    }
+
+    /// This snapshot plus tenant `id` (issued after every id here).
+    pub(crate) fn with(
+        &self,
+        id: TenantId,
+        record: TenantRecord,
+        tier_capacity: &BTreeMap<MemoryKind, u64>,
+    ) -> Registry {
+        let tenants = self
+            .ids
+            .iter()
+            .copied()
+            .zip(self.records.iter().cloned())
+            .chain(std::iter::once((id, Arc::new(record))))
+            .collect();
+        Registry::build(tenants, tier_capacity)
+    }
+
+    /// Number of registered tenants.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The index of tenant `id`, if registered.
+    pub(crate) fn index(&self, id: TenantId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
+    }
+
+    /// The record at `index`.
+    pub(crate) fn record(&self, index: usize) -> &TenantRecord {
+        &self.records[index]
+    }
+
+    /// The record of tenant `id`, if registered.
+    pub(crate) fn get(&self, id: TenantId) -> Option<&TenantRecord> {
+        self.index(id).map(|i| self.record(i))
+    }
+
+    /// Every tenant in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (TenantId, &TenantRecord)> + '_ {
+        self.ids.iter().copied().zip(self.records.iter().map(|r| &**r))
+    }
+
+    /// Every tenant's guaranteed floor on tier `kind`, by index.
+    /// `kind` must be one of the tiers the snapshot was built over.
+    pub(crate) fn guarantees(&self, kind: MemoryKind) -> &[u64] {
+        &self.guarantees[&kind]
+    }
+
+    /// The registered name of `id`, or its display form when unknown
+    /// (telemetry labels).
+    pub(crate) fn name(&self, id: TenantId) -> String {
+        self.get(id).map(|t| t.name.clone()).unwrap_or_else(|| format!("{id}"))
+    }
 }
 
 /// Public snapshot of one tenant's standing, returned by
