@@ -28,9 +28,8 @@
 //!
 //! Planning never mutates anything: capacity comes in through a
 //! caller-supplied `free(node)` view (the allocator's live
-//! `MemoryManager`, or the broker's ledger stripes under their locks),
-//! so the broker can plan while holding its stripes and commit
-//! atomically.
+//! `MemoryManager`, or the broker's manager under its ledger lock), so
+//! the broker can plan while holding its ledger and commit atomically.
 
 #![warn(missing_docs)]
 
@@ -203,15 +202,45 @@ impl AdmissionPolicy for Unconstrained {
     }
 }
 
-/// How a [`TierPolicy`] divides scarce tiers between requesters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShareMode {
-    /// First come, first served: capacity (and quota) only.
-    Fcfs,
-    /// Weighted fair share with work-conserving borrowing.
+/// How a [`TierPolicy`] divides scarce fast memory between tenants —
+/// the broker's arbitration policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ArbitrationPolicy {
+    /// Weighted fair share with work-conserving borrowing: every
+    /// tenant is guaranteed its weight-proportional share of each
+    /// tier (plus any explicit reservation); surplus beyond the
+    /// unclaimed guarantees of others may be borrowed.
+    #[default]
     FairShare,
-    /// Hard static partitioning by the guaranteed shares.
+    /// First come, first served: capacity (and quota) is the only
+    /// test. This is what uncoordinated tenants calling the
+    /// single-tenant allocator would get.
+    Fcfs,
+    /// Hard static partitioning by the same weighted shares, with no
+    /// borrowing — predictable, but not work-conserving.
     StaticPartition,
+}
+
+impl ArbitrationPolicy {
+    /// Stable lowercase name (CLI and report spelling).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ArbitrationPolicy::FairShare => "fair-share",
+            ArbitrationPolicy::Fcfs => "fcfs",
+            ArbitrationPolicy::StaticPartition => "static",
+        }
+    }
+
+    /// Parses the spelling produced by [`ArbitrationPolicy::as_str`]
+    /// (plus common aliases).
+    pub fn from_str_opt(s: &str) -> Option<ArbitrationPolicy> {
+        match s {
+            "fair-share" | "fair" | "fairshare" => Some(ArbitrationPolicy::FairShare),
+            "fcfs" => Some(ArbitrationPolicy::Fcfs),
+            "static" | "static-partition" => Some(ArbitrationPolicy::StaticPartition),
+            _ => None,
+        }
+    }
 }
 
 /// A consistent per-tier snapshot, taken by the caller under its own
@@ -238,7 +267,7 @@ pub struct TierSnapshot {
 /// state.
 #[derive(Debug, Clone)]
 pub struct TierPolicy {
-    mode: ShareMode,
+    mode: ArbitrationPolicy,
     node_kind: BTreeMap<NodeId, MemoryKind>,
     tiers: BTreeMap<MemoryKind, TierSnapshot>,
     planned: BTreeMap<MemoryKind, u64>,
@@ -248,7 +277,7 @@ impl TierPolicy {
     /// A policy over the given snapshots. `node_kind` maps every
     /// candidate node to its tier.
     pub fn new(
-        mode: ShareMode,
+        mode: ArbitrationPolicy,
         node_kind: BTreeMap<NodeId, MemoryKind>,
         tiers: BTreeMap<MemoryKind, TierSnapshot>,
     ) -> TierPolicy {
@@ -268,9 +297,9 @@ impl AdmissionPolicy for TierPolicy {
         let used_mine = snap.used_by_requester + already;
         let quota_head = snap.quota.map(|q| q.saturating_sub(used_mine)).unwrap_or(u64::MAX);
         let base = match self.mode {
-            ShareMode::Fcfs => u64::MAX,
-            ShareMode::StaticPartition => snap.guarantee.saturating_sub(used_mine),
-            ShareMode::FairShare => {
+            ArbitrationPolicy::Fcfs => u64::MAX,
+            ArbitrationPolicy::StaticPartition => snap.guarantee.saturating_sub(used_mine),
+            ArbitrationPolicy::FairShare => {
                 let my_head = snap.guarantee.saturating_sub(used_mine);
                 let free_t = snap.free.saturating_sub(already);
                 let borrowable =
@@ -742,7 +771,8 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let mut policy = TierPolicy::new(ShareMode::FairShare, node_kind.clone(), tiers.clone());
+        let mut policy =
+            TierPolicy::new(ArbitrationPolicy::FairShare, node_kind.clone(), tiers.clone());
         // Guarantee 2 GiB, free 4 GiB, others' shortfall 2 GiB: may
         // take exactly the guarantee, nothing borrowable.
         assert_eq!(policy.admissible(NodeId(4)), 2 * GIB);
@@ -750,7 +780,7 @@ mod tests {
         assert_eq!(policy.admissible(NodeId(4)), 0, "planned bytes consume the head");
 
         let mut capped = TierPolicy::new(
-            ShareMode::Fcfs,
+            ArbitrationPolicy::Fcfs,
             node_kind,
             tiers
                 .into_iter()
@@ -777,7 +807,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let mut policy = TierPolicy::new(ShareMode::Fcfs, node_kind, tiers);
+        let mut policy = TierPolicy::new(ArbitrationPolicy::Fcfs, node_kind, tiers);
         let req =
             PlanRequest { size: 4 * GIB, mode: FallbackMode::PartialSpill, page_quantize: false };
         let free = |n: NodeId| if n == NodeId(4) { 8 * GIB } else { 24 * GIB };

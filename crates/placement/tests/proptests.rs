@@ -6,8 +6,8 @@
 use hetmem_core::discovery;
 use hetmem_memsim::{Machine, PAGE_SIZE};
 use hetmem_placement::{
-    FallbackMode, PlacementEngine, PlanFailure, PlanRequest, ShareMode, TierPolicy, TierSnapshot,
-    Unconstrained,
+    ArbitrationPolicy, FallbackMode, PlacementEngine, PlanFailure, PlanRequest, TierPolicy,
+    TierSnapshot, Unconstrained,
 };
 use hetmem_topology::{MemoryKind, NodeId};
 use proptest::prelude::*;
@@ -183,7 +183,7 @@ proptest! {
         ]
         .into_iter()
         .collect();
-        let mut policy = TierPolicy::new(ShareMode::Fcfs, node_kind.clone(), tiers);
+        let mut policy = TierPolicy::new(ArbitrationPolicy::Fcfs, node_kind.clone(), tiers);
         let req = PlanRequest { size, mode: mode(sel), page_quantize: false };
         let plan = eng.plan(&req, &candidates, free, &mut policy);
         let fast_bytes: u64 = plan

@@ -27,7 +27,7 @@
 //! [`BrokerState`](super::BrokerState) — record mode refuses guided
 //! service, so replay never needs it.
 
-use super::{Broker, Stripes};
+use super::Broker;
 use crate::tenant::TenantId;
 use hetmem_core::attr;
 use hetmem_guidance::{
@@ -39,7 +39,7 @@ use hetmem_placement::Scope;
 use hetmem_telemetry::{BudgetExhausted, Event, HotPromoted, SampleRateChanged};
 use hetmem_topology::NodeId;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
@@ -292,49 +292,25 @@ impl Broker {
             .collect()
     }
 
-    /// Migrates a leased region to `target` and settles every ledger
-    /// the move touches, atomically with the lease record's placement
-    /// update (a concurrent renewal serialises on the lease table and
-    /// can never observe a placement the fold already moved away
-    /// from). Returns `(cost_ns, bytes_moved)`, or `None` when the
-    /// region has no live lease or the target cannot take it (the
-    /// failed migrate has no side effects).
+    /// Migrates a leased region to `target` and moves its holdings in
+    /// the ledger, atomically with the lease record's placement update
+    /// (a concurrent renewal serialises on the lease table and can
+    /// never observe a placement the fold already moved away from).
+    /// Returns `(cost_ns, bytes_moved)`, or `None` when the region has
+    /// no live lease or the target cannot take it (the failed migrate
+    /// has no side effects).
     fn migrate_lease_region(&self, region: RegionId, target: NodeId) -> Option<(f64, u64)> {
         if !self.node_kind.contains_key(&target) {
             return None;
         }
-        // Lock order: leases → touched stripes ascending → manager,
-        // the broker's global order.
+        // Lock order: leases → ledger, the broker's global order.
         let mut leases = self.leases.lock().expect("leases poisoned");
-        let lease_id = leases.iter().find(|(_, r)| r.region == region).map(|(&id, _)| id)?;
-        let record = leases.get_mut(&lease_id).expect("lease just found");
-        let tenant = record.tenant;
-        let nodes: BTreeSet<NodeId> =
-            record.placement.iter().map(|&(n, _)| n).chain(std::iter::once(target)).collect();
-        let mut guards: Stripes<'_> = nodes
-            .iter()
-            .filter_map(|&n| self.stripes.get(&n).map(|s| (n, s.lock().expect("stripe poisoned"))))
-            .collect();
-        let mut mm = self.mm.lock().expect("mm poisoned");
-        let report = mm.migrate(region, target).ok()?;
-        let placement = mm.region(region)?.placement.clone();
-        for (node, guard) in guards.iter_mut() {
-            guard.free = mm.available(*node);
-        }
-        for &(node, bytes) in &record.placement {
-            if let Some(guard) = guards.get_mut(&node) {
-                let used = guard.used_by.entry(tenant).or_insert(0);
-                *used = used.saturating_sub(bytes);
-                if *used == 0 {
-                    guard.used_by.remove(&tenant);
-                }
-            }
-        }
-        for &(node, bytes) in &placement {
-            if let Some(guard) = guards.get_mut(&node) {
-                *guard.used_by.entry(tenant).or_insert(0) += bytes;
-            }
-        }
+        let record = leases.values_mut().find(|r| r.region == region)?;
+        let mut ledger = self.ledger();
+        let report = ledger.mm.migrate(region, target).ok()?;
+        let placement = ledger.mm.region(region)?.placement.clone();
+        ledger.settle(record.tenant, &record.placement, false);
+        ledger.settle(record.tenant, &placement, true);
         record.placement = placement;
         Some((report.cost_ns, report.bytes_moved))
     }

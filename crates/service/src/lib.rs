@@ -10,7 +10,7 @@
 //! point:
 //!
 //! * [`Broker`] — owns a shared [`hetmem_memsim::MemoryManager`]
-//!   behind per-NUMA-node lock striping and serves
+//!   behind one ledger lock and serves
 //!   [`hetmem_alloc::AllocRequest`]s from concurrent clients.
 //! * [`TenantSpec`] / [`Priority`] — the tenant model: priority class
 //!   plus optional per-tier quota (hard cap) and reservation
@@ -49,9 +49,10 @@ pub mod wire;
 pub use board::{TrafficBoard, STEAL_WARN_EPOCHS, STEAL_WARN_RATE};
 pub use broker::guidance::GuidedConfig;
 pub use broker::{
-    ArbitrationPolicy, Broker, BrokerState, Lease, LeaseEntry, LeaseId, RobustnessStats,
-    ServedPhase, StripeEntry, TenantEntry, MAX_CONTENTION_SLOWDOWN,
+    Broker, BrokerState, Lease, LeaseEntry, LeaseId, RobustnessStats, ServedPhase, StripeEntry,
+    TenantEntry, MAX_CONTENTION_SLOWDOWN,
 };
+pub use hetmem_placement::ArbitrationPolicy;
 pub use shard::{ShardAssignment, ShardConfig, ShardCore};
 pub use tenant::{Priority, TenantId, TenantSpec, TenantStats};
 

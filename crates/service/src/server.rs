@@ -162,7 +162,10 @@ pub struct Server {
     broker: Arc<Broker>,
     queues: Arc<Vec<Queue>>,
     stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<Conn>>>,
+    /// A handle on every open connection, keyed by connection id, so
+    /// shutdown can unblock its reader. The reader removes its entry
+    /// when it exits, closing the handle with the connection.
+    conns: Arc<Mutex<HashMap<u64, Conn>>>,
     accept_thread: Option<JoinHandle<()>>,
     dispatch_threads: Vec<JoinHandle<()>>,
     local_addr: String,
@@ -244,7 +247,7 @@ impl Server {
         broker.set_dispatch_planes(shards as u32);
         let queues: Arc<Vec<Queue>> = Arc::new((0..shards).map(|_| Queue::default()).collect());
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<Conn>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<Mutex<HashMap<u64, Conn>>> = Arc::new(Mutex::new(HashMap::new()));
 
         let accept_thread = {
             let queues = queues.clone();
@@ -265,13 +268,14 @@ impl Server {
                 let Ok(write_half) = conn.try_clone() else {
                     continue;
                 };
-                if let Ok(reader_half) = conn.try_clone() {
-                    conns.lock().expect("conns poisoned").push(reader_half);
-                }
                 let conn_id = next_conn_id.fetch_add(1, Ordering::Relaxed);
+                if let Ok(handle) = conn.try_clone() {
+                    conns.lock().expect("conns poisoned").insert(conn_id, handle);
+                }
                 let reply_to = Arc::new(Mutex::new(write_half));
                 let queues = queues.clone();
                 let stop = stop.clone();
+                let conns = conns.clone();
                 std::thread::spawn(move || {
                     // A connection's frames always land on one shard,
                     // so per-connection request order is preserved
@@ -280,7 +284,7 @@ impl Server {
                     let mut reader = BufReader::new(conn);
                     loop {
                         if stop.load(Ordering::SeqCst) {
-                            return;
+                            break;
                         }
                         let mut buf = Vec::new();
                         let n = reader
@@ -290,7 +294,7 @@ impl Server {
                             .unwrap_or_default();
                         if n == 0 {
                             queue.post(Work::Disconnect { conn_id });
-                            return;
+                            break;
                         }
                         let complete = buf.last() == Some(&b'\n');
                         if !complete && buf.len() > MAX_FRAME {
@@ -303,7 +307,7 @@ impl Server {
                             });
                             if !discard_to_newline(&mut reader) {
                                 queue.post(Work::Disconnect { conn_id });
-                                return;
+                                break;
                             }
                             continue;
                         }
@@ -311,7 +315,7 @@ impl Server {
                             // EOF mid-frame: the peer died while
                             // writing. Nothing to answer.
                             queue.post(Work::Disconnect { conn_id });
-                            return;
+                            break;
                         }
                         let request = match String::from_utf8(buf) {
                             Ok(line) if line.trim().is_empty() => continue,
@@ -320,6 +324,7 @@ impl Server {
                         };
                         queue.post(Work::Request { conn_id, request, reply_to: reply_to.clone() });
                     }
+                    conns.lock().expect("conns poisoned").remove(&conn_id);
                 });
             })
         };
@@ -423,7 +428,7 @@ impl Server {
         // Unblock the accept thread with a throwaway connection.
         let _ = Client::connect(&self.local_addr);
         // Unblock connection readers.
-        for conn in self.conns.lock().expect("conns poisoned").drain(..) {
+        for (_, conn) in self.conns.lock().expect("conns poisoned").drain() {
             conn.shutdown();
         }
         for queue in self.queues.iter() {

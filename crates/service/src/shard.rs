@@ -16,7 +16,7 @@
 //! * **Coalescing** — within one drained batch, same-tenant requests
 //!   that agree on criterion, fallback, scope, initiator and TTL are
 //!   merged into a single [`Broker::acquire_batch`] planning walk
-//!   (one ranking, one stripe-lock round, one plan; grants fan back
+//!   (one ranking, one ledger-lock round, one plan; grants fan back
 //!   out per request). One `BatchCoalesced` event records each merge.
 //! * **Work stealing** — a shard whose queue drained steals the back
 //!   half of the longest sibling queue before idling, emitting a
@@ -26,10 +26,13 @@
 //! [`ShardCore`] here is the deterministic, thread-free form of that
 //! plane: callers `submit` then `drain` on one thread, and the exact
 //! same request stream produces the exact same grants, steals and
-//! telemetry every run. The live server wraps the same semantics in
-//! one dispatcher thread per shard (`Server::bind_sharded`); the load
-//! harness drives `ShardCore` directly so its numbers are
-//! reproducible on any machine.
+//! telemetry every run. The load harness drives `ShardCore` directly
+//! so its numbers are reproducible on any machine. The live server
+//! (`Server::bind_sharded`) runs one dispatcher thread per shard with
+//! the same steal and merge rules but a narrower grouping: it merges
+//! only *consecutive* same-key `alloc` frames of a tick, where
+//! `ShardCore` groups a whole drained batch by key in first-arrival
+//! order.
 //!
 //! With `shards == 1` and coalescing off, the plane degenerates to
 //! exactly the single-dispatcher admission order — the regression

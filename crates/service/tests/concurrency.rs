@@ -4,14 +4,17 @@
 
 use hetmem_alloc::{AllocRequest, Fallback};
 use hetmem_core::{attr, discovery};
-use hetmem_memsim::Machine;
+use hetmem_guidance::GuidancePolicy;
+use hetmem_memsim::{AccessPattern, BufferAccess, Machine, Phase};
 use hetmem_service::{
     server::{Client, Server},
     wire::{Request, Response},
-    ArbitrationPolicy, Broker, Priority, TenantSpec,
+    ArbitrationPolicy, Broker, GuidedConfig, Lease, Priority, ServiceError, TenantSpec,
 };
 use hetmem_topology::MemoryKind;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn knl_broker(policy: ArbitrationPolicy) -> Arc<Broker> {
     let machine = Arc::new(Machine::knl_snc4_flat());
@@ -178,4 +181,121 @@ fn concurrent_wire_clients_round_trip_cleanly() {
     assert_eq!(stats.len(), 6);
     assert!(stats.iter().all(|t| t.admits == 20), "{stats:?}");
     server.shutdown();
+}
+
+/// Worker threads mix single and coalesced acquires (some TTL'd),
+/// releases and phases over their own leases on a guided fair-share
+/// broker, while another thread keeps closing epochs — expiring leases
+/// and running the guided fold's migrations. Whatever the
+/// interleaving, every lease ends released or reclaimed and the
+/// ledger, manager and lease table agree.
+#[test]
+fn guided_batches_phases_and_folds_interleave_cleanly() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 60;
+    let machine = Arc::new(Machine::knl_snc4_flat());
+    let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("attrs"));
+    let mut broker = Broker::new(machine, attrs, ArbitrationPolicy::FairShare);
+    broker.enable_guidance(GuidedConfig {
+        policy: GuidancePolicy { window_bytes: 1 << 30, ..Default::default() },
+        ..Default::default()
+    });
+    let broker = Arc::new(broker);
+    let tenants: Vec<_> = (0..THREADS)
+        .map(|i| {
+            let priority = [Priority::Latency, Priority::Normal, Priority::Batch][i % 3];
+            broker
+                .register(TenantSpec::new(format!("guided-{i}")).priority(priority))
+                .expect("register")
+        })
+        .collect();
+
+    let done = Arc::new(AtomicBool::new(false));
+    let epochs = {
+        let (broker, done) = (broker.clone(), done.clone());
+        std::thread::spawn(move || {
+            let mut epochs = 0u64;
+            while !done.load(Ordering::SeqCst) {
+                broker.advance_epoch();
+                epochs += 1;
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            epochs
+        })
+    };
+    let phases_run = Arc::new(AtomicU64::new(0));
+    let workers: Vec<_> = tenants
+        .into_iter()
+        .enumerate()
+        .map(|(i, tenant)| {
+            let (broker, phases_run) = (broker.clone(), phases_run.clone());
+            std::thread::spawn(move || {
+                let req = |mib: usize| {
+                    AllocRequest::new((mib as u64) << 20)
+                        .criterion(attr::BANDWIDTH)
+                        .fallback(Fallback::PartialSpill)
+                };
+                // A lease may expire under us: releasing it then finds
+                // it gone, and a phase over its region is refused.
+                let release = |lease: Lease| match broker.release(lease) {
+                    Ok(()) | Err(ServiceError::UnknownLease(_)) => {}
+                    Err(e) => panic!("release failed: {e}"),
+                };
+                let mut held: Vec<Lease> = Vec::new();
+                for round in 0..ROUNDS {
+                    let ttl = if (i + round) % 3 == 0 { Some(2) } else { None };
+                    let mib = 4 + (i * 7 + round * 5) % 29;
+                    if round % 4 == 0 {
+                        let pair = [req(mib), req(mib + 3)];
+                        for outcome in broker.acquire_batch(tenant, &pair, ttl, 0) {
+                            held.push(outcome.expect("batch admitted"));
+                        }
+                    } else {
+                        held.push(
+                            broker.acquire_with_ttl(tenant, &req(mib), ttl).expect("admitted"),
+                        );
+                    }
+                    for lease in held.iter().rev().take(2) {
+                        let phase = Phase {
+                            name: format!("w{i}-r{round}"),
+                            accesses: vec![BufferAccess::new(
+                                lease.region(),
+                                4 * lease.size(),
+                                0,
+                                AccessPattern::Sequential,
+                            )],
+                            threads: 16,
+                            initiator: "0-15".parse().expect("cpuset"),
+                            compute_ns: 0.0,
+                        };
+                        match broker.run_phase(tenant, &phase) {
+                            Ok(_) => {
+                                phases_run.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Err(ServiceError::UnknownRegion(_)) => {}
+                            Err(e) => panic!("phase failed: {e}"),
+                        }
+                    }
+                    if round % 2 == 1 {
+                        release(held.swap_remove(round % held.len()));
+                    }
+                }
+                held.into_iter().for_each(release);
+            })
+        })
+        .collect();
+    for worker in workers {
+        worker.join().expect("worker");
+    }
+    done.store(true, Ordering::SeqCst);
+    let epochs = epochs.join().expect("epoch thread");
+
+    assert!(epochs > 0, "epochs closed while the workers ran");
+    assert!(phases_run.load(Ordering::Relaxed) > 0, "phases ran");
+    assert!(!broker.guided_stats().expect("guided").is_empty(), "the fold had planes to run");
+    broker.check_invariants().expect("ledger, manager and lease table agree");
+    assert_eq!(broker.live_leases(), 0, "every lease was released or reclaimed");
+    for (node, used, _) in broker.node_usage() {
+        assert_eq!(used, 0, "{node:?} still has bytes charged");
+    }
 }
