@@ -397,7 +397,7 @@ impl PlacementPlan {
     /// plan placed `sizes.iter().sum()` bytes in one walk, and request
     /// `i` takes the next `sizes[i]` bytes of the chunk sequence in
     /// order. This is the batch planning entry point used by the
-    /// sharded broker dispatcher — one walk, N grants — and it
+    /// sharded broker's coalescing — one walk, N grants — and it
     /// reproduces what N serial walks would have placed whenever the
     /// merged walk was neither clamped nor short (each serial prefix
     /// greedily fills the same ranked nodes).

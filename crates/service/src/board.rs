@@ -54,7 +54,7 @@ struct StealMeter {
 struct EpochClock {
     epoch: u64,
     ticks: u64,
-    /// Dispatch planes (shard dispatchers) ticking this board. `0`
+    /// Dispatch planes (shards) ticking this board. `0`
     /// means unset and behaves as `1`.
     planes: u64,
     meter: StealMeter,
@@ -76,19 +76,19 @@ impl TrafficBoard {
         }
     }
 
-    /// Tells the board how many dispatch planes (shard dispatchers)
+    /// Tells the board how many dispatch planes (shards)
     /// tick it per service round. The epoch then opens once per
     /// `planes` ticks, so a contention window stays one service round
     /// wide — and lease TTLs keep their meaning — no matter how many
     /// shards drive the broker. Resets the tick counter; `0` is
-    /// treated as `1` (the default, single-dispatcher clock).
+    /// treated as `1` (the default, single-shard clock).
     pub fn set_planes(&self, planes: u32) {
         let mut clock = self.clock.lock().expect("epoch poisoned");
         clock.planes = planes.max(1) as u64;
         clock.ticks = 0;
     }
 
-    /// Registers one dispatcher tick; previously offered traffic stops
+    /// Registers one served tick; previously offered traffic stops
     /// counting once every plane has ticked. Returns `true` when this
     /// tick opened a new epoch. The broker calls this once per
     /// batching tick on each shard.

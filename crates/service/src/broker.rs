@@ -352,7 +352,7 @@ pub struct Broker {
     node_kind: BTreeMap<NodeId, MemoryKind>,
     tier_capacity: BTreeMap<MemoryKind, u64>,
     fast_kind: MemoryKind,
-    /// The service clock: one epoch per dispatcher batch / load tick.
+    /// The service clock: one epoch per served tick / load tick.
     /// Lease TTLs and fault windows are measured in epochs so every
     /// run is deterministic — no wall clock anywhere.
     epoch: AtomicU64,
@@ -506,7 +506,9 @@ impl Broker {
             let capacity = self.tier_capacity.get(&kind).copied().unwrap_or(0);
             let reserved: u64 =
                 registry.iter().map(|(_, t)| t.reserve.get(&kind).copied().unwrap_or(0)).sum();
-            if reserved + bytes > capacity {
+            // `bytes` is an unchecked wire value: a sum that overflows
+            // oversubscribes the tier too.
+            if reserved.checked_add(bytes).is_none_or(|total| total > capacity) {
                 return Err(ServiceError::Reservation {
                     kind,
                     requested: bytes,
@@ -674,7 +676,7 @@ impl Broker {
     /// Otherwise — where fair-share arithmetic decides who gets what,
     /// or where a next-target walk skipped a node that would have held
     /// a single request — the batch is admitted one request at a time,
-    /// byte for byte like the single-dispatcher path. `shard` only
+    /// byte for byte like the single-shard path. `shard` only
     /// labels the telemetry.
     pub fn acquire_batch(
         &self,
@@ -1068,7 +1070,7 @@ impl Broker {
         self.stall_until.store(until, Ordering::SeqCst);
     }
 
-    /// The current service epoch (one per dispatcher batch).
+    /// The current service epoch (one per served tick).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
     }
@@ -1088,8 +1090,8 @@ impl Broker {
         }
     }
 
-    /// The sink the broker streams telemetry into (the server's
-    /// dispatcher and the serve binary attach collectors to it).
+    /// The sink the broker streams telemetry into (the serve binary
+    /// attaches a collector to it).
     pub fn sink_handle(&self) -> TelemetrySink {
         self.sink.clone()
     }
@@ -1110,7 +1112,7 @@ impl Broker {
         self.leases.lock().expect("leases poisoned").len()
     }
 
-    /// Registers one dispatcher tick. With a single dispatch plane
+    /// Registers one served tick. With a single dispatch plane
     /// (the default) every tick opens the next contention epoch,
     /// advances the service clock, and reclaims any lease whose TTL
     /// elapsed without a renewal. With `S` planes
@@ -1126,8 +1128,8 @@ impl Broker {
         }
     }
 
-    /// Tells the epoch clock how many dispatch planes (shard
-    /// dispatchers) tick this broker per service round. The sharded
+    /// Tells the epoch clock how many dispatch planes (shards) tick
+    /// this broker per service round. The sharded
     /// server calls this at bind time; `hetmem-serve` style embedders
     /// driving [`Broker::advance_epoch`] from one loop never need to.
     pub fn set_dispatch_planes(&self, planes: u32) {
@@ -1156,8 +1158,8 @@ impl Broker {
     }
 
     /// Captures every piece of mutable broker state as plain data.
-    /// Meant to be called at an epoch boundary (between dispatcher
-    /// batches); the capture is internally consistent regardless, but
+    /// Meant to be called at an epoch boundary (between served
+    /// ticks); the capture is internally consistent regardless, but
     /// only epoch-boundary captures are exactly replayable because the
     /// contention board resets per epoch.
     pub fn snapshot_state(&self) -> BrokerState {

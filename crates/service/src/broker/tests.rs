@@ -470,6 +470,24 @@ fn oversubscribed_reservations_are_rejected() {
 }
 
 #[test]
+fn a_reservation_that_overflows_the_reserved_sum_is_refused() {
+    let broker = knl_broker(ArbitrationPolicy::FairShare);
+    broker.register(TenantSpec::new("a").reserve(MemoryKind::Hbm, 256 * MIB)).expect("fits");
+    let huge = u64::MAX - MIB;
+    let err = broker.register(TenantSpec::new("b").reserve(MemoryKind::Hbm, huge)).unwrap_err();
+    assert!(
+        matches!(err, ServiceError::Reservation { requested, .. } if requested == huge),
+        "{err:?}"
+    );
+    // The registry is not poisoned: the broker keeps registering and
+    // admitting.
+    let c = broker.register(TenantSpec::new("c")).expect("register");
+    let lease = broker.acquire(c, &bw_request(GIB)).expect("admitted");
+    broker.release(lease).expect("release");
+    broker.check_invariants().expect("clean");
+}
+
+#[test]
 fn fcfs_lets_one_tenant_take_the_whole_fast_tier() {
     let broker = knl_broker(ArbitrationPolicy::Fcfs);
     let hog = broker.register(TenantSpec::new("hog")).expect("register");

@@ -26,11 +26,11 @@
 //!   saturate a node charge each other bandwidth-degradation stalls,
 //!   surfaced as `ContentionStall` events.
 //! * [`shard`] — the sharded dispatch plane: per-shard admission
-//!   queues ([`ShardConfig`], one dispatcher thread each in the
-//!   server), same-tenant request coalescing into single planning
-//!   walks (`BatchCoalesced`), and work stealing from loaded siblings
-//!   (`ShardSteal`), with arbitration outcomes byte-identical to the
-//!   single-dispatcher plane.
+//!   queues ([`ShardConfig`]; in the server, readers serve their
+//!   shard's ticks), same-tenant request coalescing into single
+//!   planning walks (`BatchCoalesced`), and work stealing from loaded
+//!   siblings (`ShardSteal`), with arbitration outcomes byte-identical
+//!   to the single-shard plane.
 //! * Lease lifecycle — leases may carry a TTL in service epochs
 //!   ([`TenantSpec::lease_ttl`]) with heartbeat renewal over the wire;
 //!   a silent or disconnected tenant's capacity is reclaimed within

@@ -468,8 +468,8 @@ pub enum Response {
         tenants: Vec<TenantStats>,
         /// Per-node `(node, used, total)` bytes.
         nodes: Vec<(NodeId, u64, u64)>,
-        /// Dispatch shards serving this broker (`1` = the single
-        /// dispatcher; absent frames from older brokers parse as `1`).
+        /// Dispatch shards serving this broker (`1` = one queue;
+        /// absent frames from older brokers parse as `1`).
         shards: u32,
         /// Per-tenant `(name, sampling overhead ns)` when guided
         /// service is on; `None` when it is off. An absent field

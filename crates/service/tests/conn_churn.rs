@@ -47,7 +47,7 @@ fn connection_churn_leaves_the_fd_count_flat() {
         drop(client);
     }
 
-    // Readers exit and dispatchers revoke asynchronously; give both a
+    // Readers revoke and exit asynchronously; give both a
     // moment to catch up with the last hang-ups.
     let deadline = Instant::now() + Duration::from_secs(10);
     let settled = loop {

@@ -8,10 +8,11 @@
 //! against a simulated machine until killed. See
 //! `hetmem_service::wire` for the request vocabulary.
 //!
-//! `--shards N` runs N dispatcher threads over per-shard admission
-//! queues with request coalescing and work stealing (see
-//! docs/OPERATIONS.md §8 for when to raise it); `--record` requires
-//! the default single-dispatcher plane.
+//! Each connection's thread serves its shard's queue itself. `--shards
+//! N` runs N admission queues, each with one steal thread, with
+//! request coalescing and work stealing (see docs/OPERATIONS.md §8 for
+//! when to raise it); `--record` requires the default single-shard
+//! plane.
 //!
 //! `--guided` turns on guided service: one adaptive guidance plane
 //! per tenant feeding per-epoch promote/demote batches under the
@@ -187,7 +188,7 @@ fn main() {
                 let sink = TelemetrySink::new();
                 broker.set_sink(sink.clone());
                 let w = Arc::new(w);
-                // A panicking thread (the dispatcher included) must not
+                // A panicking thread (one serving a tick included) must not
                 // take the buffered trace tail with it: flush before
                 // the default hook prints the backtrace. The collector
                 // drains the rings on a short cadence and its Drop does

@@ -137,7 +137,7 @@ pub fn chaos_record_replay(config: &HarnessConfig) -> Result<HarnessOutcome, Sna
                     }
                 }
                 // A dropped client frees everything it holds (the
-                // dispatcher would revoke on disconnect; over the
+                // server would revoke on disconnect; over the
                 // recordable vocabulary an explicit free stream is
                 // the equivalent state transition).
                 FaultKind::ClientDrop { victim } => {

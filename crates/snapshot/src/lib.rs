@@ -677,7 +677,7 @@ fn decode_fault_plan(cur: &mut Cursor<'_>) -> Result<FaultPlan, SnapshotError> {
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireFrame {
     /// An accepted request frame, as JSON, stamped with the epoch the
-    /// dispatcher executed it in.
+    /// server executed it in.
     Request {
         /// Execution epoch.
         epoch: u64,

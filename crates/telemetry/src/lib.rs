@@ -420,7 +420,7 @@ pub struct DigestMerged {
 }
 
 /// Several same-tenant, same-attribute admissions were merged into a
-/// single placement planning walk by a shard dispatcher. The grants
+/// single placement planning walk in one shard tick. The grants
 /// fan back out to the individual requests; this event records only
 /// the merge itself (one per coalesced batch).
 #[derive(Debug, Clone, PartialEq)]
@@ -437,7 +437,7 @@ pub struct BatchCoalesced {
     pub bytes: u64,
 }
 
-/// A shard dispatcher drained its own admission queue and stole
+/// A shard's steal thread found its own admission queue idle and stole
 /// pending work from the most-loaded sibling shard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSteal {

@@ -1,9 +1,12 @@
 //! Wait-free SPSC race buffer — the storage layer under
 //! [`crate::TelemetrySink`].
 //!
-//! One ring has exactly one producer (the thread that owns the
-//! [`crate::ThreadWriter`]) and any number of non-coordinating
-//! observers (collectors). The protocol is the race buffer verified in
+//! One ring has exactly one producer at a time (the thread that owns
+//! the [`crate::ThreadWriter`]) and any number of non-coordinating
+//! observers (collectors). A dropped writer hands its ring to the next
+//! thread that registers with the sink; that hand-off goes through the
+//! sink's mutex, so each owner's pushes happen before the next
+//! owner's. The protocol is the race buffer verified in
 //! ekotrace's `RaceBuffer.tla` model, generalized from double-cell
 //! entries to N-cell frames:
 //!
@@ -66,7 +69,7 @@ pub(crate) struct Ring {
     written: AtomicU64,
     /// Entries rejected because their frame exceeds the ring capacity.
     oversize: AtomicU64,
-    /// Label of the producing thread (registration order in the sink).
+    /// The ring's label (its registration order in the sink).
     thread: u64,
 }
 
@@ -111,6 +114,11 @@ impl Ring {
     /// # Safety contract
     /// Must only be called from the single producer thread (enforced
     /// by [`crate::ThreadWriter`] being neither `Sync` nor `Clone`).
+    /// Ownership moves to another thread only through the sink's
+    /// mutex: the dropping writer parks the ring under it and the next
+    /// registering thread takes it under it, which orders the old
+    /// owner's last push before the new owner's first, so the relaxed
+    /// cursor loads below read the latest values.
     pub(crate) fn push(&self, payload: &[u8]) -> bool {
         let words = payload.len().div_ceil(8) as u64;
         let total = 1 + words;
@@ -161,11 +169,13 @@ impl Ring {
     /// skipped, never mis-decoded.
     pub(crate) fn read_from(&self, read_seqn: u64, mut on_frame: impl FnMut(&[u8])) -> (u64, u64) {
         let wseq = self.write_seqn.load(Ordering::Acquire);
-        if wseq == read_seqn {
-            return (read_seqn, 0);
-        }
         let pre = self.overwrite_seqn.load(Ordering::Relaxed);
         let start = read_seqn.max(pre);
+        if start >= wseq {
+            // Nothing new, or the producer lapped this reader between
+            // the two cursor loads: everything below `wseq` is gone.
+            return (wseq, 0);
+        }
         let mut snap = Vec::with_capacity((wseq - start) as usize);
         for seqn in start..wseq {
             snap.push(self.cells[(seqn & self.mask) as usize].load(Ordering::Relaxed));

@@ -10,13 +10,19 @@
 //! Every event is stamped with a sink-wide **epoch** (an atomic
 //! counter), so a collector can merge the per-thread streams back into
 //! one causally ordered trace.
+//!
+//! A dropped writer hands its ring back to the sink, and the next
+//! thread to register takes it over, so a process holds one ring per
+//! *live* emitting thread however many threads come and go. The ring
+//! keeps its slot, sequence numbers and counters across owners, so
+//! collectors read on where they left off and loss stays exact.
 
 use crate::compact::{decode_record, encode_record};
 use crate::ring::Ring;
 use crate::{Event, Summary};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 /// Default per-thread ring capacity in 8-byte words (8 KiB). At ~4
 /// words per compact event this retains roughly 250 events per thread
@@ -30,7 +36,21 @@ struct SinkShared {
     enabled: bool,
     ring_words: usize,
     epoch: AtomicU64,
-    rings: Mutex<Vec<Arc<Ring>>>,
+    rings: Mutex<Rings>,
+}
+
+/// Every ring a sink ever registered, by slot, plus the ones whose
+/// writer was dropped, waiting for the next registering thread.
+#[derive(Default)]
+struct Rings {
+    all: Vec<Arc<Ring>>,
+    idle: Vec<Arc<Ring>>,
+}
+
+impl SinkShared {
+    fn rings(&self) -> MutexGuard<'_, Rings> {
+        self.rings.lock().expect("sink rings poisoned")
+    }
 }
 
 /// Cloneable entry point for wait-free telemetry.
@@ -59,7 +79,7 @@ impl std::fmt::Debug for TelemetrySink {
         f.debug_struct("TelemetrySink")
             .field("enabled", &self.shared.enabled)
             .field("ring_words", &self.shared.ring_words)
-            .field("threads", &self.shared.rings.lock().expect("rings").len())
+            .field("rings", &self.shared.rings().all.len())
             .finish()
     }
 }
@@ -97,7 +117,7 @@ impl TelemetrySink {
                 enabled,
                 ring_words: words,
                 epoch: AtomicU64::new(0),
-                rings: Mutex::new(Vec::new()),
+                rings: Mutex::new(Rings::default()),
             }),
         }
     }
@@ -108,20 +128,21 @@ impl TelemetrySink {
         self.shared.enabled
     }
 
-    /// Registers a new per-thread ring and returns its owning writer.
+    /// Takes over a ring a dropped writer handed back, or registers a
+    /// new one, and returns its owning writer.
     ///
     /// The writer is `Send` but neither `Sync` nor `Clone`: exactly
-    /// one thread produces into each ring, which is what makes the
-    /// fast path wait-free.
+    /// one thread produces into each ring at a time, which is what
+    /// makes the fast path wait-free.
     pub fn writer(&self) -> ThreadWriter {
-        let ring = if self.shared.enabled {
-            let mut rings = self.shared.rings.lock().expect("sink rings poisoned");
-            let ring = Arc::new(Ring::new(self.shared.ring_words, rings.len() as u64));
-            rings.push(ring.clone());
-            Some(ring)
-        } else {
-            None
-        };
+        let ring = self.shared.enabled.then(|| {
+            let mut rings = self.shared.rings();
+            rings.idle.pop().unwrap_or_else(|| {
+                let ring = Arc::new(Ring::new(self.shared.ring_words, rings.all.len() as u64));
+                rings.all.push(ring.clone());
+                ring
+            })
+        });
         ThreadWriter { shared: self.shared.clone(), ring, scratch: Vec::new() }
     }
 
@@ -171,7 +192,8 @@ thread_local! {
 /// A single thread's handle into a [`TelemetrySink`]: owns one SPSC
 /// race buffer. Obtain via [`TelemetrySink::writer`] and keep it on
 /// the producing thread; emission is wait-free and never blocks on
-/// collectors or other producers.
+/// collectors or other producers. Dropping it hands the ring back to
+/// the sink for the next registering thread.
 pub struct ThreadWriter {
     shared: Arc<SinkShared>,
     /// `None` for writers of a disabled sink.
@@ -185,7 +207,7 @@ impl ThreadWriter {
         self.ring.is_some()
     }
 
-    /// The per-sink thread label collectors report for this writer.
+    /// The label collectors report for this writer's ring.
     pub fn thread(&self) -> u64 {
         self.ring.as_ref().map_or(u64::MAX, |r| r.thread())
     }
@@ -202,13 +224,26 @@ impl ThreadWriter {
     }
 }
 
+impl Drop for ThreadWriter {
+    fn drop(&mut self) {
+        // The sink's mutex orders this owner's last push before the
+        // next owner's first. A poisoned registry just leaves the ring
+        // unused: a destructor must not panic.
+        let Some(ring) = self.ring.take() else { return };
+        if let Ok(mut rings) = self.shared.rings.lock() {
+            rings.idle.push(ring);
+        }
+    }
+}
+
 /// One event as drained from a sink: the payload plus its sink-wide
 /// epoch stamp and the label of the thread that produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollectedEvent {
     /// Sink-wide emission order stamp.
     pub epoch: u64,
-    /// Producing thread label (ring registration order).
+    /// Producing ring's label (its registration order); threads that
+    /// took over a dropped writer's ring share its label.
     pub thread: u64,
     /// The event.
     pub event: Event,
@@ -217,9 +252,9 @@ pub struct CollectedEvent {
 /// Exact per-thread loss accounting for one collector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadLoss {
-    /// Producing thread label.
+    /// Producing ring's label (see [`CollectedEvent::thread`]).
     pub thread: u64,
-    /// Entries the producer published into its ring.
+    /// Entries the ring's producers published into it.
     pub written: u64,
     /// Entries this collector decoded.
     pub collected: u64,
@@ -250,7 +285,7 @@ impl Collector {
     /// threads in epoch order. Overwritten entries are skipped and
     /// show up in [`Collector::loss`] instead.
     pub fn drain_sorted(&mut self) -> Vec<CollectedEvent> {
-        let rings: Vec<Arc<Ring>> = self.shared.rings.lock().expect("sink rings poisoned").clone();
+        let rings: Vec<Arc<Ring>> = self.shared.rings().all.clone();
         self.read.resize(rings.len(), 0);
         self.decoded.resize(rings.len(), 0);
         let mut out = Vec::new();
@@ -273,7 +308,7 @@ impl Collector {
     /// Per-thread written/collected/lost counts as of the last drain.
     /// Exact when the producers are quiescent; see [`ThreadLoss`].
     pub fn loss(&self) -> Vec<ThreadLoss> {
-        let rings: Vec<Arc<Ring>> = self.shared.rings.lock().expect("sink rings poisoned").clone();
+        let rings: Vec<Arc<Ring>> = self.shared.rings().all.clone();
         rings
             .iter()
             .enumerate()
@@ -522,5 +557,74 @@ mod tests {
             assert_eq!(l.written, l.collected + l.lost);
             assert_eq!(l.lost, 0, "16k-word rings hold 500 gauges easily");
         }
+    }
+
+    /// The gauge nodes of `events`, in order.
+    fn nodes(events: &[CollectedEvent]) -> Vec<u32> {
+        events
+            .iter()
+            .map(|e| match &e.event {
+                Event::OccupancyGauge(g) => g.node.0,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn threads_that_come_and_go_reuse_one_ring() {
+        // Room for all 1000 events: the one shared ring must not wrap.
+        let sink = TelemetrySink::with_ring_words(1 << 13);
+        for i in 0..1000 {
+            let sink = sink.clone();
+            std::thread::spawn(move || sink.emit(gauge(i))).join().expect("emitter");
+        }
+        let mut collector = sink.collector();
+        let events = collector.drain_sorted();
+        assert_eq!(nodes(&events), (0..1000).collect::<Vec<_>>(), "each event once, in order");
+        assert!(events.windows(2).all(|w| w[0].epoch < w[1].epoch));
+        let loss = collector.loss();
+        assert!(loss.len() <= 2, "1000 short-lived threads registered {} rings", loss.len());
+        assert_eq!(loss.iter().map(|l| l.lost).sum::<u64>(), 0);
+        assert_eq!(loss.iter().map(|l| l.written).sum::<u64>(), 1000);
+    }
+
+    #[test]
+    fn a_collector_reads_on_across_a_ring_changing_owner() {
+        const THREADS: u32 = 100;
+        const PER_THREAD: u32 = 20;
+        // Big enough that nothing is overwritten, so any lost or
+        // repeated event is a hand-off bug, not a lagging collector.
+        let sink = TelemetrySink::with_ring_words(1 << 14);
+        let stop = Arc::new(AtomicBool::new(false));
+        let drainer = {
+            let mut collector = sink.collector();
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                let mut seen = Vec::new();
+                while !stop.load(Ordering::SeqCst) {
+                    seen.extend(collector.drain_sorted());
+                    std::thread::yield_now();
+                }
+                seen.extend(collector.drain_sorted());
+                (seen, collector.loss())
+            })
+        };
+        for t in 0..THREADS {
+            let mut writer = sink.writer();
+            std::thread::spawn(move || {
+                for i in 0..PER_THREAD {
+                    writer.emit(gauge(t * PER_THREAD + i));
+                }
+            })
+            .join()
+            .expect("emitter");
+        }
+        stop.store(true, Ordering::SeqCst);
+        let (mut seen, loss) = drainer.join().expect("drainer");
+        seen.sort_by_key(|e| e.epoch);
+        assert_eq!(nodes(&seen), (0..THREADS * PER_THREAD).collect::<Vec<_>>());
+        assert_eq!(loss.len(), 1, "every writer took over the same ring");
+        assert_eq!(loss[0].written, (THREADS * PER_THREAD) as u64);
+        assert_eq!(loss[0].lost, 0);
     }
 }

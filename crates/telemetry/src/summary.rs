@@ -85,7 +85,7 @@ pub struct Summary {
     pub batches_coalesced: u64,
     /// Individual requests covered by those coalesced batches.
     pub coalesced_requests: u64,
-    /// Work-stealing grabs between shard dispatchers.
+    /// Work-stealing grabs between shards.
     pub shard_steals: u64,
     /// Individual queued requests moved by those steals.
     pub stolen_requests: u64,
@@ -107,7 +107,7 @@ pub struct Summary {
     /// ring before a collector reached them. A nonzero count means
     /// every other total above is a lower bound.
     pub events_lost: u64,
-    /// [`Summary::events_lost`] split by producing-thread label, as
+    /// [`Summary::events_lost`] split by producing ring's label, as
     /// reported by [`crate::Collector::loss`].
     pub lost_per_thread: BTreeMap<u64, u64>,
 }
