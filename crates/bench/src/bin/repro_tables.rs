@@ -21,7 +21,10 @@
 //! by more than the tolerance (default 10%) in its losing direction;
 //! areas listed in `perf::MACHINE_DEPENDENT_AREAS` (wall-clock
 //! timings) are skipped with an explicit message rather than gated.
-//! `--check-bench` validates files against the schema.
+//! `--check-bench` validates files against the schema, and refuses a
+//! rate unit (`ops`, or any unit ending in `/s`) outside those
+//! wall-clock areas: every other area is a deterministic model, and a
+//! rate needs a clock.
 //!
 //! `--replay` drives the `hetmem-snapshot` record → snapshot → restore
 //! → replay harness and exits non-zero unless every replay reproduces
@@ -33,12 +36,10 @@
 //! verifies, and cross-broker spill lifts the aggregate fast-tier hit
 //! rate at two or more broker counts.
 //!
-//! `--shard` sweeps dispatch shard counts {1, 2, 4, 8} at two
-//! simulated-client scales through the sharded-dispatch load model;
-//! it exits non-zero unless reruns are bit-identical, modelled
-//! throughput rises monotonically from 1 through 4 shards at 100k+
-//! clients, and every shard count's aggregate fast-tier hit rate stays
-//! within one percentage point of the 1-shard baseline.
+//! `--shard` sweeps dispatch shard counts {1, 2, 4, 8} through the
+//! serve plane's own module; it exits non-zero unless reruns are
+//! bit-identical and every shard count's aggregate fast-tier hit rate
+//! stays within one percentage point of the 1-shard baseline.
 //!
 //! `--guided-service` sweeps {1, 2, 4} latency tenants against a
 //! fast-tier hog with the broker's guidance plane on and off, under
@@ -217,7 +218,8 @@ fn check_bench_cmd(args: &[String]) -> i32 {
     }
     let mut failed = false;
     for path in args {
-        match perf::load(std::path::Path::new(path)) {
+        let path_ref = std::path::Path::new(path);
+        match perf::load(path_ref).and_then(|r| perf::check_rates(path_ref, &r).map(|()| r)) {
             Ok(records) => println!("{path}: ok ({} records)", records.len()),
             Err(e) => {
                 eprintln!("{path}: INVALID: {e}");
@@ -631,16 +633,8 @@ fn service() {
         "== Multi-tenant service: 1 resident hog + 3 interactive tenants on the KNL MCDRAM =="
     );
     println!(
-        "{:<12} {:>8} {:>7} {:>9} {:>9} {:>9} {:>9} {:>7} {:>10}",
-        "policy",
-        "admitted",
-        "denied",
-        "p50 us",
-        "p99 us",
-        "alloc/s",
-        "fast-hit",
-        "clamps",
-        "stall ms"
+        "{:<12} {:>8} {:>7} {:>9} {:>7} {:>10}",
+        "policy", "admitted", "denied", "fast-hit", "clamps", "stall ms"
     );
     let ctx = Ctx::knl();
     let mut reports = Vec::new();
@@ -649,13 +643,10 @@ fn service() {
     {
         let r = run_load(ctx.machine.clone(), ctx.attrs.clone(), &knl_contention(policy));
         println!(
-            "{:<12} {:>8} {:>7} {:>9.2} {:>9.2} {:>9.0} {:>8.1}% {:>7} {:>10.1}",
+            "{:<12} {:>8} {:>7} {:>8.1}% {:>7} {:>10.1}",
             policy.as_str(),
             r.admitted,
             r.denied,
-            r.p50_alloc_ns / 1e3,
-            r.p99_alloc_ns / 1e3,
-            r.allocs_per_sec,
             r.fast_hit() * 100.0,
             r.clamps,
             r.stall_ns / 1e6
@@ -692,15 +683,6 @@ fn service() {
     {
         let p = policy.as_str();
         records.extend([
-            BenchRecord::new(
-                "service_load",
-                format!("{p}_allocs_per_sec"),
-                r.allocs_per_sec,
-                "ops/s",
-                0,
-            ),
-            BenchRecord::new("service_load", format!("{p}_p50_alloc"), r.p50_alloc_ns, "ns", 0),
-            BenchRecord::new("service_load", format!("{p}_p99_alloc"), r.p99_alloc_ns, "ns", 0),
             BenchRecord::new("service_load", format!("{p}_fast_hit"), r.fast_hit(), "frac", 0),
             BenchRecord::new(
                 "service_load",
@@ -790,13 +772,6 @@ fn chaos(trace: Option<&str>) {
                 "reclaimed_mib",
                 (s.reclaimed_bytes >> 20) as f64,
                 "count",
-                seed,
-            ),
-            BenchRecord::new(
-                "chaos_sweep",
-                "allocs_per_sec",
-                baseline.allocs_per_sec,
-                "ops/s",
                 seed,
             ),
         ]);
@@ -1035,107 +1010,67 @@ fn federation() {
     }
 }
 
-/// Sharded dispatch plane: shard counts {1, 2, 4, 8} at 100k and 1M
-/// simulated clients on the KNL. Admission outcomes (fast-tier hit
-/// rate, clamps, coalesced merges) are measured through the real
-/// broker; throughput and latency come from the deterministic
-/// critical-path model in `hetmem_bench::shard_load`, so
+/// Sharded serve plane: shard counts {1, 2, 4, 8} on the KNL, driven
+/// through the plane module `hetmem-serve` runs. Every number is an
+/// admission outcome through the real broker (no clock), so
 /// `BENCH_shard.json` is regression-gated on all machines. Exits
-/// non-zero unless reruns are bit-identical, throughput rises
-/// monotonically 1 → 2 → 4 shards at every client scale, and each
-/// shard count's fast-tier hit rate stays within one percentage point
-/// of its 1-shard baseline.
+/// non-zero unless reruns are bit-identical and each shard count's
+/// fast-tier hit rate stays within one percentage point of the
+/// 1-shard baseline.
 fn shard() {
     use hetmem_bench::shard_load::{knl_shard_load, run_shard_load};
     let ctx = Ctx::knl();
     println!("== Sharded dispatch: scaling sweep (KNL, fair-share, 8 tenants) ==");
     println!(
-        "{:<9} {:<7} {:>9} {:>7} {:>12} {:>10} {:>10} {:>9} {:>8} {:>7}",
-        "clients",
-        "shards",
-        "admitted",
-        "denied",
-        "allocs/s",
-        "p50 us",
-        "p99 us",
-        "fast-hit",
-        "merges",
-        "steals"
+        "{:<7} {:>9} {:>7} {:>9} {:>8} {:>7}",
+        "shards", "admitted", "denied", "fast-hit", "merges", "steals"
     );
     let mut records = Vec::new();
     let mut identical = true;
-    let mut monotone = true;
     let mut fair = true;
-    for clients in [100_000u64, 1_000_000] {
-        let mut baseline_hit = 0.0;
-        let mut last_throughput = 0.0;
-        for shards in [1u32, 2, 4, 8] {
-            let cfg = knl_shard_load(clients, shards);
-            let report = run_shard_load(ctx.machine.clone(), ctx.attrs.clone(), &cfg);
-            identical &= report == run_shard_load(ctx.machine.clone(), ctx.attrs.clone(), &cfg);
-            if shards == 1 {
-                baseline_hit = report.fast_hit;
-            } else if shards <= 4 {
-                monotone &= report.allocs_per_sec > last_throughput;
-            }
-            fair &= (report.fast_hit - baseline_hit).abs() <= 0.01;
-            last_throughput = report.allocs_per_sec;
-            println!(
-                "{:<9} {:<7} {:>9} {:>7} {:>12.0} {:>10.1} {:>10.1} {:>8.1}% {:>8} {:>7}",
-                clients,
-                shards,
-                report.admitted,
-                report.denied,
-                report.allocs_per_sec,
-                report.p50_ns / 1e3,
-                report.p99_ns / 1e3,
-                report.fast_hit * 100.0,
-                report.merged_batches,
-                report.steals
-            );
-            let tag = format!("c{}k_s{shards}", clients / 1000);
-            records.extend([
-                BenchRecord::new(
-                    "shard_sweep",
-                    format!("{tag}_allocs_per_sec"),
-                    report.allocs_per_sec,
-                    "ops",
-                    cfg.seed,
-                ),
-                BenchRecord::new(
-                    "shard_sweep",
-                    format!("{tag}_p99_ns"),
-                    report.p99_ns,
-                    "ns",
-                    cfg.seed,
-                ),
-                BenchRecord::new(
-                    "shard_sweep",
-                    format!("{tag}_fast_hit"),
-                    report.fast_hit,
-                    "frac",
-                    cfg.seed,
-                ),
-                BenchRecord::new(
-                    "shard_sweep",
-                    format!("{tag}_merged_batches"),
-                    report.merged_batches as f64,
-                    "count",
-                    cfg.seed,
-                ),
-            ]);
+    let mut baseline_hit = 0.0;
+    for shards in [1u32, 2, 4, 8] {
+        let cfg = knl_shard_load(shards);
+        let report = run_shard_load(ctx.machine.clone(), ctx.attrs.clone(), &cfg);
+        identical &= report == run_shard_load(ctx.machine.clone(), ctx.attrs.clone(), &cfg);
+        if shards == 1 {
+            baseline_hit = report.fast_hit;
         }
+        fair &= (report.fast_hit - baseline_hit).abs() <= 0.01;
+        println!(
+            "{:<7} {:>9} {:>7} {:>8.1}% {:>8} {:>7}",
+            shards,
+            report.admitted,
+            report.denied,
+            report.fast_hit * 100.0,
+            report.merged_batches,
+            report.steals
+        );
+        records.extend([
+            BenchRecord::new(
+                "shard_sweep",
+                format!("s{shards}_fast_hit"),
+                report.fast_hit,
+                "frac",
+                cfg.seed,
+            ),
+            BenchRecord::new(
+                "shard_sweep",
+                format!("s{shards}_merged_batches"),
+                report.merged_batches as f64,
+                "count",
+                cfg.seed,
+            ),
+        ]);
     }
     emit_bench("shard", &records);
     println!(
-        "  => reruns bit-identical: {}; throughput monotone 1→4 shards: {}; \
-         fast-tier hit within 1pp of 1-shard baseline: {}",
+        "  => reruns bit-identical: {}; fast-tier hit within 1pp of 1-shard baseline: {}",
         if identical { "yes" } else { "NO" },
-        if monotone { "yes" } else { "NO" },
         if fair { "yes" } else { "NO" }
     );
     println!();
-    if !identical || !monotone || !fair {
+    if !identical || !fair {
         std::process::exit(1);
     }
 }

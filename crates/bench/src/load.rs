@@ -3,10 +3,10 @@
 //! A population of synthetic clients drives a [`Broker`] through
 //! think → allocate → hold → release cycles on a virtual tick clock.
 //! Everything is deterministic: sizes, hold times and think times come
-//! from a seeded [`SmallRng`], and the per-request "allocation
-//! latency" is a synthetic cost model (arbitration base cost plus
-//! queueing, spill-walk and quota-clamp penalties) rather than wall
-//! clock, so the same seed always reproduces the same report.
+//! from a seeded [`SmallRng`], and the report holds outcomes only
+//! (admits, denials, fast-tier bytes, clamps, simulated-memory stall
+//! time), so the same seed always reproduces the same report. How fast
+//! the broker serves is for a wall-clock benchmark to measure.
 //!
 //! The interesting output is the *aggregate fast-tier hit rate*: the
 //! fraction of admitted bytes that landed on the machine's fast tier.
@@ -26,19 +26,6 @@ use hetmem_topology::MemoryKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-
-/// Arbitration base cost per admitted request (shared with the
-/// sharded-dispatch sweep in [`crate::shard_load`]).
-pub const BASE_ALLOC_NS: f64 = 900.0;
-/// Added per request already served earlier in the same tick (queueing
-/// behind the batch the dispatcher drains per tick).
-pub const QUEUE_STEP_NS: f64 = 350.0;
-/// Added per extra placement entry (each spill hop walks one more
-/// ranked candidate).
-pub const SPILL_HOP_NS: f64 = 250.0;
-/// Added when the arbiter clamped the request below its ask (the
-/// fair-share bookkeeping path).
-pub const CLAMP_PENALTY_NS: f64 = 1200.0;
 
 /// One synthetic tenant population.
 #[derive(Debug, Clone)]
@@ -118,12 +105,6 @@ pub struct LoadReport {
     pub admitted: u64,
     /// Requests denied across all tenants.
     pub denied: u64,
-    /// Median synthetic allocation latency (admitted requests).
-    pub p50_alloc_ns: f64,
-    /// 99th-percentile synthetic allocation latency.
-    pub p99_alloc_ns: f64,
-    /// Admitted requests per virtual second.
-    pub allocs_per_sec: f64,
     /// Admitted bytes that landed on the fast tier.
     pub fast_bytes: u64,
     /// Total admitted bytes.
@@ -210,7 +191,7 @@ pub struct ChaosStats {
 
 /// Inclusive uniform draw without `gen_range` (the offline `rand`
 /// stub only provides `gen`).
-fn draw(rng: &mut SmallRng, lo: u64, hi: u64) -> u64 {
+pub(crate) fn draw(rng: &mut SmallRng, lo: u64, hi: u64) -> u64 {
     if hi <= lo {
         return lo;
     }
@@ -297,7 +278,6 @@ pub fn run_load_chaos(
     let mut chaos_stats = ChaosStats::default();
     // (restore_tick, tier) entries for degradations still in force.
     let mut restores: Vec<(u32, MemoryKind)> = Vec::new();
-    let mut latencies: Vec<f64> = Vec::new();
     let mut stall_ns = 0.0;
     for tick in 0..cfg.ticks {
         broker.advance_epoch();
@@ -333,7 +313,6 @@ pub fn run_load_chaos(
                 }
             }
         }
-        let mut queue_pos = 0u32;
         for client in &mut clients {
             if client.dead || tick < client.slow_until {
                 // Dead and silent clients neither renew nor request;
@@ -379,20 +358,9 @@ pub fn run_load_chaos(
                         .criterion(profile.criterion)
                         .fallback(profile.fallback)
                         .any_locality();
-                    let clamps_before = tenant_clamps(&broker, client.tenant);
-                    let pos = queue_pos;
-                    queue_pos += 1;
                     match broker.acquire(client.tenant, &req) {
                         Ok(lease) => {
                             client.attempts = 0;
-                            let clamped = tenant_clamps(&broker, client.tenant) > clamps_before;
-                            let mut ns = BASE_ALLOC_NS
-                                + QUEUE_STEP_NS * pos as f64
-                                + SPILL_HOP_NS * lease.placement().len().saturating_sub(1) as f64;
-                            if clamped {
-                                ns += CLAMP_PENALTY_NS;
-                            }
-                            latencies.push(ns);
                             let t = &mut tallies[client.profile];
                             t.0 += 1;
                             t.2 += lease.fast_bytes();
@@ -470,7 +438,6 @@ pub fn run_load_chaos(
     }
     broker.check_invariants().expect("broker consistent after load run");
 
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let stats = broker.tenants();
     let per_tenant: Vec<TenantLoad> = cfg
         .tenants
@@ -491,7 +458,6 @@ pub fn run_load_chaos(
             }
         })
         .collect();
-    let admitted: u64 = per_tenant.iter().map(|t| t.admitted).sum();
     let chaos_rollup = chaos.enabled().then(|| {
         let r = broker.robustness();
         chaos_stats.expired = r.expired;
@@ -501,11 +467,8 @@ pub fn run_load_chaos(
     });
     LoadReport {
         policy: cfg.policy,
-        admitted,
+        admitted: per_tenant.iter().map(|t| t.admitted).sum(),
         denied: per_tenant.iter().map(|t| t.denied).sum(),
-        p50_alloc_ns: percentile(&latencies, 50.0),
-        p99_alloc_ns: percentile(&latencies, 99.0),
-        allocs_per_sec: admitted as f64 / (cfg.ticks as f64 * cfg.tick_ns / 1e9),
         fast_bytes: per_tenant.iter().map(|t| t.fast_bytes).sum(),
         total_bytes: per_tenant.iter().map(|t| t.total_bytes).sum(),
         clamps: per_tenant.iter().map(|t| t.clamps).sum(),
@@ -513,18 +476,6 @@ pub fn run_load_chaos(
         per_tenant,
         chaos: chaos_rollup,
     }
-}
-
-fn tenant_clamps(broker: &Broker, tenant: TenantId) -> u64 {
-    broker.tenants().iter().find(|s| s.id == tenant).map_or(0, |s| s.clamps)
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// The canonical contention workload used by `repro_tables --service`:

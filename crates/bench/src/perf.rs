@@ -16,6 +16,8 @@
 //! timings of whatever host produced them; they are schema-validated
 //! and diffable but explicitly skipped by `--compare` (see
 //! [`load_comparable`]) instead of silently drifting across runners.
+//! Only they may hold a rate ([`check_rates`]): every other area is a
+//! deterministic model, and a rate needs a clock.
 
 use hetmem_telemetry::json::{parse, JsonValue};
 use std::path::{Path, PathBuf};
@@ -171,6 +173,26 @@ pub fn is_machine_dependent(path: &Path) -> bool {
     area_of(path).is_some_and(|a| MACHINE_DEPENDENT_AREAS.contains(&a.as_str()))
 }
 
+/// Whether `unit` is a rate: `ops`, or any unit per second.
+pub fn is_rate_unit(unit: &str) -> bool {
+    unit == "ops" || unit.ends_with("/s")
+}
+
+/// Refuses a rate in a file outside [`MACHINE_DEPENDENT_AREAS`]: only
+/// a clock can produce one, and only those areas are timed.
+pub fn check_rates(path: &Path, records: &[BenchRecord]) -> Result<(), String> {
+    if is_machine_dependent(path) {
+        return Ok(());
+    }
+    match records.iter().find(|r| is_rate_unit(&r.unit)) {
+        Some(r) => Err(format!(
+            "{}/{} has rate unit {:?}, but this area is not clock-measured",
+            r.bench, r.metric, r.unit
+        )),
+        None => Ok(()),
+    }
+}
+
 fn bench_files(path: &Path) -> Result<Vec<PathBuf>, String> {
     let mut files = Vec::new();
     if path.is_dir() {
@@ -316,6 +338,17 @@ mod tests {
         // Inside the tolerance in the losing direction: fine.
         let near = vec![rec("b", "latency", 109.0, "ns"), rec("b", "throughput", 91.0, "ops/s")];
         assert!(compare(&base, &near, 0.10).iter().all(|d| !d.regressed));
+    }
+
+    #[test]
+    fn rates_are_refused_outside_clock_measured_areas() {
+        let modelled = vec![rec("b", "admitted", 461.0, "count"), rec("b", "p50", 1.0, "ns")];
+        assert!(check_rates(Path::new("BENCH_service.json"), &modelled).is_ok());
+        for unit in ["ops", "ops/s", "events/s"] {
+            let rate = vec![rec("b", "rate", 1.0, unit)];
+            assert!(check_rates(Path::new("BENCH_shard.json"), &rate).is_err(), "{unit}");
+            assert!(check_rates(Path::new("BENCH_telemetry.json"), &rate).is_ok(), "{unit}");
+        }
     }
 
     #[test]

@@ -1,70 +1,42 @@
-//! Deterministic scaling sweep for the sharded dispatch plane.
+//! Deterministic sweep of the sharded serve plane.
 //!
-//! [`run_shard_load`] drives a population of simulated clients through
-//! a [`ShardCore`] — the thread-free form of the server's sharded
-//! dispatcher — and reports modelled throughput and latency alongside
-//! *measured* arbitration outcomes (admits, fast-tier hit rate,
-//! clamps, coalesced batches, steals). Admission itself is real: every
-//! request goes through the broker's ranking, fair-share arbitration
-//! and commit path, so the fairness numbers are facts, not model
-//! outputs.
-//!
-//! The model maps a physical request stream onto the simulated
-//! population: each of the `arrivals_per_tick × ticks` physical
-//! requests stands for `weight = clients / physical` simulated
-//! clients issuing one request each. Per-request cost reuses the load
-//! harness's synthetic constants (arbitration base cost, spill-hop
-//! walks, queueing steps); a tick's virtual duration is the *critical
-//! path* — the most loaded shard's service time — so doubling the
-//! shard count under a balanced tenant mix roughly halves the tick
-//! and raises modelled throughput. Coalescing credits are taken only
-//! for merges the broker actually performed (each `batch_coalesced`
-//! event replaces `merged − 1` full planning walks with commit
-//! fan-outs on its shard). Queue wait scales with the simulated — not
-//! physical — queue depth, which is what makes p99 collapse as shards
-//! absorb the population.
-//!
-//! Everything is seeded and wall-clock-free, so the same config
-//! produces the same report on any machine; `repro_tables --shard`
-//! persists the sweep into `BENCH_shard.json` and `--compare` treats
-//! it as exactly reproducible.
+//! [`run_shard_load`] posts a seeded request stream onto a
+//! [`Plane`] — the module whose calls `hetmem-serve`'s threads make —
+//! with one connection per tenant, so connection `t` routes to shard
+//! `t mod S`. Each round, idle shards steal and every shard serves its
+//! queue through the plane's merge runs, all on one thread. The report
+//! holds outcomes only: admits, denials, fast-tier hit rate, clamps,
+//! merge runs and steals. Admission is real — every request goes
+//! through the broker's ranking, fair-share arbitration and commit
+//! path — so the numbers are facts, and the same config produces the
+//! same report on any machine. The sweep has no clock: how fast a
+//! sharded daemon serves is for a wall-clock benchmark to measure.
 
-use crate::load::{BASE_ALLOC_NS, QUEUE_STEP_NS, SPILL_HOP_NS};
+use crate::load::draw;
 use hetmem_alloc::{AllocRequest, Fallback};
 use hetmem_core::{attr, MemAttrs};
 use hetmem_memsim::Machine;
+use hetmem_service::shard::{Ask, Plane, Step, Turn};
 use hetmem_service::{
-    ArbitrationPolicy, Broker, Lease, Priority, ServiceError, ShardAssignment, ShardConfig,
-    ShardCore, TenantSpec,
+    ArbitrationPolicy, Broker, Lease, Priority, ServiceError, ShardConfig, TenantSpec,
 };
 use hetmem_telemetry::{Event, TelemetrySink};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Cost of fanning one already-planned request out of a coalesced
-/// batch (lease bookkeeping and ledger settling, no ranking and no
-/// planning walk). The coalescing win per merged request is
-/// `BASE_ALLOC_NS − COMMIT_STEP_NS`.
-pub const COMMIT_STEP_NS: f64 = 150.0;
-
-/// One sharded-dispatch sweep point.
+/// One sharded-plane sweep point.
 #[derive(Debug, Clone)]
 pub struct ShardLoadConfig {
-    /// Simulated client population (each client issues one request
-    /// over the run); the physical stream is weighted up to it.
-    pub clients: u64,
-    /// Dispatch shards.
+    /// Dispatch shards; coalescing is on when there are two or more.
     pub shards: u32,
-    /// Coalesce mergeable same-tenant batches.
-    pub coalesce: bool,
     /// Arbitration policy under test.
     pub policy: ArbitrationPolicy,
-    /// Service ticks simulated.
+    /// Rounds simulated; each opens one epoch.
     pub ticks: u32,
-    /// Physical requests submitted per tick.
+    /// Requests posted per round.
     pub arrivals_per_tick: u32,
-    /// Ticks a granted lease is held before release.
+    /// Rounds a granted lease is held before release.
     pub hold_ticks: u32,
     /// Inclusive request-size range in MiB.
     pub size_mib: (u64, u64),
@@ -76,24 +48,15 @@ pub struct ShardLoadConfig {
 /// compare whole reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardLoadReport {
-    /// Simulated clients this run modelled.
-    pub clients: u64,
     /// Shard count.
     pub shards: u32,
-    /// Physical requests admitted.
+    /// Requests admitted.
     pub admitted: u64,
-    /// Physical requests denied.
+    /// Requests denied.
     pub denied: u64,
-    /// Modelled admitted requests per virtual second (simulated
-    /// population over summed critical-path tick time).
-    pub allocs_per_sec: f64,
-    /// Modelled median request latency, queue wait included.
-    pub p50_ns: f64,
-    /// Modelled 99th-percentile request latency.
-    pub p99_ns: f64,
-    /// Aggregate fast-tier hit rate (measured, physical bytes).
+    /// Aggregate fast-tier hit rate (admitted bytes).
     pub fast_hit: f64,
-    /// Fair-share / quota clamps across all tenants (measured).
+    /// Fair-share / quota clamps across all tenants.
     pub clamps: u64,
     /// `batch_coalesced` events the broker emitted.
     pub merged_batches: u64,
@@ -106,16 +69,14 @@ pub struct ShardLoadReport {
 /// The canonical KNL sweep point: eight even fair-share tenants (four
 /// latency-class, four batch-class) whose steady-state footprint
 /// oversubscribes the ~16 GiB MCDRAM tier about 2×, so placement
-/// spills and the fast tier is genuinely contended. Tenant count is a
-/// multiple of every swept shard count, so tenant-group assignment
-/// balances the shards and the measured speedup is the plane's, not a
-/// skew artifact. `shards == 1` runs without coalescing — that is the
-/// single-dispatcher baseline the fairness tolerance is anchored to.
-pub fn knl_shard_load(clients: u64, shards: u32) -> ShardLoadConfig {
+/// spills and the fast tier is genuinely contended. The tenant count
+/// is a multiple of every swept shard count, so the shards are evenly
+/// loaded and the fast-hit parity across `S` is the plane's, not a
+/// skew artifact. `shards == 1` is serial admission, the baseline the
+/// parity is anchored to.
+pub fn knl_shard_load(shards: u32) -> ShardLoadConfig {
     ShardLoadConfig {
-        clients,
         shards,
-        coalesce: shards > 1,
         policy: ArbitrationPolicy::FairShare,
         ticks: 16,
         arrivals_per_tick: 1024,
@@ -125,9 +86,9 @@ pub fn knl_shard_load(clients: u64, shards: u32) -> ShardLoadConfig {
     }
 }
 
-/// Runs one sweep point. See the module docs for the model; the
-/// broker work (registration, ranking, arbitration, commit, release)
-/// is real and single-threaded-deterministic.
+/// Runs one sweep point. See the module docs; the broker work
+/// (registration, ranking, arbitration, commit, release) is real and
+/// single-threaded-deterministic.
 pub fn run_shard_load(
     machine: Arc<Machine>,
     attrs: Arc<MemAttrs>,
@@ -147,25 +108,10 @@ pub fn run_shard_load(
         tenants.push(id);
     }
     let broker = Arc::new(broker);
-    let mut core = ShardCore::new(
-        broker.clone(),
-        ShardConfig {
-            shards: cfg.shards,
-            coalesce: cfg.coalesce,
-            assignment: ShardAssignment::TenantGroup,
-        },
-    );
-    let shards = core.config().effective_shards() as usize;
-    let physical = cfg.ticks as u64 * cfg.arrivals_per_tick as u64;
-    let weight = cfg.clients as f64 / physical as f64;
+    let plane = Plane::new(broker.clone(), ShardConfig::with_shards(cfg.shards));
 
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut ledger: Vec<(u32, Lease)> = Vec::new();
-    // Submit-order metadata per token: (shard, position in that
-    // shard's queue this tick).
-    let mut meta: Vec<(usize, u64)> = Vec::new();
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut elapsed_ns = 0.0;
     let (mut admitted, mut denied) = (0u64, 0u64);
     let (mut fast_bytes, mut total_bytes) = (0u64, 0u64);
     let (mut merged_batches, mut merged_requests, mut steals) = (0u64, 0u64, 0u64);
@@ -182,7 +128,6 @@ pub fn run_shard_load(
         }
         ledger = keep;
 
-        let mut positions = vec![0u64; shards];
         for k in 0..cfg.arrivals_per_tick {
             let tenant = tenants[(k % TENANTS) as usize];
             let size = draw(&mut rng, cfg.size_mib.0, cfg.size_mib.1) << 20;
@@ -190,41 +135,39 @@ pub fn run_shard_load(
                 .criterion(attr::BANDWIDTH)
                 .fallback(Fallback::PartialSpill)
                 .any_locality();
-            let shard = core.shard_of(tenant, &req) as usize;
-            meta.push((shard, positions[shard]));
-            positions[shard] += 1;
-            core.submit(tenant, req, None);
+            plane.post(Ask { conn: tenant.0 as u64, tag: 0, tenant, req, ttl: None });
         }
 
-        let mut shard_ns = vec![0.0f64; shards];
-        for (token, outcome) in core.drain() {
-            let (shard, pos) = meta[token as usize];
-            match outcome {
+        let mut outcomes = Vec::new();
+        let loans: Vec<_> = (0..plane.shards())
+            .filter(|&s| !plane.has_work(s))
+            .filter_map(|thief| Some((thief, plane.steal(thief)?)))
+            .collect();
+        for shard in 0..plane.shards() {
+            let mut turn = Turn::default();
+            while let Step::Tick(frames) = plane.next(shard, &mut turn) {
+                plane.serve_tick(shard, frames, |_, outcome| outcomes.push(outcome));
+            }
+        }
+        for (thief, loan) in loans {
+            plane.serve_tick(thief, loan.frames, |_, outcome| outcomes.push(outcome));
+            plane.hand_back(loan.victim, &loan.conns);
+        }
+        for outcome in outcomes {
+            match outcome.expect("an ask is an alloc") {
                 Ok(lease) => {
-                    let hops = lease.placement().len().saturating_sub(1) as f64;
-                    let service = BASE_ALLOC_NS + SPILL_HOP_NS * hops;
-                    shard_ns[shard] += weight * service;
-                    latencies.push(service + QUEUE_STEP_NS * weight * pos as f64);
                     admitted += 1;
                     fast_bytes += lease.fast_bytes();
                     total_bytes += lease.size();
                     ledger.push((tick + cfg.hold_ticks, lease));
                 }
-                Err(ServiceError::Admission { .. }) => {
-                    shard_ns[shard] += weight * BASE_ALLOC_NS;
-                    denied += 1;
-                }
+                Err(ServiceError::Admission { .. }) => denied += 1,
                 Err(e) => panic!("shard sweep misconfigured: {e}"),
             }
         }
         for record in collector.drain_sorted() {
             match &record.event {
                 Event::BatchCoalesced(bc) => {
-                    // The merge replaced merged−1 full planning walks
-                    // with commit fan-outs on its shard.
-                    shard_ns[bc.shard as usize] -= weight
-                        * (bc.merged.saturating_sub(1)) as f64
-                        * (BASE_ALLOC_NS - COMMIT_STEP_NS);
                     merged_batches += 1;
                     merged_requests += bc.merged;
                 }
@@ -232,47 +175,22 @@ pub fn run_shard_load(
                 _ => {}
             }
         }
-        elapsed_ns += shard_ns.iter().cloned().fold(0.0, f64::max);
     }
 
     for (_, lease) in ledger {
         broker.release(lease).expect("sweep leases release");
     }
     broker.check_invariants().expect("broker consistent after shard sweep");
-    let clamps = broker.tenants().iter().map(|t| t.clamps).sum();
-
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     ShardLoadReport {
-        clients: cfg.clients,
         shards: cfg.shards,
         admitted,
         denied,
-        allocs_per_sec: admitted as f64 * weight / (elapsed_ns / 1e9),
-        p50_ns: percentile(&latencies, 50.0),
-        p99_ns: percentile(&latencies, 99.0),
         fast_hit: if total_bytes == 0 { 0.0 } else { fast_bytes as f64 / total_bytes as f64 },
-        clamps,
+        clamps: broker.tenants().iter().map(|t| t.clamps).sum(),
         merged_batches,
         merged_requests,
         steals,
     }
-}
-
-/// Inclusive uniform draw (the offline `rand` stub only has `gen`).
-fn draw(rng: &mut SmallRng, lo: u64, hi: u64) -> u64 {
-    if hi <= lo {
-        return lo;
-    }
-    let span = hi - lo + 1;
-    lo + ((rng.gen::<f64>() * span as f64) as u64).min(span - 1)
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 #[cfg(test)]
@@ -283,37 +201,31 @@ mod tests {
     #[test]
     fn same_seed_same_report() {
         let ctx = Ctx::knl();
-        let cfg = knl_shard_load(100_000, 4);
+        let cfg = knl_shard_load(4);
         let a = run_shard_load(ctx.machine.clone(), ctx.attrs.clone(), &cfg);
         let b = run_shard_load(ctx.machine.clone(), ctx.attrs.clone(), &cfg);
         assert_eq!(a, b, "shard sweep points are bit-identical across reruns");
     }
 
     #[test]
-    fn sharding_scales_throughput_and_keeps_fairness() {
+    fn sharding_keeps_fairness_and_merges_only_runs() {
         let ctx = Ctx::knl();
-        let baseline =
-            run_shard_load(ctx.machine.clone(), ctx.attrs.clone(), &knl_shard_load(100_000, 1));
-        let mut last = baseline.allocs_per_sec;
-        for shards in [2, 4] {
-            let r = run_shard_load(
-                ctx.machine.clone(),
-                ctx.attrs.clone(),
-                &knl_shard_load(100_000, shards),
-            );
-            assert!(
-                r.allocs_per_sec > last,
-                "{shards} shards should beat the previous point: {} <= {last}",
-                r.allocs_per_sec
-            );
+        let baseline = run_shard_load(ctx.machine.clone(), ctx.attrs.clone(), &knl_shard_load(1));
+        for shards in [2, 4, 8] {
+            let r = run_shard_load(ctx.machine.clone(), ctx.attrs.clone(), &knl_shard_load(shards));
             assert!(
                 (r.fast_hit - baseline.fast_hit).abs() <= 0.01,
                 "{shards}-shard fast hit {:.4} drifted over 1pp from baseline {:.4}",
                 r.fast_hit,
                 baseline.fast_hit
             );
-            assert!(r.merged_batches > 0, "coalescing fired at {shards} shards");
-            last = r.allocs_per_sec;
+            // Tenants arrive interleaved, so a shard's queue holds runs
+            // of one tenant only when it serves one tenant: at S = 8.
+            if shards == 8 {
+                assert!(r.merged_batches > 0, "coalescing fired at {shards} shards");
+            } else {
+                assert_eq!(r.merged_batches, 0, "no same-tenant runs at {shards} shards");
+            }
         }
     }
 }

@@ -21,33 +21,6 @@ struct NodeLoad {
     offered: BTreeMap<TenantId, u64>,
 }
 
-/// Fraction of an epoch's dispatched admissions that arrived by work
-/// stealing at or above which the epoch counts toward the
-/// sustained-steal warning. Steady stealing at this level means the
-/// shard assignment itself is imbalanced — see `docs/OPERATIONS.md`
-/// §8 for the operator playbook.
-pub const STEAL_WARN_RATE: f64 = 0.25;
-
-/// Consecutive epochs at or above [`STEAL_WARN_RATE`] before
-/// [`TrafficBoard::steal_warning`] trips. One busy epoch is normal
-/// rebalancing; this many in a row is a standing imbalance.
-pub const STEAL_WARN_EPOCHS: u64 = 3;
-
-/// Per-epoch work-stealing accounting: how much of the dispatched
-/// admission load arrived on its shard by theft rather than
-/// assignment.
-#[derive(Debug, Default)]
-struct StealMeter {
-    /// Stolen requests posted in the open epoch.
-    stolen: u64,
-    /// Admissions dispatched in the open epoch.
-    dispatched: u64,
-    /// Steal rate of the last *closed* epoch.
-    last_rate: f64,
-    /// Consecutive closed epochs at or above [`STEAL_WARN_RATE`].
-    sustained: u64,
-}
-
 /// Epoch clock state: the open epoch plus the tick count folding
 /// multiple dispatch planes into one epoch per service round.
 #[derive(Debug, Default)]
@@ -57,7 +30,6 @@ struct EpochClock {
     /// Dispatch planes (shards) ticking this board. `0`
     /// means unset and behaves as `1`.
     planes: u64,
-    meter: StealMeter,
 }
 
 /// Per-node traffic shares for one service epoch.
@@ -98,52 +70,10 @@ impl TrafficBoard {
         if clock.ticks >= clock.planes.max(1) {
             clock.ticks = 0;
             clock.epoch += 1;
-            let meter = &mut clock.meter;
-            meter.last_rate = if meter.dispatched == 0 {
-                0.0
-            } else {
-                meter.stolen as f64 / meter.dispatched as f64
-            };
-            if meter.dispatched > 0 && meter.last_rate >= STEAL_WARN_RATE {
-                meter.sustained += 1;
-            } else {
-                meter.sustained = 0;
-            }
-            meter.stolen = 0;
-            meter.dispatched = 0;
             true
         } else {
             false
         }
-    }
-
-    /// Posts one dispatch round's admission counts for the open epoch:
-    /// `dispatched` requests served, of which `stolen` reached their
-    /// shard by work stealing. The sharded dispatch plane calls this
-    /// once per drain.
-    pub fn note_dispatch(&self, dispatched: u64, stolen: u64) {
-        let mut clock = self.clock.lock().expect("epoch poisoned");
-        clock.meter.dispatched += dispatched;
-        clock.meter.stolen += stolen;
-    }
-
-    /// The steal rate of the last closed epoch: stolen / dispatched
-    /// admissions (`0.0` for an idle epoch).
-    pub fn steal_rate(&self) -> f64 {
-        self.clock.lock().expect("epoch poisoned").meter.last_rate
-    }
-
-    /// Consecutive closed epochs at or above [`STEAL_WARN_RATE`].
-    pub fn sustained_steal_epochs(&self) -> u64 {
-        self.clock.lock().expect("epoch poisoned").meter.sustained
-    }
-
-    /// Whether the steal rate has stayed at or above
-    /// [`STEAL_WARN_RATE`] for [`STEAL_WARN_EPOCHS`] consecutive
-    /// epochs — the shard assignment is imbalanced, not just bursty
-    /// (`docs/OPERATIONS.md` §8).
-    pub fn steal_warning(&self) -> bool {
-        self.sustained_steal_epochs() >= STEAL_WARN_EPOCHS
     }
 
     /// The current epoch number.
@@ -209,31 +139,5 @@ mod tests {
         board.set_planes(1);
         assert!(board.advance_epoch());
         assert_eq!(board.epoch(), 2);
-    }
-
-    #[test]
-    fn sustained_steal_load_trips_the_warning_and_calm_resets_it() {
-        let board = TrafficBoard::new([NodeId(0)]);
-        // A single heavy-steal epoch is normal rebalancing: no alarm.
-        board.note_dispatch(10, 5);
-        board.advance_epoch();
-        assert_eq!(board.steal_rate(), 0.5);
-        assert_eq!(board.sustained_steal_epochs(), 1);
-        assert!(!board.steal_warning());
-        // Sustained stealing at/above the threshold trips it.
-        for _ in 1..STEAL_WARN_EPOCHS {
-            board.note_dispatch(100, 25);
-            board.advance_epoch();
-        }
-        assert!(board.steal_warning());
-        // One calm epoch clears the streak (idle epochs count as calm).
-        board.note_dispatch(100, 10);
-        board.advance_epoch();
-        assert_eq!(board.steal_rate(), 0.1);
-        assert_eq!(board.sustained_steal_epochs(), 0);
-        assert!(!board.steal_warning());
-        // An idle epoch also keeps the streak at zero.
-        board.advance_epoch();
-        assert!(!board.steal_warning());
     }
 }

@@ -1136,27 +1136,6 @@ impl Broker {
         self.board.set_planes(planes);
     }
 
-    /// Posts one dispatch round's admission counts (`dispatched`
-    /// served, `stolen` of them by work stealing) to the epoch's
-    /// steal-rate meter. [`crate::ShardCore`] calls this per drain.
-    pub fn note_shard_dispatch(&self, dispatched: u64, stolen: u64) {
-        self.board.note_dispatch(dispatched, stolen);
-    }
-
-    /// The dispatch plane's steal rate over the last closed epoch.
-    pub fn steal_rate(&self) -> f64 {
-        self.board.steal_rate()
-    }
-
-    /// Whether work stealing has stayed at or above
-    /// [`crate::STEAL_WARN_RATE`] for
-    /// [`crate::STEAL_WARN_EPOCHS`] consecutive epochs —
-    /// the operator signal that the shard assignment itself is
-    /// imbalanced (`docs/OPERATIONS.md` §8).
-    pub fn steal_warning(&self) -> bool {
-        self.board.steal_warning()
-    }
-
     /// Captures every piece of mutable broker state as plain data.
     /// Meant to be called at an epoch boundary (between served
     /// ticks); the capture is internally consistent regardless, but

@@ -25,12 +25,13 @@
 //! * [`TrafficBoard`] — contention feedback: co-located tenants that
 //!   saturate a node charge each other bandwidth-degradation stalls,
 //!   surfaced as `ContentionStall` events.
-//! * [`shard`] — the sharded dispatch plane: per-shard admission
-//!   queues ([`ShardConfig`]; in the server, readers serve their
-//!   shard's ticks), same-tenant request coalescing into single
-//!   planning walks (`BatchCoalesced`), and work stealing from loaded
-//!   siblings (`ShardSteal`), with arbitration outcomes byte-identical
-//!   to the single-shard plane.
+//! * [`shard`] — the serve plane's decisions, with no threads:
+//!   per-shard admission queues ([`ShardConfig`]), ticks, merge runs
+//!   of same-tenant requests into single planning walks
+//!   (`BatchCoalesced`), and stealing whole connections from loaded
+//!   siblings (`ShardSteal`). The server's threads call it; arbitration
+//!   outcomes are byte-identical to the single-shard plane and each
+//!   connection is served in order.
 //! * Lease lifecycle — leases may carry a TTL in service epochs
 //!   ([`TenantSpec::lease_ttl`]) with heartbeat renewal over the wire;
 //!   a silent or disconnected tenant's capacity is reclaimed within
@@ -46,14 +47,14 @@ pub mod shard;
 mod tenant;
 pub mod wire;
 
-pub use board::{TrafficBoard, STEAL_WARN_EPOCHS, STEAL_WARN_RATE};
+pub use board::TrafficBoard;
 pub use broker::guidance::GuidedConfig;
 pub use broker::{
     Broker, BrokerState, Lease, LeaseEntry, LeaseId, RobustnessStats, ServedPhase, StripeEntry,
     TenantEntry, MAX_CONTENTION_SLOWDOWN,
 };
 pub use hetmem_placement::ArbitrationPolicy;
-pub use shard::{ShardAssignment, ShardConfig, ShardCore};
+pub use shard::ShardConfig;
 pub use tenant::{Priority, TenantId, TenantSpec, TenantStats};
 
 /// Everything that can go wrong between a wire request and a lease.

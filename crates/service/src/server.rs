@@ -3,21 +3,25 @@
 //!
 //! One reader thread per connection parses request lines, posts them
 //! on its shard's queue and then serves that shard itself: the thread
-//! holding the shard's serve token drains the queue in batches
-//! ("ticks"), opens a fresh contention epoch per batch, and serves
-//! every request in arrival order, writing each response line back
-//! with a single write. A reader that finds the token taken goes back
-//! to reading; the holder serves its frame, and re-checks the queue
-//! after dropping the token, so no frame is stranded. Once the
-//! holder's own frames are answered it hands the token to the next
-//! reader that posts, so its own connection is read again within a
-//! tick or two however busy the shard stays. Batching keeps
-//! the epoch semantics of the [`crate::TrafficBoard`] meaningful —
-//! requests landing in the same tick contend with each other — and
-//! gives natural backpressure: a slow broker grows the batch instead
-//! of the thread count. With more than one shard, each shard also
-//! keeps one thread that steals from its busiest sibling while its own
-//! queue is idle.
+//! holding the shard's serve token takes the queue in ticks, opens a
+//! fresh contention epoch per tick, and serves every request in
+//! arrival order, writing each response line back with a single
+//! write. A reader that finds the token taken goes back to reading;
+//! the holder serves its frame, and re-checks the queue after dropping
+//! the token, so no frame is stranded. Once the holder's own frames
+//! are answered it hands the token to the next reader that posts, so
+//! its own connection is read again within a tick or two however busy
+//! the shard stays. Ticks keep the epoch semantics of the
+//! [`crate::TrafficBoard`] meaningful — requests landing in the same
+//! tick contend with each other — and give natural backpressure: a
+//! slow broker grows the tick instead of the thread count. With more
+//! than one shard, each shard also keeps one thread that steals whole
+//! connections from its busiest sibling while its own queue is idle.
+//!
+//! This module holds the threads, the sockets and the serve tokens;
+//! every decision — what a tick takes, which frames merge, what a
+//! steal takes, when the token changes hands — is a call into
+//! [`crate::shard`].
 //!
 //! Robustness rules (specified in `docs/PROTOCOL.md`, operational
 //! guidance in `docs/OPERATIONS.md`):
@@ -27,6 +31,9 @@
 //!   connection stays usable.
 //! * A connection that drops — cleanly or mid-frame — has every lease
 //!   it acquired revoked and reclaimed on its shard's next tick.
+//! * A reply write that blocks longer than [`WRITE_TIMEOUT`] cuts its
+//!   peer off the same way, so a client that stops reading holds its
+//!   shard for at most that long.
 //! * Telemetry is wait-free at emission: broker events land in
 //!   per-thread rings; the serve binary's background collector drains
 //!   them to the trace file,
@@ -40,14 +47,14 @@
 //! `host:port` (TCP). Tests bind `tcp:127.0.0.1:0` and read the
 //! chosen port back from [`Server::local_addr`].
 
-use crate::broker::Broker;
-use crate::shard::ShardConfig;
+use crate::broker::{Broker, Lease};
+use crate::shard::{self, Admission, Frame, ShardConfig, Step, Turn};
 use crate::wire::{Request, Response};
 use crate::{LeaseId, ServiceError, TenantSpec};
 use hetmem_alloc::{AllocRequest, Fallback};
 use hetmem_core::AttrId;
-use hetmem_telemetry::{Event, RetryExhausted, ShardSteal, SpillForwarded, TelemetrySink};
-use std::collections::{HashMap, VecDeque};
+use hetmem_telemetry::{Event, RetryExhausted, SpillForwarded, TelemetrySink};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -94,6 +101,13 @@ impl Conn {
             Conn::Unix(s) => s.set_read_timeout(dur),
         }
     }
+
+    fn set_write_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.set_write_timeout(dur),
+            Conn::Unix(s) => s.set_write_timeout(dur),
+        }
+    }
 }
 
 impl Read for Conn {
@@ -132,8 +146,9 @@ enum Bound {
 struct Peer {
     /// Connection id; the connection's frames go to shard `id mod S`.
     id: u64,
-    /// The write half, locked for one whole reply line at a time.
-    writer: Mutex<Conn>,
+    /// The write half, locked for one whole reply line at a time;
+    /// `None` once a reply could not be written.
+    writer: Mutex<Option<Conn>>,
     /// One lock for the hang-up mark and the held leases, so a grant
     /// racing the hang-up is revoked exactly once.
     state: Mutex<PeerState>,
@@ -148,11 +163,23 @@ struct PeerState {
 }
 
 impl Peer {
-    /// Writes one response frame with a single write.
-    fn send(&self, response: &Response) {
+    /// Writes one response frame with a single write. A peer whose
+    /// write fails or outlasts [`WRITE_TIMEOUT`] is cut off: its socket
+    /// is shut down, its leases are revoked, and later replies to it
+    /// are dropped.
+    fn send(&self, broker: &Broker, response: &Response) {
         let mut line = response.to_json();
         line.push('\n');
-        let _ = self.writer.lock().expect("conn poisoned").write_all(line.as_bytes());
+        let mut writer = self.writer.lock().expect("conn poisoned");
+        let Some(conn) = writer.as_mut() else {
+            return;
+        };
+        if conn.write_all(line.as_bytes()).is_err() {
+            conn.shutdown();
+            *writer = None;
+            drop(writer);
+            self.hang_up(broker);
+        }
     }
 
     /// Records a grant, or revokes it when the connection already hung
@@ -196,32 +223,28 @@ enum Work {
     Disconnect { peer: Arc<Peer> },
 }
 
-/// One admission queue and the token of the thread serving it.
-#[derive(Default)]
-struct Shard {
-    pending: Mutex<VecDeque<Work>>,
-    /// Held by the one thread serving this shard's ticks. It guards no
-    /// data, so a panic while serving leaves nothing to repair.
-    serving: Mutex<()>,
-    /// The token is held by a reader whose own frames are answered, so
-    /// its connection may be waiting to be read: it wants relief.
-    relief_wanted: AtomicBool,
-    /// A reader is blocked on `serving` to relieve the holder (at most
-    /// one per shard).
-    standby: AtomicBool,
-}
-
-impl Shard {
-    fn post(&self, work: Work) {
-        self.pending.lock().expect("queue poisoned").push_back(work);
+impl Frame for Work {
+    fn conn(&self) -> u64 {
+        match self {
+            Work::Request { peer, .. } | Work::Disconnect { peer } => peer.id,
+        }
     }
 
-    fn take(&self) -> Vec<Work> {
-        self.pending.lock().expect("queue poisoned").drain(..).collect()
-    }
-
-    fn is_idle(&self) -> bool {
-        self.pending.lock().expect("queue poisoned").is_empty()
+    fn admission(&self, broker: &Broker) -> Option<Admission> {
+        let Work::Request {
+            request: Ok(Request::Alloc { tenant, size, criterion, fallback, label, ttl }),
+            ..
+        } = self
+        else {
+            return None;
+        };
+        Some(Admission {
+            tenant: broker
+                .tenant_id(tenant)
+                .ok_or_else(|| ServiceError::UnknownTenant(tenant.clone())),
+            req: alloc_request(*size, *criterion, *fallback, label.clone()),
+            ttl: *ttl,
+        })
     }
 }
 
@@ -244,6 +267,10 @@ fn discard_to_newline<R: BufRead>(reader: &mut R) -> bool {
 /// threads; with one shard the readers alone serve.
 const STEAL_POLL: Duration = Duration::from_millis(2);
 
+/// How long one reply write may block. A peer that stops reading holds
+/// its shard's serve token for at most this long, then is cut off.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// The running service.
 pub struct Server {
     plane: Arc<Plane>,
@@ -255,7 +282,6 @@ pub struct Server {
     steal_threads: Vec<JoinHandle<()>>,
     local_addr: String,
     sock_path: Option<PathBuf>,
-    config: ShardConfig,
 }
 
 /// A serve-side observer of accepted requests: called with the
@@ -264,12 +290,13 @@ pub struct Server {
 /// wire-log writer so the run can be replayed later.
 pub type RequestRecorder = Box<dyn FnMut(u64, &Request) + Send>;
 
-/// What every serving thread shares: the broker, the shard queues and
-/// the plane's settings.
+/// What every serving thread shares: the shard queues, one serve token
+/// per shard, the recorder and the stop flag.
 struct Plane {
-    broker: Arc<Broker>,
-    shards: Vec<Shard>,
-    coalesce: bool,
+    queues: shard::Plane<Work>,
+    /// Held by the one thread serving a shard's ticks. They guard no
+    /// data, so a panic while serving leaves nothing to repair.
+    tokens: Vec<Mutex<()>>,
     recorder: Mutex<Option<RequestRecorder>>,
     stop: AtomicBool,
 }
@@ -293,31 +320,28 @@ impl Server {
         Server::bind_sharded(broker, addr, recorder, ShardConfig::default())
     }
 
-    /// [`Server::bind_with`] over a sharded serve plane: one queue per
-    /// shard, connections routed to shard `conn_id mod S`, one steal
-    /// thread per shard taking the back half of the longest sibling
-    /// queue while its own is idle (`shard_steal` telemetry), and —
-    /// when [`ShardConfig::coalesce`] is set — consecutive mergeable
-    /// same-tenant `alloc` frames in a tick batched through one
+    /// [`Server::bind_with`] over a sharded serve plane
+    /// ([`crate::shard`]): one queue per shard, connections routed to
+    /// shard `conn_id mod S`, one steal thread per shard taking whole
+    /// connections off its busiest sibling while its own queue is idle
+    /// (`shard_steal` telemetry), and consecutive mergeable same-tenant
+    /// `alloc` frames in a tick batched through one
     /// [`Broker::acquire_batch`] planning walk (`batch_coalesced`
     /// telemetry).
     ///
     /// Recording composes only with the single-shard plane: a wire log
     /// replays serially, and neither a cross-shard thread interleaving
     /// nor a coalesced walk is reconstructible from it. Passing a
-    /// recorder with `shards > 1` or coalescing on is refused with a
-    /// `wire` error.
+    /// recorder with `shards > 1` is refused with a `wire` error.
     pub fn bind_sharded(
         broker: Arc<Broker>,
         addr: &str,
         recorder: Option<RequestRecorder>,
         config: ShardConfig,
     ) -> Result<Server, ServiceError> {
-        if recorder.is_some() && (config.effective_shards() > 1 || config.coalesce) {
+        if recorder.is_some() && config.effective_shards() > 1 {
             return Err(ServiceError::Wire(
-                "recording requires the single-shard plane \
-                 (shards=1, coalescing off)"
-                    .into(),
+                "recording requires the single-shard plane (shards=1)".into(),
             ));
         }
         let io = |e: std::io::Error| ServiceError::Io(e.to_string());
@@ -341,9 +365,8 @@ impl Server {
         // aging stay round-wide.
         broker.set_dispatch_planes(shards as u32);
         let plane = Arc::new(Plane {
-            broker,
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            coalesce: config.coalesce,
+            queues: shard::Plane::new(broker, config),
+            tokens: (0..shards).map(|_| Mutex::new(())).collect(),
             recorder: Mutex::new(recorder),
             stop: AtomicBool::new(false),
         });
@@ -367,13 +390,14 @@ impl Server {
                 let Ok(write_half) = conn.try_clone() else {
                     continue;
                 };
+                let _ = conn.set_write_timeout(Some(WRITE_TIMEOUT));
                 let id = next_conn_id.fetch_add(1, Ordering::Relaxed);
                 if let Ok(handle) = conn.try_clone() {
                     conns.lock().expect("conns poisoned").insert(id, handle);
                 }
                 let peer = Arc::new(Peer {
                     id,
-                    writer: Mutex::new(write_half),
+                    writer: Mutex::new(Some(write_half)),
                     state: Mutex::new(PeerState::default()),
                 });
                 let plane = plane.clone();
@@ -392,7 +416,7 @@ impl Server {
                     std::thread::spawn(move || {
                         while !plane.stop.load(Ordering::SeqCst) {
                             std::thread::sleep(STEAL_POLL);
-                            plane.serve(s, false);
+                            plane.steal(s);
                         }
                     })
                 })
@@ -408,7 +432,6 @@ impl Server {
             steal_threads,
             local_addr,
             sock_path,
-            config,
         })
     }
 
@@ -420,12 +443,7 @@ impl Server {
 
     /// The broker behind the socket.
     pub fn broker(&self) -> &Arc<Broker> {
-        &self.plane.broker
-    }
-
-    /// The dispatch-plane shape this server runs.
-    pub fn shard_config(&self) -> &ShardConfig {
-        &self.config
+        self.plane.queues.broker()
     }
 
     /// Stops accepting, serves nothing further, and waits out any tick
@@ -449,8 +467,8 @@ impl Server {
         }
         // Whoever takes a token after this sees `stop` and serves
         // nothing; a tick already running finishes first.
-        for shard in &self.plane.shards {
-            drop(shard.serving.lock().unwrap_or_else(PoisonError::into_inner));
+        for token in &self.plane.tokens {
+            drop(token.lock().unwrap_or_else(PoisonError::into_inner));
         }
         if let Some(path) = self.sock_path.take() {
             let _ = std::fs::remove_file(path);
@@ -465,17 +483,16 @@ impl Drop for Server {
 }
 
 impl Plane {
+    fn broker(&self) -> &Broker {
+        self.queues.broker()
+    }
+
     /// A connection's reader: parses frames onto the connection's
     /// shard and serves that shard, until the peer hangs up or the
     /// server stops.
     fn read_frames(&self, peer: &Arc<Peer>, conn: Conn) {
-        // A connection's frames always land on one shard, so with one
-        // shard they are served in request order. With more, a steal
-        // serves a queue's tail while its head is served, so pipelined
-        // frames can be reordered.
-        let s = (peer.id % self.shards.len() as u64) as usize;
-        let shard = &self.shards[s];
-        let post = |request| shard.post(Work::Request { peer: peer.clone(), request });
+        let s = self.queues.shard_of(peer.id);
+        let post = |request| self.queues.post(Work::Request { peer: peer.clone(), request });
         let mut reader = BufReader::new(conn);
         while !self.stop.load(Ordering::SeqCst) {
             let mut buf = Vec::new();
@@ -501,7 +518,7 @@ impl Plane {
                 false
             };
             if !alive {
-                shard.post(Work::Disconnect { peer: peer.clone() });
+                self.queues.post(Work::Disconnect { peer: peer.clone() });
                 self.serve(s, true);
                 return;
             }
@@ -513,236 +530,125 @@ impl Plane {
         }
     }
 
-    /// Serves shard `s` tick by tick until its queue is empty, unless
-    /// another thread holds the shard's serve token; that thread then
-    /// serves whatever was posted. A holder re-checks the queue after
-    /// dropping the token, so a frame posted while it was finishing is
-    /// never stranded.
+    /// Serves shard `s` tick by tick until it has nothing servable,
+    /// unless another thread holds the shard's serve token; that thread
+    /// then serves whatever was posted. A holder re-checks the queue
+    /// after dropping the token, so a frame posted while it was
+    /// finishing is never stranded.
     ///
-    /// A connection's `reader` does not serve others indefinitely:
-    /// after its first tick its own frames are answered, and as soon as
-    /// another reader of the shard is waiting to take over, it hands
-    /// the token on and goes back to reading. A reader that finds the
-    /// token with such a holder becomes that standby (one per shard)
-    /// and waits for the token instead of going back to reading, so the
-    /// hand-off never strands a frame. The steal thread (`!reader`)
-    /// first takes one batch off its busiest sibling if its own queue
-    /// is idle, and serves until the queue is empty.
+    /// A connection's `reader` does not serve others indefinitely: once
+    /// its own frames are answered it hands the token to a reader that
+    /// stands by for it ([`shard::Plane::stand_by`]) and goes back to
+    /// reading.
     fn serve(&self, s: usize, reader: bool) {
-        let shard = &self.shards[s];
-        let mut steal = !reader;
         loop {
-            let token = match shard.serving.try_lock() {
+            let mut standby = false;
+            let token = match self.tokens[s].try_lock() {
                 Ok(token) => token,
                 Err(TryLockError::Poisoned(token)) => token.into_inner(),
                 Err(TryLockError::WouldBlock) => {
-                    if !reader
-                        || !shard.relief_wanted.load(Ordering::SeqCst)
-                        || shard.standby.swap(true, Ordering::SeqCst)
-                    {
+                    if !reader || !self.queues.stand_by(s) {
                         return;
                     }
-                    let token = shard.serving.lock().unwrap_or_else(PoisonError::into_inner);
-                    shard.standby.store(false, Ordering::SeqCst);
-                    token
+                    standby = true;
+                    self.tokens[s].lock().unwrap_or_else(PoisonError::into_inner)
                 }
             };
-            let mut relieved = false;
-            while !self.stop.load(Ordering::SeqCst) {
-                let mut batch = shard.take();
-                if batch.is_empty() && std::mem::take(&mut steal) {
-                    batch = self.steal_batch(s);
+            let mut turn = if reader { Turn::reader(standby) } else { Turn::default() };
+            let handed_over = loop {
+                if self.stop.load(Ordering::SeqCst) {
+                    break true;
                 }
-                if batch.is_empty() {
-                    break;
-                }
-                // One drained batch = one service tick = one contention
-                // epoch (per shard).
-                self.broker.advance_epoch();
-                self.serve_batch(s as u32, batch);
-                if reader {
-                    relieved = shard.standby.load(Ordering::SeqCst);
-                    if relieved {
-                        break;
+                match self.queues.next(s, &mut turn) {
+                    Step::Tick(tick) => {
+                        // One tick = one contention epoch (per shard).
+                        self.broker().advance_epoch();
+                        self.queues.serve_tick(s, tick, |work, outcome| self.answer(work, outcome));
                     }
-                    shard.relief_wanted.store(true, Ordering::SeqCst);
+                    Step::HandOver => break true,
+                    Step::Release => break false,
                 }
-            }
-            shard.relief_wanted.store(false, Ordering::SeqCst);
+            };
             drop(token);
-            if relieved || self.stop.load(Ordering::SeqCst) || shard.is_idle() {
+            if handed_over || !self.queues.has_work(s) {
                 return;
             }
         }
     }
 
-    /// Takes the back half of the longest sibling queue (≥ 2 pending)
-    /// for an idle shard, emitting one `shard_steal` event. The victim
-    /// keeps its queue head but serves it concurrently with the stolen
-    /// tail, so one connection's pipelined frames can be served out of
-    /// order; the protocol promises order only on one shard.
-    fn steal_batch(&self, thief: usize) -> Vec<Work> {
-        let mut best: Option<(usize, usize)> = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            if i == thief {
-                continue;
-            }
-            let len = shard.pending.lock().expect("queue poisoned").len();
-            if len >= 2 && best.is_none_or(|(best_len, _)| len > best_len) {
-                best = Some((len, i));
-            }
+    /// One look by `thief`'s steal thread: if its own queue is idle, it
+    /// serves a loan of whole connections from the busiest sibling as
+    /// one tick, hands them back, and re-checks the victim as a poster
+    /// does.
+    fn steal(&self, thief: usize) {
+        if self.queues.has_work(thief) {
+            return;
         }
-        let Some((_, victim)) = best else {
-            return Vec::new();
+        let Some(loan) = self.queues.steal(thief) else {
+            return;
         };
-        let stolen: Vec<Work> = {
-            let mut pending = self.shards[victim].pending.lock().expect("queue poisoned");
-            let len = pending.len();
-            if len < 2 {
-                // The victim drained between the scan and the lock.
-                return Vec::new();
-            }
-            pending.split_off(len - len / 2).into_iter().collect()
-        };
-        let sink = self.broker.sink_handle();
-        if sink.enabled() {
-            sink.emit(Event::ShardSteal(ShardSteal {
-                broker: self.broker.id(),
-                thief: thief as u32,
-                victim: victim as u32,
-                stolen: stolen.len() as u64,
-            }));
-        }
-        stolen
+        self.broker().advance_epoch();
+        self.queues.serve_tick(thief, loan.frames, |work, outcome| self.answer(work, outcome));
+        self.queues.hand_back(loan.victim, &loan.conns);
+        self.serve(loan.victim, false);
     }
 
-    /// Serves one tick. With coalescing on, consecutive mergeable
-    /// same-tenant `alloc` frames are batched through one
-    /// [`Broker::acquire_batch`] walk; everything else takes the
-    /// serial path.
-    fn serve_batch(&self, shard: u32, batch: Vec<Work>) {
-        let mut items: Vec<Option<Work>> = batch.into_iter().map(Some).collect();
-        let mut i = 0;
-        while i < items.len() {
-            if self.coalesce {
-                let mut j = i;
-                while j < items.len()
-                    && alloc_key(items[i].as_ref().expect("item taken"))
-                        .zip(alloc_key(items[j].as_ref().expect("item taken")))
-                        .is_some_and(|(a, b)| a == b)
-                {
-                    j += 1;
-                }
-                if j - i >= 2 {
-                    let run: Vec<Work> =
-                        items[i..j].iter_mut().map(|s| s.take().expect("item taken")).collect();
-                    self.serve_run(shard, run);
-                    i = j;
-                    continue;
-                }
-            }
-            self.serve_one(items[i].take().expect("item taken"));
-            i += 1;
-        }
-    }
-
-    /// Serves one coalescable run (all items well-formed `alloc`
-    /// frames with equal keys) through a single
-    /// [`Broker::acquire_batch`] call, fanning the grants back out to
-    /// each frame's connection.
-    fn serve_run(&self, shard: u32, run: Vec<Work>) {
-        let broker = &self.broker;
-        let mut tenant_name = String::new();
-        let mut ttl = None;
-        let mut reqs = Vec::with_capacity(run.len());
-        let mut peers = Vec::with_capacity(run.len());
-        for item in run {
-            let Work::Request {
-                peer,
-                request: Ok(Request::Alloc { tenant, size, criterion, fallback, label, ttl: t }),
-            } = item
-            else {
-                unreachable!("serve_run only receives well-formed alloc frames");
-            };
-            tenant_name = tenant;
-            ttl = t;
-            let mut req = AllocRequest::new(size).criterion(criterion).fallback(fallback);
-            if let Some(label) = label {
-                req = req.label(label);
-            }
-            reqs.push(req);
-            peers.push(peer);
-        }
-        let outcomes = match broker.tenant_id(&tenant_name) {
-            Some(id) => broker.acquire_batch(id, &reqs, ttl, shard),
-            None => {
-                let e = ServiceError::UnknownTenant(tenant_name.clone());
-                reqs.iter().map(|_| Err(e.clone())).collect()
-            }
+    /// Answers one served frame: an `alloc` with the outcome the plane
+    /// admitted, anything else by serving it here.
+    fn answer(&self, work: Work, outcome: Option<Result<Lease, ServiceError>>) {
+        let broker = self.broker();
+        let (peer, request) = match work {
+            Work::Disconnect { peer } => return peer.hang_up(broker),
+            Work::Request { peer, request } => (peer, request),
         };
-        for (peer, outcome) in peers.into_iter().zip(outcomes) {
-            let response = match outcome {
-                Ok(lease) => {
-                    peer.granted(broker, lease.id());
-                    Response::Granted {
-                        lease: lease.id().0,
-                        size: lease.size(),
-                        placement: lease.placement().to_vec(),
-                        fast_bytes: lease.fast_bytes(),
-                    }
+        let response = match request {
+            Ok(request) => {
+                if let Some(rec) = self.recorder.lock().expect("recorder poisoned").as_mut() {
+                    rec(broker.epoch(), &request);
                 }
-                Err(e) => Response::from_error(&e),
-            };
-            peer.send(&response);
-        }
-    }
-
-    /// Serves one work item on the serial path — the single-shard
-    /// semantics, verbatim.
-    fn serve_one(&self, item: Work) {
-        let broker = &self.broker;
-        match item {
-            Work::Disconnect { peer } => peer.hang_up(broker),
-            Work::Request { peer, request } => {
-                let response = match request {
-                    Ok(request) => {
-                        if let Some(rec) = self.recorder.lock().expect("recorder poisoned").as_mut()
-                        {
-                            rec(broker.epoch(), &request);
-                        }
-                        let freeing = match &request {
-                            Request::Free { lease, .. } => Some(LeaseId(*lease)),
-                            _ => None,
-                        };
-                        let resp = serve_with_shards(broker, request, self.shards.len() as u32);
-                        match (&resp, freeing) {
-                            (Response::Granted { lease, .. }, _) => {
-                                peer.granted(broker, LeaseId(*lease))
-                            }
-                            (Response::Freed, Some(lease)) => peer.freed(lease),
-                            _ => {}
-                        }
-                        resp
-                    }
-                    Err(e) => Response::from_error(&e),
+                let freeing = match &request {
+                    Request::Free { lease, .. } => Some(LeaseId(*lease)),
+                    _ => None,
                 };
-                peer.send(&response);
+                let resp = match outcome {
+                    Some(Ok(lease)) => granted(&lease),
+                    Some(Err(e)) => Response::from_error(&e),
+                    None => serve_with_shards(broker, request, self.tokens.len() as u32),
+                };
+                match (&resp, freeing) {
+                    (Response::Granted { lease, .. }, _) => peer.granted(broker, LeaseId(*lease)),
+                    (Response::Freed, Some(lease)) => peer.freed(lease),
+                    _ => {}
+                }
+                resp
             }
-        }
+            Err(e) => Response::from_error(&e),
+        };
+        peer.send(broker, &response);
     }
 }
 
-/// The coalescing key of a work item: `Some` only for well-formed
-/// `alloc` frames, equal only when a merged planning walk is
-/// admissible (same tenant, criterion, fallback and TTL — labels may
-/// differ; wire allocs have no initiator or scope knobs).
-fn alloc_key(work: &Work) -> Option<(&str, AttrId, Fallback, Option<u64>)> {
-    match work {
-        Work::Request {
-            request: Ok(Request::Alloc { tenant, criterion, fallback, ttl, .. }),
-            ..
-        } => Some((tenant.as_str(), *criterion, *fallback, *ttl)),
-        _ => None,
+/// The allocation request a wire `alloc` or `forward` frame asks for.
+fn alloc_request(
+    size: u64,
+    criterion: AttrId,
+    fallback: Fallback,
+    label: Option<String>,
+) -> AllocRequest {
+    let req = AllocRequest::new(size).criterion(criterion).fallback(fallback);
+    match label {
+        Some(label) => req.label(label),
+        None => req,
+    }
+}
+
+/// The `granted` reply for `lease`.
+fn granted(lease: &Lease) -> Response {
+    Response::Granted {
+        lease: lease.id().0,
+        size: lease.size(),
+        placement: lease.placement().to_vec(),
+        fast_bytes: lease.fast_bytes(),
     }
 }
 
@@ -770,19 +676,10 @@ pub fn serve_with_shards(broker: &Broker, request: Request, shards: u32) -> Resp
             let id = broker
                 .tenant_id(&tenant)
                 .ok_or_else(|| ServiceError::UnknownTenant(tenant.clone()))?;
-            let mut req = AllocRequest::new(size).criterion(criterion).fallback(fallback);
-            if let Some(label) = label {
-                req = req.label(label);
-            }
             // The broker keeps the lease record; the wire client holds
             // only the id and frees through it.
-            let lease = broker.acquire_with_ttl(id, &req, ttl)?;
-            Ok(Response::Granted {
-                lease: lease.id().0,
-                size: lease.size(),
-                placement: lease.placement().to_vec(),
-                fast_bytes: lease.fast_bytes(),
-            })
+            let req = alloc_request(size, criterion, fallback, label);
+            Ok(granted(&broker.acquire_with_ttl(id, &req, ttl)?))
         }
         Request::Renew { tenant, lease } => {
             let id = broker
@@ -820,10 +717,7 @@ pub fn serve_with_shards(broker: &Broker, request: Request, shards: u32) -> Resp
             let id = broker
                 .tenant_id(&tenant)
                 .ok_or_else(|| ServiceError::UnknownTenant(tenant.clone()))?;
-            let mut req = AllocRequest::new(size).criterion(criterion).fallback(fallback);
-            if let Some(label) = label {
-                req = req.label(label);
-            }
+            let req = alloc_request(size, criterion, fallback, label);
             let lease = match broker.acquire_with_ttl(id, &req, ttl) {
                 Ok(lease) => lease,
                 // The forwarder ranked this broker on a digest that
@@ -848,12 +742,7 @@ pub fn serve_with_shards(broker: &Broker, request: Request, shards: u32) -> Resp
                     cost_ns: spill_cost_ns(size),
                 }));
             }
-            Ok(Response::Granted {
-                lease: lease.id().0,
-                size: lease.size(),
-                placement: lease.placement().to_vec(),
-                fast_bytes: lease.fast_bytes(),
-            })
+            Ok(granted(&lease))
         }
         Request::Digest => Ok(Response::Digest {
             broker: broker.id(),
@@ -1278,31 +1167,5 @@ mod tests {
         register(&mut client, "u");
         server.shutdown();
         assert!(!path.exists(), "socket file is cleaned up on shutdown");
-    }
-
-    #[test]
-    fn a_reader_relieves_a_holder_whose_own_frames_are_answered() {
-        let mut server = serve_knl();
-        let mut client = Client::connect(server.local_addr()).expect("connect");
-        client.set_deadline(Some(Duration::from_secs(10))).expect("deadline");
-        let shard = &server.plane.shards[0];
-        // Stand in for a holder past its first tick.
-        let token = shard.serving.lock().expect("token");
-        shard.relief_wanted.store(true, Ordering::SeqCst);
-        let caller = std::thread::spawn(move || client.call(&Request::Stats));
-        // The client's reader posts its frame, finds the token taken
-        // and waits for it instead of going back to reading.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !shard.standby.load(Ordering::SeqCst) {
-            assert!(std::time::Instant::now() < deadline, "no reader stood by");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Hand the token over: the standby serves the frame.
-        shard.relief_wanted.store(false, Ordering::SeqCst);
-        drop(token);
-        let resp = caller.join().expect("caller").expect("answered by the standby");
-        assert!(matches!(resp, Response::Stats { .. }), "{resp:?}");
-        assert!(!shard.standby.load(Ordering::SeqCst));
-        server.shutdown();
     }
 }

@@ -1,104 +1,68 @@
-//! Sharded, batched admission dispatch — the plane between request
-//! producers (wire readers, the scenario runner, the load harness)
-//! and the [`Broker`].
+//! The serve plane's decisions: per-shard frame queues, ticks, merge
+//! runs, work stealing and the serve-token hand-off — with no threads
+//! and no sockets.
 //!
-//! The single-shard service funnels every admission through one
-//! queue; past a few hundred thousand clients that queue *is* the
-//! latency. This module partitions admissions into `S` shards, each
-//! with its own queue and ticks:
+//! [`crate::server`] runs one reader thread per connection and, with
+//! `S > 1` shards, one steal thread per shard; every choice those
+//! threads make is a call into this module. The load sweep and the
+//! tests step the same calls on one thread, so what they check is what
+//! `hetmem-serve` runs.
 //!
-//! * **Assignment** — [`ShardAssignment::TenantGroup`] (default)
-//!   routes tenant `t` to shard `t mod S`, so one tenant's requests
-//!   stay ordered on one queue. [`ShardAssignment::Node`] routes by
-//!   the NUMA node local to the request's initiator, keeping a
-//!   shard's work topology-local at the cost of cross-queue tenant
-//!   ordering.
-//! * **Coalescing** — within one drained batch, same-tenant requests
-//!   that agree on criterion, fallback, scope, initiator and TTL are
-//!   merged into a single [`Broker::acquire_batch`] planning walk
-//!   (one ranking, one ledger-lock round, one plan; grants fan back
-//!   out per request). One `BatchCoalesced` event records each merge.
-//! * **Work stealing** — a shard whose queue drained steals the back
-//!   half of the longest sibling queue before idling, emitting a
-//!   `ShardSteal` event. Victims keep their queue *head*, but the
-//!   stolen tail is served alongside it (here in shard order, in the
-//!   live server on another thread), so across a steal requests can
-//!   be served out of arrival order.
+//! * **Queues.** A frame from connection `c` is posted on shard
+//!   `c mod S`. Whoever holds a shard's serve token takes its queue in
+//!   ticks ([`Plane::next`]) and serves each tick with
+//!   [`Plane::serve_tick`].
+//! * **Merge runs.** With `S > 1`, a run of consecutive `alloc` frames
+//!   that agree on tenant, TTL, criterion, fallback, scope and
+//!   initiator is admitted through one [`Broker::acquire_batch`]
+//!   planning walk (`batch_coalesced` telemetry); every other `alloc`
+//!   goes through [`Broker::acquire_with_ttl`]. One shard never merges,
+//!   so `S = 1` is serial admission in arrival order.
+//! * **Stealing.** An idle shard takes whole connections off the
+//!   sibling with the most stealable frames ([`Plane::steal`],
+//!   `shard_steal` telemetry) and hands them back when served.
+//! * **Order.** A connection's frames are served in arrival order, by
+//!   at most one thread at a time, at every `S`. Each queue records
+//!   the connections in service: those in its current tick and those a
+//!   thief holds. A steal takes every queued frame of the connections
+//!   it picks and skips connections in service; a tick leaves queued
+//!   the frames of a connection a thief holds.
+//! * **Token.** A reader holding the token whose own frames are
+//!   answered wants relief; one other reader may then stand by for the
+//!   token, and the holder hands it over after its current tick. Both
+//!   flags live in the queue, under its lock.
 //!
-//! [`ShardCore`] here is the deterministic, thread-free form of that
-//! plane: callers `submit` then `drain` on one thread, and the exact
-//! same request stream produces the exact same grants, steals and
-//! telemetry every run. The load harness drives `ShardCore` directly
-//! so its numbers are reproducible on any machine. In the live server
-//! (`Server::bind_sharded`) readers serve their shard's ticks — the
-//! connection thread that wins a shard's serve token drains its queue
-//! — and each shard keeps one steal thread for idle stealing. It
-//! applies the same steal and merge rules with a narrower grouping: it
-//! merges only *consecutive* same-key `alloc` frames of a tick, where
-//! `ShardCore` groups a whole drained batch by key in first-arrival
-//! order.
-//!
-//! With `shards == 1` and coalescing off, the plane degenerates to
-//! exactly the serial admission order of one queue — the regression
-//! anchor `tests/shard_dispatch.rs` pins byte for byte.
+//! Nothing is stranded: a poster, a releasing holder and a thief
+//! handing connections back each re-check the queue
+//! ([`Plane::has_work`]) after the token is free, and serve it if they
+//! can take the token.
 
 use crate::broker::{Broker, Lease};
 use crate::tenant::TenantId;
 use crate::ServiceError;
 use hetmem_alloc::AllocRequest;
 use hetmem_telemetry::{Event, ShardSteal};
-use hetmem_topology::LocalityFlags;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// How requests map to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardAssignment {
-    /// Tenant `t` always lands on shard `t mod S` — one tenant, one
-    /// queue, so per-tenant arrival order is preserved end to end.
-    #[default]
-    TenantGroup,
-    /// Route by the first NUMA node local to the request's initiator
-    /// (`node mod S`), so a shard's admissions stay topology-local.
-    /// Requests with no initiator fall back to shard 0.
-    Node,
-}
-
-impl ShardAssignment {
-    /// Stable lowercase name (DSL and report spelling).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ShardAssignment::TenantGroup => "tenant-group",
-            ShardAssignment::Node => "node",
-        }
-    }
-}
-
-/// Dispatch-plane shape: how many shards, whether to coalesce, and
-/// the assignment function. The default (`1` shard, no coalescing)
-/// is the single-shard plane unchanged.
+/// Dispatch-plane shape. The shard count is its only setting:
+/// coalescing is on exactly when there is more than one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Number of dispatch shards (≥ 1; `0` is treated as `1`).
     pub shards: u32,
-    /// Merge mergeable same-tenant requests into one planning walk.
-    pub coalesce: bool,
-    /// The shard assignment function.
-    pub assignment: ShardAssignment,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        ShardConfig { shards: 1, coalesce: false, assignment: ShardAssignment::default() }
+        ShardConfig { shards: 1 }
     }
 }
 
 impl ShardConfig {
-    /// A config with `shards` shards, coalescing on for `shards > 1`
-    /// (the recommended operating point: sharding without batching
-    /// leaves the planning-walk savings on the table).
+    /// A config with `shards` shards.
     pub fn with_shards(shards: u32) -> ShardConfig {
-        ShardConfig { shards: shards.max(1), coalesce: shards > 1, ..Default::default() }
+        ShardConfig { shards: shards.max(1) }
     }
 
     /// The effective shard count (`0` clamps to `1`).
@@ -107,47 +71,210 @@ impl ShardConfig {
     }
 }
 
-/// One queued admission.
-struct Pending {
-    token: u64,
-    tenant: TenantId,
-    req: AllocRequest,
-    ttl: Option<u64>,
+/// What the plane needs to know about a queued frame.
+pub trait Frame {
+    /// The connection that sent the frame.
+    fn conn(&self) -> u64;
+
+    /// The admission an `alloc` frame asks for; `None` for any other
+    /// frame, which the caller serves itself.
+    fn admission(&self, broker: &Broker) -> Option<Admission>;
 }
 
-/// The deterministic sharded dispatch core: per-shard FIFO queues,
-/// batch coalescing, and drain-time work stealing, all on the
-/// caller's thread. See the module docs for the semantics.
-pub struct ShardCore {
-    broker: Arc<Broker>,
-    config: ShardConfig,
-    queues: Vec<VecDeque<Pending>>,
-    next_token: u64,
-    steals: u64,
-    stolen_requests: u64,
-    coalesced_batches: u64,
-    coalesced_requests: u64,
+/// One admission as a merge run sees it.
+#[derive(Debug, Clone)]
+pub struct Admission {
+    /// The tenant, or why it could not be resolved.
+    pub tenant: Result<TenantId, ServiceError>,
+    /// The request.
+    pub req: AllocRequest,
+    /// Per-request TTL override in epochs.
+    pub ttl: Option<u64>,
 }
 
-impl ShardCore {
-    /// A core over `broker` shaped by `config`.
-    pub fn new(broker: Arc<Broker>, config: ShardConfig) -> ShardCore {
-        let shards = config.effective_shards() as usize;
-        ShardCore {
-            broker,
-            config,
-            queues: (0..shards).map(|_| VecDeque::new()).collect(),
-            next_token: 0,
-            steals: 0,
-            stolen_requests: 0,
-            coalesced_batches: 0,
-            coalesced_requests: 0,
-        }
+impl Admission {
+    /// Whether `next` may join a merge run this admission heads.
+    fn merges_with(&self, next: &Admission) -> bool {
+        self.tenant == next.tenant
+            && self.ttl == next.ttl
+            && self.req.get_criterion() == next.req.get_criterion()
+            && self.req.get_fallback() == next.req.get_fallback()
+            && self.req.scope() == next.req.scope()
+            && self.req.get_initiator() == next.req.get_initiator()
+    }
+}
+
+/// An in-process `alloc` frame, for callers that post admissions
+/// without a socket (the load sweep, the tests).
+#[derive(Debug, Clone)]
+pub struct Ask {
+    /// The connection it arrives on.
+    pub conn: u64,
+    /// The caller's tag, handed back with the outcome.
+    pub tag: u64,
+    /// The requesting tenant.
+    pub tenant: TenantId,
+    /// The request.
+    pub req: AllocRequest,
+    /// Per-request TTL override in epochs.
+    pub ttl: Option<u64>,
+}
+
+impl Frame for Ask {
+    fn conn(&self) -> u64 {
+        self.conn
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &ShardConfig {
-        &self.config
+    fn admission(&self, _: &Broker) -> Option<Admission> {
+        Some(Admission { tenant: Ok(self.tenant), req: self.req.clone(), ttl: self.ttl })
+    }
+}
+
+/// One shard's queue and the serve-token flags, kept under one lock.
+struct Queue<F> {
+    frames: VecDeque<F>,
+    /// Connections with frames in the tick being served.
+    ticking: Vec<u64>,
+    /// Connections a thief holds.
+    lent: Vec<u64>,
+    /// The token holder is a reader whose own frames are answered.
+    relief_wanted: bool,
+    /// A reader waits for the token to relieve the holder.
+    standby: bool,
+}
+
+impl<F> Default for Queue<F> {
+    fn default() -> Self {
+        Queue {
+            frames: VecDeque::new(),
+            ticking: Vec::new(),
+            lent: Vec::new(),
+            relief_wanted: false,
+            standby: false,
+        }
+    }
+}
+
+impl<F: Frame> Queue<F> {
+    /// Frames a tick could take now: those of connections no thief
+    /// holds.
+    fn servable(&self) -> usize {
+        self.frames.iter().filter(|f| !self.lent.contains(&f.conn())).count()
+    }
+
+    fn in_service(&self, conn: u64) -> bool {
+        self.ticking.contains(&conn) || self.lent.contains(&conn)
+    }
+
+    /// Frames a steal could take now: those of connections not in
+    /// service.
+    fn stealable(&self) -> usize {
+        self.frames.iter().filter(|f| !self.in_service(f.conn())).count()
+    }
+
+    /// Takes the next tick: every queued frame of a connection no thief
+    /// holds, in arrival order. Their connections are in service until
+    /// the next call.
+    fn take_tick(&mut self) -> Vec<F> {
+        self.ticking.clear();
+        let tick: Vec<F> = if self.lent.is_empty() {
+            self.frames.drain(..).collect()
+        } else {
+            let (tick, kept): (VecDeque<F>, _) =
+                self.frames.drain(..).partition(|f| !self.lent.contains(&f.conn()));
+            self.frames = kept;
+            tick.into()
+        };
+        for frame in &tick {
+            if !self.ticking.contains(&frame.conn()) {
+                self.ticking.push(frame.conn());
+            }
+        }
+        tick
+    }
+
+    /// Lends whole connections to a thief (see [`Plane::steal`]):
+    /// every queued frame of the picked connections, in arrival order,
+    /// and the connections, lent until [`Queue::hand_back`].
+    fn lend(&mut self) -> (Vec<F>, Vec<u64>) {
+        let stealable = self.stealable();
+        let mut conns = Vec::new();
+        if stealable < 2 {
+            return (Vec::new(), conns);
+        }
+        let mut taken = 0;
+        for frame in self.frames.iter().rev() {
+            if 2 * taken >= stealable {
+                break;
+            }
+            let conn = frame.conn();
+            if !self.in_service(conn) && !conns.contains(&conn) {
+                conns.push(conn);
+                taken += self.frames.iter().filter(|f| f.conn() == conn).count();
+            }
+        }
+        let (stolen, kept): (VecDeque<F>, _) =
+            self.frames.drain(..).partition(|f| conns.contains(&f.conn()));
+        self.frames = kept;
+        self.lent.extend(&conns);
+        (stolen.into(), conns)
+    }
+
+    /// Returns lent connections; their queued frames become servable.
+    fn hand_back(&mut self, conns: &[u64]) {
+        self.lent.retain(|c| !conns.contains(c));
+    }
+}
+
+/// A token holder's next move, from [`Plane::next`].
+#[derive(Debug)]
+pub enum Step<F> {
+    /// Serve these frames as one tick.
+    Tick(Vec<F>),
+    /// Drop the token and return: a standby reader takes it over.
+    HandOver,
+    /// Drop the token, then re-check the queue: nothing is servable.
+    Release,
+}
+
+/// One thread's turn holding a shard's serve token.
+#[derive(Debug, Default)]
+pub struct Turn {
+    reader: bool,
+    standby: bool,
+    ticks: u64,
+}
+
+impl Turn {
+    /// A turn by a connection's reader; `standby` when it took the
+    /// token as the holder's standby.
+    pub fn reader(standby: bool) -> Turn {
+        Turn { reader: true, standby, ticks: 0 }
+    }
+}
+
+/// A thief's loan: connections taken off a victim shard.
+#[derive(Debug)]
+pub struct Loan<F> {
+    /// The shard the connections belong to.
+    pub victim: usize,
+    /// Their queued frames, in arrival order.
+    pub frames: Vec<F>,
+    /// The lent connections, for [`Plane::hand_back`].
+    pub conns: Vec<u64>,
+}
+
+/// The shard queues in front of one broker.
+pub struct Plane<F> {
+    broker: Arc<Broker>,
+    queues: Vec<Mutex<Queue<F>>>,
+}
+
+impl<F: Frame> Plane<F> {
+    /// A plane over `broker` shaped by `config`.
+    pub fn new(broker: Arc<Broker>, config: ShardConfig) -> Plane<F> {
+        let queues = (0..config.effective_shards()).map(|_| Mutex::default()).collect();
+        Plane { broker, queues }
     }
 
     /// The broker behind the plane.
@@ -155,149 +282,260 @@ impl ShardCore {
         &self.broker
     }
 
-    /// The shard `tenant`'s request lands on under the configured
-    /// assignment function.
-    pub fn shard_of(&self, tenant: TenantId, req: &AllocRequest) -> u32 {
-        let shards = self.queues.len() as u32;
-        match self.config.assignment {
-            ShardAssignment::TenantGroup => tenant.0 % shards,
-            ShardAssignment::Node => {
-                let topology = self.broker.machine().topology();
-                let initiator = req.get_initiator().unwrap_or_else(|| topology.machine_cpuset());
-                topology
-                    .local_numa_nodes(initiator, LocalityFlags::intersecting())
-                    .first()
-                    .map_or(0, |node| node.os_index % shards)
+    /// The shard count.
+    pub fn shards(&self) -> usize {
+        self.queues.len()
+    }
+
+    fn queue(&self, shard: usize) -> MutexGuard<'_, Queue<F>> {
+        self.queues[shard].lock().expect("queue poisoned")
+    }
+
+    /// The shard connection `conn`'s frames go to: `conn mod S`.
+    pub fn shard_of(&self, conn: u64) -> usize {
+        (conn % self.queues.len() as u64) as usize
+    }
+
+    /// Queues `frame` on its connection's shard. The caller then serves
+    /// that shard if it can take the shard's token.
+    pub fn post(&self, frame: F) {
+        self.queue(self.shard_of(frame.conn())).frames.push_back(frame);
+    }
+
+    /// Whether `shard` holds frames a tick could take now.
+    pub fn has_work(&self, shard: usize) -> bool {
+        self.queue(shard).servable() > 0
+    }
+
+    /// A reader found `shard`'s token taken. Returns whether it should
+    /// wait for the token as the holder's standby: the holder wants
+    /// relief and no other reader stands by.
+    pub fn stand_by(&self, shard: usize) -> bool {
+        let mut q = self.queue(shard);
+        let stand_by = q.relief_wanted && !q.standby;
+        q.standby |= stand_by;
+        stand_by
+    }
+
+    /// The token holder's next move on `shard`. Ends the tick served
+    /// last. A reader past its first tick hands the token to a standby
+    /// if one waits, and otherwise wants relief from then on.
+    pub fn next(&self, shard: usize, turn: &mut Turn) -> Step<F> {
+        let mut q = self.queue(shard);
+        if std::mem::take(&mut turn.standby) {
+            q.standby = false;
+        }
+        if turn.reader && turn.ticks > 0 {
+            if q.standby {
+                q.ticking.clear();
+                q.relief_wanted = false;
+                return Step::HandOver;
+            }
+            q.relief_wanted = true;
+        }
+        let tick = q.take_tick();
+        if tick.is_empty() {
+            q.relief_wanted = false;
+            return Step::Release;
+        }
+        turn.ticks += 1;
+        Step::Tick(tick)
+    }
+
+    /// The steal choice for an idle `thief`: the sibling with the most
+    /// stealable frames — those of connections not in service — lends
+    /// whole connections, at least two frames' worth (the lowest index
+    /// wins a tie). Walking back from that queue's tail, it picks
+    /// connections not in service until they cover half its stealable
+    /// frames, and lends every queued frame of each. Emits one
+    /// `shard_steal` event per loan.
+    pub fn steal(&self, thief: usize) -> Option<Loan<F>> {
+        let mut best: Option<(usize, usize)> = None;
+        for shard in (0..self.queues.len()).filter(|&s| s != thief) {
+            let len = self.queue(shard).stealable();
+            if len >= 2 && best.is_none_or(|(most, _)| len > most) {
+                best = Some((len, shard));
             }
         }
-    }
-
-    /// Enqueues one admission and returns its correlation token; the
-    /// matching result comes out of a later [`ShardCore::drain`].
-    pub fn submit(&mut self, tenant: TenantId, req: AllocRequest, ttl: Option<u64>) -> u64 {
-        let token = self.next_token;
-        self.next_token += 1;
-        let shard = self.shard_of(tenant, &req) as usize;
-        self.queues[shard].push_back(Pending { token, tenant, req, ttl });
-        token
-    }
-
-    /// Current queue depth per shard.
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.queues.iter().map(VecDeque::len).collect()
-    }
-
-    /// Steals and coalesced-batch counters since construction:
-    /// `(steals, stolen_requests, coalesced_batches,
-    /// coalesced_requests)`.
-    pub fn counters(&self) -> (u64, u64, u64, u64) {
-        (self.steals, self.stolen_requests, self.coalesced_batches, self.coalesced_requests)
-    }
-
-    /// One dispatch round: every shard balances (idle shards steal
-    /// from the longest sibling queue), then serves its whole queue —
-    /// coalescing mergeable same-tenant runs when configured. Returns
-    /// `(token, result)` pairs in service order.
-    pub fn drain(&mut self) -> Vec<(u64, Result<Lease, ServiceError>)> {
-        let stolen_before = self.stolen_requests;
-        self.balance();
-        let mut results = Vec::new();
-        for shard in 0..self.queues.len() {
-            let batch: Vec<Pending> = self.queues[shard].drain(..).collect();
-            if batch.is_empty() {
-                continue;
-            }
-            if self.config.coalesce {
-                self.serve_coalesced(shard as u32, batch, &mut results);
-            } else {
-                for p in batch {
-                    results.push((p.token, self.broker.acquire_with_ttl(p.tenant, &p.req, p.ttl)));
-                }
-            }
+        let (_, victim) = best?;
+        let (frames, conns) = self.queue(victim).lend();
+        if frames.is_empty() {
+            // The victim's frames went into service since the scan.
+            return None;
         }
-        // Feed the epoch's steal-rate meter (`docs/OPERATIONS.md` §8).
-        self.broker.note_shard_dispatch(results.len() as u64, self.stolen_requests - stolen_before);
-        results
+        let sink = self.broker.sink_handle();
+        if sink.enabled() {
+            sink.emit(Event::ShardSteal(ShardSteal {
+                broker: self.broker.id(),
+                thief: thief as u32,
+                victim: victim as u32,
+                stolen: frames.len() as u64,
+            }));
+        }
+        Some(Loan { victim, frames, conns })
     }
 
-    /// The work-stealing pass: each empty shard takes the back half of
-    /// the longest sibling queue (≥ 2 pending), in shard order. The
-    /// victim keeps its queue head; a thief with a lower index drains
-    /// the stolen tail before it.
-    fn balance(&mut self) {
-        let shards = self.queues.len();
-        if shards < 2 {
-            return;
-        }
-        for thief in 0..shards {
-            if !self.queues[thief].is_empty() {
-                continue;
-            }
-            let victim = (0..shards)
-                .filter(|&s| s != thief)
-                .max_by_key(|&s| (self.queues[s].len(), std::cmp::Reverse(s)));
-            let Some(victim) = victim else { continue };
-            let len = self.queues[victim].len();
-            if len < 2 {
-                continue;
-            }
-            let stolen = self.queues[victim].split_off(len - len / 2);
-            let count = stolen.len() as u64;
-            self.queues[thief].extend(stolen);
-            self.steals += 1;
-            self.stolen_requests += count;
-            let sink = self.broker.sink_handle();
-            if sink.enabled() {
-                sink.emit(Event::ShardSteal(ShardSteal {
-                    broker: self.broker.id(),
-                    thief: thief as u32,
-                    victim: victim as u32,
-                    stolen: count,
-                }));
-            }
-        }
+    /// Hands a loan's connections back to their shard. The thief then
+    /// re-checks that shard the way a poster does.
+    pub fn hand_back(&self, victim: usize, conns: &[u64]) {
+        self.queue(victim).hand_back(conns);
     }
 
-    /// Serves one shard batch with coalescing: requests group by
-    /// `(tenant, ttl, criterion, fallback, scope, initiator)` in
-    /// first-arrival order, each group going through one
-    /// [`Broker::acquire_batch`] call (which plans groups of ≥ 2 in a
-    /// single walk and falls back to serial admission whenever the
-    /// merge would change an arbitration outcome).
-    fn serve_coalesced(
-        &mut self,
-        shard: u32,
-        batch: Vec<Pending>,
-        results: &mut Vec<(u64, Result<Lease, ServiceError>)>,
+    /// Serves one tick's frames in arrival order on behalf of `shard`.
+    /// With `S > 1` each merge run of two or more frames goes through
+    /// one [`Broker::acquire_batch`] walk; every other `alloc` frame
+    /// through [`Broker::acquire_with_ttl`]. `answer` receives each
+    /// frame with its outcome, or with `None` for a frame that is not
+    /// an `alloc`, which the caller serves itself.
+    pub fn serve_tick(
+        &self,
+        shard: usize,
+        tick: Vec<F>,
+        mut answer: impl FnMut(F, Option<Result<Lease, ServiceError>>),
     ) {
-        let mut groups: Vec<Vec<Pending>> = Vec::new();
-        for p in batch {
-            let slot = groups.iter_mut().find(|g| {
-                let head = &g[0];
-                head.tenant == p.tenant
-                    && head.ttl == p.ttl
-                    && head.req.get_criterion() == p.req.get_criterion()
-                    && head.req.get_fallback() == p.req.get_fallback()
-                    && head.req.scope() == p.req.scope()
-                    && head.req.get_initiator() == p.req.get_initiator()
-            });
-            match slot {
-                Some(g) => g.push(p),
-                None => groups.push(vec![p]),
+        let coalesce = self.queues.len() > 1;
+        let mut frames = tick
+            .into_iter()
+            .map(|frame| {
+                let admission = frame.admission(&self.broker);
+                (frame, admission)
+            })
+            .peekable();
+        while let Some((frame, admission)) = frames.next() {
+            let Some(head) = admission else {
+                answer(frame, None);
+                continue;
+            };
+            let mut run = vec![frame];
+            let mut reqs = Vec::new();
+            let merges = |(_, next): &(F, Option<Admission>)| {
+                coalesce && next.as_ref().is_some_and(|n| head.merges_with(n))
+            };
+            while let Some((frame, Some(next))) = frames.next_if(merges) {
+                run.push(frame);
+                reqs.push(next.req);
+            }
+            let outcomes = match head.tenant {
+                Err(e) => run.iter().map(|_| Err(e.clone())).collect(),
+                Ok(tenant) if reqs.is_empty() => {
+                    vec![self.broker.acquire_with_ttl(tenant, &head.req, head.ttl)]
+                }
+                Ok(tenant) => {
+                    reqs.insert(0, head.req);
+                    self.broker.acquire_batch(tenant, &reqs, head.ttl, shard as u32)
+                }
+            };
+            for (frame, outcome) in run.into_iter().zip(outcomes) {
+                answer(frame, Some(outcome));
             }
         }
-        for group in groups {
-            if group.len() >= 2 {
-                self.coalesced_batches += 1;
-                self.coalesced_requests += group.len() as u64;
-            }
-            let tenant = group[0].tenant;
-            let ttl = group[0].ttl;
-            let reqs: Vec<AllocRequest> = group.iter().map(|p| p.req.clone()).collect();
-            let outcomes = self.broker.acquire_batch(tenant, &reqs, ttl, shard);
-            for (p, outcome) in group.into_iter().zip(outcomes) {
-                results.push((p.token, outcome));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hetmem_core::discovery;
+    use hetmem_memsim::Machine;
+
+    /// A bare frame: its connection and its place in the stream.
+    #[derive(Debug, PartialEq)]
+    struct Bare(u64, u32);
+
+    impl Frame for Bare {
+        fn conn(&self) -> u64 {
+            self.0
+        }
+
+        fn admission(&self, _: &Broker) -> Option<Admission> {
+            None
+        }
+    }
+
+    /// Posts `conns` round-robin, `per_conn` frames each.
+    fn queue(conns: &[u64], per_conn: u32) -> Queue<Bare> {
+        let mut q = Queue::default();
+        for seq in 0..per_conn {
+            for &conn in conns {
+                q.frames.push_back(Bare(conn, seq));
             }
         }
+        q
+    }
+
+    #[test]
+    fn a_steal_never_splits_a_connection() {
+        let mut q = queue(&[1, 2, 3, 4, 5], 3);
+        let (stolen, conns) = q.lend();
+        assert!(!conns.is_empty());
+        assert!(2 * stolen.len() >= 15, "half the stealable frames move: {}", stolen.len());
+        for conn in &conns {
+            let seqs: Vec<u32> = stolen.iter().filter(|f| f.0 == *conn).map(|f| f.1).collect();
+            assert_eq!(seqs, [0, 1, 2], "connection {conn} moved whole and in order");
+            assert!(q.frames.iter().all(|f| f.0 != *conn), "connection {conn} left frames");
+        }
+        // The victim's tick leaves a lent connection's later frames
+        // queued until the thief hands it back.
+        q.frames.push_back(Bare(conns[0], 3));
+        assert!(q.take_tick().iter().all(|f| !conns.contains(&f.0)));
+        assert_eq!(q.frames.iter().collect::<Vec<_>>(), [&Bare(conns[0], 3)]);
+        assert_eq!(q.servable(), 0);
+        q.hand_back(&conns);
+        assert_eq!(q.servable(), 1);
+    }
+
+    #[test]
+    fn a_steal_never_takes_a_connection_in_service() {
+        let mut q = queue(&[1, 2], 2);
+        // Connections 1 and 2 are in the current tick; 2 pipelines
+        // again and 3 arrives.
+        assert_eq!(q.take_tick().len(), 4);
+        q.frames.extend([Bare(2, 2), Bare(3, 0), Bare(2, 3), Bare(3, 1)]);
+        assert_eq!(q.stealable(), 2);
+        let (stolen, conns) = q.lend();
+        assert_eq!(conns, [3]);
+        assert_eq!(stolen, [Bare(3, 0), Bare(3, 1)]);
+        // Connection 3 is now lent: a second thief finds nothing.
+        q.frames.push_back(Bare(3, 2));
+        assert_eq!(q.stealable(), 0);
+        assert!(q.lend().0.is_empty());
+    }
+
+    #[test]
+    fn a_reader_relieves_a_holder_whose_own_frames_are_answered() {
+        let machine = Arc::new(Machine::knl_snc4_flat());
+        let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("attrs"));
+        let broker = Broker::new(machine, attrs, crate::ArbitrationPolicy::FairShare);
+        let plane = Plane::new(Arc::new(broker), ShardConfig::default());
+        let tick = |step: Step<Bare>| match step {
+            Step::Tick(tick) => tick,
+            other => panic!("expected a tick, got {other:?}"),
+        };
+        // A reader posts its frame and takes the token.
+        plane.post(Bare(0, 0));
+        let mut holder = Turn::reader(false);
+        assert_eq!(tick(plane.next(0, &mut holder)), [Bare(0, 0)]);
+        // In its first tick the holder is serving its own frame: a
+        // second reader goes back to reading.
+        plane.post(Bare(1, 0));
+        assert!(!plane.stand_by(0));
+        // Past it, the holder serves others and wants relief.
+        assert_eq!(tick(plane.next(0, &mut holder)), [Bare(1, 0)]);
+        plane.post(Bare(2, 0));
+        assert!(plane.stand_by(0), "a reader stands by");
+        assert!(!plane.stand_by(0), "one standby per shard");
+        assert!(matches!(plane.next(0, &mut holder), Step::HandOver));
+        // The standby takes the token and serves what was posted.
+        let mut standby = Turn::reader(true);
+        assert_eq!(tick(plane.next(0, &mut standby)), [Bare(2, 0)]);
+        assert!(matches!(plane.next(0, &mut standby), Step::Release));
+        assert!(!plane.has_work(0));
+        // A thread that is not a reader never hands the token over.
+        plane.post(Bare(3, 0));
+        let mut thief = Turn::default();
+        assert_eq!(tick(plane.next(0, &mut thief)), [Bare(3, 0)]);
+        plane.post(Bare(4, 0));
+        assert!(!plane.stand_by(0));
+        assert_eq!(tick(plane.next(0, &mut thief)), [Bare(4, 0)]);
     }
 }

@@ -1,14 +1,15 @@
 //! Socket tests of the serve plane: readers serve their own shard's
-//! ticks, so a pipelined burst on one shard must be answered in order,
-//! several clients on a sharded, coalescing server must leave the
-//! broker clean — and the telemetry rings those short-lived reader
+//! ticks, so a pipelined burst must be answered in order on one shard
+//! and on several, several clients on a sharded, coalescing server
+//! must leave the broker clean, a client that never reads must not
+//! freeze its shard — and the telemetry rings those short-lived reader
 //! threads emit into must be reused, not piled up.
 
 use hetmem_alloc::Fallback;
 use hetmem_core::{attr, discovery};
 use hetmem_memsim::Machine;
 use hetmem_service::{
-    server::Server,
+    server::{Client, Server, WRITE_TIMEOUT},
     wire::{Request, Response},
     ArbitrationPolicy, Broker, Priority, ShardConfig,
 };
@@ -137,14 +138,15 @@ fn one_shard_answers_a_pipelined_burst_in_order() {
 #[test]
 fn a_sharded_coalescing_server_settles_clean_under_mixed_clients() {
     const CLIENTS: usize = 4;
-    const ROUNDS: u64 = 20;
-    const PIPELINED: usize = 4;
+    const ROUNDS: u64 = 40;
+    const PIPELINED: u64 = 8;
     // Rings large enough that nothing is overwritten before the drain
     // at the end.
     let sink = TelemetrySink::with_ring_words(1 << 16);
-    let config = ShardConfig { shards: 2, coalesce: true, ..ShardConfig::default() };
     let broker = knl_broker(sink.clone());
-    let mut server = Server::bind_sharded(broker, "tcp:127.0.0.1:0", None, config).expect("bind");
+    let mut server =
+        Server::bind_sharded(broker, "tcp:127.0.0.1:0", None, ShardConfig::with_shards(2))
+            .expect("bind");
     let addr = server.local_addr().to_string();
     let mut admin = Line::open(&addr);
     for c in 0..CLIENTS {
@@ -166,16 +168,36 @@ fn a_sharded_coalescing_server_settles_clean_under_mixed_clients() {
                         let lease = granted(line.call(alloc(&tenant, (k + 1) << 20)));
                         assert_eq!(line.call(free(&tenant, lease)), Response::Freed);
                     }
-                    // Same-tenant allocs pipelined in one write, so a
-                    // tick can coalesce them; then their frees, also
-                    // pipelined. A sharded server may answer these out
-                    // of order, so they are interchangeable.
-                    line.send(&vec![alloc(&tenant, 1 << 20); PIPELINED]);
-                    let leases: Vec<u64> = (0..PIPELINED).map(|_| granted(line.recv())).collect();
-                    let frees: Vec<Request> = leases.iter().map(|&l| free(&tenant, l)).collect();
+                    // Same-tenant allocs of distinct sizes pipelined in
+                    // one write, so a tick can coalesce them: the grants
+                    // must come back in request order.
+                    let sizes: Vec<u64> = (1..=PIPELINED).map(|k| k << 20).collect();
+                    line.send(&sizes.iter().map(|&size| alloc(&tenant, size)).collect::<Vec<_>>());
+                    let mut leases = Vec::new();
+                    for &want in &sizes {
+                        match line.recv() {
+                            Response::Granted { lease, size, .. } => {
+                                assert_eq!(size, want, "round {round}: grant out of order");
+                                leases.push(lease);
+                            }
+                            other => panic!("expected a grant, got {other:?}"),
+                        }
+                    }
+                    // Each free pipelined twice: in order, the repeat
+                    // finds its lease already gone.
+                    let frees: Vec<Request> =
+                        leases.iter().flat_map(|&l| [free(&tenant, l), free(&tenant, l)]).collect();
                     line.send(&frees);
-                    for _ in 0..PIPELINED {
-                        assert_eq!(line.recv(), Response::Freed);
+                    for _ in &leases {
+                        assert_eq!(
+                            line.recv(),
+                            Response::Freed,
+                            "round {round}: free out of order"
+                        );
+                        match line.recv() {
+                            Response::Error { code, .. } => assert_eq!(code, "unknown_lease"),
+                            other => panic!("round {round}: repeat free answered {other:?}"),
+                        }
                     }
                     // Every other round hangs up holding a lease.
                     let lease = granted(line.call(alloc(&tenant, 2 << 20)));
@@ -212,4 +234,36 @@ fn a_sharded_coalescing_server_settles_clean_under_mixed_clients() {
         events.iter().any(|e| matches!(e.event, Event::BatchCoalesced(_))),
         "pipelined same-tenant allocs never shared a planning walk"
     );
+}
+
+#[test]
+fn a_client_that_never_reads_does_not_freeze_its_shard() {
+    let broker = knl_broker(TelemetrySink::disabled());
+    let mut server = Server::bind(broker, "tcp:127.0.0.1:0").expect("bind");
+    // One client writes 1 MiB of `stats` frames and never reads its
+    // replies. The write blocks once the server stops reading it, so
+    // it runs on a thread of its own; it ends when the server cuts the
+    // connection off.
+    let mut mute = Line::open(server.local_addr());
+    let flood = std::thread::spawn(move || {
+        let frame = Request::Stats.to_json() + "\n";
+        let burst = frame.repeat((1 << 20) / frame.len());
+        let _ = mute.writer.write_all(burst.as_bytes());
+        mute
+    });
+    // Let the replies fill both socket buffers, so the serving thread
+    // is blocked writing to the mute client.
+    std::thread::sleep(Duration::from_millis(500));
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.set_deadline(Some(Duration::from_secs(10))).expect("deadline");
+    let start = Instant::now();
+    let resp = client.call(&Request::Stats).expect("answered despite the mute client");
+    let waited = start.elapsed();
+    assert!(matches!(resp, Response::Stats { .. }), "{resp:?}");
+    assert!(
+        waited < WRITE_TIMEOUT + Duration::from_secs(2),
+        "waited {waited:?} behind a client that never reads"
+    );
+    server.shutdown();
+    drop(flood.join().expect("flood"));
 }

@@ -1,12 +1,13 @@
-//! Shard-plane edge cases pinned as regression anchors:
+//! Shard-plane edge cases pinned as regression anchors. Each drives
+//! the `shard::Plane` calls the server's threads make — post, tick,
+//! merge runs, steal — on one thread:
 //!
-//! * `shards = 1`, coalescing off is **bit-identical** to serving the
-//!   same request stream straight through the broker — the sharded
-//!   plane must be a pure refactor at its degenerate point.
-//! * An idle shard steals from the longest sibling queue, the victim
-//!   keeps its queue head, and every steal is visible both in the
-//!   core's counters and as a `ShardSteal` telemetry event.
-//! * (Property) Coalesced batches grant byte-for-byte what serial
+//! * `shards = 1` is **bit-identical** to serving the same request
+//!   stream straight through the broker — the plane must be a pure
+//!   refactor at its degenerate point.
+//! * Idle shards steal whole connections from the longest sibling
+//!   queue, and every steal is a `ShardSteal` telemetry event.
+//! * (Property) Coalesced merge runs grant byte-for-byte what serial
 //!   admission of the same stream grants — placements, spill shapes
 //!   and node ledgers included, under every fallback mode and
 //!   arbitration policy — because `Broker::acquire_batch` falls back
@@ -18,10 +19,10 @@ use hetmem_alloc::{AllocRequest, Fallback};
 use hetmem_core::{attr, discovery, AttrId};
 use hetmem_memsim::Machine;
 use hetmem_service::{
-    shard::{ShardConfig, ShardCore},
+    shard::{Ask, Plane, ShardConfig, Step, Turn},
     ArbitrationPolicy, Broker, Lease, Priority, ServiceError, TenantId, TenantSpec,
 };
-use hetmem_telemetry::{Event, TelemetrySink};
+use hetmem_telemetry::{Collector, Event, TelemetrySink};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -32,6 +33,51 @@ fn knl_broker(policy: ArbitrationPolicy) -> Arc<Broker> {
     let machine = Arc::new(Machine::knl_snc4_flat());
     let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("attrs"));
     Arc::new(Broker::new(machine, attrs, policy))
+}
+
+/// A KNL broker whose telemetry the returned collector reads.
+fn traced_broker(policy: ArbitrationPolicy) -> (Arc<Broker>, Collector) {
+    let machine = Arc::new(Machine::knl_snc4_flat());
+    let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("attrs"));
+    let mut broker = Broker::new(machine, attrs, policy);
+    let sink = TelemetrySink::with_ring_words(1 << 16);
+    let collector = sink.collector();
+    broker.set_sink(sink);
+    (Arc::new(broker), collector)
+}
+
+/// `(merged batches, merged requests, steals, stolen requests)` in the
+/// telemetry drained from `collector`.
+fn plane_events(collector: &mut Collector) -> (u64, u64, u64, u64) {
+    let mut counts = (0, 0, 0, 0);
+    for record in collector.drain_sorted() {
+        match record.event {
+            Event::BatchCoalesced(b) => {
+                counts.0 += 1;
+                counts.1 += b.merged;
+            }
+            Event::ShardSteal(s) => {
+                counts.2 += 1;
+                counts.3 += s.stolen;
+            }
+            _ => {}
+        }
+    }
+    counts
+}
+
+/// Takes and serves `shard`'s ticks until it has nothing servable, as
+/// a token holder does; returns each ask's tag and outcome in service
+/// order.
+fn serve(plane: &Plane<Ask>, shard: usize) -> Vec<(u64, Result<Lease, ServiceError>)> {
+    let mut out = Vec::new();
+    let mut turn = Turn::default();
+    while let Step::Tick(tick) = plane.next(shard, &mut turn) {
+        plane.serve_tick(shard, tick, |ask, outcome| {
+            out.push((ask.tag, outcome.expect("an ask is an alloc")));
+        });
+    }
+    out
 }
 
 fn register(broker: &Broker, names: &[(&str, Priority)]) -> Vec<TenantId> {
@@ -86,15 +132,14 @@ fn single_shard_plane_is_bit_identical_to_the_serial_broker() {
         ("anchor-b", Priority::Normal),
         ("anchor-c", Priority::Batch),
     ];
-    let sharded = knl_broker(ArbitrationPolicy::FairShare);
+    let (sharded, mut collector) = traced_broker(ArbitrationPolicy::FairShare);
     let serial = knl_broker(ArbitrationPolicy::FairShare);
     let sharded_tenants = register(&sharded, &tenant_mix);
     let serial_tenants = register(&serial, &tenant_mix);
     assert_eq!(sharded_tenants, serial_tenants, "registration order fixes tenant ids");
 
-    let mut core = ShardCore::new(sharded.clone(), ShardConfig::default());
-    assert_eq!(core.config().effective_shards(), 1);
-    assert!(!core.config().coalesce, "the default plane never merges");
+    let plane = Plane::new(sharded.clone(), ShardConfig::default());
+    assert_eq!(plane.shards(), 1, "the default plane has one shard, so it never merges");
 
     let stream = mixed_stream(12, &sharded_tenants);
     // Drain in rounds (one per epoch) so the plane interleaves with
@@ -102,14 +147,19 @@ fn single_shard_plane_is_bit_identical_to_the_serial_broker() {
     let per_round = tenant_mix.len();
     let mut sharded_out = Vec::new();
     let mut serial_out = Vec::new();
+    let mut tag = 0;
     for chunk in stream.chunks(per_round) {
         sharded.advance_epoch();
         serial.advance_epoch();
         for (tenant, req, ttl) in chunk {
-            core.submit(*tenant, req.clone(), *ttl);
+            // One connection per tenant.
+            let conn = tenant.0 as u64;
+            plane.post(Ask { conn, tag, tenant: *tenant, req: req.clone(), ttl: *ttl });
+            tag += 1;
         }
-        for (token, outcome) in core.drain() {
-            sharded_out.push((token, footprint(&outcome)));
+        assert!(plane.steal(0).is_none(), "one shard has no sibling to steal from");
+        for (tag, outcome) in serve(&plane, 0) {
+            sharded_out.push((tag, footprint(&outcome)));
         }
         for (tenant, req, ttl) in chunk {
             serial_out.push(footprint(&serial.acquire_with_ttl(*tenant, req, *ttl)));
@@ -123,7 +173,7 @@ fn single_shard_plane_is_bit_identical_to_the_serial_broker() {
         assert_eq!(*token, i as u64, "tokens come back in submit order");
         assert_eq!(sharded_fp, serial_fp, "request {i} diverged from the serial broker");
     }
-    assert_eq!(core.counters(), (0, 0, 0, 0), "one shard never steals or merges");
+    assert_eq!(plane_events(&mut collector), (0, 0, 0, 0), "one shard never steals or merges");
     assert_eq!(sharded.node_usage(), serial.node_usage(), "node ledgers are bit-identical");
     assert_eq!(sharded.live_leases(), serial.live_leases());
     sharded.check_invariants().expect("sharded ledgers consistent");
@@ -132,14 +182,7 @@ fn single_shard_plane_is_bit_identical_to_the_serial_broker() {
 
 #[test]
 fn idle_shards_steal_from_the_longest_queue() {
-    let machine = Arc::new(Machine::knl_snc4_flat());
-    let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("attrs"));
-    let mut broker = Broker::new(machine, attrs, ArbitrationPolicy::FairShare);
-    let sink = TelemetrySink::with_ring_words(1 << 12);
-    let mut collector = sink.collector();
-    broker.set_sink(sink);
-    let broker = Arc::new(broker);
-
+    let (broker, mut collector) = traced_broker(ArbitrationPolicy::FairShare);
     let tenants = register(
         &broker,
         &[
@@ -149,49 +192,60 @@ fn idle_shards_steal_from_the_longest_queue() {
             ("steal-3", Priority::Normal),
         ],
     );
-    // Coalescing off so the test isolates the stealing pass.
-    let mut core =
-        ShardCore::new(broker.clone(), ShardConfig { shards: 4, ..ShardConfig::default() });
+    let plane = Plane::new(broker.clone(), ShardConfig::with_shards(4));
 
-    // Skew the whole burst onto one tenant: under the tenant-group
-    // assignment all 16 requests land on a single shard while the
-    // other three sit idle.
-    let hot = tenants[2];
-    let mut tokens = Vec::new();
+    // Skew the whole burst onto one shard: connections 2, 6, 10 and 14
+    // all route to shard 2 while the other three sit idle. Each
+    // connection is one tenant and alternates criteria, so no two
+    // consecutive frames share a merge key anywhere.
+    let mut tags = Vec::new();
     for i in 0..16u64 {
+        let c = i % 4;
+        let criterion = if i / 4 % 2 == 0 { attr::BANDWIDTH } else { attr::CAPACITY };
         let req = AllocRequest::new((1 + i % 4) * MIB)
-            .criterion(attr::BANDWIDTH)
+            .criterion(criterion)
             .fallback(Fallback::PartialSpill);
-        tokens.push(core.submit(hot, req, None));
+        let ask = Ask { conn: 2 + 4 * c, tag: i, tenant: tenants[c as usize], req, ttl: None };
+        assert_eq!(plane.shard_of(ask.conn), 2);
+        plane.post(ask);
+        tags.push(i);
     }
-    let depths = core.queue_depths();
-    assert_eq!(depths.iter().sum::<usize>(), 16);
-    assert_eq!(depths.iter().filter(|&&d| d > 0).count(), 1, "the burst is skewed onto one shard");
+    assert!(plane.has_work(2));
+    assert!([0, 1, 3].iter().all(|&s| !plane.has_work(s)), "the burst is skewed onto one shard");
 
     broker.advance_epoch();
-    let results = core.drain();
+    let loans: Vec<_> =
+        [0, 1, 3].into_iter().filter_map(|thief| Some((thief, plane.steal(thief)?))).collect();
+    let steals = loans.len() as u64;
+    let stolen: u64 = loans.iter().map(|(_, loan)| loan.frames.len() as u64).sum();
+    let mut results = serve(&plane, 2);
+    for (thief, loan) in loans {
+        assert_eq!(loan.victim, 2);
+        plane.serve_tick(thief, loan.frames, |ask, outcome| {
+            results.push((ask.tag, outcome.expect("an ask is an alloc")));
+        });
+        plane.hand_back(loan.victim, &loan.conns);
+    }
+    assert!(!plane.has_work(2), "handed-back connections left nothing queued");
     assert_eq!(results.len(), 16, "stolen work still gets served");
     for (_, outcome) in &results {
         assert!(outcome.is_ok(), "small requests are all admitted: {outcome:?}");
     }
-    let served: Vec<u64> = results.iter().map(|(token, _)| *token).collect();
-    let mut sorted = served.clone();
-    sorted.sort_unstable();
-    assert_eq!(sorted, tokens, "every token comes back exactly once");
-
-    let (steals, stolen, merged_batches, _) = core.counters();
-    assert!(steals >= 2, "three idle shards re-balance a 16-deep queue (got {steals})");
-    assert!(stolen >= 8, "roughly half the queue moves (got {stolen})");
-    assert_eq!(merged_batches, 0, "coalescing is off in this config");
+    let mut served: Vec<u64> = results.iter().map(|(tag, _)| *tag).collect();
+    served.sort_unstable();
+    assert_eq!(served, tags, "every tag comes back exactly once");
 
     let steal_events: Vec<_> = collector
         .drain_sorted()
         .into_iter()
         .filter_map(|c| match c.event {
             Event::ShardSteal(s) => Some(s),
+            Event::BatchCoalesced(_) => panic!("no two consecutive frames share a merge key"),
             _ => None,
         })
         .collect();
+    assert!(steals >= 2, "three idle shards re-balance a 16-deep queue (got {steals})");
+    assert!(stolen >= 8, "roughly half the queue moves (got {stolen})");
     assert_eq!(steal_events.len() as u64, steals, "every steal is emitted");
     for s in &steal_events {
         assert_ne!(s.thief, s.victim, "a shard never steals from itself");
@@ -241,9 +295,8 @@ fn next_target_batches_that_overflow_the_first_candidate_run_serially() {
 }
 
 /// Strategy: a stream of MiB-aligned requests, grouped contiguously by
-/// tenant so the coalescer's group order equals the serial order (each
-/// tenant keeps one criterion and one fallback, so groups never
-/// split).
+/// tenant so each tenant's requests form one merge run (each tenant
+/// keeps one criterion and one fallback, so runs never split).
 fn stream_strategy() -> impl Strategy<Value = Vec<(usize, u64)>> {
     prop::collection::vec((0usize..3, 16u64..=256), 1..20).prop_map(|mut v| {
         v.sort_by_key(|&(tenant, _)| tenant);
@@ -291,8 +344,9 @@ proptest! {
     }
 }
 
-/// Serves `stream` through a coalescing shard plane and through serial
-/// admission on twin brokers, and compares every outcome and ledger.
+/// Serves `stream` through a coalescing shard plane (two shards, the
+/// stream pipelined on one connection) and through serial admission
+/// on twin brokers, and compares every outcome and ledger.
 fn check_coalesced_matches_serial(
     stream: &[(usize, u64)],
     fallbacks: [Fallback; 3],
@@ -300,11 +354,11 @@ fn check_coalesced_matches_serial(
 ) -> Result<(), String> {
     let tenant_mix =
         [("co-a", Priority::Latency), ("co-b", Priority::Normal), ("co-c", Priority::Batch)];
-    // Per-tenant criterion keeps every tenant's run one coalesce
-    // group (groups split on criterion otherwise).
+    // Per-tenant criterion keeps every tenant's requests one merge run
+    // (runs split on criterion otherwise).
     let criteria: [AttrId; 3] = [attr::BANDWIDTH, attr::CAPACITY, attr::BANDWIDTH];
 
-    let coalesced = knl_broker(policy);
+    let (coalesced, mut collector) = traced_broker(policy);
     let serial = knl_broker(policy);
     let coalesced_tenants = register(&coalesced, &tenant_mix);
     let serial_tenants = register(&serial, &tenant_mix);
@@ -327,17 +381,18 @@ fn check_coalesced_matches_serial(
         }
     }
 
-    let mut core =
-        ShardCore::new(coalesced.clone(), ShardConfig { coalesce: true, ..ShardConfig::default() });
+    let plane = Plane::new(coalesced.clone(), ShardConfig::with_shards(2));
     coalesced.advance_epoch();
     serial.advance_epoch();
-    for &(tenant, mib) in stream {
+    collector.drain_sorted();
+    for (tag, &(tenant, mib)) in stream.iter().enumerate() {
         let req =
             AllocRequest::new(mib * MIB).criterion(criteria[tenant]).fallback(fallbacks[tenant]);
-        core.submit(coalesced_tenants[tenant], req, None);
+        let tenant = coalesced_tenants[tenant];
+        plane.post(Ask { conn: 0, tag: tag as u64, tenant, req, ttl: None });
     }
     let coalesced_out: Vec<_> =
-        core.drain().into_iter().map(|(token, outcome)| (token, footprint(&outcome))).collect();
+        serve(&plane, 0).into_iter().map(|(tag, outcome)| (tag, footprint(&outcome))).collect();
     let serial_out: Vec<_> = stream
         .iter()
         .map(|&(tenant, mib)| {
@@ -349,11 +404,11 @@ fn check_coalesced_matches_serial(
         .collect();
 
     prop_assert_eq!(coalesced_out.len(), serial_out.len());
-    for (i, ((token, c), s)) in coalesced_out.iter().zip(serial_out.iter()).enumerate() {
-        prop_assert_eq!(*token, i as u64, "contiguous tenant runs preserve submit order");
+    for (i, ((tag, c), s)) in coalesced_out.iter().zip(serial_out.iter()).enumerate() {
+        prop_assert_eq!(*tag, i as u64, "contiguous tenant runs preserve submit order");
         prop_assert_eq!(c, s, "request {} diverged under coalescing", i);
     }
-    let (_, _, merged_batches, merged_requests) = core.counters();
+    let (merged_batches, merged_requests, _, _) = plane_events(&mut collector);
     prop_assert!(merged_requests >= 2 * merged_batches, "merges are >= 2 requests each");
     prop_assert_eq!(
         coalesced.node_usage(),
