@@ -17,9 +17,7 @@ use hetmem_alloc::{AllocRequest, Fallback};
 use hetmem_core::{attr, MemAttrs};
 use hetmem_memsim::Machine;
 use hetmem_service::shard::{Ask, Plane, Step, Turn};
-use hetmem_service::{
-    ArbitrationPolicy, Broker, Lease, Priority, ServiceError, ShardConfig, TenantSpec,
-};
+use hetmem_service::{ArbitrationPolicy, Broker, Lease, Priority, ServiceError, TenantSpec};
 use hetmem_telemetry::{Event, TelemetrySink};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -108,7 +106,7 @@ pub fn run_shard_load(
         tenants.push(id);
     }
     let broker = Arc::new(broker);
-    let plane = Plane::new(broker.clone(), ShardConfig::with_shards(cfg.shards));
+    let plane = Plane::new(broker.clone(), cfg.shards);
 
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut ledger: Vec<(u32, Lease)> = Vec::new();
@@ -144,7 +142,7 @@ pub fn run_shard_load(
             .filter_map(|thief| Some((thief, plane.steal(thief)?)))
             .collect();
         for shard in 0..plane.shards() {
-            let mut turn = Turn::default();
+            let mut turn = Turn::reader(false);
             while let Step::Tick(frames) = plane.next(shard, &mut turn) {
                 plane.serve_tick(shard, frames, |_, outcome| outcomes.push(outcome));
             }

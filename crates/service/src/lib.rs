@@ -26,7 +26,7 @@
 //!   saturate a node charge each other bandwidth-degradation stalls,
 //!   surfaced as `ContentionStall` events.
 //! * [`shard`] — the serve plane's decisions, with no threads:
-//!   per-shard admission queues ([`ShardConfig`]), ticks, merge runs
+//!   per-shard admission queues, ticks, merge runs
 //!   of same-tenant requests into single planning walks
 //!   (`BatchCoalesced`), and stealing whole connections from loaded
 //!   siblings (`ShardSteal`). The server's threads call it; arbitration
@@ -54,7 +54,6 @@ pub use broker::{
     TenantEntry, MAX_CONTENTION_SLOWDOWN,
 };
 pub use hetmem_placement::ArbitrationPolicy;
-pub use shard::ShardConfig;
 pub use tenant::{Priority, TenantId, TenantSpec, TenantStats};
 
 /// Everything that can go wrong between a wire request and a lease.

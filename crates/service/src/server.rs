@@ -48,7 +48,7 @@
 //! chosen port back from [`Server::local_addr`].
 
 use crate::broker::{Broker, Lease};
-use crate::shard::{self, Admission, Frame, ShardConfig, Step, Turn};
+use crate::shard::{self, Admission, Frame, Step, Turn};
 use crate::wire::{Request, Response};
 use crate::{LeaseId, ServiceError, TenantSpec};
 use hetmem_alloc::{AllocRequest, Fallback};
@@ -317,11 +317,12 @@ impl Server {
         addr: &str,
         recorder: Option<RequestRecorder>,
     ) -> Result<Server, ServiceError> {
-        Server::bind_sharded(broker, addr, recorder, ShardConfig::default())
+        Server::bind_sharded(broker, addr, recorder, 1)
     }
 
-    /// [`Server::bind_with`] over a sharded serve plane
-    /// ([`crate::shard`]): one queue per shard, connections routed to
+    /// [`Server::bind_with`] over a serve plane of `shards` shards
+    /// ([`crate::shard`]; `0` counts as `1`): one queue per shard,
+    /// connections routed to
     /// shard `conn_id mod S`, one steal thread per shard taking whole
     /// connections off its busiest sibling while its own queue is idle
     /// (`shard_steal` telemetry), and consecutive mergeable same-tenant
@@ -337,9 +338,10 @@ impl Server {
         broker: Arc<Broker>,
         addr: &str,
         recorder: Option<RequestRecorder>,
-        config: ShardConfig,
+        shards: u32,
     ) -> Result<Server, ServiceError> {
-        if recorder.is_some() && config.effective_shards() > 1 {
+        let shards = shards.max(1);
+        if recorder.is_some() && shards > 1 {
             return Err(ServiceError::Wire(
                 "recording requires the single-shard plane (shards=1)".into(),
             ));
@@ -359,13 +361,12 @@ impl Server {
             Bound::Unix(_, path) => (format!("unix:{}", path.display()), Some(path.clone())),
         };
 
-        let shards = config.effective_shards() as usize;
         // S shards tick the broker S times per service round; fold
         // those ticks into one epoch so contention windows and TTL
         // aging stay round-wide.
-        broker.set_dispatch_planes(shards as u32);
+        broker.set_dispatch_planes(shards);
         let plane = Arc::new(Plane {
-            queues: shard::Plane::new(broker, config),
+            queues: shard::Plane::new(broker, shards),
             tokens: (0..shards).map(|_| Mutex::new(())).collect(),
             recorder: Mutex::new(recorder),
             stop: AtomicBool::new(false),
@@ -410,7 +411,7 @@ impl Server {
         };
 
         let steal_threads = if shards > 1 {
-            (0..shards)
+            (0..shards as usize)
                 .map(|s| {
                     let plane = plane.clone();
                     std::thread::spawn(move || {
@@ -539,7 +540,9 @@ impl Plane {
     /// A connection's `reader` does not serve others indefinitely: once
     /// its own frames are answered it hands the token to a reader that
     /// stands by for it ([`shard::Plane::stand_by`]) and goes back to
-    /// reading.
+    /// reading. A thief (`reader == false`) has no frame of its own on
+    /// `s`, so it hands over from its first tick: a standby reader is
+    /// not reading its connection while it waits.
     fn serve(&self, s: usize, reader: bool) {
         loop {
             let mut standby = false;
@@ -554,7 +557,7 @@ impl Plane {
                     self.tokens[s].lock().unwrap_or_else(PoisonError::into_inner)
                 }
             };
-            let mut turn = if reader { Turn::reader(standby) } else { Turn::default() };
+            let mut turn = if reader { Turn::reader(standby) } else { Turn::thief() };
             let handed_over = loop {
                 if self.stop.load(Ordering::SeqCst) {
                     break true;
@@ -576,12 +579,12 @@ impl Plane {
         }
     }
 
-    /// One look by `thief`'s steal thread: if its own queue is idle, it
-    /// serves a loan of whole connections from the busiest sibling as
-    /// one tick, hands them back, and re-checks the victim as a poster
-    /// does.
+    /// One look by `thief`'s steal thread: if the server runs and its
+    /// own queue is idle, it serves a loan of whole connections from
+    /// the busiest sibling as one tick, hands them back, and re-checks
+    /// the victim as a poster does.
     fn steal(&self, thief: usize) {
-        if self.queues.has_work(thief) {
+        if self.stop.load(Ordering::SeqCst) || self.queues.has_work(thief) {
             return;
         }
         let Some(loan) = self.queues.steal(thief) else {
@@ -1152,6 +1155,74 @@ mod tests {
             })
             .expect("retries ride out the stall");
         assert!(matches!(resp, Response::Granted { .. }), "{resp:?}");
+        server.shutdown();
+    }
+
+    /// A `stats` frame from a peer that hung up; its reply is dropped.
+    fn stats_from_a_gone_peer() -> Work {
+        let peer = Peer { id: u64::MAX, writer: Mutex::new(None), state: Mutex::default() };
+        Work::Request { peer: Arc::new(peer), request: Ok(Request::Stats) }
+    }
+
+    /// Stands in for a reader holding shard 0's token past its first
+    /// tick: `holder` takes two ticks, so it wants relief. The caller
+    /// holds the token.
+    fn take_two_ticks(plane: &Plane, holder: &mut Turn) {
+        for _ in 0..2 {
+            plane.queues.post(stats_from_a_gone_peer());
+            assert!(matches!(plane.queues.next(0, holder), Step::Tick(_)));
+        }
+    }
+
+    #[test]
+    fn a_reader_relieves_a_holder_whose_own_frames_are_answered() {
+        let mut server = serve_knl();
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        client.set_deadline(Some(Duration::from_secs(10))).expect("deadline");
+        let plane = server.plane.clone();
+        let token = plane.tokens[0].lock().expect("token");
+        let mut holder = Turn::reader(false);
+        take_two_ticks(&plane, &mut holder);
+        let caller = std::thread::spawn(move || client.call(&Request::Stats));
+        // The client's reader posts its frame, finds the token taken
+        // and waits for it instead of going back to reading.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !plane.queues.standing_by(0) {
+            assert!(std::time::Instant::now() < deadline, "no reader stood by");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The holder hands the token over; the standby serves the frame.
+        assert!(matches!(plane.queues.next(0, &mut holder), Step::HandOver));
+        drop(token);
+        let resp = caller.join().expect("caller").expect("answered by the standby");
+        assert!(matches!(resp, Response::Stats { .. }), "{resp:?}");
+        assert!(!plane.queues.standing_by(0));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_thief_rechecking_its_victim_leaves_the_token_to_a_standby() {
+        let mut server = serve_knl();
+        let plane = server.plane.clone();
+        // This thread stands by for a holder that hands over.
+        let token = plane.tokens[0].lock().expect("token");
+        let mut holder = Turn::reader(false);
+        take_two_ticks(&plane, &mut holder);
+        assert!(plane.queues.stand_by(0));
+        assert!(matches!(plane.queues.next(0, &mut holder), Step::HandOver));
+        drop(token);
+        // A thief re-checking the shard takes the free token first. It
+        // has no frame of its own there, so it hands over at once
+        // instead of serving while the standby is not reading.
+        plane.queues.post(stats_from_a_gone_peer());
+        plane.serve(0, false);
+        assert!(plane.queues.has_work(0), "the thief left the frame to the standby");
+        // The standby then takes the token and serves it.
+        let token = plane.tokens[0].lock().expect("token");
+        let mut standby = Turn::reader(true);
+        assert!(matches!(plane.queues.next(0, &mut standby), Step::Tick(_)));
+        assert!(!plane.queues.standing_by(0));
+        drop(token);
         server.shutdown();
     }
 

@@ -27,10 +27,11 @@
 //!   thief holds. A steal takes every queued frame of the connections
 //!   it picks and skips connections in service; a tick leaves queued
 //!   the frames of a connection a thief holds.
-//! * **Token.** A reader holding the token whose own frames are
-//!   answered wants relief; one other reader may then stand by for the
-//!   token, and the holder hands it over after its current tick. Both
-//!   flags live in the queue, under its lock.
+//! * **Token.** A token holder whose own frames are answered — a
+//!   reader past its first tick, or a thief re-checking its victim —
+//!   wants relief; one reader may then stand by for the token, and the
+//!   holder hands it over after its current tick. Both flags live in
+//!   the queue, under its lock.
 //!
 //! Nothing is stranded: a poster, a releasing holder and a thief
 //! handing connections back each re-check the queue
@@ -42,34 +43,8 @@ use crate::tenant::TenantId;
 use crate::ServiceError;
 use hetmem_alloc::AllocRequest;
 use hetmem_telemetry::{Event, ShardSteal};
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Dispatch-plane shape. The shard count is its only setting:
-/// coalescing is on exactly when there is more than one shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardConfig {
-    /// Number of dispatch shards (≥ 1; `0` is treated as `1`).
-    pub shards: u32,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        ShardConfig { shards: 1 }
-    }
-}
-
-impl ShardConfig {
-    /// A config with `shards` shards.
-    pub fn with_shards(shards: u32) -> ShardConfig {
-        ShardConfig { shards: shards.max(1) }
-    }
-
-    /// The effective shard count (`0` clamps to `1`).
-    pub fn effective_shards(&self) -> u32 {
-        self.shards.max(1)
-    }
-}
 
 /// What the plane needs to know about a queued frame.
 pub trait Frame {
@@ -134,10 +109,10 @@ impl Frame for Ask {
 struct Queue<F> {
     frames: VecDeque<F>,
     /// Connections with frames in the tick being served.
-    ticking: Vec<u64>,
+    ticking: HashSet<u64>,
     /// Connections a thief holds.
-    lent: Vec<u64>,
-    /// The token holder is a reader whose own frames are answered.
+    lent: HashSet<u64>,
+    /// The token holder's own frames are answered.
     relief_wanted: bool,
     /// A reader waits for the token to relieve the holder.
     standby: bool,
@@ -147,8 +122,8 @@ impl<F> Default for Queue<F> {
     fn default() -> Self {
         Queue {
             frames: VecDeque::new(),
-            ticking: Vec::new(),
-            lent: Vec::new(),
+            ticking: HashSet::new(),
+            lent: HashSet::new(),
             relief_wanted: false,
             standby: false,
         }
@@ -156,10 +131,10 @@ impl<F> Default for Queue<F> {
 }
 
 impl<F: Frame> Queue<F> {
-    /// Frames a tick could take now: those of connections no thief
-    /// holds.
-    fn servable(&self) -> usize {
-        self.frames.iter().filter(|f| !self.lent.contains(&f.conn())).count()
+    /// Whether a tick could take a frame now: one of a connection no
+    /// thief holds.
+    fn servable(&self) -> bool {
+        self.frames.iter().any(|f| !self.lent.contains(&f.conn()))
     }
 
     fn in_service(&self, conn: u64) -> bool {
@@ -185,11 +160,7 @@ impl<F: Frame> Queue<F> {
             self.frames = kept;
             tick.into()
         };
-        for frame in &tick {
-            if !self.ticking.contains(&frame.conn()) {
-                self.ticking.push(frame.conn());
-            }
-        }
+        self.ticking.extend(tick.iter().map(F::conn));
         tick
     }
 
@@ -197,7 +168,11 @@ impl<F: Frame> Queue<F> {
     /// every queued frame of the picked connections, in arrival order,
     /// and the connections, lent until [`Queue::hand_back`].
     fn lend(&mut self) -> (Vec<F>, Vec<u64>) {
-        let stealable = self.stealable();
+        let mut queued: HashMap<u64, usize> = HashMap::new();
+        for frame in self.frames.iter().filter(|f| !self.in_service(f.conn())) {
+            *queued.entry(frame.conn()).or_default() += 1;
+        }
+        let stealable: usize = queued.values().sum();
         let mut conns = Vec::new();
         if stealable < 2 {
             return (Vec::new(), conns);
@@ -207,22 +182,24 @@ impl<F: Frame> Queue<F> {
             if 2 * taken >= stealable {
                 break;
             }
-            let conn = frame.conn();
-            if !self.in_service(conn) && !conns.contains(&conn) {
-                conns.push(conn);
-                taken += self.frames.iter().filter(|f| f.conn() == conn).count();
+            if let Some(n) = queued.remove(&frame.conn()) {
+                conns.push(frame.conn());
+                taken += n;
             }
         }
+        let picked: HashSet<u64> = conns.iter().copied().collect();
         let (stolen, kept): (VecDeque<F>, _) =
-            self.frames.drain(..).partition(|f| conns.contains(&f.conn()));
+            self.frames.drain(..).partition(|f| picked.contains(&f.conn()));
         self.frames = kept;
-        self.lent.extend(&conns);
+        self.lent.extend(picked);
         (stolen.into(), conns)
     }
 
     /// Returns lent connections; their queued frames become servable.
     fn hand_back(&mut self, conns: &[u64]) {
-        self.lent.retain(|c| !conns.contains(c));
+        for conn in conns {
+            self.lent.remove(conn);
+        }
     }
 }
 
@@ -238,18 +215,26 @@ pub enum Step<F> {
 }
 
 /// One thread's turn holding a shard's serve token.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Turn {
-    reader: bool,
+    /// The holder's own frames are answered, so it wants relief.
+    answered: bool,
+    /// The holder took the token as the standby.
     standby: bool,
-    ticks: u64,
 }
 
 impl Turn {
-    /// A turn by a connection's reader; `standby` when it took the
+    /// A turn by a connection's reader that has just posted its own
+    /// frame, which its first tick answers; `standby` when it took the
     /// token as the holder's standby.
     pub fn reader(standby: bool) -> Turn {
-        Turn { reader: true, standby, ticks: 0 }
+        Turn { answered: false, standby }
+    }
+
+    /// A turn by a thief re-checking its victim: it has no frame of its
+    /// own there, so it wants relief from its first step.
+    pub fn thief() -> Turn {
+        Turn { answered: true, standby: false }
     }
 }
 
@@ -271,9 +256,10 @@ pub struct Plane<F> {
 }
 
 impl<F: Frame> Plane<F> {
-    /// A plane over `broker` shaped by `config`.
-    pub fn new(broker: Arc<Broker>, config: ShardConfig) -> Plane<F> {
-        let queues = (0..config.effective_shards()).map(|_| Mutex::default()).collect();
+    /// A plane of `shards` shards (`0` counts as `1`) over `broker`.
+    /// Coalescing is on exactly when there is more than one shard.
+    pub fn new(broker: Arc<Broker>, shards: u32) -> Plane<F> {
+        let queues = (0..shards.max(1)).map(|_| Mutex::default()).collect();
         Plane { broker, queues }
     }
 
@@ -304,7 +290,7 @@ impl<F: Frame> Plane<F> {
 
     /// Whether `shard` holds frames a tick could take now.
     pub fn has_work(&self, shard: usize) -> bool {
-        self.queue(shard).servable() > 0
+        self.queue(shard).servable()
     }
 
     /// A reader found `shard`'s token taken. Returns whether it should
@@ -317,15 +303,22 @@ impl<F: Frame> Plane<F> {
         stand_by
     }
 
+    /// Whether a reader stands by for `shard`'s token.
+    #[cfg(test)]
+    pub(crate) fn standing_by(&self, shard: usize) -> bool {
+        self.queue(shard).standby
+    }
+
     /// The token holder's next move on `shard`. Ends the tick served
-    /// last. A reader past its first tick hands the token to a standby
-    /// if one waits, and otherwise wants relief from then on.
+    /// last. A holder whose own frames are answered — a reader past its
+    /// first tick, or a thief — hands the token to a standby if one
+    /// waits, and otherwise wants relief.
     pub fn next(&self, shard: usize, turn: &mut Turn) -> Step<F> {
         let mut q = self.queue(shard);
         if std::mem::take(&mut turn.standby) {
             q.standby = false;
         }
-        if turn.reader && turn.ticks > 0 {
+        if turn.answered {
             if q.standby {
                 q.ticking.clear();
                 q.relief_wanted = false;
@@ -338,7 +331,7 @@ impl<F: Frame> Plane<F> {
             q.relief_wanted = false;
             return Step::Release;
         }
-        turn.ticks += 1;
+        turn.answered = true;
         Step::Tick(tick)
     }
 
@@ -479,9 +472,9 @@ mod tests {
         q.frames.push_back(Bare(conns[0], 3));
         assert!(q.take_tick().iter().all(|f| !conns.contains(&f.0)));
         assert_eq!(q.frames.iter().collect::<Vec<_>>(), [&Bare(conns[0], 3)]);
-        assert_eq!(q.servable(), 0);
+        assert!(!q.servable());
         q.hand_back(&conns);
-        assert_eq!(q.servable(), 1);
+        assert!(q.servable());
     }
 
     #[test]
@@ -506,7 +499,7 @@ mod tests {
         let machine = Arc::new(Machine::knl_snc4_flat());
         let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("attrs"));
         let broker = Broker::new(machine, attrs, crate::ArbitrationPolicy::FairShare);
-        let plane = Plane::new(Arc::new(broker), ShardConfig::default());
+        let plane = Plane::new(Arc::new(broker), 1);
         let tick = |step: Step<Bare>| match step {
             Step::Tick(tick) => tick,
             other => panic!("expected a tick, got {other:?}"),
@@ -530,12 +523,16 @@ mod tests {
         assert_eq!(tick(plane.next(0, &mut standby)), [Bare(2, 0)]);
         assert!(matches!(plane.next(0, &mut standby), Step::Release));
         assert!(!plane.has_work(0));
-        // A thread that is not a reader never hands the token over.
+        // A thief re-checking its victim has no frame of its own there:
+        // a reader may stand by during its first tick.
         plane.post(Bare(3, 0));
-        let mut thief = Turn::default();
+        let mut thief = Turn::thief();
         assert_eq!(tick(plane.next(0, &mut thief)), [Bare(3, 0)]);
         plane.post(Bare(4, 0));
-        assert!(!plane.stand_by(0));
-        assert_eq!(tick(plane.next(0, &mut thief)), [Bare(4, 0)]);
+        assert!(plane.stand_by(0), "a reader stands by a thief");
+        assert!(matches!(plane.next(0, &mut thief), Step::HandOver));
+        let mut standby = Turn::reader(true);
+        assert_eq!(tick(plane.next(0, &mut standby)), [Bare(4, 0)]);
+        assert!(matches!(plane.next(0, &mut standby), Step::Release));
     }
 }

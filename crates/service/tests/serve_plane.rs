@@ -11,7 +11,7 @@ use hetmem_memsim::Machine;
 use hetmem_service::{
     server::{Client, Server, WRITE_TIMEOUT},
     wire::{Request, Response},
-    ArbitrationPolicy, Broker, Priority, ShardConfig,
+    ArbitrationPolicy, Broker, Priority,
 };
 use hetmem_telemetry::{Event, TelemetrySink};
 use std::io::{BufRead, BufReader, Write};
@@ -144,9 +144,7 @@ fn a_sharded_coalescing_server_settles_clean_under_mixed_clients() {
     // at the end.
     let sink = TelemetrySink::with_ring_words(1 << 16);
     let broker = knl_broker(sink.clone());
-    let mut server =
-        Server::bind_sharded(broker, "tcp:127.0.0.1:0", None, ShardConfig::with_shards(2))
-            .expect("bind");
+    let mut server = Server::bind_sharded(broker, "tcp:127.0.0.1:0", None, 2).expect("bind");
     let addr = server.local_addr().to_string();
     let mut admin = Line::open(&addr);
     for c in 0..CLIENTS {

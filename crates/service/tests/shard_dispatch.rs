@@ -19,7 +19,7 @@ use hetmem_alloc::{AllocRequest, Fallback};
 use hetmem_core::{attr, discovery, AttrId};
 use hetmem_memsim::Machine;
 use hetmem_service::{
-    shard::{Ask, Plane, ShardConfig, Step, Turn},
+    shard::{Ask, Plane, Step, Turn},
     ArbitrationPolicy, Broker, Lease, Priority, ServiceError, TenantId, TenantSpec,
 };
 use hetmem_telemetry::{Collector, Event, TelemetrySink};
@@ -71,7 +71,7 @@ fn plane_events(collector: &mut Collector) -> (u64, u64, u64, u64) {
 /// order.
 fn serve(plane: &Plane<Ask>, shard: usize) -> Vec<(u64, Result<Lease, ServiceError>)> {
     let mut out = Vec::new();
-    let mut turn = Turn::default();
+    let mut turn = Turn::reader(false);
     while let Step::Tick(tick) = plane.next(shard, &mut turn) {
         plane.serve_tick(shard, tick, |ask, outcome| {
             out.push((ask.tag, outcome.expect("an ask is an alloc")));
@@ -138,7 +138,7 @@ fn single_shard_plane_is_bit_identical_to_the_serial_broker() {
     let serial_tenants = register(&serial, &tenant_mix);
     assert_eq!(sharded_tenants, serial_tenants, "registration order fixes tenant ids");
 
-    let plane = Plane::new(sharded.clone(), ShardConfig::default());
+    let plane = Plane::new(sharded.clone(), 1);
     assert_eq!(plane.shards(), 1, "the default plane has one shard, so it never merges");
 
     let stream = mixed_stream(12, &sharded_tenants);
@@ -192,7 +192,7 @@ fn idle_shards_steal_from_the_longest_queue() {
             ("steal-3", Priority::Normal),
         ],
     );
-    let plane = Plane::new(broker.clone(), ShardConfig::with_shards(4));
+    let plane = Plane::new(broker.clone(), 4);
 
     // Skew the whole burst onto one shard: connections 2, 6, 10 and 14
     // all route to shard 2 while the other three sit idle. Each
@@ -381,7 +381,7 @@ fn check_coalesced_matches_serial(
         }
     }
 
-    let plane = Plane::new(coalesced.clone(), ShardConfig::with_shards(2));
+    let plane = Plane::new(coalesced.clone(), 2);
     coalesced.advance_epoch();
     serial.advance_epoch();
     collector.drain_sorted();

@@ -240,8 +240,7 @@ fn main() {
         }
         None => None,
     };
-    let config = hetmem_service::ShardConfig::with_shards(shards);
-    let server = match Server::bind_sharded(Arc::new(broker), &addr, recorder, config) {
+    let server = match Server::bind_sharded(Arc::new(broker), &addr, recorder, shards) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("hetmem-serve: {e}");
