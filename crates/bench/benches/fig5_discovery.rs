@@ -2,7 +2,8 @@
 //!
 //! Measures the native firmware path (HMAT/SRAT binary encode +
 //! decode + sysfs reduction + registry fill), the benchmark path, and
-//! the hot query functions of the memattrs API (Fig. 4).
+//! the hot query functions of the memattrs API (Fig. 4), with the
+//! ranking both memoized and cold.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetmem_bench::Ctx;
@@ -52,8 +53,17 @@ fn query_api(c: &mut Criterion) {
                 .expect("known attr")
         })
     });
+    // A memo hit: the registry keeps each ranking after its first query.
     c.bench_function("fig4_rank_local_targets", |b| {
         b.iter(|| ctx.attrs.rank_local_targets(attr::CAPACITY, &cluster).expect("rank").len())
+    });
+    // The ranking walk itself: a clone starts with an empty memo, so
+    // each iteration clones the registry and ranks uncached.
+    c.bench_function("fig4_rank_local_targets_cold", |b| {
+        b.iter(|| {
+            let cold = ctx.attrs.as_ref().clone();
+            cold.rank_local_targets(attr::CAPACITY, &cluster).expect("rank").len()
+        })
     });
     c.bench_function("fig4_local_numanode_objs", |b| {
         b.iter(|| {

@@ -1,9 +1,9 @@
 //! The attribute registry and its query API.
 
 use hetmem_bitmap::Bitmap;
-use hetmem_topology::{NodeId, ObjectType, Topology};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use hetmem_topology::{LocalityFlags, NodeId, ObjectType, Topology};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Identifier of a memory attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -98,6 +98,61 @@ impl std::fmt::Display for AttrError {
 
 impl std::error::Error for AttrError {}
 
+/// Most distinct `(attribute, initiator, scope)` rankings one
+/// [`MemAttrs`] keeps. Past it, rankings are computed and not stored.
+/// A run asks for a handful: 2 to 5 on each benchmark workload.
+pub const RANK_MEMO_KEYS: usize = 256;
+
+/// Which targets a memoized ranking covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum RankScope {
+    /// Every target with a value ([`MemAttrs::rank_targets`]).
+    Any,
+    /// The initiator's local branch ([`MemAttrs::rank_local_targets`]).
+    Local,
+}
+
+/// The memoized rankings of one `(attribute, scope)`, by initiator.
+type ByInitiator = HashMap<Bitmap, Arc<[TargetValue]>>;
+
+/// Rankings already computed, keyed by `(attribute, scope)` and then
+/// by initiator, so a hit looks up a borrowed `&Bitmap`. A clone
+/// starts empty.
+#[derive(Default)]
+struct RankMemo(RwLock<HashMap<(AttrId, RankScope), ByInitiator>>);
+
+impl Clone for RankMemo {
+    fn clone(&self) -> Self {
+        RankMemo::default()
+    }
+}
+
+// The memo only ever holds finished rankings, so a lock poisoned by a
+// panicking thread still guards valid data: recover the guard.
+impl RankMemo {
+    fn get(&self, id: AttrId, scope: RankScope, initiator: &Bitmap) -> Option<Arc<[TargetValue]>> {
+        let memo = self.0.read().unwrap_or_else(PoisonError::into_inner);
+        memo.get(&(id, scope))?.get(initiator).cloned()
+    }
+
+    fn insert(
+        &self,
+        id: AttrId,
+        scope: RankScope,
+        initiator: &Bitmap,
+        ranked: &Arc<[TargetValue]>,
+    ) {
+        let mut memo = self.0.write().unwrap_or_else(PoisonError::into_inner);
+        if memo.values().map(HashMap::len).sum::<usize>() < RANK_MEMO_KEYS {
+            memo.entry((id, scope)).or_default().insert(initiator.clone(), ranked.clone());
+        }
+    }
+
+    fn clear(&mut self) {
+        self.0.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
+    }
+}
+
 /// The memory attributes registry for one topology.
 ///
 /// Performance values are stored per `(attribute, target, initiator)`.
@@ -107,12 +162,24 @@ impl std::error::Error for AttrError {}
 /// domain); if nothing includes it, an **intersecting** entry is used.
 /// This lets a thread pinned to 2 cores use the value measured "from
 /// Package L#0".
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct MemAttrs {
     topology: Arc<Topology>,
     defs: BTreeMap<AttrId, AttrDef>,
     values: BTreeMap<(AttrId, NodeId), Vec<StoredValue>>,
     next_custom: u32,
+    rankings: RankMemo,
+}
+
+impl std::fmt::Debug for MemAttrs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MemAttrs")
+            .field("topology", &self.topology)
+            .field("defs", &self.defs)
+            .field("values", &self.values)
+            .field("next_custom", &self.next_custom)
+            .finish()
+    }
 }
 
 impl MemAttrs {
@@ -136,7 +203,13 @@ impl MemAttrs {
         def(attr::WRITE_BANDWIDTH, "WriteBandwidth", true, true);
         def(attr::READ_LATENCY, "ReadLatency", false, true);
         def(attr::WRITE_LATENCY, "WriteLatency", false, true);
-        MemAttrs { topology, defs, values: BTreeMap::new(), next_custom: attr::FIRST_CUSTOM.0 }
+        MemAttrs {
+            topology,
+            defs,
+            values: BTreeMap::new(),
+            next_custom: attr::FIRST_CUSTOM.0,
+            rankings: RankMemo::default(),
+        }
     }
 
     /// The topology this registry describes.
@@ -154,6 +227,7 @@ impl MemAttrs {
         let id = AttrId(self.next_custom);
         self.next_custom += 1;
         self.defs.insert(id, AttrDef { name: name.to_string(), flags });
+        self.rankings.clear();
         Ok(id)
     }
 
@@ -179,7 +253,7 @@ impl MemAttrs {
 
     /// Sets the value of `id` for `target` (and `initiator`, when the
     /// attribute needs one). Overwrites an entry with the same
-    /// initiator.
+    /// initiator, and forgets every memoized ranking.
     pub fn set_value(
         &mut self,
         id: AttrId,
@@ -204,6 +278,7 @@ impl MemAttrs {
         } else {
             slot.push(StoredValue { initiator, value });
         }
+        self.rankings.clear();
         Ok(())
     }
 
@@ -255,7 +330,45 @@ impl MemAttrs {
     /// best-first (ties broken by node id). This powers the paper's
     /// allocator fallback: "the allocator can easily fallback to next
     /// ones according to the ranking for this attribute".
+    ///
+    /// Attribute values do not change once discovery is done, so the
+    /// ranking is memoized: the first query for an `(id, initiator)`
+    /// pair computes it, and later queries share that slice. A
+    /// [`MemAttrs::set_value`] or [`MemAttrs::register`] forgets every
+    /// memoized ranking, and a clone starts with none. A registry keeps
+    /// at most [`RANK_MEMO_KEYS`] rankings; past that it computes each
+    /// new query afresh.
     pub fn rank_targets(
+        &self,
+        id: AttrId,
+        initiator: &Bitmap,
+    ) -> Result<Arc<[TargetValue]>, AttrError> {
+        self.ranking(id, initiator, RankScope::Any)
+    }
+
+    /// The memoized ranking for `(id, initiator, scope)`, computed on
+    /// a miss.
+    fn ranking(
+        &self,
+        id: AttrId,
+        initiator: &Bitmap,
+        scope: RankScope,
+    ) -> Result<Arc<[TargetValue]>, AttrError> {
+        if let Some(ranked) = self.rankings.get(id, scope, initiator) {
+            return Ok(ranked);
+        }
+        let mut ranked = self.compute_ranking(id, initiator)?;
+        if scope == RankScope::Local {
+            let local = self.topology.local_numa_nodes(initiator, LocalityFlags::branch());
+            ranked.retain(|tv| local.iter().any(|o| o.os_index == tv.node.0));
+        }
+        let ranked: Arc<[TargetValue]> = ranked.into();
+        self.rankings.insert(id, scope, initiator, &ranked);
+        Ok(ranked)
+    }
+
+    /// Every target with a value for `id` from `initiator`, best first.
+    fn compute_ranking(
         &self,
         id: AttrId,
         initiator: &Bitmap,
@@ -282,7 +395,8 @@ impl MemAttrs {
     }
 
     /// The best initiator for accessing `target` under `id`
-    /// (`hwloc_memattr_get_best_initiator`).
+    /// (`hwloc_memattr_get_best_initiator`). Among tied initiators the
+    /// first one stored wins, whichever way the attribute is best.
     pub fn get_best_initiator(&self, id: AttrId, target: NodeId) -> Option<(Bitmap, u64)> {
         let def = self.defs.get(&id)?;
         if !def.flags.need_initiator {
@@ -290,8 +404,10 @@ impl MemAttrs {
         }
         let stored = self.values.get(&(id, target))?;
         let candidates = stored.iter().filter_map(|s| s.initiator.clone().map(|i| (i, s.value)));
+        // `min_by_key` keeps the first of equal keys; `max_by_key`
+        // would keep the last.
         if def.flags.higher_is_best {
-            candidates.max_by_key(|&(_, v)| v)
+            candidates.min_by_key(|&(_, v)| std::cmp::Reverse(v))
         } else {
             candidates.min_by_key(|&(_, v)| v)
         }
@@ -325,22 +441,16 @@ impl MemAttrs {
     /// selects the targets that are local to the core(s) where it runs
     /// (NUMA Affinity), and then compares their values for some
     /// attributes (Memory Kind Affinity)".
+    ///
+    /// Memoized like [`MemAttrs::rank_targets`], under its own key: the
+    /// first query for an `(id, initiator)` pair computes the ranking
+    /// and later queries share it, until a `set_value` or `register`.
     pub fn rank_local_targets(
         &self,
         id: AttrId,
         initiator: &Bitmap,
-    ) -> Result<Vec<TargetValue>, AttrError> {
-        let local: std::collections::BTreeSet<NodeId> = self
-            .topology
-            .local_numa_nodes(initiator, hetmem_topology::LocalityFlags::branch())
-            .into_iter()
-            .map(|o| NodeId(o.os_index))
-            .collect();
-        Ok(self
-            .rank_targets(id, initiator)?
-            .into_iter()
-            .filter(|tv| local.contains(&tv.node))
-            .collect())
+    ) -> Result<Arc<[TargetValue]>, AttrError> {
+        self.ranking(id, initiator, RankScope::Local)
     }
 
     /// Number of NUMA nodes known to the topology.
@@ -492,6 +602,33 @@ mod tests {
         assert_eq!(v, 130);
         // No initiators for computed attributes.
         assert!(a.get_best_initiator(attr::CAPACITY, NodeId(0)).is_none());
+    }
+
+    #[test]
+    fn tied_best_initiators_resolve_to_the_first_stored() {
+        // With the full matrix, package-attached DRAM is equally close
+        // to every SNC cluster of its package, on both attributes: node
+        // 0 of the fictitious platform, nodes 2, 5, 8 and 11 of the
+        // four-socket Xeon.
+        use hetmem_memsim::Machine;
+        let cases = [(Machine::fictitious(), vec![0]), (Machine::xeon_4s_snc(), vec![2, 5, 8, 11])];
+        for (machine, nodes) in cases {
+            let a = crate::discovery::from_firmware(&Arc::new(machine), false).unwrap();
+            for node in nodes.into_iter().map(NodeId) {
+                for id in [attr::BANDWIDTH, attr::LATENCY] {
+                    let stored = a.initiators(id, node);
+                    let best = a.get_best_initiator(id, node).unwrap();
+                    let tied: Vec<_> = stored.iter().filter(|(_, v)| *v == best.1).collect();
+                    assert!(tied.len() > 1, "{node} #{}: no tie in {stored:?}", id.0);
+                    assert_eq!(&best, tied[0], "{node} #{}", id.0);
+                }
+            }
+        }
+        let c = crate::discovery::from_firmware(&Arc::new(Machine::fictitious()), false).unwrap();
+        let first: Bitmap = "0-3".parse().unwrap();
+        for id in [attr::BANDWIDTH, attr::LATENCY] {
+            assert_eq!(c.get_best_initiator(id, NodeId(0)).unwrap().0, first, "#{}", id.0);
+        }
     }
 
     #[test]

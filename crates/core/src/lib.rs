@@ -50,7 +50,7 @@ pub mod discovery;
 mod error;
 mod report;
 
-pub use attrs::{attr, AttrError, AttrFlags, AttrId, MemAttrs, TargetValue};
+pub use attrs::{attr, AttrError, AttrFlags, AttrId, MemAttrs, TargetValue, RANK_MEMO_KEYS};
 pub use error::HetMemError;
 pub use report::{render_fig5, render_memattrs};
 

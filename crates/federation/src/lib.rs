@@ -259,8 +259,9 @@ pub fn rank_spill(
     let usable = |n: NodeId| meta.get(&n).map_or(0, |s| s.free.saturating_sub(SPILL_SAFETY_MARGIN));
     let req = PlanRequest { size: residual, mode: FallbackMode::NextTarget, page_quantize: false };
     let reachable: Vec<NodeId> = candidates
-        .nodes()
-        .into_iter()
+        .targets()
+        .iter()
+        .map(|tv| tv.node)
         .filter(|n| meta.get(n).is_some_and(|s| !down.contains(&s.peer)))
         .collect();
     let plan = engine.plan(&req, &reachable, usable, &mut Unconstrained);

@@ -279,7 +279,7 @@ impl GuidanceEngine {
         let Ok(ranking) = self.placer.rank(self.policy().criterion, initiator, Scope::Local) else {
             return;
         };
-        let Some(hot_target) = ranking.nodes().first().copied() else {
+        let Some(hot_target) = ranking.targets().first().map(|tv| tv.node) else {
             return;
         };
         let capacity_order: Vec<NodeId> = self

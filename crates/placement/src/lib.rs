@@ -119,12 +119,13 @@ pub fn normalize_initiator(
 }
 
 /// A non-empty ranking produced by the attribute-fallback walk,
-/// remembering the attribute actually used.
+/// remembering the attribute actually used. It shares the registry's
+/// memoized ranking rather than copying it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankedCandidates {
     requested: AttrId,
     used: AttrId,
-    ranked: Vec<TargetValue>,
+    ranked: Arc<[TargetValue]>,
 }
 
 impl RankedCandidates {
@@ -139,7 +140,7 @@ impl RankedCandidates {
         used: AttrId,
         ranked: Vec<TargetValue>,
     ) -> RankedCandidates {
-        RankedCandidates { requested, used, ranked }
+        RankedCandidates { requested, used, ranked: ranked.into() }
     }
 
     /// The attribute the caller asked for.
@@ -172,9 +173,13 @@ impl RankedCandidates {
     /// to the back of the ranking (stable within each group), so
     /// requests fall back to healthy tiers instead of hard-failing,
     /// yet a fully-degraded machine still serves from what it has.
+    /// The shared ranking is copied only when some node is demoted.
     pub fn demote_last_resort(&mut self, last_resort: impl Fn(NodeId) -> bool) {
+        if !self.ranked.iter().any(|tv| last_resort(tv.node)) {
+            return;
+        }
         let (healthy, last): (Vec<TargetValue>, Vec<TargetValue>) =
-            std::mem::take(&mut self.ranked).into_iter().partition(|tv| !last_resort(tv.node));
+            self.ranked.iter().partition(|tv| !last_resort(tv.node));
         self.ranked = healthy.into_iter().chain(last).collect();
     }
 }

@@ -579,8 +579,12 @@ impl Broker {
         // it does not own drop out here. An empty remainder falls
         // through to an `Admission` shortfall of the full size — the
         // residual the federation forwards to a peer.
-        let ranked =
-            ranking.nodes().into_iter().filter(|n| self.node_kind.contains_key(n)).collect();
+        let ranked = ranking
+            .targets()
+            .iter()
+            .map(|tv| tv.node)
+            .filter(|n| self.node_kind.contains_key(n))
+            .collect();
         Ok((ranking, ranked))
     }
 

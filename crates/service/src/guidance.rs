@@ -185,8 +185,9 @@ impl Broker {
         // criterion rank order — one 4 GiB HBM node must not cap how
         // many tenants the fold can serve.
         let fast_order: Vec<NodeId> = ranking
-            .nodes()
-            .into_iter()
+            .targets()
+            .iter()
+            .map(|tv| tv.node)
             .filter(|n| self.node_kind.get(n) == Some(&self.fast_kind))
             .collect();
         if fast_order.is_empty() {

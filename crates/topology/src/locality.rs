@@ -9,7 +9,6 @@
 
 use crate::object::Object;
 use crate::topo::Topology;
-use crate::types::ObjectType;
 use hetmem_bitmap::Bitmap;
 
 /// Which NUMA nodes count as "local" to an initiator.
@@ -71,9 +70,7 @@ impl Topology {
     ///
     /// Mirrors `hwloc_get_local_numanode_objs()`.
     pub fn local_numa_nodes(&self, initiator: &Bitmap, flags: LocalityFlags) -> Vec<&Object> {
-        let mut out: Vec<&Object> = self
-            .objects()
-            .filter(|o| o.obj_type == ObjectType::NumaNode)
+        self.numa_nodes()
             .filter(|o| {
                 if flags.all {
                     return true;
@@ -85,9 +82,7 @@ impl Topology {
                 let inter = flags.intersect && loc.intersects(initiator);
                 exact || larger || smaller || inter
             })
-            .collect();
-        out.sort_by_key(|o| o.os_index);
-        out
+            .collect()
     }
 }
 
@@ -95,6 +90,7 @@ impl Topology {
 mod tests {
     use super::*;
     use crate::platforms;
+    use crate::types::ObjectType;
     use crate::NodeId;
 
     /// On the fictitious Fig. 3 platform, each package has DRAM+NVDIMM at

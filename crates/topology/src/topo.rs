@@ -12,11 +12,25 @@ pub struct Topology {
     objects: Vec<Object>,
     root: ObjId,
     distances: Vec<DistancesMatrix>,
+    /// The NUMA node objects in OS-index order, so node queries read
+    /// this index instead of scanning the whole arena.
+    numa: Vec<ObjId>,
 }
 
 impl Topology {
+    /// The one constructor: every builder and the importer finish
+    /// here, so the NUMA index always matches the arena. The builder
+    /// has already rejected duplicate NUMA OS indexes.
     pub(crate) fn from_parts(objects: Vec<Object>, root: ObjId) -> Self {
-        Topology { objects, root, distances: Vec::new() }
+        let mut numa: Vec<ObjId> =
+            objects.iter().filter(|o| o.obj_type == ObjectType::NumaNode).map(|o| o.id).collect();
+        numa.sort_by_key(|id| objects[id.index()].os_index);
+        Topology { objects, root, distances: Vec::new(), numa }
+    }
+
+    /// The NUMA node objects in OS-index order.
+    pub(crate) fn numa_nodes(&self) -> impl Iterator<Item = &Object> {
+        self.numa.iter().map(|id| &self.objects[id.index()])
     }
 
     /// The root Machine object.
@@ -53,6 +67,9 @@ impl Topology {
 
     /// Number of objects of one type.
     pub fn count(&self, t: ObjectType) -> usize {
+        if t == ObjectType::NumaNode {
+            return self.numa.len();
+        }
         self.objects.iter().filter(|o| o.obj_type == t).count()
     }
 
@@ -69,19 +86,13 @@ impl Topology {
 
     /// Finds the NUMA node object with a given OS index.
     pub fn numa_by_os_index(&self, node: NodeId) -> Option<&Object> {
-        self.objects.iter().find(|o| o.obj_type == ObjectType::NumaNode && o.os_index == node.0)
+        let at = self.numa.binary_search_by_key(&node.0, |id| self.objects[id.index()].os_index);
+        at.ok().map(|i| &self.objects[self.numa[i].index()])
     }
 
     /// All NUMA node ids in OS-index order.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .objects
-            .iter()
-            .filter(|o| o.obj_type == ObjectType::NumaNode)
-            .map(|o| NodeId(o.os_index))
-            .collect();
-        v.sort();
-        v
+        self.numa_nodes().map(|o| NodeId(o.os_index)).collect()
     }
 
     /// The cpuset of an object (clone-free borrow).
@@ -106,11 +117,7 @@ impl Topology {
 
     /// Total memory across all NUMA nodes.
     pub fn total_memory(&self) -> u64 {
-        self.objects
-            .iter()
-            .filter(|o| o.obj_type == ObjectType::NumaNode)
-            .map(|o| o.local_memory())
-            .sum()
+        self.numa_nodes().map(|o| o.local_memory()).sum()
     }
 
     /// Walks ancestors of `id` up to the root.
