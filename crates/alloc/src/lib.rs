@@ -345,12 +345,11 @@ impl HetAllocator {
     /// `AllocDecision` that explains the outcome.
     pub fn alloc(&mut self, req: &AllocRequest) -> Result<RegionId, HetAllocError> {
         let scope = req.scope();
-        let sink = self.mm.sink().clone();
-        let tracing = sink.enabled();
+        let tracing = self.mm.sink().enabled();
 
-        let trace_failure = |e: &HetAllocError| {
+        let trace_failure = |mm: &MemoryManager, e: &HetAllocError| {
             if tracing {
-                sink.emit(telemetry::Event::AllocDecision(telemetry::AllocDecision {
+                mm.sink().emit(telemetry::Event::AllocDecision(telemetry::AllocDecision {
                     region: None,
                     size: req.size,
                     requested: req.criterion.0,
@@ -372,7 +371,7 @@ impl HetAllocator {
             Ok(cpus) => cpus,
             Err(e) => {
                 let e = HetAllocError::from(e);
-                trace_failure(&e);
+                trace_failure(&self.mm, &e);
                 return Err(e);
             }
         };
@@ -380,19 +379,19 @@ impl HetAllocator {
             Ok(r) => r,
             Err(e) => {
                 let e = HetAllocError::from(e);
-                trace_failure(&e);
+                trace_failure(&self.mm, &e);
                 return Err(e);
             }
         };
         if tracing && ranking.attr_fell_back() {
-            sink.emit(telemetry::Event::AttrFallback(telemetry::AttrFallback {
+            self.mm.sink().emit(telemetry::Event::AttrFallback(telemetry::AttrFallback {
                 requested: ranking.requested().0,
                 used: ranking.used().0,
             }));
         }
         let candidates = ranking.nodes();
 
-        let plan = self.engine.plan(
+        let mut plan = self.engine.plan(
             &PlanRequest { size: req.size, mode: req.fallback.as_telemetry(), page_quantize: true },
             &candidates,
             |n| self.mm.available(n),
@@ -404,7 +403,8 @@ impl HetAllocator {
             let policy = if plan.chunks.is_empty() {
                 AllocPolicy::Bind(candidates[0])
             } else {
-                AllocPolicy::Exact(plan.chunks.clone())
+                // Only the hops are read after the commit.
+                AllocPolicy::Exact(std::mem::take(&mut plan.chunks))
             };
             self.mm.alloc(req.size, policy).map_err(HetAllocError::Os)
         } else {
@@ -422,7 +422,7 @@ impl HetAllocator {
                 ),
                 Err(e) => (None, vec![], Some(e.to_string())),
             };
-            sink.emit(telemetry::Event::AllocDecision(telemetry::AllocDecision {
+            self.mm.sink().emit(telemetry::Event::AllocDecision(telemetry::AllocDecision {
                 region,
                 size: req.size,
                 requested: ranking.requested().0,

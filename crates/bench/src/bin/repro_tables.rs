@@ -1183,6 +1183,62 @@ fn guided_service() {
     }
 }
 
+/// Wall-clock cost of the simulator itself on the KNL: one Table
+/// IIb-shaped phase (Graph500 scale 26: four buffers spilled over
+/// MCDRAM and DRAM by bandwidth, 16 ranks on cluster 0-15), and an
+/// `Exact` commit of a two-node split plus its free.
+fn memsim_costs(ctx: &Ctx) -> Vec<BenchRecord> {
+    use hetmem_alloc::AllocRequest;
+    use hetmem_memsim::{AccessPattern, AllocPolicy, BufferAccess, Phase};
+    const REPS: u32 = 256;
+    let initiator: hetmem_bitmap::Bitmap = "0-15".parse().unwrap();
+    let mut alloc = ctx.allocator();
+    let v = 1u64 << 26;
+    let mut buffer = |bytes: u64| {
+        let req = AllocRequest::new(bytes)
+            .criterion(attr::BANDWIDTH)
+            .initiator(&initiator)
+            .fallback(Fallback::PartialSpill);
+        alloc.alloc(&req).expect("fits the KNL")
+    };
+    let (csr, pred, visited, queues) =
+        (buffer(26 * v), buffer(8 * v), buffer(v / 4), buffer(4 * v));
+    // Edge factor 16; each BFS examines 1.9 edges per input edge.
+    let edges = 16.0 * v as f64;
+    let examined = edges * 1.9;
+    let random_bytes = examined * 0.4 * hetmem_memsim::LINE as f64;
+    let phase = Phase {
+        name: "bfs".into(),
+        accesses: vec![
+            BufferAccess::new(csr, (examined * 8.0) as u64, 0, AccessPattern::Random),
+            BufferAccess::new(pred, (random_bytes * 0.8) as u64, 8 * v, AccessPattern::Random),
+            BufferAccess::new(visited, (random_bytes * 0.2) as u64, v / 8, AccessPattern::Random),
+            BufferAccess::new(queues, 8 * v, 8 * v, AccessPattern::Sequential),
+        ],
+        threads: 16,
+        initiator: initiator.clone(),
+        compute_ns: 340.0 * edges / 16.0,
+    };
+    let start = std::time::Instant::now();
+    for _ in 0..REPS {
+        std::hint::black_box(ctx.engine.run_phase(alloc.memory(), &phase));
+    }
+    let run_phase = start.elapsed().as_nanos() as f64 / REPS as f64;
+
+    let mm = alloc.memory_mut();
+    let split = [(NodeId(4), GIB / 4), (NodeId(0), GIB / 4)];
+    let start = std::time::Instant::now();
+    for _ in 0..REPS {
+        let id = mm.alloc(GIB / 2, AllocPolicy::Exact(split.to_vec())).expect("fits");
+        mm.free(id);
+    }
+    let commit = start.elapsed().as_nanos() as f64 / REPS as f64;
+    vec![
+        BenchRecord::new("memsim", "run_phase_table2b_knl", run_phase, "ns", 0),
+        BenchRecord::new("memsim", "commit_free_exact", commit, "ns", 0),
+    ]
+}
+
 /// §VII: capacity conflicts — FCFS vs priorities on the KNL MCDRAM.
 fn capacity(trace: Option<&str>) {
     use hetmem_telemetry::{JsonlWriter, Summary, TelemetrySink};
@@ -1292,6 +1348,7 @@ fn capacity(trace: Option<&str>) {
             0,
         ));
     }
+    records.extend(memsim_costs(&ctx));
     emit_bench("alloc", &records);
     if let (Some(w), Some(path)) = (&writer, trace) {
         let mut collector = sink.collector();

@@ -299,6 +299,17 @@ impl Bitmap {
         }
     }
 
+    /// Number of indices set in both bitmaps (`self.and(other).weight()`
+    /// without building the intersection); `None` when both are
+    /// infinite.
+    pub fn and_weight(&self, other: &Bitmap) -> Option<usize> {
+        if self.infinite && other.infinite {
+            return None;
+        }
+        let n = self.words.len().max(other.words.len());
+        Some((0..n).map(|i| (self.word_at(i) & other.word_at(i)).count_ones() as usize).sum())
+    }
+
     /// Iterates over the set indices in increasing order.
     ///
     /// For infinite bitmaps the iterator never ends; callers typically

@@ -45,6 +45,20 @@ proptest! {
     }
 
     #[test]
+    fn and_weight_is_weight_of_and(
+        (a, _) in finite_bitmap(),
+        (b, _) in finite_bitmap(),
+        flip_a in any::<bool>(),
+        flip_b in any::<bool>(),
+    ) {
+        // Complements cover the infinite operands.
+        let a = if flip_a { a.not() } else { a };
+        let b = if flip_b { b.not() } else { b };
+        prop_assert_eq!(a.and_weight(&b), a.and(&b).weight());
+        prop_assert_eq!(b.and_weight(&a), a.and(&b).weight());
+    }
+
+    #[test]
     fn first_last_match_model((a, ma) in finite_bitmap()) {
         prop_assert_eq!(a.first(), ma.iter().next().copied());
         prop_assert_eq!(a.last(), ma.iter().next_back().copied());

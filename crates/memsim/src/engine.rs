@@ -21,7 +21,7 @@
 //! Phase time = max(bandwidth floor, compute + latency stalls): stalls
 //! serialize with computation on the cores, streaming overlaps with it.
 
-use crate::machine::Machine;
+use crate::machine::{AccessAdjust, Machine, NodeRow};
 use crate::memory::{MemoryManager, RegionId};
 use crate::ns_for_bytes;
 use hetmem_bitmap::Bitmap;
@@ -280,29 +280,34 @@ impl AccessEngine {
 
     /// Costs one phase against the current placements in `mm`.
     ///
+    /// The phase resolves onto one slot per NUMA node (the machine's
+    /// node rows), so each node's traffic, adjustment and latency are
+    /// computed once per pass rather than once per buffer.
+    ///
     /// Panics if a `BufferAccess` references a freed region — that is a
     /// use-after-free in the simulated application.
     pub fn run_phase(&self, mm: &MemoryManager, phase: &Phase) -> PhaseReport {
-        let llc = self.machine.llc_bytes(&phase.initiator);
+        let machine = &*self.machine;
+        let rows = machine.node_rows();
+        let llc = machine.llc_bytes(&phase.initiator);
         let threads = phase.threads.max(1);
 
-        // Pass 1: post-LLC traffic per node and per buffer.
+        // Pass 1: post-LLC traffic per node slot and per buffer.
         struct Resolved {
             region: RegionId,
             pattern: AccessPattern,
             ws: u64,
             miss_ratio: f64,
-            // (node, read bytes, write bytes) post-LLC
-            split: Vec<(NodeId, u64, u64)>,
+            // This buffer's entries in `split`.
+            chunks: std::ops::Range<usize>,
             loads: u64,
             stores: u64,
             misses: u64,
         }
+        let mut slots = vec![Slot::default(); rows.len()];
+        // (slot, read bytes, write bytes) post-LLC, per placement chunk.
+        let mut split: Vec<(usize, u64, u64)> = Vec::new();
         let mut resolved = Vec::with_capacity(phase.accesses.len());
-        let mut node_read: BTreeMap<NodeId, u64> = BTreeMap::new();
-        let mut node_write: BTreeMap<NodeId, u64> = BTreeMap::new();
-        let mut node_footprint: BTreeMap<NodeId, u64> = BTreeMap::new();
-
         for acc in &phase.accesses {
             let region = mm
                 .region(acc.region)
@@ -311,25 +316,25 @@ impl AccessEngine {
             let m = acc.pattern.llc_miss_ratio(ws, llc);
             let mem_read = (acc.bytes_read as f64 * m) as u64;
             let mem_write = (acc.bytes_written as f64 * m) as u64;
-            let mut split = Vec::with_capacity(region.placement.len());
-            for (node, bytes) in &region.placement {
-                let frac = *bytes as f64 / region.size.max(1) as f64;
-                split.push((
-                    *node,
-                    (mem_read as f64 * frac) as u64,
-                    (mem_write as f64 * frac) as u64,
-                ));
-                *node_read.entry(*node).or_insert(0) += (mem_read as f64 * frac) as u64;
-                *node_write.entry(*node).or_insert(0) += (mem_write as f64 * frac) as u64;
-                *node_footprint.entry(*node).or_insert(0) +=
-                    (*bytes as f64 * acc.hot_fraction) as u64;
+            let first = split.len();
+            for &(node, bytes) in &region.placement {
+                let frac = bytes as f64 / region.size.max(1) as f64;
+                let r = (mem_read as f64 * frac) as u64;
+                let w = (mem_write as f64 * frac) as u64;
+                let at = machine.slot(node).expect("placement node exists");
+                let slot = &mut slots[at];
+                slot.touched = true;
+                slot.read += r;
+                slot.write += w;
+                slot.footprint += (bytes as f64 * acc.hot_fraction) as u64;
+                split.push((at, r, w));
             }
             resolved.push(Resolved {
                 region: acc.region,
                 pattern: acc.pattern,
                 ws,
                 miss_ratio: m,
-                split,
+                chunks: first..split.len(),
                 loads: acc.bytes_read / LINE,
                 stores: acc.bytes_written / LINE,
                 misses: mem_read / LINE,
@@ -338,78 +343,86 @@ impl AccessEngine {
 
         // Pass 2: per-node busy time (bandwidth term), with memory-side
         // cache filtering and remote-access penalties.
-        let mut node_busy: BTreeMap<NodeId, f64> = BTreeMap::new();
-        for (&node, &r) in &node_read {
-            let w = node_write.get(&node).copied().unwrap_or(0);
-            let fp = node_footprint.get(&node).copied().unwrap_or(0);
-            let adjust = self.machine.access_adjust(&phase.initiator, node);
-            node_busy.insert(node, self.node_busy_ns(node, r, w, fp, threads, adjust));
+        for (slot, row) in slots.iter_mut().zip(rows).filter(|(s, _)| s.touched) {
+            slot.adjust = row.adjust(&phase.initiator);
+            slot.busy =
+                node_busy_ns(row, slot.read, slot.write, slot.footprint, threads, slot.adjust);
         }
-        let bw_floor = node_busy.values().copied().fold(0.0f64, f64::max);
+        let bw_floor = slots.iter().filter(|s| s.touched).map(|s| s.busy).fold(0.0f64, f64::max);
 
         // Pass 3: latency stalls, iterated twice so loaded latency uses
-        // a consistent utilization estimate.
+        // a consistent utilization estimate. The first estimate feeds
+        // only the stall total; the second also yields the counters.
+        // Stall of `r` post-LLC read bytes at `lat` ns per miss.
+        let chain = |res: &Resolved, lat: f64, r: u64| -> f64 {
+            let misses_here = (r / LINE) as f64;
+            misses_here * lat / (threads as f64 * res.pattern.mlp())
+        };
         let mut phase_time = bw_floor.max(phase.compute_ns).max(1.0);
+        set_latencies(&mut slots, rows, phase_time);
         let mut stall_total = 0.0;
-        let mut buffer_stats: Vec<BufferStats> = Vec::new();
-        for _ in 0..2 {
-            stall_total = 0.0;
-            buffer_stats.clear();
-            for res in &resolved {
-                let mut stall_by_node = Vec::new();
-                let mut lat_weighted = 0.0;
-                let mut traffic_total = 0.0;
-                for &(node, r, w) in &res.split {
-                    let fp = node_footprint.get(&node).copied().unwrap_or(0);
-                    let busy = node_busy.get(&node).copied().unwrap_or(0.0);
-                    let util = (busy / phase_time).clamp(0.0, 1.0);
-                    let adjust = self.machine.access_adjust(&phase.initiator, node);
-                    let lat = self.node_latency_ns(node, util, fp)
-                        + adjust.extra_lat_ns
-                        + res.pattern.tlb_walk_ns(res.ws);
-                    let misses_here = (r / LINE) as f64;
-                    let chain = misses_here * lat / (threads as f64 * res.pattern.mlp());
-                    stall_by_node.push((node, chain));
-                    lat_weighted += lat * (r + w) as f64;
-                    traffic_total += (r + w) as f64;
-                }
-                let stall: f64 = stall_by_node.iter().map(|(_, s)| s).sum();
-                stall_total += stall;
-                buffer_stats.push(BufferStats {
-                    region: res.region,
-                    loads: res.loads,
-                    stores: res.stores,
-                    llc_misses: res.misses,
-                    llc_miss_ratio: res.miss_ratio,
-                    pattern: res.pattern,
-                    avg_latency_ns: if traffic_total > 0.0 {
-                        lat_weighted / traffic_total
-                    } else {
-                        0.0
-                    },
-                    stall_ns: stall,
-                    stall_by_node,
-                });
-            }
-            phase_time = bw_floor.max(phase.compute_ns + stall_total).max(1.0);
+        for res in &resolved {
+            let tlb = res.pattern.tlb_walk_ns(res.ws);
+            let stall: f64 = split[res.chunks.clone()]
+                .iter()
+                .map(|&(at, r, _)| chain(res, slots[at].lat + tlb, r))
+                .sum();
+            stall_total += stall;
         }
+        phase_time = bw_floor.max(phase.compute_ns + stall_total).max(1.0);
+
+        set_latencies(&mut slots, rows, phase_time);
+        stall_total = 0.0;
+        let mut buffer_stats = Vec::with_capacity(resolved.len());
+        for res in &resolved {
+            let tlb = res.pattern.tlb_walk_ns(res.ws);
+            let mut stall_by_node = Vec::with_capacity(res.chunks.len());
+            let mut lat_weighted = 0.0;
+            let mut traffic_total = 0.0;
+            for &(at, r, w) in &split[res.chunks.clone()] {
+                let lat = slots[at].lat + tlb;
+                stall_by_node.push((rows[at].id, chain(res, lat, r)));
+                lat_weighted += lat * (r + w) as f64;
+                traffic_total += (r + w) as f64;
+            }
+            let stall: f64 = stall_by_node.iter().map(|(_, s)| s).sum();
+            stall_total += stall;
+            buffer_stats.push(BufferStats {
+                region: res.region,
+                loads: res.loads,
+                stores: res.stores,
+                llc_misses: res.misses,
+                llc_miss_ratio: res.miss_ratio,
+                pattern: res.pattern,
+                avg_latency_ns: if traffic_total > 0.0 {
+                    lat_weighted / traffic_total
+                } else {
+                    0.0
+                },
+                stall_ns: stall,
+                stall_by_node,
+            });
+        }
+        phase_time = bw_floor.max(phase.compute_ns + stall_total).max(1.0);
 
         // Final per-node traffic summary.
-        let mut per_node = BTreeMap::new();
-        for (&node, &busy) in &node_busy {
-            let r = node_read.get(&node).copied().unwrap_or(0);
-            let w = node_write.get(&node).copied().unwrap_or(0);
-            per_node.insert(
-                node,
-                NodeTraffic {
-                    bytes_read: r,
-                    bytes_written: w,
-                    busy_ns: busy,
-                    utilization: (busy / phase_time).clamp(0.0, 1.0),
-                    achieved_bw_mbps: (r + w) as f64 / (phase_time / 1e9) / (1024.0 * 1024.0),
-                },
-            );
-        }
+        let per_node = slots
+            .iter()
+            .zip(rows)
+            .filter(|(s, _)| s.touched)
+            .map(|(s, row)| {
+                let traffic = NodeTraffic {
+                    bytes_read: s.read,
+                    bytes_written: s.write,
+                    busy_ns: s.busy,
+                    utilization: (s.busy / phase_time).clamp(0.0, 1.0),
+                    achieved_bw_mbps: (s.read + s.write) as f64
+                        / (phase_time / 1e9)
+                        / (1024.0 * 1024.0),
+                };
+                (row.id, traffic)
+            })
+            .collect();
 
         let report = PhaseReport {
             name: phase.name.clone(),
@@ -468,48 +481,85 @@ impl AccessEngine {
         }
         reports
     }
+}
 
-    /// Controller busy time for (r, w) bytes on a node, including
-    /// memory-side cache filtering and the remote-access bandwidth cap.
-    fn node_busy_ns(
-        &self,
-        node: NodeId,
-        r: u64,
-        w: u64,
-        footprint: u64,
-        threads: usize,
-        adjust: crate::machine::AccessAdjust,
-    ) -> f64 {
-        let t = self.machine.timing(node);
-        let f = adjust.bw_factor;
-        match self.machine.cache_timing(node) {
-            None => {
-                ns_for_bytes(r as f64, t.effective_read_bw(threads, footprint) * f)
-                    + ns_for_bytes(w as f64, t.effective_write_bw(threads, footprint) * f)
-            }
-            Some(cache) => {
-                let h = cache.hit_ratio(footprint);
-                let hit_bytes = (r + w) as f64 * h;
-                let miss_r = r as f64 * (1.0 - h);
-                let miss_w = w as f64 * (1.0 - h);
-                ns_for_bytes(hit_bytes, cache.hit_bw_mbps * f)
-                    + ns_for_bytes(miss_r, t.effective_read_bw(threads, footprint) * f)
-                    + ns_for_bytes(miss_w, t.effective_write_bw(threads, footprint) * f)
-            }
+/// One node's share of a phase: its post-LLC traffic, then its busy
+/// time and adjustment (pass 2), then its current latency (pass 3).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Some buffer of the phase has a placement chunk on the node.
+    touched: bool,
+    read: u64,
+    write: u64,
+    footprint: u64,
+    busy: f64,
+    adjust: AccessAdjust,
+    /// Loaded demand latency plus the remote-access penalty, ns.
+    lat: f64,
+}
+
+impl Default for Slot {
+    fn default() -> Self {
+        Slot {
+            touched: false,
+            read: 0,
+            write: 0,
+            footprint: 0,
+            busy: 0.0,
+            adjust: AccessAdjust::LOCAL,
+            lat: 0.0,
         }
     }
+}
 
-    /// Demand-read latency on a node at a utilization level, including
-    /// memory-side cache effects.
-    fn node_latency_ns(&self, node: NodeId, utilization: f64, footprint: u64) -> f64 {
-        let t = self.machine.timing(node);
-        let base = t.read_latency_at(utilization) + t.ait_latency_penalty(footprint);
-        match self.machine.cache_timing(node) {
-            None => base,
-            Some(cache) => {
-                let h = cache.hit_ratio(footprint);
-                h * cache.hit_lat_ns + (1.0 - h) * (base + cache.miss_penalty_ns)
-            }
+/// Sets every touched slot's latency for the utilization implied by
+/// `phase_time`.
+fn set_latencies(slots: &mut [Slot], rows: &[NodeRow], phase_time: f64) {
+    for (slot, row) in slots.iter_mut().zip(rows).filter(|(s, _)| s.touched) {
+        let util = (slot.busy / phase_time).clamp(0.0, 1.0);
+        slot.lat = node_latency_ns(row, util, slot.footprint) + slot.adjust.extra_lat_ns;
+    }
+}
+
+/// Controller busy time for (r, w) bytes on a node, including
+/// memory-side cache filtering and the remote-access bandwidth cap.
+fn node_busy_ns(
+    row: &NodeRow,
+    r: u64,
+    w: u64,
+    footprint: u64,
+    threads: usize,
+    adjust: AccessAdjust,
+) -> f64 {
+    let t = &row.timing;
+    let f = adjust.bw_factor;
+    match &row.cache {
+        None => {
+            ns_for_bytes(r as f64, t.effective_read_bw(threads, footprint) * f)
+                + ns_for_bytes(w as f64, t.effective_write_bw(threads, footprint) * f)
+        }
+        Some(cache) => {
+            let h = cache.hit_ratio(footprint);
+            let hit_bytes = (r + w) as f64 * h;
+            let miss_r = r as f64 * (1.0 - h);
+            let miss_w = w as f64 * (1.0 - h);
+            ns_for_bytes(hit_bytes, cache.hit_bw_mbps * f)
+                + ns_for_bytes(miss_r, t.effective_read_bw(threads, footprint) * f)
+                + ns_for_bytes(miss_w, t.effective_write_bw(threads, footprint) * f)
+        }
+    }
+}
+
+/// Demand-read latency on a node at a utilization level, including
+/// memory-side cache effects.
+fn node_latency_ns(row: &NodeRow, utilization: f64, footprint: u64) -> f64 {
+    let t = &row.timing;
+    let base = t.read_latency_at(utilization) + t.ait_latency_penalty(footprint);
+    match &row.cache {
+        None => base,
+        Some(cache) => {
+            let h = cache.hit_ratio(footprint);
+            h * cache.hit_lat_ns + (1.0 - h) * (base + cache.miss_penalty_ns)
         }
     }
 }

@@ -37,6 +37,8 @@ mod engine;
 mod fault;
 mod machine;
 mod memory;
+#[cfg(test)]
+mod reference;
 mod timing;
 
 pub use engine::{

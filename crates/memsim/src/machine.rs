@@ -30,18 +30,72 @@ impl AccessAdjust {
 /// reservations (memory the benchmark cannot allocate: kernel, runtime,
 /// page tables — this is what makes the paper's Table III "blank"
 /// cells reproducible as allocation failures).
+///
+/// The per-node and per-cache facts the simulator asks for on every
+/// phase and commit are derived from the immutable topology once, at
+/// construction: one row per NUMA node in OS-index order (its *slot*),
+/// and the deepest CPU cache level as a table.
 #[derive(Debug, Clone)]
 pub struct Machine {
     name: String,
     topology: Topology,
-    timings: BTreeMap<NodeId, NodeTiming>,
-    cache_timings: BTreeMap<NodeId, MemSideCacheTiming>,
-    os_reserved: BTreeMap<NodeId, u64>,
+    nodes: Vec<NodeRow>,
+    llc: Vec<LlcCache>,
+}
+
+/// One NUMA node's facts, in the machine's slot order.
+#[derive(Debug, Clone)]
+pub(crate) struct NodeRow {
+    pub(crate) id: NodeId,
+    pub(crate) timing: NodeTiming,
+    pub(crate) cache: Option<MemSideCacheTiming>,
+    capacity: u64,
+    os_reserved: u64,
+    /// The node's locality cpuset.
+    locality: Bitmap,
+    /// The cpuset of the package holding the node, if any.
+    package: Option<Bitmap>,
+}
+
+impl NodeRow {
+    /// Capacity available to applications.
+    pub(crate) fn usable(&self) -> u64 {
+        self.capacity.saturating_sub(self.os_reserved)
+    }
+
+    /// See [`Machine::access_adjust`].
+    pub(crate) fn adjust(&self, initiator: &Bitmap) -> AccessAdjust {
+        if self.locality.intersects(initiator)
+            || self.locality.includes(initiator)
+            || self.locality.is_zero()
+        {
+            return AccessAdjust::LOCAL;
+        }
+        // Machine-attached memory (e.g. NAM) has the whole machine as
+        // locality and is caught above. Here the node belongs to some
+        // package/cluster the initiator is not in.
+        match &self.package {
+            Some(pkg) if pkg.intersects(initiator) => {
+                AccessAdjust { extra_lat_ns: 20.0, bw_factor: 0.85 }
+            }
+            _ => AccessAdjust { extra_lat_ns: 70.0, bw_factor: 0.45 },
+        }
+    }
+}
+
+/// One cache of the deepest CPU cache level.
+#[derive(Debug, Clone)]
+struct LlcCache {
+    cpuset: Bitmap,
+    /// PUs under the cache (at least 1).
+    pus: usize,
+    bytes: u64,
 }
 
 impl Machine {
     /// Builds a machine from parts. Every NUMA node in `topology` must
-    /// have a timing entry.
+    /// have a timing entry, and every entry must name a node of
+    /// `topology`.
     pub fn new(
         name: &str,
         topology: Topology,
@@ -54,7 +108,18 @@ impl Machine {
                 return Err(format!("missing timing for {node}"));
             }
         }
-        Ok(Machine { name: name.to_string(), topology, timings, cache_timings, os_reserved })
+        let known = |node: &NodeId| topology.numa_by_os_index(*node).is_some();
+        if let Some(node) =
+            timings.keys().chain(cache_timings.keys()).chain(os_reserved.keys()).find(|n| !known(n))
+        {
+            return Err(format!("entry for unknown {node}"));
+        }
+        let mut m = Machine::assemble(name, topology, |n, _| timings[&n].clone());
+        for row in &mut m.nodes {
+            row.cache = cache_timings.get(&row.id).cloned();
+            row.os_reserved = os_reserved.get(&row.id).copied().unwrap_or(0);
+        }
+        Ok(m)
     }
 
     /// Builds a machine by assigning one timing per memory kind, with no
@@ -64,18 +129,66 @@ impl Machine {
         topology: Topology,
         f: impl Fn(MemoryKind) -> NodeTiming,
     ) -> Self {
-        let timings = topology
+        Machine::assemble(name, topology, |_, kind| f(kind))
+    }
+
+    /// The one constructor: derives the node rows (in OS-index order,
+    /// with no cache and no reservation) and the last-level cache table
+    /// from `topology`.
+    fn assemble(
+        name: &str,
+        topology: Topology,
+        timing: impl Fn(NodeId, MemoryKind) -> NodeTiming,
+    ) -> Self {
+        let nodes = topology
             .node_ids()
             .into_iter()
-            .map(|n| (n, f(topology.node_kind(n).expect("node exists"))))
+            .map(|id| {
+                let obj = topology.numa_by_os_index(id).expect("node exists");
+                let kind = obj.attrs.as_numa().expect("NUMA node attributes").kind;
+                NodeRow {
+                    id,
+                    timing: timing(id, kind),
+                    cache: None,
+                    capacity: obj.local_memory(),
+                    os_reserved: 0,
+                    locality: obj.cpuset.clone(),
+                    package: topology
+                        .ancestor_of_type(obj.id, ObjectType::Package)
+                        .map(|p| p.cpuset.clone()),
+                }
+            })
             .collect();
-        Machine {
-            name: name.to_string(),
-            topology,
-            timings,
-            cache_timings: BTreeMap::new(),
-            os_reserved: BTreeMap::new(),
-        }
+        let level = if topology.count(ObjectType::L3Cache) > 0 {
+            ObjectType::L3Cache
+        } else {
+            ObjectType::L2Cache
+        };
+        let llc = topology
+            .objects_of_type(level)
+            .map(|cache| LlcCache {
+                cpuset: cache.cpuset.clone(),
+                pus: cache.cpuset.weight().unwrap_or(1).max(1),
+                bytes: cache.attrs.as_cache().map_or(0, |c| c.size),
+            })
+            .collect();
+        Machine { name: name.to_string(), topology, nodes, llc }
+    }
+
+    /// The row of `node`; presets only name nodes they just built.
+    fn row_mut(&mut self, node: NodeId) -> &mut NodeRow {
+        let slot = self.slot(node).expect("preset names its own nodes");
+        &mut self.nodes[slot]
+    }
+
+    /// Reserves `bytes` of `node` for the OS (presets only).
+    fn reserve(&mut self, node: NodeId, bytes: u64) {
+        self.row_mut(node).os_reserved = bytes;
+    }
+
+    /// Puts a memory-side cache in front of `node` (presets only).
+    fn front_with_cache(&mut self, node: NodeId, cache: MemSideCacheTiming) {
+        self.row_mut(node).cache = Some(cache);
     }
 
     /// The paper's Xeon server (§VI): dual Cascade Lake 6230, SNC off,
@@ -89,8 +202,8 @@ impl Machine {
         });
         // Kernel + runtime keep ~8 GiB per DRAM node; DAX-kmem NVDIMM
         // nodes start empty.
-        m.os_reserved.insert(NodeId(0), 8 * GIB);
-        m.os_reserved.insert(NodeId(1), 8 * GIB);
+        m.reserve(NodeId(0), 8 * GIB);
+        m.reserve(NodeId(1), 8 * GIB);
         m
     }
 
@@ -110,7 +223,7 @@ impl Machine {
             other => unreachable!("no {other} on the Xeon platform"),
         });
         for n in [0u32, 1, 3, 4] {
-            m.os_reserved.insert(NodeId(n), 4 * GIB);
+            m.reserve(NodeId(n), 4 * GIB);
         }
         m
     }
@@ -122,9 +235,9 @@ impl Machine {
             MemoryKind::Nvdimm => NodeTiming::xeon_nvdimm(),
             other => unreachable!("no {other} in 2LM mode"),
         });
-        m.cache_timings.insert(NodeId(0), MemSideCacheTiming::xeon_2lm());
-        m.cache_timings.insert(NodeId(1), MemSideCacheTiming::xeon_2lm());
-        m.os_reserved.insert(NodeId(0), 8 * GIB);
+        m.front_with_cache(NodeId(0), MemSideCacheTiming::xeon_2lm());
+        m.front_with_cache(NodeId(1), MemSideCacheTiming::xeon_2lm());
+        m.reserve(NodeId(0), 8 * GIB);
         m
     }
 
@@ -142,8 +255,8 @@ impl Machine {
             other => unreachable!("no {other} on KNL"),
         });
         for n in 0..4u32 {
-            m.os_reserved.insert(NodeId(n), 6 * GIB + 512 * 1024 * 1024);
-            m.os_reserved.insert(NodeId(4 + n), 200 * 1024 * 1024);
+            m.reserve(NodeId(n), 6 * GIB + 512 * 1024 * 1024);
+            m.reserve(NodeId(4 + n), 200 * 1024 * 1024);
         }
         m
     }
@@ -161,8 +274,8 @@ impl Machine {
             }
             other => unreachable!("no {other} on KNL cache mode"),
         });
-        m.cache_timings.insert(NodeId(0), MemSideCacheTiming::knl_cache_mode());
-        m.os_reserved.insert(NodeId(0), 4 * GIB);
+        m.front_with_cache(NodeId(0), MemSideCacheTiming::knl_cache_mode());
+        m.reserve(NodeId(0), 4 * GIB);
         m
     }
 
@@ -180,8 +293,8 @@ impl Machine {
             other => unreachable!("no {other} on the 4-socket Xeon"),
         });
         for p in 0..4u32 {
-            m.os_reserved.insert(NodeId(p * 3), 4 * GIB);
-            m.os_reserved.insert(NodeId(p * 3 + 1), 4 * GIB);
+            m.reserve(NodeId(p * 3), 4 * GIB);
+            m.reserve(NodeId(p * 3 + 1), 4 * GIB);
         }
         m
     }
@@ -232,44 +345,57 @@ impl Machine {
         &self.topology
     }
 
-    /// Timing of one node.
+    /// The slot of `node`: its position in the node rows (OS-index
+    /// order), `None` for a node the machine does not have.
+    pub(crate) fn slot(&self, node: NodeId) -> Option<usize> {
+        let dense = node.0 as usize;
+        if self.nodes.get(dense).is_some_and(|r| r.id == node) {
+            return Some(dense);
+        }
+        self.nodes.binary_search_by_key(&node, |r| r.id).ok()
+    }
+
+    /// Every node's row, indexed by slot.
+    pub(crate) fn node_rows(&self) -> &[NodeRow] {
+        &self.nodes
+    }
+
+    fn row(&self, node: NodeId) -> Option<&NodeRow> {
+        self.slot(node).map(|s| &self.nodes[s])
+    }
+
+    /// Timing of one node. Panics for a node the machine does not have.
     pub fn timing(&self, node: NodeId) -> &NodeTiming {
-        &self.timings[&node]
+        &self.row(node).unwrap_or_else(|| panic!("no timing for {node}")).timing
     }
 
     /// Memory-side cache fronting `node`, if any.
     pub fn cache_timing(&self, node: NodeId) -> Option<&MemSideCacheTiming> {
-        self.cache_timings.get(&node)
+        self.row(node)?.cache.as_ref()
     }
 
     /// Bytes reserved by OS/runtime on `node`.
     pub fn os_reserved(&self, node: NodeId) -> u64 {
-        self.os_reserved.get(&node).copied().unwrap_or(0)
+        self.row(node).map_or(0, |r| r.os_reserved)
     }
 
     /// Capacity available to applications on `node`.
     pub fn usable_capacity(&self, node: NodeId) -> u64 {
-        let total = self.topology.node_capacity(node).unwrap_or(0);
-        total.saturating_sub(self.os_reserved(node))
+        self.row(node).map_or(0, NodeRow::usable)
     }
 
     /// Last-level CPU cache capacity covering an initiator cpuset: sums
     /// the deepest cache level present (L3 if any, else L2), scaled by
     /// the fraction of each cache's PUs that the initiator covers.
     pub fn llc_bytes(&self, initiator: &Bitmap) -> u64 {
-        let level = if self.topology.count(ObjectType::L3Cache) > 0 {
-            ObjectType::L3Cache
-        } else {
-            ObjectType::L2Cache
-        };
         let mut total = 0.0f64;
-        for cache in self.topology.objects_of_type(level) {
+        for cache in &self.llc {
             if !cache.cpuset.intersects(initiator) {
                 continue;
             }
-            let covered = cache.cpuset.and(initiator).weight().unwrap_or(0) as f64;
-            let all = cache.cpuset.weight().unwrap_or(1).max(1) as f64;
-            let size = cache.attrs.as_cache().map_or(0, |c| c.size) as f64;
+            let covered = cache.cpuset.and_weight(initiator).unwrap_or(0) as f64;
+            let all = cache.pus as f64;
+            let size = cache.bytes as f64;
             total += size * covered / all;
         }
         total as u64
@@ -290,26 +416,7 @@ impl Machine {
     /// expose (§VIII: "hwloc is still able to expose them thanks to
     /// benchmarking").
     pub fn access_adjust(&self, initiator: &Bitmap, node: NodeId) -> AccessAdjust {
-        let Some(obj) = self.topology.numa_by_os_index(node) else {
-            return AccessAdjust::LOCAL;
-        };
-        if obj.cpuset.intersects(initiator)
-            || obj.cpuset.includes(initiator)
-            || obj.cpuset.is_zero()
-        {
-            return AccessAdjust::LOCAL;
-        }
-        // Machine-attached memory (e.g. NAM) has the whole machine as
-        // locality and is caught above. Here the node belongs to some
-        // package/cluster the initiator is not in.
-        let node_pkg =
-            self.topology.ancestor_of_type(obj.id, ObjectType::Package).map(|p| p.cpuset.clone());
-        match node_pkg {
-            Some(pkg) if pkg.intersects(initiator) => {
-                AccessAdjust { extra_lat_ns: 20.0, bw_factor: 0.85 }
-            }
-            _ => AccessAdjust { extra_lat_ns: 70.0, bw_factor: 0.45 },
-        }
+        self.row(node).map_or(AccessAdjust::LOCAL, |r| r.adjust(initiator))
     }
 
     /// Initiator proximity domains: one per distinct locality cpuset
@@ -481,13 +588,15 @@ impl Machine {
         let mut localities = vec![lat, bw];
         localities.extend(extra);
         let caches = self
-            .cache_timings
+            .nodes
             .iter()
-            .map(|(node, ct)| MemorySideCacheInfo {
-                memory_pd: node.0,
-                size: ct.capacity,
-                line_size: 64,
-                level: 1,
+            .filter_map(|row| {
+                row.cache.as_ref().map(|ct| MemorySideCacheInfo {
+                    memory_pd: row.id.0,
+                    size: ct.capacity,
+                    line_size: 64,
+                    level: 1,
+                })
             })
             .collect();
         Hmat { proximity, localities, caches }
@@ -686,5 +795,85 @@ mod tests {
         let topo = platforms::homogeneous(1, 2, GIB);
         let err = Machine::new("x", topo, BTreeMap::new(), BTreeMap::new(), BTreeMap::new());
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn entries_for_unknown_nodes_rejected() {
+        let topo = platforms::homogeneous(1, 2, GIB);
+        let timings: BTreeMap<NodeId, NodeTiming> =
+            topo.node_ids().into_iter().map(|n| (n, NodeTiming::xeon_dram())).collect();
+        let reserved = BTreeMap::from([(NodeId(7), GIB)]);
+        let err = Machine::new("x", topo.clone(), timings.clone(), BTreeMap::new(), reserved);
+        assert!(err.unwrap_err().contains("unknown"));
+        let m = Machine::new("x", topo, timings, BTreeMap::new(), BTreeMap::from([(NodeId(0), 1)]))
+            .unwrap();
+        assert_eq!(m.usable_capacity(NodeId(0)), GIB - 1);
+        assert_eq!(m.os_reserved(NodeId(0)), 1);
+    }
+
+    #[test]
+    fn derived_tables_match_an_arena_scan() {
+        use crate::reference;
+        for m in reference::presets() {
+            let topo = m.topology();
+            let name = m.name();
+            let mut numa: Vec<_> =
+                topo.objects().filter(|o| o.obj_type == ObjectType::NumaNode).collect();
+            numa.sort_by_key(|o| o.os_index);
+            assert_eq!(m.nodes.len(), numa.len(), "{name}");
+            for (slot, (row, obj)) in m.nodes.iter().zip(&numa).enumerate() {
+                assert_eq!(row.id, NodeId(obj.os_index), "{name}");
+                assert_eq!(m.slot(row.id), Some(slot), "{name}");
+                assert_eq!(row.locality, obj.cpuset, "{name}: locality of {}", row.id);
+                let mut parent = obj.parent;
+                let package = std::iter::from_fn(|| {
+                    let p = topo.object(parent?);
+                    parent = p.parent;
+                    Some(p)
+                })
+                .find(|p| p.obj_type == ObjectType::Package);
+                assert_eq!(row.package, package.map(|p| p.cpuset.clone()), "{name}: {}", row.id);
+                assert_eq!(row.capacity, obj.local_memory(), "{name}: {}", row.id);
+                assert!(row.usable() <= row.capacity, "{name}: {}", row.id);
+            }
+            let last = numa.last().map_or(0, |o| o.os_index);
+            for node in (0..=last + 2).map(NodeId).chain([NodeId(u32::MAX)]) {
+                let scanned = numa.iter().position(|o| o.os_index == node.0);
+                assert_eq!(m.slot(node), scanned, "{name}: slot of {node}");
+            }
+
+            let level = if topo.objects().any(|o| o.obj_type == ObjectType::L3Cache) {
+                ObjectType::L3Cache
+            } else {
+                ObjectType::L2Cache
+            };
+            let mut caches: Vec<_> = topo.objects().filter(|o| o.obj_type == level).collect();
+            caches.sort_by_key(|o| o.logical_index);
+            assert_eq!(m.llc.len(), caches.len(), "{name}");
+            for (entry, cache) in m.llc.iter().zip(&caches) {
+                assert_eq!(entry.cpuset, cache.cpuset, "{name}");
+                assert_eq!(entry.pus, cache.cpuset.weight().unwrap().max(1), "{name}");
+                assert_eq!(entry.bytes, cache.attrs.as_cache().unwrap().size, "{name}");
+            }
+
+            let unknown = NodeId(last + 1);
+            for kind in 0..7 {
+                for k in 0..8 {
+                    let initiator = reference::initiator(&m, kind, k);
+                    assert_eq!(
+                        m.llc_bytes(&initiator),
+                        reference::llc_bytes(&m, &initiator),
+                        "{name}: llc_bytes({initiator})"
+                    );
+                    for node in m.nodes.iter().map(|r| r.id).chain([unknown]) {
+                        assert_eq!(
+                            m.access_adjust(&initiator, node),
+                            reference::access_adjust(&m, &initiator, node),
+                            "{name}: access_adjust({initiator}, {node})"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! (MCDRAM nodes are numbered last) and why the paper's allocator does
 //! its own explicit fallback instead.
 
-use crate::machine::Machine;
+use crate::machine::{Machine, NodeRow};
 use crate::PAGE_SIZE;
 use hetmem_telemetry as telemetry;
 use hetmem_telemetry::TelemetrySink;
@@ -174,20 +174,28 @@ pub struct MigrationReport {
 }
 
 /// The simulated OS memory manager for one machine.
+///
+/// Free bytes and high-water marks are kept per node *slot* (the
+/// machine's node rows, in OS-index order), so a commit or a free
+/// updates them in place.
 #[derive(Clone)]
 pub struct MemoryManager {
     machine: Arc<Machine>,
-    free: BTreeMap<NodeId, u64>,
+    free: Vec<u64>,
     regions: BTreeMap<RegionId, Region>,
     next_id: u64,
-    high_water: BTreeMap<NodeId, u64>,
+    /// `None` until a gauge or a restore first touches the node, so
+    /// [`MemoryManager::capture`] lists exactly the touched nodes.
+    high_water: Vec<Option<u64>>,
     sink: TelemetrySink,
 }
 
 impl std::fmt::Debug for MemoryManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let rows = self.machine.node_rows();
+        let free = rows.iter().map(|r| r.id).zip(&self.free);
         f.debug_struct("MemoryManager")
-            .field("free", &self.free)
+            .field("free", &free.collect::<BTreeMap<_, _>>())
             .field("regions", &self.regions.len())
             .field("next_id", &self.next_id)
             .finish_non_exhaustive()
@@ -201,18 +209,14 @@ const MIGRATE_PAGE_OVERHEAD_NS: f64 = 1_200.0;
 impl MemoryManager {
     /// Creates a manager with every node's usable capacity free.
     pub fn new(machine: Arc<Machine>) -> Self {
-        let free = machine
-            .topology()
-            .node_ids()
-            .into_iter()
-            .map(|n| (n, machine.usable_capacity(n)))
-            .collect();
+        let free = machine.node_rows().iter().map(NodeRow::usable).collect();
+        let high_water = vec![None; machine.node_rows().len()];
         MemoryManager {
             machine,
             free,
             regions: BTreeMap::new(),
             next_id: 0,
-            high_water: BTreeMap::new(),
+            high_water,
             sink: TelemetrySink::disabled(),
         }
     }
@@ -235,34 +239,39 @@ impl MemoryManager {
 
     /// Highest used-bytes watermark seen on `node` since creation.
     pub fn high_water(&self, node: NodeId) -> u64 {
-        self.high_water.get(&node).copied().unwrap_or(0)
+        self.machine.slot(node).and_then(|s| self.high_water[s]).unwrap_or(0)
     }
 
     /// Updates watermarks and emits an occupancy gauge for each node
-    /// whose allocation changed.
-    fn gauge(&mut self, touched: impl IntoIterator<Item = NodeId>) {
-        let mut nodes: Vec<NodeId> = touched.into_iter().collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        for node in nodes {
-            let used = self.used(node);
-            let hw = self.high_water.entry(node).or_insert(0);
-            *hw = (*hw).max(used);
-            let hw = *hw;
+    /// whose allocation changed (`touched`), in node order.
+    fn gauge(&mut self, touched: impl Fn(NodeId) -> bool) {
+        for (slot, row) in self.machine.node_rows().iter().enumerate() {
+            if !touched(row.id) {
+                continue;
+            }
+            let total = row.usable();
+            let used = total - self.free[slot];
+            let hw = self.high_water[slot].unwrap_or(0).max(used);
+            self.high_water[slot] = Some(hw);
             if self.sink.enabled() {
                 self.sink.emit(telemetry::Event::OccupancyGauge(telemetry::OccupancyGauge {
-                    node,
+                    node: row.id,
                     used,
                     high_water: hw,
-                    total: self.machine.usable_capacity(node),
+                    total,
                 }));
             }
         }
     }
 
+    /// The slot of a node a policy names.
+    fn slot(&self, node: NodeId) -> Result<usize, AllocError> {
+        self.machine.slot(node).ok_or(AllocError::InvalidNode(node))
+    }
+
     /// Free bytes on `node`.
     pub fn available(&self, node: NodeId) -> u64 {
-        self.free.get(&node).copied().unwrap_or(0)
+        self.machine.slot(node).map_or(0, |s| self.free[s])
     }
 
     /// Used bytes on `node` (excluding the OS reservation).
@@ -289,9 +298,7 @@ impl MemoryManager {
         }
         let mut deduped = Vec::with_capacity(nodes.len());
         for &n in nodes {
-            if !self.free.contains_key(&n) {
-                return Err(AllocError::InvalidNode(n));
-            }
+            self.slot(n)?;
             if !deduped.contains(&n) {
                 deduped.push(n);
             }
@@ -305,8 +312,7 @@ impl MemoryManager {
         let size = size.div_ceil(PAGE_SIZE) * PAGE_SIZE;
         let placement = match &policy {
             AllocPolicy::Bind(node) => {
-                let _ = self.check_nodes(std::slice::from_ref(node))?;
-                let avail = self.available(*node);
+                let avail = self.free[self.slot(*node)?];
                 if avail < size {
                     return Err(AllocError::InsufficientCapacity {
                         node: *node,
@@ -317,10 +323,11 @@ impl MemoryManager {
                 vec![(*node, size)]
             }
             AllocPolicy::Preferred(node) => {
-                let _ = self.check_nodes(std::slice::from_ref(node))?;
+                self.slot(*node)?;
                 // Linux quirk: spill only to higher-index nodes.
                 let mut order = vec![*node];
-                order.extend(self.free.keys().copied().filter(|n| n.0 > node.0));
+                let rows = self.machine.node_rows();
+                order.extend(rows.iter().map(|r| r.id).filter(|n| n.0 > node.0));
                 self.fill_in_order(size, &order)?
             }
             AllocPolicy::PreferredMany(order) => {
@@ -331,31 +338,7 @@ impl MemoryManager {
                 let nodes = self.check_nodes(nodes)?;
                 self.interleave(size, &nodes)?
             }
-            AllocPolicy::Exact(chunks) => {
-                let nodes: Vec<NodeId> = chunks.iter().map(|&(n, _)| n).collect();
-                let _ = self.check_nodes(&nodes)?;
-                let mut need: BTreeMap<NodeId, u64> = BTreeMap::new();
-                let mut placement = Vec::new();
-                for &(node, bytes) in chunks {
-                    let bytes = bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-                    if bytes == 0 {
-                        continue;
-                    }
-                    *need.entry(node).or_insert(0) += bytes;
-                    placement.push((node, bytes));
-                }
-                for (&node, &bytes) in &need {
-                    let avail = self.available(node);
-                    if avail < bytes {
-                        return Err(AllocError::InsufficientCapacity {
-                            node,
-                            requested: bytes,
-                            available: avail,
-                        });
-                    }
-                }
-                placement
-            }
+            AllocPolicy::Exact(chunks) => self.exact(chunks)?,
         };
         // Exact splits define their own total (chunk-wise rounding).
         let size = if matches!(policy, AllocPolicy::Exact(_)) {
@@ -363,15 +346,48 @@ impl MemoryManager {
         } else {
             size
         };
-        for (node, bytes) in &placement {
-            *self.free.get_mut(node).expect("validated node") -= bytes;
+        for &(node, bytes) in &placement {
+            let slot = self.slot(node).expect("validated node");
+            self.free[slot] -= bytes;
         }
         let id = RegionId(self.next_id);
         self.next_id += 1;
-        let touched: Vec<NodeId> = placement.iter().map(|&(n, _)| n).collect();
+        self.gauge(|n| placement.iter().any(|&(m, _)| m == n));
         self.regions.insert(id, Region { id, size, placement, policy });
-        self.gauge(touched);
         Ok(id)
+    }
+
+    /// Places an exact split: each chunk rounded up to whole pages, in
+    /// order, zero-byte chunks dropped. Every chunk's node must exist;
+    /// the first node (in node order) whose total need exceeds its free
+    /// bytes fails the whole commit.
+    fn exact(&self, chunks: &[(NodeId, u64)]) -> Result<Vec<(NodeId, u64)>, AllocError> {
+        if chunks.is_empty() {
+            return Err(AllocError::EmptyNodeList);
+        }
+        for &(node, _) in chunks {
+            self.slot(node)?;
+        }
+        let pages = |bytes: u64| bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE;
+        // (node, need, available) of the lowest node that is short.
+        let mut short: Option<(NodeId, u64, u64)> = None;
+        for (i, &(node, _)) in chunks.iter().enumerate() {
+            if chunks[..i].iter().any(|&(n, _)| n == node) {
+                continue;
+            }
+            let need: u64 =
+                chunks.iter().filter(|&&(n, _)| n == node).map(|&(_, b)| pages(b)).sum();
+            let available = self.available(node);
+            if available < need && short.is_none_or(|(lowest, ..)| node < lowest) {
+                short = Some((node, need, available));
+            }
+        }
+        if let Some((node, requested, available)) = short {
+            return Err(AllocError::InsufficientCapacity { node, requested, available });
+        }
+        let mut placement = Vec::with_capacity(chunks.len());
+        placement.extend(chunks.iter().map(|&(n, b)| (n, pages(b))).filter(|&(_, b)| b > 0));
+        Ok(placement)
     }
 
     fn fill_in_order(&self, size: u64, order: &[NodeId]) -> Result<Vec<(NodeId, u64)>, AllocError> {
@@ -427,7 +443,8 @@ impl MemoryManager {
         match self.regions.remove(&id) {
             Some(region) => {
                 for &(node, bytes) in &region.placement {
-                    *self.free.get_mut(&node).expect("placement node exists") += bytes;
+                    let slot = self.slot(node).expect("placement node exists");
+                    self.free[slot] += bytes;
                 }
                 if self.sink.enabled() {
                     self.sink.emit(telemetry::Event::Free(telemetry::FreeEvent {
@@ -435,7 +452,7 @@ impl MemoryManager {
                         placement: region.placement.clone(),
                     }));
                 }
-                self.gauge(region.placement.iter().map(|&(n, _)| n));
+                self.gauge(|n| region.placement.iter().any(|&(m, _)| m == n));
                 true
             }
             None => false,
@@ -446,9 +463,7 @@ impl MemoryManager {
     /// `migrate_pages`. Returns the modelled cost; fails without side
     /// effects if the target can't take the extra bytes.
     pub fn migrate(&mut self, id: RegionId, target: NodeId) -> Result<MigrationReport, AllocError> {
-        if !self.free.contains_key(&target) {
-            return Err(AllocError::InvalidNode(target));
-        }
+        let target_slot = self.slot(target)?;
         let region = self.regions.get(&id).ok_or(AllocError::InvalidNode(target))?;
         let already = region.bytes_on(target);
         let to_move = region.size - already;
@@ -476,10 +491,11 @@ impl MemoryManager {
                 + crate::ns_for_bytes(*bytes as f64, copy_bw);
         }
         // Apply: return old chunks, take from target.
-        for (src, bytes) in &old_placement {
-            *self.free.get_mut(src).expect("placement node") += bytes;
+        for &(src, bytes) in &old_placement {
+            let slot = self.slot(src).expect("placement node");
+            self.free[slot] += bytes;
         }
-        *self.free.get_mut(&target).expect("validated") -= region.size;
+        self.free[target_slot] -= region.size;
         let region = self.regions.get_mut(&id).expect("checked above");
         region.placement = vec![(target, region.size)];
         if self.sink.enabled() {
@@ -491,15 +507,13 @@ impl MemoryManager {
                 cost_ns,
             }));
         }
-        let mut touched: Vec<NodeId> = old_placement.iter().map(|&(n, _)| n).collect();
-        touched.push(target);
-        self.gauge(touched);
+        self.gauge(|n| n == target || old_placement.iter().any(|&(m, _)| m == n));
         Ok(MigrationReport { bytes_moved: to_move, cost_ns })
     }
 
     /// Sum of free bytes across all nodes.
     pub fn total_available(&self) -> u64 {
-        self.free.values().sum()
+        self.free.iter().sum()
     }
 
     /// Captures the manager's full mutable state as plain data. The
@@ -518,15 +532,22 @@ impl MemoryManager {
                 })
                 .collect(),
             next_id: self.next_id,
-            high_water: self.high_water.iter().map(|(&n, &hw)| (n, hw)).collect(),
+            high_water: self
+                .machine
+                .node_rows()
+                .iter()
+                .zip(&self.high_water)
+                .filter_map(|(row, hw)| hw.map(|hw| (row.id, hw)))
+                .collect(),
         }
     }
 
     /// Reinstates a captured state onto `machine`. Free capacity is
     /// recomputed from the placements; a state whose regions reference
-    /// unknown nodes, oversubscribe a node, reuse a region id, or use
-    /// an id at or past `next_id` is rejected with a typed error and
-    /// no manager is built.
+    /// unknown nodes, oversubscribe a node, place other than exactly
+    /// their size, reuse a region id, or use an id at or past
+    /// `next_id` is rejected with a typed error and no manager is
+    /// built.
     pub fn restore(machine: Arc<Machine>, state: &ManagerState) -> Result<Self, RestoreError> {
         let mut mm = MemoryManager::new(machine);
         for r in &state.regions {
@@ -537,12 +558,23 @@ impl MemoryManager {
                 )));
             }
             for &(node, bytes) in &r.placement {
-                let free = mm.free.get_mut(&node).ok_or_else(|| {
+                let slot = mm.machine.slot(node).ok_or_else(|| {
                     RestoreError::new(format!("region #{} references unknown {node}", r.id))
                 })?;
+                let free = &mut mm.free[slot];
                 *free = free.checked_sub(bytes).ok_or_else(|| {
                     RestoreError::new(format!("region #{} oversubscribes {node}", r.id))
                 })?;
+            }
+            // Every live region places exactly its size (`migrate`
+            // relies on it), whatever its policy. The chunks fit their
+            // nodes, so their sum cannot overflow.
+            let placed: u64 = r.placement.iter().map(|&(_, b)| b).sum();
+            if placed != r.size {
+                return Err(RestoreError::new(format!(
+                    "region #{} places {placed} bytes, not its size {}",
+                    r.id, r.size
+                )));
             }
             let id = RegionId(r.id);
             let region = Region {
@@ -557,10 +589,11 @@ impl MemoryManager {
         }
         mm.next_id = state.next_id;
         for &(node, hw) in &state.high_water {
-            if !mm.free.contains_key(&node) {
-                return Err(RestoreError::new(format!("high-water mark for unknown {node}")));
-            }
-            mm.high_water.insert(node, hw);
+            let slot = mm
+                .machine
+                .slot(node)
+                .ok_or_else(|| RestoreError::new(format!("high-water mark for unknown {node}")))?;
+            mm.high_water[slot] = Some(hw);
         }
         Ok(mm)
     }
@@ -827,6 +860,57 @@ mod tests {
         bad.regions.push(dup);
         let err = MemoryManager::restore(mm.machine().clone(), &bad).unwrap_err();
         assert!(err.to_string().contains("duplicate"), "{err}");
+    }
+
+    #[test]
+    fn every_live_region_places_exactly_its_size() {
+        // `restore` refuses any other region, so every policy and a
+        // migration must leave captures it accepts.
+        let mut mm = manager();
+        let size = 3 * GIB + 1;
+        let ids = [
+            mm.alloc(size, AllocPolicy::Bind(NodeId(1))).unwrap(),
+            mm.alloc(size + 2 * GIB, AllocPolicy::Preferred(NodeId(4))).unwrap(),
+            mm.alloc(size + 2 * GIB, AllocPolicy::PreferredMany(vec![NodeId(6), NodeId(2)]))
+                .unwrap(),
+            mm.alloc(size, AllocPolicy::Interleave(vec![NodeId(0), NodeId(5), NodeId(0)])).unwrap(),
+            mm.alloc(size, AllocPolicy::Exact(vec![(NodeId(7), 5), (NodeId(3), GIB)])).unwrap(),
+            mm.alloc(size, AllocPolicy::Interleave(vec![NodeId(2), NodeId(3)])).unwrap(),
+        ];
+        mm.migrate(ids[5], NodeId(0)).unwrap();
+        // The spills and the interleave really did split their regions.
+        for id in &ids[1..4] {
+            assert!(mm.region(*id).unwrap().placement.len() > 1);
+        }
+        for region in mm.regions() {
+            let placed: u64 = region.placement.iter().map(|&(_, b)| b).sum();
+            assert_eq!(placed, region.size, "{:?}", region.policy);
+        }
+        let state = mm.capture();
+        let back = MemoryManager::restore(mm.machine().clone(), &state).expect("restores");
+        assert_eq!(back.capture(), state);
+    }
+
+    #[test]
+    fn restore_refuses_a_region_that_does_not_place_its_size() {
+        let machine = manager().machine().clone();
+        let state = |size, placed| ManagerState {
+            regions: vec![RegionState {
+                id: 0,
+                size,
+                placement: vec![(NodeId(0), placed)],
+                policy: AllocPolicy::Bind(NodeId(0)),
+            }],
+            next_id: 1,
+            high_water: vec![],
+        };
+        assert!(MemoryManager::restore(machine.clone(), &state(GIB, GIB)).is_ok());
+        // Too many bytes, then too few. Accepted, either would reach
+        // `migrate`'s `size - already`.
+        for (size, placed) in [(GIB, 2 * GIB), (2 * GIB, GIB)] {
+            let err = MemoryManager::restore(machine.clone(), &state(size, placed)).unwrap_err();
+            assert!(err.to_string().contains("not its size"), "{err}");
+        }
     }
 
     #[test]

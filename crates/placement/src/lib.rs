@@ -80,23 +80,39 @@ impl From<AttrError> for PlacementError {
 /// The §IV-B attribute-fallback chain: "the allocator may also
 /// fallback to other similar attributes, for instance Bandwidth
 /// instead of Read Bandwidth", ending at Capacity which is always
-/// available.
+/// available. At most three attributes, held inline; it derefs to
+/// the slice of them in order.
 #[derive(Debug, Clone, Copy)]
-pub struct FallbackChain;
+pub struct FallbackChain {
+    ids: [AttrId; 3],
+    len: usize,
+}
 
 impl FallbackChain {
     /// The attributes to try for `criterion`, in order.
-    pub fn for_criterion(criterion: AttrId) -> Vec<AttrId> {
-        let mut chain = vec![criterion];
+    pub fn for_criterion(criterion: AttrId) -> FallbackChain {
+        let mut chain = FallbackChain { ids: [criterion; 3], len: 1 };
+        let mut push = |id| {
+            chain.ids[chain.len] = id;
+            chain.len += 1;
+        };
         match criterion {
-            attr::READ_BANDWIDTH | attr::WRITE_BANDWIDTH => chain.push(attr::BANDWIDTH),
-            attr::READ_LATENCY | attr::WRITE_LATENCY => chain.push(attr::LATENCY),
+            attr::READ_BANDWIDTH | attr::WRITE_BANDWIDTH => push(attr::BANDWIDTH),
+            attr::READ_LATENCY | attr::WRITE_LATENCY => push(attr::LATENCY),
             _ => {}
         }
-        if !chain.contains(&attr::CAPACITY) {
-            chain.push(attr::CAPACITY);
+        if criterion != attr::CAPACITY {
+            push(attr::CAPACITY);
         }
         chain
+    }
+}
+
+impl std::ops::Deref for FallbackChain {
+    type Target = [AttrId];
+
+    fn deref(&self) -> &[AttrId] {
+        &self.ids[..self.len]
     }
 }
 
@@ -477,7 +493,7 @@ impl PlacementEngine {
         initiator: &Bitmap,
         scope: Scope,
     ) -> Result<RankedCandidates, PlacementError> {
-        for id in FallbackChain::for_criterion(criterion) {
+        for &id in FallbackChain::for_criterion(criterion).iter() {
             let ranked = match scope {
                 Scope::Local => self.attrs.rank_local_targets(id, initiator)?,
                 Scope::Any => self.attrs.rank_targets(id, initiator)?,
@@ -638,17 +654,17 @@ mod tests {
     #[test]
     fn chain_substitutes_similar_attrs_and_ends_at_capacity() {
         assert_eq!(
-            FallbackChain::for_criterion(attr::READ_BANDWIDTH),
-            vec![attr::READ_BANDWIDTH, attr::BANDWIDTH, attr::CAPACITY]
+            *FallbackChain::for_criterion(attr::READ_BANDWIDTH),
+            [attr::READ_BANDWIDTH, attr::BANDWIDTH, attr::CAPACITY]
         );
         assert_eq!(
-            FallbackChain::for_criterion(attr::WRITE_LATENCY),
-            vec![attr::WRITE_LATENCY, attr::LATENCY, attr::CAPACITY]
+            *FallbackChain::for_criterion(attr::WRITE_LATENCY),
+            [attr::WRITE_LATENCY, attr::LATENCY, attr::CAPACITY]
         );
-        assert_eq!(FallbackChain::for_criterion(attr::CAPACITY), vec![attr::CAPACITY]);
+        assert_eq!(*FallbackChain::for_criterion(attr::CAPACITY), [attr::CAPACITY]);
         assert_eq!(
-            FallbackChain::for_criterion(attr::BANDWIDTH),
-            vec![attr::BANDWIDTH, attr::CAPACITY]
+            *FallbackChain::for_criterion(attr::BANDWIDTH),
+            [attr::BANDWIDTH, attr::CAPACITY]
         );
     }
 

@@ -360,3 +360,35 @@ fn replay_without_trailer_is_unverified() {
     assert!(!report.verified());
     assert_eq!(report.requests, 1);
 }
+
+/// A decoded snapshot whose manager region does not place exactly its
+/// size is refused with a typed error; before, the restored broker's
+/// next migration of that region underflowed under the ledger lock.
+#[test]
+fn regions_that_do_not_place_their_size_are_refused() {
+    use hetmem_alloc::{AllocRequest, Fallback};
+    use hetmem_core::discovery;
+    use hetmem_service::{ArbitrationPolicy, TenantSpec};
+    use hetmem_topology::GIB;
+
+    let machine = Arc::new(Machine::knl_snc4_flat());
+    let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("firmware"));
+    let broker = Broker::new(machine.clone(), attrs.clone(), ArbitrationPolicy::Fcfs);
+    let tenant = broker.register(TenantSpec::new("t")).expect("registers");
+    let req = AllocRequest::new(GIB).fallback(Fallback::Strict);
+    let _lease = broker.acquire(tenant, &req).expect("admitted");
+    let snapshot = Snapshot::capture(&broker, None);
+    let bytes = snapshot.encode();
+    assert!(Snapshot::decode(&bytes).unwrap().restore(machine.clone(), attrs.clone()).is_ok());
+
+    for size in [GIB / 2, 2 * GIB] {
+        let mut bad = snapshot.clone();
+        bad.state.manager.regions[0].size = size;
+        let decoded = Snapshot::decode(&bad.encode()).expect("decodes");
+        assert_eq!(decoded.state.manager.regions[0].size, size);
+        match decoded.restore(machine.clone(), attrs.clone()) {
+            Err(SnapshotError::Restore(why)) => assert!(why.contains("not its size"), "{why}"),
+            other => panic!("size {size} restored: {:?}", other.map(|_| ())),
+        }
+    }
+}
