@@ -462,6 +462,8 @@ impl HetAllocator {
         for &node in &candidates {
             match self.mm.migrate(id, node) {
                 Ok(report) => return Ok((node, report)),
+                // No other target can revive a dead region.
+                Err(e @ AllocError::UnknownRegion(_)) => return Err(HetAllocError::Os(e)),
                 Err(e) => last_err = Some(e),
             }
         }
@@ -625,6 +627,16 @@ mod tests {
         assert_eq!(report.bytes_moved, GIB);
         assert!(report.cost_ns > 0.0);
         assert_eq!(kind_of(&knl, buf), MemoryKind::Hbm);
+    }
+
+    #[test]
+    fn migrating_a_freed_buffer_reports_the_region() {
+        let c0: Bitmap = "0-15".parse().unwrap();
+        let mut knl = knl_allocator();
+        let buf = knl.alloc(&req(GIB, attr::BANDWIDTH, &c0, Fallback::NextTarget)).unwrap();
+        assert!(knl.free(buf));
+        let err = knl.migrate_to_best(buf, attr::BANDWIDTH, &c0).unwrap_err();
+        assert_eq!(err, HetAllocError::Os(AllocError::UnknownRegion(buf)));
     }
 
     #[test]

@@ -1239,6 +1239,46 @@ fn memsim_costs(ctx: &Ctx) -> Vec<BenchRecord> {
     ]
 }
 
+/// Wall-clock cost of the wire codec on a served `mem_alloc`: the
+/// `alloc` request frame and its `granted` reply, each rendered to its
+/// JSON line and parsed back, as lease-churn's clients and server do.
+fn wire_costs() -> Vec<BenchRecord> {
+    use hetmem_service::wire::{Request, Response};
+    use std::hint::black_box;
+    const REPS: u32 = 4096;
+    let time = |round_trip: &dyn Fn()| {
+        let start = std::time::Instant::now();
+        for _ in 0..REPS {
+            round_trip();
+        }
+        start.elapsed().as_nanos() as f64 / REPS as f64
+    };
+    let alloc = Request::Alloc {
+        tenant: "tenant-3".into(),
+        size: 48 << 20,
+        criterion: attr::BANDWIDTH,
+        fallback: Fallback::NextTarget,
+        label: None,
+        ttl: None,
+    };
+    let granted = Response::Granted {
+        lease: 123_456,
+        size: 48 << 20,
+        placement: vec![(NodeId(4), 48 << 20)],
+        fast_bytes: 48 << 20,
+    };
+    let alloc_ns = time(&|| {
+        black_box(Request::from_json(&black_box(&alloc).to_json()).expect("parses"));
+    });
+    let granted_ns = time(&|| {
+        black_box(Response::from_json(&black_box(&granted).to_json()).expect("parses"));
+    });
+    vec![
+        BenchRecord::new("wire", "alloc_render_parse", alloc_ns, "ns", 0),
+        BenchRecord::new("wire", "granted_render_parse", granted_ns, "ns", 0),
+    ]
+}
+
 /// §VII: capacity conflicts — FCFS vs priorities on the KNL MCDRAM.
 fn capacity(trace: Option<&str>) {
     use hetmem_telemetry::{JsonlWriter, Summary, TelemetrySink};
@@ -1349,6 +1389,7 @@ fn capacity(trace: Option<&str>) {
         ));
     }
     records.extend(memsim_costs(&ctx));
+    records.extend(wire_costs());
     emit_bench("alloc", &records);
     if let (Some(w), Some(path)) = (&writer, trace) {
         let mut collector = sink.collector();

@@ -19,7 +19,7 @@
 //! Only they may hold a rate ([`check_rates`]): every other area is a
 //! deterministic model, and a rate needs a clock.
 
-use hetmem_telemetry::json::{parse, JsonValue};
+use hetmem_telemetry::json::{parse, write_object, JsonValue};
 use std::path::{Path, PathBuf};
 
 /// One measured data point of a `BENCH_<area>.json` file.
@@ -65,26 +65,25 @@ impl BenchRecord {
         matches!(self.unit.as_str(), "ns" | "us" | "ms" | "s")
     }
 
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("bench".into(), JsonValue::str(&self.bench)),
-            ("metric".into(), JsonValue::str(&self.metric)),
-            ("value".into(), JsonValue::num(self.value)),
-            ("unit".into(), JsonValue::str(&self.unit)),
-            ("seed".into(), JsonValue::num(self.seed as f64)),
-            ("git_rev".into(), JsonValue::str(&self.git_rev)),
-        ])
+    fn write_json(&self, out: &mut String) {
+        write_object(out, |o| {
+            o.str("bench", &self.bench).str("metric", &self.metric).f64("value", self.value);
+            o.str("unit", &self.unit).uint("seed", self.seed).str("git_rev", &self.git_rev);
+        });
     }
 
     fn from_json(v: &JsonValue) -> Result<BenchRecord, String> {
-        let field = |k: &str| v.get(k).map_err(|e| format!("{e}"));
+        let field = |k: &str| v.field(k).map_err(|e| format!("{e}"));
+        let string = |k: &str| {
+            Ok::<_, String>(field(k)?.as_str().map_err(|e| format!("{k}: {e}"))?.to_owned())
+        };
         let rec = BenchRecord {
-            bench: field("bench")?.string().map_err(|e| format!("bench: {e}"))?,
-            metric: field("metric")?.string().map_err(|e| format!("metric: {e}"))?,
-            value: field("value")?.f64().map_err(|e| format!("value: {e}"))?,
-            unit: field("unit")?.string().map_err(|e| format!("unit: {e}"))?,
-            seed: field("seed")?.u64().map_err(|e| format!("seed: {e}"))?,
-            git_rev: field("git_rev")?.string().map_err(|e| format!("git_rev: {e}"))?,
+            bench: string("bench")?,
+            metric: string("metric")?,
+            value: field("value")?.as_f64().map_err(|e| format!("value: {e}"))?,
+            unit: string("unit")?,
+            seed: field("seed")?.as_uint().map_err(|e| format!("seed: {e}"))?,
+            git_rev: string("git_rev")?,
         };
         if rec.bench.is_empty() || rec.metric.is_empty() || rec.unit.is_empty() {
             return Err("bench, metric and unit must be non-empty".into());
@@ -134,7 +133,7 @@ pub fn render(records: &[BenchRecord]) -> String {
     let mut out = String::from("[\n");
     for (i, r) in records.iter().enumerate() {
         out.push_str("  ");
-        out.push_str(&r.to_json().render());
+        r.write_json(&mut out);
         out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
     }
     out.push_str("]\n");
@@ -151,7 +150,7 @@ pub fn emit(area: &str, records: &[BenchRecord]) -> std::io::Result<PathBuf> {
 /// Parses a `BENCH_*.json` document.
 pub fn load_str(text: &str) -> Result<Vec<BenchRecord>, String> {
     let doc = parse(text).map_err(|e| format!("{e}"))?;
-    doc.array().map_err(|e| format!("{e}"))?.iter().map(BenchRecord::from_json).collect()
+    doc.as_array().map_err(|e| format!("{e}"))?.iter().map(BenchRecord::from_json).collect()
 }
 
 /// Areas whose `BENCH_<area>.json` numbers are wall-clock timings of
@@ -310,6 +309,20 @@ mod tests {
         ];
         let back = load_str(&render(&records)).expect("parses");
         assert_eq!(back, records);
+    }
+
+    /// Every committed baseline re-renders byte for byte, so the writer
+    /// keeps the files' format.
+    #[test]
+    fn committed_baselines_re_render_byte_for_byte() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let files = bench_files(&root).expect("workspace root");
+        assert!(files.len() >= 9, "{files:?}");
+        for file in files {
+            let text = std::fs::read_to_string(&file).expect("baseline");
+            let records = load_str(&text).expect("parses");
+            assert_eq!(render(&records), text, "{}", file.display());
+        }
     }
 
     #[test]

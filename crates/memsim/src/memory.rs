@@ -67,6 +67,8 @@ pub enum AllocError {
     InvalidNode(NodeId),
     /// A policy carried an empty node list.
     EmptyNodeList,
+    /// The region was never allocated or is already freed.
+    UnknownRegion(RegionId),
 }
 
 impl std::fmt::Display for AllocError {
@@ -80,6 +82,7 @@ impl std::fmt::Display for AllocError {
             }
             AllocError::InvalidNode(n) => write!(f, "unknown NUMA node {n}"),
             AllocError::EmptyNodeList => write!(f, "policy with empty node list"),
+            AllocError::UnknownRegion(id) => write!(f, "region #{} has no live allocation", id.0),
         }
     }
 }
@@ -464,7 +467,7 @@ impl MemoryManager {
     /// effects if the target can't take the extra bytes.
     pub fn migrate(&mut self, id: RegionId, target: NodeId) -> Result<MigrationReport, AllocError> {
         let target_slot = self.slot(target)?;
-        let region = self.regions.get(&id).ok_or(AllocError::InvalidNode(target))?;
+        let region = self.regions.get(&id).ok_or(AllocError::UnknownRegion(id))?;
         let already = region.bytes_on(target);
         let to_move = region.size - already;
         let avail = self.available(target);
@@ -749,6 +752,18 @@ mod tests {
         assert!(matches!(err, AllocError::InsufficientCapacity { node: NodeId(4), .. }));
         // Region untouched.
         assert_eq!(mm.region(big).unwrap().single_node(), Some(NodeId(0)));
+    }
+
+    #[test]
+    fn migrating_a_dead_region_names_the_region() {
+        let mut mm = manager();
+        let id = mm.alloc(GIB, AllocPolicy::Bind(NodeId(0))).unwrap();
+        assert!(mm.free(id));
+        assert_eq!(mm.migrate(id, NodeId(4)).unwrap_err(), AllocError::UnknownRegion(id));
+        let never = RegionId(id.0 + 100);
+        assert_eq!(mm.migrate(never, NodeId(4)).unwrap_err(), AllocError::UnknownRegion(never));
+        // A bad target is still a node error, live region or not.
+        assert_eq!(mm.migrate(id, NodeId(99)).unwrap_err(), AllocError::InvalidNode(NodeId(99)));
     }
 
     #[test]

@@ -36,7 +36,9 @@ use crate::tenant::{Priority, TenantStats};
 use crate::ServiceError;
 use hetmem_alloc::Fallback;
 use hetmem_core::{attr, AttrId};
-use hetmem_telemetry::json::{parse, JsonValue};
+use hetmem_telemetry::json::{
+    parse, write_object, ArrayWriter, JsonValue, ObjectWriter, ParseError,
+};
 use hetmem_topology::{MemoryKind, NodeId};
 
 /// Wire spelling of an attribute criterion (DSL vocabulary).
@@ -54,19 +56,22 @@ pub fn criterion_name(id: AttrId) -> &'static str {
     }
 }
 
-/// Parses a criterion spelling ([`criterion_name`] vocabulary).
+/// Parses a criterion spelling ([`criterion_name`] vocabulary), in any
+/// ASCII case.
 pub fn criterion_from_name(s: &str) -> Option<AttrId> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "bandwidth" => attr::BANDWIDTH,
-        "latency" => attr::LATENCY,
-        "capacity" => attr::CAPACITY,
-        "locality" => attr::LOCALITY,
-        "readbandwidth" => attr::READ_BANDWIDTH,
-        "writebandwidth" => attr::WRITE_BANDWIDTH,
-        "readlatency" => attr::READ_LATENCY,
-        "writelatency" => attr::WRITE_LATENCY,
-        _ => return None,
-    })
+    spelling(
+        s,
+        &[
+            ("bandwidth", attr::BANDWIDTH),
+            ("latency", attr::LATENCY),
+            ("capacity", attr::CAPACITY),
+            ("locality", attr::LOCALITY),
+            ("readbandwidth", attr::READ_BANDWIDTH),
+            ("writebandwidth", attr::WRITE_BANDWIDTH),
+            ("readlatency", attr::READ_LATENCY),
+            ("writelatency", attr::WRITE_LATENCY),
+        ],
+    )
 }
 
 /// Wire spelling of a fallback mode (DSL vocabulary).
@@ -78,14 +83,17 @@ pub fn fallback_name(f: Fallback) -> &'static str {
     }
 }
 
-/// Parses a fallback spelling ([`fallback_name`] vocabulary).
+/// Parses a fallback spelling ([`fallback_name`] vocabulary), in any
+/// ASCII case.
 pub fn fallback_from_name(s: &str) -> Option<Fallback> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "strict" => Fallback::Strict,
-        "next" => Fallback::NextTarget,
-        "spill" => Fallback::PartialSpill,
-        _ => return None,
-    })
+    spelling(
+        s,
+        &[
+            ("strict", Fallback::Strict),
+            ("next", Fallback::NextTarget),
+            ("spill", Fallback::PartialSpill),
+        ],
+    )
 }
 
 /// Wire spelling of a memory kind.
@@ -99,16 +107,27 @@ pub fn kind_name(kind: MemoryKind) -> &'static str {
     }
 }
 
-/// Parses a memory-kind spelling ([`kind_name`] vocabulary).
+/// Parses a memory-kind spelling ([`kind_name`] vocabulary, plus the
+/// aliases `mcdram` and `pmem`), in any ASCII case.
 pub fn kind_from_name(s: &str) -> Option<MemoryKind> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "dram" => MemoryKind::Dram,
-        "hbm" | "mcdram" => MemoryKind::Hbm,
-        "nvdimm" | "pmem" => MemoryKind::Nvdimm,
-        "nam" => MemoryKind::NetworkAttached,
-        "gpu" => MemoryKind::GpuMemory,
-        _ => return None,
-    })
+    spelling(
+        s,
+        &[
+            ("dram", MemoryKind::Dram),
+            ("hbm", MemoryKind::Hbm),
+            ("mcdram", MemoryKind::Hbm),
+            ("nvdimm", MemoryKind::Nvdimm),
+            ("pmem", MemoryKind::Nvdimm),
+            ("nam", MemoryKind::NetworkAttached),
+            ("gpu", MemoryKind::GpuMemory),
+        ],
+    )
+}
+
+/// The value `s` spells in `vocabulary`, compared ignoring ASCII case
+/// and without allocating.
+fn spelling<T: Copy>(s: &str, vocabulary: &[(&str, T)]) -> Option<T> {
+    vocabulary.iter().find(|(name, _)| name.eq_ignore_ascii_case(s)).map(|&(_, v)| v)
 }
 
 /// One client request.
@@ -234,198 +253,79 @@ impl Request {
 
     /// Renders the request as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let kinds = |pairs: &[(MemoryKind, u64)]| {
-            JsonValue::Array(
-                pairs
-                    .iter()
-                    .map(|&(k, b)| {
-                        JsonValue::Array(vec![
-                            JsonValue::str(kind_name(k)),
-                            JsonValue::num(b as f64),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
-        let fields = match self {
-            Request::Register { tenant, priority, quota, reserve } => vec![
-                ("op".into(), JsonValue::str("register")),
-                ("tenant".into(), JsonValue::str(tenant)),
-                ("priority".into(), JsonValue::str(priority.as_str())),
-                ("quota".into(), kinds(quota)),
-                ("reserve".into(), kinds(reserve)),
-            ],
-            Request::Alloc { tenant, size, criterion, fallback, label, ttl } => {
-                let mut f = vec![
-                    ("op".into(), JsonValue::str("alloc")),
-                    ("tenant".into(), JsonValue::str(tenant)),
-                    ("size".into(), JsonValue::num(*size as f64)),
-                    ("criterion".into(), JsonValue::str(criterion_name(*criterion))),
-                    ("fallback".into(), JsonValue::str(fallback_name(*fallback))),
-                ];
-                if let Some(label) = label {
-                    f.push(("label".into(), JsonValue::str(label)));
+        let mut line = String::with_capacity(128);
+        write_object(&mut line, |o| {
+            o.str("op", self.op());
+            match self {
+                Request::Register { tenant, priority, quota, reserve } => {
+                    o.str("tenant", tenant).str("priority", priority.as_str());
+                    o.array("quota", |a| kinds(a, quota.iter().copied()));
+                    o.array("reserve", |a| kinds(a, reserve.iter().copied()));
                 }
-                if let Some(ttl) = ttl {
-                    f.push(("ttl".into(), JsonValue::num(*ttl as f64)));
+                Request::Alloc { tenant, size, criterion, fallback, label, ttl } => {
+                    o.str("tenant", tenant);
+                    alloc_fields(o, *size, *criterion, *fallback, label.as_deref(), *ttl);
                 }
-                f
+                Request::Renew { tenant, lease } | Request::Free { tenant, lease } => {
+                    o.str("tenant", tenant).uint("lease", *lease);
+                }
+                Request::Heartbeat { tenant } => {
+                    o.str("tenant", tenant);
+                }
+                Request::Stats | Request::Digest => {}
+                Request::Forward { origin, tenant, size, criterion, fallback, label, ttl } => {
+                    o.uint("origin", *origin).str("tenant", tenant);
+                    alloc_fields(o, *size, *criterion, *fallback, label.as_deref(), *ttl);
+                }
             }
-            Request::Renew { tenant, lease } => vec![
-                ("op".into(), JsonValue::str("renew")),
-                ("tenant".into(), JsonValue::str(tenant)),
-                ("lease".into(), JsonValue::num(*lease as f64)),
-            ],
-            Request::Heartbeat { tenant } => vec![
-                ("op".into(), JsonValue::str("heartbeat")),
-                ("tenant".into(), JsonValue::str(tenant)),
-            ],
-            Request::Free { tenant, lease } => vec![
-                ("op".into(), JsonValue::str("free")),
-                ("tenant".into(), JsonValue::str(tenant)),
-                ("lease".into(), JsonValue::num(*lease as f64)),
-            ],
-            Request::Stats => vec![("op".into(), JsonValue::str("stats"))],
-            Request::Forward { origin, tenant, size, criterion, fallback, label, ttl } => {
-                let mut f = vec![
-                    ("op".into(), JsonValue::str("forward")),
-                    ("origin".into(), JsonValue::num(*origin as f64)),
-                    ("tenant".into(), JsonValue::str(tenant)),
-                    ("size".into(), JsonValue::num(*size as f64)),
-                    ("criterion".into(), JsonValue::str(criterion_name(*criterion))),
-                    ("fallback".into(), JsonValue::str(fallback_name(*fallback))),
-                ];
-                if let Some(label) = label {
-                    f.push(("label".into(), JsonValue::str(label)));
-                }
-                if let Some(ttl) = ttl {
-                    f.push(("ttl".into(), JsonValue::num(*ttl as f64)));
-                }
-                f
-            }
-            Request::Digest => vec![("op".into(), JsonValue::str("digest"))],
-        };
-        JsonValue::Object(fields).render()
+        });
+        line
     }
 
     /// Parses one request line.
     pub fn from_json(line: &str) -> Result<Request, ServiceError> {
-        let bad = |m: String| ServiceError::Wire(m);
-        let v = parse(line).map_err(|e| bad(e.to_string()))?;
-        let op = v.get("op").and_then(|o| o.string()).map_err(|e| bad(e.to_string()))?;
-        let tenant = |v: &JsonValue| {
-            v.get("tenant").and_then(|t| t.string()).map_err(|e| bad(e.to_string()))
+        let v = parse(line)?;
+        let tenant = || string(&v, "tenant");
+        let kinds = |key| match v.get(key) {
+            None => Ok(Vec::new()),
+            Some(rows) => decode_rows(rows, |row| match row {
+                [kind, bytes] => {
+                    Ok((spelled(kind, "memory kind", kind_from_name)?, bytes.as_uint()?))
+                }
+                _ => Err(wire(format!("{key} entries are [kind, bytes] pairs"))),
+            }),
         };
-        let kinds = |v: &JsonValue, key: &str| -> Result<Vec<(MemoryKind, u64)>, ServiceError> {
-            let Ok(field) = v.get(key) else {
-                return Ok(Vec::new());
-            };
-            let items = field.array().map_err(|e| bad(e.to_string()))?;
-            items
-                .iter()
-                .map(|pair| {
-                    let pair = pair.array().map_err(|e| bad(e.to_string()))?;
-                    if pair.len() != 2 {
-                        return Err(bad(format!("{key} entries are [kind, bytes] pairs")));
-                    }
-                    let name = pair[0].string().map_err(|e| bad(e.to_string()))?;
-                    let kind = kind_from_name(&name)
-                        .ok_or_else(|| bad(format!("unknown memory kind {name:?}")))?;
-                    let bytes = pair[1].u64().map_err(|e| bad(e.to_string()))?;
-                    Ok((kind, bytes))
-                })
-                .collect()
-        };
-        match op.as_str() {
-            "register" => {
-                let priority = match v.get("priority") {
-                    Ok(p) => {
-                        let name = p.string().map_err(|e| bad(e.to_string()))?;
-                        Priority::from_str_opt(&name)
-                            .ok_or_else(|| bad(format!("unknown priority {name:?}")))?
-                    }
-                    Err(_) => Priority::default(),
-                };
-                Ok(Request::Register {
-                    tenant: tenant(&v)?,
-                    priority,
-                    quota: kinds(&v, "quota")?,
-                    reserve: kinds(&v, "reserve")?,
-                })
+        let op = v.field("op")?.as_str()?;
+        Ok(match op {
+            "register" => Request::Register {
+                tenant: tenant()?,
+                priority: spelled_or(&v, "priority", Priority::default(), Priority::from_str_opt)?,
+                quota: kinds("quota")?,
+                reserve: kinds("reserve")?,
+            },
+            "alloc" | "forward" => {
+                let size = uint(&v, "size")?;
+                let criterion = spelled_or(&v, "criterion", attr::CAPACITY, criterion_from_name)?;
+                let fallback =
+                    spelled_or(&v, "fallback", Fallback::NextTarget, fallback_from_name)?;
+                // A label of another type reads as no label.
+                let label = v.get("label").and_then(|l| l.as_str().ok()).map(str::to_owned);
+                let ttl = v.get("ttl").map(JsonValue::as_uint).transpose()?;
+                let tenant = tenant()?;
+                if op == "alloc" {
+                    Request::Alloc { tenant, size, criterion, fallback, label, ttl }
+                } else {
+                    let origin = uint(&v, "origin")?;
+                    Request::Forward { origin, tenant, size, criterion, fallback, label, ttl }
+                }
             }
-            "alloc" => {
-                let size = v.get("size").and_then(|s| s.u64()).map_err(|e| bad(e.to_string()))?;
-                let criterion = match v.get("criterion") {
-                    Ok(c) => {
-                        let name = c.string().map_err(|e| bad(e.to_string()))?;
-                        criterion_from_name(&name)
-                            .ok_or_else(|| bad(format!("unknown criterion {name:?}")))?
-                    }
-                    Err(_) => attr::CAPACITY,
-                };
-                let fallback = match v.get("fallback") {
-                    Ok(fb) => {
-                        let name = fb.string().map_err(|e| bad(e.to_string()))?;
-                        fallback_from_name(&name)
-                            .ok_or_else(|| bad(format!("unknown fallback {name:?}")))?
-                    }
-                    Err(_) => Fallback::NextTarget,
-                };
-                let label = v.get("label").and_then(|l| l.string()).ok();
-                let ttl = match v.get("ttl") {
-                    Ok(t) => Some(t.u64().map_err(|e| bad(e.to_string()))?),
-                    Err(_) => None,
-                };
-                Ok(Request::Alloc { tenant: tenant(&v)?, size, criterion, fallback, label, ttl })
-            }
-            "renew" => {
-                let lease = v.get("lease").and_then(|l| l.u64()).map_err(|e| bad(e.to_string()))?;
-                Ok(Request::Renew { tenant: tenant(&v)?, lease })
-            }
-            "heartbeat" => Ok(Request::Heartbeat { tenant: tenant(&v)? }),
-            "free" => {
-                let lease = v.get("lease").and_then(|l| l.u64()).map_err(|e| bad(e.to_string()))?;
-                Ok(Request::Free { tenant: tenant(&v)?, lease })
-            }
-            "stats" => Ok(Request::Stats),
-            "forward" => {
-                let origin =
-                    v.get("origin").and_then(|o| o.u64()).map_err(|e| bad(e.to_string()))? as u32;
-                let size = v.get("size").and_then(|s| s.u64()).map_err(|e| bad(e.to_string()))?;
-                let criterion = match v.get("criterion") {
-                    Ok(c) => {
-                        let name = c.string().map_err(|e| bad(e.to_string()))?;
-                        criterion_from_name(&name)
-                            .ok_or_else(|| bad(format!("unknown criterion {name:?}")))?
-                    }
-                    Err(_) => attr::CAPACITY,
-                };
-                let fallback = match v.get("fallback") {
-                    Ok(fb) => {
-                        let name = fb.string().map_err(|e| bad(e.to_string()))?;
-                        fallback_from_name(&name)
-                            .ok_or_else(|| bad(format!("unknown fallback {name:?}")))?
-                    }
-                    Err(_) => Fallback::NextTarget,
-                };
-                let label = v.get("label").and_then(|l| l.string()).ok();
-                let ttl = match v.get("ttl") {
-                    Ok(t) => Some(t.u64().map_err(|e| bad(e.to_string()))?),
-                    Err(_) => None,
-                };
-                Ok(Request::Forward {
-                    origin,
-                    tenant: tenant(&v)?,
-                    size,
-                    criterion,
-                    fallback,
-                    label,
-                    ttl,
-                })
-            }
-            "digest" => Ok(Request::Digest),
-            other => Err(bad(format!("unknown op {other:?}"))),
-        }
+            "renew" => Request::Renew { lease: uint(&v, "lease")?, tenant: tenant()? },
+            "heartbeat" => Request::Heartbeat { tenant: tenant()? },
+            "free" => Request::Free { lease: uint(&v, "lease")?, tenant: tenant()? },
+            "stats" => Request::Stats,
+            "digest" => Request::Digest,
+            other => return Err(wire(format!("unknown op {other:?}"))),
+        })
     }
 }
 
@@ -517,313 +417,252 @@ impl Response {
 
     /// Renders the response as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let fields = match self {
-            Response::Registered { tenant_id } => vec![
-                ("ok".into(), JsonValue::num(1.0)),
-                ("tenant_id".into(), JsonValue::num(*tenant_id as f64)),
-            ],
-            Response::Granted { lease, size, placement, fast_bytes } => vec![
-                ("ok".into(), JsonValue::num(1.0)),
-                ("lease".into(), JsonValue::num(*lease as f64)),
-                ("size".into(), JsonValue::num(*size as f64)),
-                (
-                    "placement".into(),
-                    JsonValue::Array(
-                        placement
-                            .iter()
-                            .map(|&(n, b)| {
-                                JsonValue::Array(vec![
-                                    JsonValue::num(n.0 as f64),
-                                    JsonValue::num(b as f64),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("fast_bytes".into(), JsonValue::num(*fast_bytes as f64)),
-            ],
-            Response::Renewed { lease, expires_at } => vec![
-                ("ok".into(), JsonValue::num(1.0)),
-                ("lease".into(), JsonValue::num(*lease as f64)),
-                (
-                    "expires_at".into(),
-                    match expires_at {
-                        Some(e) => JsonValue::num(*e as f64),
-                        None => JsonValue::Null,
-                    },
-                ),
-            ],
-            Response::HeartbeatAck { renewed } => vec![
-                ("ok".into(), JsonValue::num(1.0)),
-                ("renewed".into(), JsonValue::num(*renewed as f64)),
-            ],
-            Response::Freed => vec![("ok".into(), JsonValue::num(1.0))],
-            Response::Stats { tenants, nodes, shards, guided } => {
-                let mut fields = vec![
-                    ("ok".into(), JsonValue::num(1.0)),
-                    ("shards".into(), JsonValue::num(*shards as f64)),
-                ];
-                if let Some(guided) = guided {
-                    fields.push((
-                        "guided".into(),
-                        JsonValue::Array(
-                            guided
-                                .iter()
-                                .map(|(name, overhead_ns)| {
-                                    JsonValue::Array(vec![
-                                        JsonValue::str(name),
-                                        JsonValue::num(*overhead_ns),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ));
+        let mut line = String::with_capacity(128);
+        write_object(&mut line, |o| {
+            o.uint("ok", u64::from(!matches!(self, Response::Error { .. })));
+            match self {
+                Response::Registered { tenant_id } => {
+                    o.uint("tenant_id", *tenant_id);
                 }
-                fields.push((
-                    "tenants".into(),
-                    JsonValue::Array(
-                        tenants
-                            .iter()
-                            .map(|t| {
-                                JsonValue::Object(vec![
-                                    ("id".into(), JsonValue::num(t.id.0 as f64)),
-                                    ("name".into(), JsonValue::str(&t.name)),
-                                    ("priority".into(), JsonValue::str(t.priority.as_str())),
-                                    (
-                                        "held".into(),
-                                        JsonValue::Array(
-                                            t.held
-                                                .iter()
-                                                .map(|(&k, &b)| {
-                                                    JsonValue::Array(vec![
-                                                        JsonValue::str(kind_name(k)),
-                                                        JsonValue::num(b as f64),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                    ("admits".into(), JsonValue::num(t.admits as f64)),
-                                    ("clamps".into(), JsonValue::num(t.clamps as f64)),
-                                    ("stalls".into(), JsonValue::num(t.stalls as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-                fields.push((
-                    "nodes".into(),
-                    JsonValue::Array(
-                        nodes
-                            .iter()
-                            .map(|&(n, used, total)| {
-                                JsonValue::Array(vec![
-                                    JsonValue::num(n.0 as f64),
-                                    JsonValue::num(used as f64),
-                                    JsonValue::num(total as f64),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-                fields
+                Response::Granted { lease, size, placement, fast_bytes } => {
+                    o.uint("lease", *lease).uint("size", *size);
+                    o.array("placement", |a| {
+                        for &(n, b) in placement {
+                            a.array(|p| {
+                                p.uint(n.0).uint(b);
+                            });
+                        }
+                    });
+                    o.uint("fast_bytes", *fast_bytes);
+                }
+                Response::Renewed { lease, expires_at } => {
+                    o.uint("lease", *lease).opt_uint("expires_at", *expires_at);
+                }
+                Response::HeartbeatAck { renewed } => {
+                    o.uint("renewed", *renewed);
+                }
+                Response::Freed => {}
+                Response::Stats { tenants, nodes, shards, guided } => {
+                    o.uint("shards", *shards);
+                    if let Some(guided) = guided {
+                        o.array("guided", |a| {
+                            for (name, overhead_ns) in guided {
+                                a.array(|p| {
+                                    p.str(name).f64(*overhead_ns);
+                                });
+                            }
+                        });
+                    }
+                    o.array("tenants", |a| {
+                        for t in tenants {
+                            a.object(|o| {
+                                o.uint("id", t.id.0).str("name", &t.name);
+                                o.str("priority", t.priority.as_str());
+                                o.array("held", |a| kinds(a, t.held.iter().map(|(&k, &b)| (k, b))));
+                                o.uint("admits", t.admits).uint("clamps", t.clamps);
+                                o.uint("stalls", t.stalls);
+                            });
+                        }
+                    });
+                    o.array("nodes", |a| {
+                        for &(n, used, total) in nodes {
+                            a.array(|r| {
+                                r.uint(n.0).uint(used).uint(total);
+                            });
+                        }
+                    });
+                }
+                Response::Digest { broker, epoch, tiers } => {
+                    o.uint("broker", *broker).uint("epoch", *epoch);
+                    o.array("tiers", |a| {
+                        for &(k, free, degraded) in tiers {
+                            a.array(|r| {
+                                r.str(kind_name(k)).uint(free).uint(u64::from(degraded));
+                            });
+                        }
+                    });
+                }
+                Response::Error { code, error } => {
+                    o.str("code", code).str("error", error);
+                }
             }
-            Response::Digest { broker, epoch, tiers } => vec![
-                ("ok".into(), JsonValue::num(1.0)),
-                ("broker".into(), JsonValue::num(*broker as f64)),
-                ("epoch".into(), JsonValue::num(*epoch as f64)),
-                (
-                    "tiers".into(),
-                    JsonValue::Array(
-                        tiers
-                            .iter()
-                            .map(|&(k, free, degraded)| {
-                                JsonValue::Array(vec![
-                                    JsonValue::str(kind_name(k)),
-                                    JsonValue::num(free as f64),
-                                    JsonValue::num(if degraded { 1.0 } else { 0.0 }),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ],
-            Response::Error { code, error } => vec![
-                ("ok".into(), JsonValue::num(0.0)),
-                ("code".into(), JsonValue::str(code)),
-                ("error".into(), JsonValue::str(error)),
-            ],
-        };
-        JsonValue::Object(fields).render()
+        });
+        line
     }
 
-    /// Parses one response line.
+    /// Parses one response line. Responses carry no tag, so the fields
+    /// present pick the variant, probed in a fixed order.
     pub fn from_json(line: &str) -> Result<Response, ServiceError> {
-        let bad = |m: String| ServiceError::Wire(m);
-        let v = parse(line).map_err(|e| bad(e.to_string()))?;
-        let ok = v.get("ok").and_then(|o| o.u64()).map_err(|e| bad(e.to_string()))?;
-        if ok == 0 {
-            let error = v.get("error").and_then(|e| e.string()).map_err(|e| bad(e.to_string()))?;
-            let code = v.get("code").and_then(|c| c.string()).unwrap_or_default();
-            return Ok(Response::Error { code, error });
+        let v = parse(line)?;
+        if uint::<u64>(&v, "ok")? == 0 {
+            // A code of another type reads as empty.
+            let code = v.get("code").and_then(|c| c.as_str().ok()).unwrap_or_default();
+            return Ok(Response::Error { code: code.to_owned(), error: string(&v, "error")? });
         }
-        if let Ok(placement) = v.get("placement") {
-            let lease = v.get("lease").and_then(|l| l.u64()).map_err(|e| bad(e.to_string()))?;
-            let size = v.get("size").and_then(|s| s.u64()).map_err(|e| bad(e.to_string()))?;
-            let placement = placement
-                .array()
-                .map_err(|e| bad(e.to_string()))?
-                .iter()
-                .map(|pair| {
-                    let pair = pair.array().map_err(|e| bad(e.to_string()))?;
-                    if pair.len() != 2 {
-                        return Err(bad("placement entries are [node, bytes] pairs".into()));
-                    }
-                    let node = pair[0].u64().map_err(|e| bad(e.to_string()))?;
-                    let bytes = pair[1].u64().map_err(|e| bad(e.to_string()))?;
-                    Ok((NodeId(node as u32), bytes))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let fast_bytes =
-                v.get("fast_bytes").and_then(|b| b.u64()).map_err(|e| bad(e.to_string()))?;
-            return Ok(Response::Granted { lease, size, placement, fast_bytes });
+        if let Some(placement) = v.get("placement") {
+            return Ok(Response::Granted {
+                lease: uint(&v, "lease")?,
+                size: uint(&v, "size")?,
+                placement: decode_rows(placement, |row| match row {
+                    [node, bytes] => Ok((NodeId(node.as_uint()?), bytes.as_uint()?)),
+                    _ => Err(wire("placement entries are [node, bytes] pairs")),
+                })?,
+                fast_bytes: uint(&v, "fast_bytes")?,
+            });
         }
-        if let Ok(expiry) = v.get("expires_at") {
-            let lease = v.get("lease").and_then(|l| l.u64()).map_err(|e| bad(e.to_string()))?;
+        if let Some(expiry) = v.get("expires_at") {
             let expires_at = match expiry {
                 JsonValue::Null => None,
-                other => Some(other.u64().map_err(|e| bad(e.to_string()))?),
+                other => Some(other.as_uint()?),
             };
-            return Ok(Response::Renewed { lease, expires_at });
+            return Ok(Response::Renewed { lease: uint(&v, "lease")?, expires_at });
         }
-        if let Ok(renewed) = v.get("renewed").and_then(|r| r.u64()) {
-            return Ok(Response::HeartbeatAck { renewed });
+        // A probe that is not an unsigned integer leaves the shape open.
+        let probe = |key| v.get(key).filter(|n| n.is_uint());
+        if let Some(renewed) = probe("renewed") {
+            return Ok(Response::HeartbeatAck { renewed: renewed.as_uint()? });
         }
-        if let Ok(tenant_id) = v.get("tenant_id").and_then(|t| t.u64()) {
-            return Ok(Response::Registered { tenant_id: tenant_id as u32 });
+        if let Some(tenant_id) = probe("tenant_id") {
+            return Ok(Response::Registered { tenant_id: tenant_id.as_uint()? });
         }
-        if let Ok(tiers) = v.get("tiers") {
-            let broker =
-                v.get("broker").and_then(|b| b.u64()).map_err(|e| bad(e.to_string()))? as u32;
-            let epoch = v.get("epoch").and_then(|e| e.u64()).map_err(|e| bad(e.to_string()))?;
-            let tiers = tiers
-                .array()
-                .map_err(|e| bad(e.to_string()))?
-                .iter()
-                .map(|row| {
-                    let row = row.array().map_err(|e| bad(e.to_string()))?;
-                    if row.len() != 3 {
-                        return Err(bad("tier entries are [kind, free, degraded] rows".into()));
+        if let Some(tiers) = v.get("tiers") {
+            return Ok(Response::Digest {
+                broker: uint(&v, "broker")?,
+                epoch: uint(&v, "epoch")?,
+                tiers: decode_rows(tiers, |row| match row {
+                    [kind, free, degraded] => Ok((
+                        spelled(kind, "kind", kind_from_name)?,
+                        free.as_uint()?,
+                        degraded.as_uint::<u64>()? != 0,
+                    )),
+                    _ => Err(wire("tier entries are [kind, free, degraded] rows")),
+                })?,
+            });
+        }
+        let Some(tenants) = v.get("tenants") else {
+            return Ok(Response::Freed);
+        };
+        let tenants = tenants.as_array()?.iter().map(|t| {
+            Ok(TenantStats {
+                // Cells past a held pair's second are ignored.
+                held: decode_rows(t.field("held")?, |row| match row {
+                    [kind, bytes, ..] => {
+                        Ok((spelled(kind, "kind", kind_from_name)?, bytes.as_uint()?))
                     }
-                    let name = row[0].string().map_err(|e| bad(e.to_string()))?;
-                    let kind = kind_from_name(&name)
-                        .ok_or_else(|| bad(format!("unknown kind {name:?}")))?;
-                    let free = row[1].u64().map_err(|e| bad(e.to_string()))?;
-                    let degraded = row[2].u64().map_err(|e| bad(e.to_string()))? != 0;
-                    Ok((kind, free, degraded))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            return Ok(Response::Digest { broker, epoch, tiers });
-        }
-        if let Ok(tenants) = v.get("tenants") {
-            let tenants = tenants
-                .array()
-                .map_err(|e| bad(e.to_string()))?
-                .iter()
-                .map(|t| {
-                    let held = t
-                        .get("held")
-                        .map_err(|e| bad(e.to_string()))?
-                        .array()
-                        .map_err(|e| bad(e.to_string()))?
-                        .iter()
-                        .map(|pair| {
-                            let pair = pair.array().map_err(|e| bad(e.to_string()))?;
-                            let name = pair[0].string().map_err(|e| bad(e.to_string()))?;
-                            let kind = kind_from_name(&name)
-                                .ok_or_else(|| bad(format!("unknown kind {name:?}")))?;
-                            let bytes = pair[1].u64().map_err(|e| bad(e.to_string()))?;
-                            Ok((kind, bytes))
-                        })
-                        .collect::<Result<_, ServiceError>>()?;
-                    let priority_name = t
-                        .get("priority")
-                        .and_then(|p| p.string())
-                        .map_err(|e| bad(e.to_string()))?;
-                    Ok(crate::TenantStats {
-                        id: crate::TenantId(
-                            t.get("id").and_then(|i| i.u64()).map_err(|e| bad(e.to_string()))?
-                                as u32,
-                        ),
-                        name: t
-                            .get("name")
-                            .and_then(|n| n.string())
-                            .map_err(|e| bad(e.to_string()))?,
-                        priority: Priority::from_str_opt(&priority_name)
-                            .ok_or_else(|| bad(format!("unknown priority {priority_name:?}")))?,
-                        held,
-                        admits: t
-                            .get("admits")
-                            .and_then(|a| a.u64())
-                            .map_err(|e| bad(e.to_string()))?,
-                        clamps: t
-                            .get("clamps")
-                            .and_then(|c| c.u64())
-                            .map_err(|e| bad(e.to_string()))?,
-                        stalls: t
-                            .get("stalls")
-                            .and_then(|s| s.u64())
-                            .map_err(|e| bad(e.to_string()))?,
-                    })
-                })
-                .collect::<Result<Vec<_>, ServiceError>>()?;
-            let nodes = v
-                .get("nodes")
-                .map_err(|e| bad(e.to_string()))?
-                .array()
-                .map_err(|e| bad(e.to_string()))?
-                .iter()
-                .map(|triple| {
-                    let triple = triple.array().map_err(|e| bad(e.to_string()))?;
-                    if triple.len() != 3 {
-                        return Err(bad("node entries are [node, used, total] triples".into()));
-                    }
-                    Ok((
-                        NodeId(triple[0].u64().map_err(|e| bad(e.to_string()))? as u32),
-                        triple[1].u64().map_err(|e| bad(e.to_string()))?,
-                        triple[2].u64().map_err(|e| bad(e.to_string()))?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let shards = v.get("shards").and_then(|s| s.u64()).map(|s| s as u32).unwrap_or(1);
-            // Absent `guided` field (an unguided or older broker)
+                    _ => Err(wire("held entries are [kind, bytes] pairs")),
+                })?
+                .into_iter()
+                .collect(),
+                priority: spelled(t.field("priority")?, "priority", Priority::from_str_opt)?,
+                id: crate::TenantId(uint(t, "id")?),
+                name: string(t, "name")?,
+                admits: uint(t, "admits")?,
+                clamps: uint(t, "clamps")?,
+                stalls: uint(t, "stalls")?,
+            })
+        });
+        Ok(Response::Stats {
+            tenants: tenants.collect::<Result<_, ServiceError>>()?,
+            nodes: decode_rows(v.field("nodes")?, |row| match row {
+                [node, used, total] => {
+                    Ok((NodeId(node.as_uint()?), used.as_uint()?, total.as_uint()?))
+                }
+                _ => Err(wire("node entries are [node, used, total] triples")),
+            })?,
+            shards: probe("shards").map_or(Ok(1), JsonValue::as_uint)?,
+            // An absent `guided` field (an unguided or older broker)
             // parses as guidance off.
-            let guided = match v.get("guided") {
-                Err(_) => None,
-                Ok(entries) => Some(
-                    entries
-                        .array()
-                        .map_err(|e| bad(e.to_string()))?
-                        .iter()
-                        .map(|pair| {
-                            let pair = pair.array().map_err(|e| bad(e.to_string()))?;
-                            if pair.len() != 2 {
-                                return Err(bad(
-                                    "guided entries are [tenant, overhead_ns] pairs".into()
-                                ));
-                            }
-                            let name = pair[0].string().map_err(|e| bad(e.to_string()))?;
-                            let overhead_ns = pair[1].f64().map_err(|e| bad(e.to_string()))?;
-                            Ok((name, overhead_ns))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                ),
-            };
-            return Ok(Response::Stats { tenants, nodes, shards, guided });
-        }
-        Ok(Response::Freed)
+            guided: match v.get("guided") {
+                None => None,
+                Some(rows) => Some(decode_rows(rows, |row| match row {
+                    [name, overhead_ns] => Ok((name.as_str()?.to_owned(), overhead_ns.as_f64()?)),
+                    _ => Err(wire("guided entries are [tenant, overhead_ns] pairs")),
+                })?),
+            },
+        })
     }
 }
+
+impl From<ParseError> for ServiceError {
+    /// A frame that does not parse, or lacks a field of the right type,
+    /// is a `wire` error.
+    fn from(e: ParseError) -> ServiceError {
+        ServiceError::Wire(e.to_string())
+    }
+}
+
+fn wire(msg: impl Into<String>) -> ServiceError {
+    ServiceError::Wire(msg.into())
+}
+
+/// Writes `[kind, bytes]` pairs.
+fn kinds(a: &mut ArrayWriter<'_>, pairs: impl IntoIterator<Item = (MemoryKind, u64)>) {
+    for (k, b) in pairs {
+        a.array(|p| {
+            p.str(kind_name(k)).uint(b);
+        });
+    }
+}
+
+/// Writes the fields an `alloc` and a `forward` share, after `tenant`.
+fn alloc_fields(
+    o: &mut ObjectWriter<'_>,
+    size: u64,
+    criterion: AttrId,
+    fallback: Fallback,
+    label: Option<&str>,
+    ttl: Option<u64>,
+) {
+    o.uint("size", size).str("criterion", criterion_name(criterion));
+    o.str("fallback", fallback_name(fallback));
+    if let Some(label) = label {
+        o.str("label", label);
+    }
+    if let Some(ttl) = ttl {
+        o.uint("ttl", ttl);
+    }
+}
+
+/// A required string field.
+fn string(v: &JsonValue, key: &str) -> Result<String, ServiceError> {
+    Ok(v.field(key)?.as_str()?.to_owned())
+}
+
+/// A required unsigned integer field of type `T`.
+fn uint<T: TryFrom<u64>>(v: &JsonValue, key: &str) -> Result<T, ServiceError> {
+    Ok(v.field(key)?.as_uint()?)
+}
+
+/// A string from one vocabulary; `what` names the vocabulary in errors.
+fn spelled<T>(
+    v: &JsonValue,
+    what: &str,
+    from_name: fn(&str) -> Option<T>,
+) -> Result<T, ServiceError> {
+    let name = v.as_str()?;
+    from_name(name).ok_or_else(|| wire(format!("unknown {what} {name:?}")))
+}
+
+/// An optional vocabulary field, `default` when absent.
+fn spelled_or<T>(
+    v: &JsonValue,
+    key: &str,
+    default: T,
+    from_name: fn(&str) -> Option<T>,
+) -> Result<T, ServiceError> {
+    v.get(key).map_or(Ok(default), |s| spelled(s, key, from_name))
+}
+
+/// An array of rows, each an array that `row` decodes.
+fn decode_rows<T>(
+    v: &JsonValue,
+    row: impl Fn(&[JsonValue]) -> Result<T, ServiceError>,
+) -> Result<Vec<T>, ServiceError> {
+    v.as_array()?.iter().map(|r| row(r.as_array()?)).collect()
+}
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1030,6 +869,87 @@ mod tests {
         ] {
             assert!(matches!(Request::from_json(line), Err(ServiceError::Wire(_))), "{line}");
         }
+    }
+
+    /// Integers on the wire are exact: plain digits at every magnitude,
+    /// digits-only literals read exactly, and a value too large for its
+    /// field refused rather than saturated or truncated.
+    #[test]
+    fn integers_on_the_wire_are_exact() {
+        let alloc = |size| Request::Alloc {
+            tenant: "t".into(),
+            size,
+            criterion: attr::CAPACITY,
+            fallback: Fallback::Strict,
+            label: None,
+            ttl: None,
+        };
+        let line = alloc(9_000_000_000_000_000).to_json();
+        assert!(line.contains(r#""size":9000000000000000,"#), "{line}");
+        let line = alloc(u64::MAX).to_json();
+        assert!(line.contains(r#""size":18446744073709551615,"#), "{line}");
+        assert_eq!(Request::from_json(&line).expect("u64::MAX"), alloc(u64::MAX));
+        let odd = (1u64 << 53) + 1;
+        let line = alloc(odd).to_json();
+        assert!(line.contains(r#""size":9007199254740993,"#), "{line}");
+        assert_eq!(Request::from_json(&line).expect("2^53 + 1"), alloc(odd));
+        let sized = |size: &str| {
+            Request::from_json(&format!(
+                r#"{{"op":"alloc","tenant":"t","size":{size},"criterion":"capacity","fallback":"strict"}}"#
+            ))
+        };
+        assert_eq!(sized("9007199254740993").expect("exact"), alloc(odd));
+        assert_eq!(sized("4096.0").expect("float form"), alloc(4096));
+        assert_eq!(sized("4.096e3").expect("exponent form"), alloc(4096));
+        for refused in ["1e30", "18446744073709551616", "1.8446744073709552e19"] {
+            assert!(matches!(sized(refused), Err(ServiceError::Wire(_))), "{refused}");
+        }
+        let responses = [
+            r#"{"ok":1,"tenant_id":4294967296}"#,
+            r#"{"ok":1,"renewed":1e30}"#,
+            r#"{"ok":1,"lease":1,"size":1,"placement":[[4294967296,1]],"fast_bytes":0}"#,
+            r#"{"ok":1,"broker":4294967296,"epoch":0,"tiers":[]}"#,
+            r#"{"ok":1,"shards":4294967296,"tenants":[],"nodes":[]}"#,
+            r#"{"ok":1,"tenants":[],"nodes":[[4294967296,0,0]]}"#,
+        ];
+        for line in responses {
+            assert!(matches!(Response::from_json(line), Err(ServiceError::Wire(_))), "{line}");
+        }
+        let forward = r#"{"op":"forward","origin":4294967296,"tenant":"t","size":1}"#;
+        assert!(matches!(Request::from_json(forward), Err(ServiceError::Wire(_))));
+        assert_eq!(
+            Response::from_json(r#"{"ok":1,"tenant_id":4294967295}"#).expect("u32::MAX"),
+            Response::Registered { tenant_id: u32::MAX }
+        );
+    }
+
+    /// A stats frame whose `held` pair has fewer than two cells is a
+    /// `wire` error (the tree decoder indexed past the end and
+    /// panicked); a longer pair keeps its reading.
+    #[test]
+    fn a_short_held_pair_is_refused() {
+        let stats = |held: &str| {
+            Response::from_json(&format!(
+                r#"{{"ok":1,"tenants":[{{"id":0,"name":"a","priority":"normal","held":[{held}],"admits":0,"clamps":0,"stalls":0}}],"nodes":[]}}"#
+            ))
+        };
+        assert!(matches!(stats(r#"["hbm"]"#), Err(ServiceError::Wire(_))));
+        assert!(matches!(stats("[]"), Err(ServiceError::Wire(_))));
+        let Response::Stats { tenants, .. } = stats(r#"["hbm",4096,7]"#).expect("three cells")
+        else {
+            panic!("a stats frame");
+        };
+        assert_eq!(tenants[0].held.get(&MemoryKind::Hbm), Some(&4096));
+    }
+
+    #[test]
+    fn vocabulary_spellings_ignore_ascii_case() {
+        assert_eq!(criterion_from_name("ReadBandwidth"), Some(attr::READ_BANDWIDTH));
+        assert_eq!(fallback_from_name("SPILL"), Some(Fallback::PartialSpill));
+        assert_eq!(kind_from_name("McDram"), Some(MemoryKind::Hbm));
+        assert_eq!(kind_from_name("PMEM"), Some(MemoryKind::Nvdimm));
+        assert_eq!(kind_from_name("hbm2"), None);
+        assert_eq!(criterion_from_name("bandwıdth"), None, "only ASCII case folds");
     }
 
     #[test]

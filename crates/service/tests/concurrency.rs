@@ -211,25 +211,39 @@ fn guided_batches_phases_and_folds_interleave_cleanly() {
         .collect();
 
     let done = Arc::new(AtomicBool::new(false));
+    // Epochs closed so far. The workers start only after the first one
+    // and each waits halfway for one more, so epochs close while they
+    // run however the threads are scheduled.
+    let closed = Arc::new(AtomicU64::new(0));
     let epochs = {
-        let (broker, done) = (broker.clone(), done.clone());
+        let (broker, done, closed) = (broker.clone(), done.clone(), closed.clone());
         std::thread::spawn(move || {
             let mut epochs = 0u64;
             while !done.load(Ordering::SeqCst) {
                 broker.advance_epoch();
                 epochs += 1;
+                closed.store(epochs, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_micros(200));
             }
             epochs
         })
     };
+    let wait_past = move |closed: &AtomicU64, n: u64| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while closed.load(Ordering::SeqCst) <= n {
+            assert!(std::time::Instant::now() < deadline, "no epoch closed past {n}");
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    };
+    wait_past(&closed, 0);
     let phases_run = Arc::new(AtomicU64::new(0));
     let workers: Vec<_> = tenants
         .into_iter()
         .enumerate()
         .map(|(i, tenant)| {
-            let (broker, phases_run) = (broker.clone(), phases_run.clone());
+            let (broker, phases_run, closed) = (broker.clone(), phases_run.clone(), closed.clone());
             std::thread::spawn(move || {
+                let started = closed.load(Ordering::SeqCst);
                 let req = |mib: usize| {
                     AllocRequest::new((mib as u64) << 20)
                         .criterion(attr::BANDWIDTH)
@@ -243,6 +257,9 @@ fn guided_batches_phases_and_folds_interleave_cleanly() {
                 };
                 let mut held: Vec<Lease> = Vec::new();
                 for round in 0..ROUNDS {
+                    if round == ROUNDS / 2 {
+                        wait_past(&closed, started);
+                    }
                     let ttl = if (i + round) % 3 == 0 { Some(2) } else { None };
                     let mib = 4 + (i * 7 + round * 5) % 29;
                     if round % 4 == 0 {

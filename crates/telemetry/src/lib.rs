@@ -48,7 +48,7 @@ pub use sink::{
 pub use summary::{OccupancyStats, PhaseSample, Summary};
 
 use hetmem_topology::NodeId;
-use json::JsonValue;
+use json::{JsonValue, ObjectWriter};
 use std::io::Write;
 use std::sync::Mutex;
 
@@ -598,35 +598,52 @@ pub fn attr_name(id: u32) -> String {
     }
 }
 
-fn placement_json(placement: &[(NodeId, u64)]) -> JsonValue {
-    JsonValue::Array(
-        placement
-            .iter()
-            .map(|&(n, b)| {
-                JsonValue::Array(vec![JsonValue::num(n.0 as f64), JsonValue::num(b as f64)])
-            })
-            .collect(),
-    )
+fn write_placement(o: &mut ObjectWriter<'_>, key: &str, placement: &[(NodeId, u64)]) {
+    o.array(key, |a| {
+        for &(n, b) in placement {
+            a.array(|p| {
+                p.uint(n.0).uint(b);
+            });
+        }
+    });
 }
 
-/// Broker ids were added in the federation PR; traces written before
-/// then carry no `broker` field and parse as broker 0 (standalone).
-fn broker_from_json(v: &JsonValue) -> Result<u32, ParseError> {
-    match v.get("broker") {
-        Ok(b) => Ok(b.u64()? as u32),
-        Err(_) => Ok(0),
+fn string(v: &JsonValue, key: &str) -> Result<String, ParseError> {
+    Ok(v.field(key)?.as_str()?.to_owned())
+}
+
+fn uint<T: TryFrom<u64>>(v: &JsonValue, key: &str) -> Result<T, ParseError> {
+    v.field(key)?.as_uint()
+}
+
+fn float(v: &JsonValue, key: &str) -> Result<f64, ParseError> {
+    v.field(key)?.as_f64()
+}
+
+fn node(v: &JsonValue, key: &str) -> Result<NodeId, ParseError> {
+    uint(v, key).map(NodeId)
+}
+
+fn yes_no(v: &JsonValue, key: &str) -> Result<bool, ParseError> {
+    match v.field(key)?.as_str()? {
+        "yes" => Ok(true),
+        "no" => Ok(false),
+        other => Err(ParseError::new(format!("bad {key} {other:?}"))),
     }
 }
 
+/// Traces written before the federation layer gave brokers ids carry
+/// no `broker` field and parse as broker 0 (standalone).
+fn broker_from_json(v: &JsonValue) -> Result<u32, ParseError> {
+    v.get("broker").map_or(Ok(0), JsonValue::as_uint)
+}
+
 fn placement_from_json(v: &JsonValue) -> Result<Vec<(NodeId, u64)>, ParseError> {
-    v.array()?
+    v.as_array()?
         .iter()
-        .map(|pair| {
-            let pair = pair.array()?;
-            if pair.len() != 2 {
-                return Err(ParseError::new("placement pair must have two entries"));
-            }
-            Ok((NodeId(pair[0].u64()? as u32), pair[1].u64()?))
+        .map(|pair| match pair.as_array()? {
+            [n, b] => Ok((NodeId(n.as_uint()?), b.as_uint()?)),
+            _ => Err(ParseError::new("placement pair must have two entries")),
         })
         .collect()
 }
@@ -676,466 +693,343 @@ impl Event {
 
     /// Encodes the event as a single-line JSON object.
     pub fn to_json(&self) -> String {
-        let obj = match self {
-            Event::AllocDecision(d) => {
-                let mut fields = vec![
-                    ("event", JsonValue::str("alloc_decision")),
-                    ("region", d.region.map_or(JsonValue::Null, |r| JsonValue::num(r as f64))),
-                    ("size", JsonValue::num(d.size as f64)),
-                    ("requested", JsonValue::str(&attr_name(d.requested))),
-                    ("used", JsonValue::str(&attr_name(d.used))),
-                    ("scope", JsonValue::str(d.scope.as_str())),
-                    ("fallback", JsonValue::str(d.fallback.as_str())),
-                    (
-                        "candidates",
-                        JsonValue::Array(
-                            d.candidates
-                                .iter()
-                                .map(|c| {
-                                    JsonValue::Object(vec![
-                                        ("node".into(), JsonValue::num(c.node.0 as f64)),
-                                        ("value".into(), JsonValue::num(c.value as f64)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "hops",
-                        JsonValue::Array(
-                            d.hops
-                                .iter()
-                                .map(|h| {
-                                    JsonValue::Object(vec![
-                                        ("node".into(), JsonValue::num(h.node.0 as f64)),
-                                        ("reason".into(), JsonValue::str(&h.reason)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    ("placement", placement_json(&d.placement)),
-                ];
-                if let Some(e) = &d.error {
-                    fields.push(("error", JsonValue::str(e)));
+        let mut line = String::with_capacity(256);
+        json::write_object(&mut line, |o| {
+            o.str("event", self.kind());
+            match self {
+                Event::AllocDecision(d) => {
+                    o.opt_uint("region", d.region).uint("size", d.size);
+                    o.str("requested", &attr_name(d.requested)).str("used", &attr_name(d.used));
+                    o.str("scope", d.scope.as_str()).str("fallback", d.fallback.as_str());
+                    o.array("candidates", |a| {
+                        for c in &d.candidates {
+                            a.object(|o| {
+                                o.uint("node", c.node.0).uint("value", c.value);
+                            });
+                        }
+                    });
+                    o.array("hops", |a| {
+                        for h in &d.hops {
+                            a.object(|o| {
+                                o.uint("node", h.node.0).str("reason", &h.reason);
+                            });
+                        }
+                    });
+                    write_placement(o, "placement", &d.placement);
+                    if let Some(e) = &d.error {
+                        o.str("error", e);
+                    }
                 }
-                fields
+                Event::AttrFallback(a) => {
+                    o.str("requested", &attr_name(a.requested)).str("used", &attr_name(a.used));
+                }
+                Event::Migration(m) => {
+                    o.uint("region", m.region);
+                    write_placement(o, "from", &m.from);
+                    o.uint("to", m.to.0)
+                        .uint("bytes_moved", m.bytes_moved)
+                        .f64("cost_ns", m.cost_ns);
+                }
+                Event::Free(f) => {
+                    o.uint("region", f.region);
+                    write_placement(o, "placement", &f.placement);
+                }
+                Event::PhaseSpan(p) => {
+                    o.str("name", &p.name).f64("time_ns", p.time_ns).uint("threads", p.threads);
+                    o.array("per_node", |a| {
+                        for t in &p.per_node {
+                            a.object(|o| {
+                                o.uint("node", t.node.0).uint("bytes_read", t.bytes_read);
+                                o.uint("bytes_written", t.bytes_written);
+                                o.f64("achieved_bw_mbps", t.achieved_bw_mbps);
+                            });
+                        }
+                    });
+                }
+                Event::OccupancyGauge(g) => {
+                    o.uint("node", g.node.0).uint("used", g.used);
+                    o.uint("high_water", g.high_water).uint("total", g.total);
+                }
+                Event::TieringAction(t) => {
+                    o.uint("region", t.region).str("action", action_name(t.promoted));
+                    o.uint("to", t.to.0).f64("cost_ns", t.cost_ns);
+                }
+                Event::GuidanceDecision(g) => {
+                    o.uint("interval", g.interval).uint("region", g.region);
+                    o.str("action", action_name(g.promoted)).uint("to", g.to.0);
+                    o.f64("estimated_hotness", g.estimated_hotness);
+                    o.f64("actual_hotness", g.actual_hotness).f64("cost_ns", g.cost_ns);
+                    o.uint("period", g.period);
+                }
+                Event::TenantAdmit(t) => {
+                    o.uint("broker", t.broker).str("tenant", &t.tenant);
+                    o.uint("lease", t.lease).uint("size", t.size);
+                    write_placement(o, "placement", &t.placement);
+                    o.str("clamped", yes_no_name(t.clamped)).uint("fast_bytes", t.fast_bytes);
+                }
+                Event::QuotaClamp(q) => {
+                    o.uint("broker", q.broker).str("tenant", &q.tenant).uint("node", q.node.0);
+                    o.uint("requested", q.requested).uint("allowed", q.allowed);
+                }
+                Event::ContentionStall(c) => {
+                    o.uint("broker", c.broker).str("tenant", &c.tenant).uint("node", c.node.0);
+                    o.f64("stall_ns", c.stall_ns).uint("sharers", c.sharers);
+                }
+                Event::LeaseExpired(l) => {
+                    o.uint("broker", l.broker).str("tenant", &l.tenant);
+                    o.uint("lease", l.lease).uint("ttl_epochs", l.ttl_epochs);
+                }
+                Event::LeaseRevoked(l) => {
+                    o.uint("broker", l.broker).str("tenant", &l.tenant);
+                    o.uint("lease", l.lease).str("reason", &l.reason);
+                }
+                Event::TierDegraded(t) => {
+                    o.uint("broker", t.broker).str("kind", &t.kind);
+                    o.str("degraded", yes_no_name(t.degraded));
+                }
+                Event::RetryExhausted(r) => {
+                    o.str("tenant", &r.tenant).str("op", &r.op).uint("attempts", r.attempts);
+                    o.str("last_error", &r.last_error);
+                }
+                Event::Reclaim(r) => {
+                    o.uint("broker", r.broker).str("tenant", &r.tenant);
+                    o.uint("lease", r.lease).uint("bytes", r.bytes);
+                    write_placement(o, "placement", &r.placement);
+                    o.str("reason", &r.reason);
+                }
+                Event::SpillForwarded(s) => {
+                    o.uint("broker", s.broker).uint("origin", s.origin).str("tenant", &s.tenant);
+                    o.uint("size", s.size)
+                        .uint("fast_bytes", s.fast_bytes)
+                        .f64("cost_ns", s.cost_ns);
+                }
+                Event::DigestMerged(d) => {
+                    o.uint("broker", d.broker).uint("peer", d.peer).uint("epoch", d.epoch);
+                    o.str("applied", yes_no_name(d.applied));
+                }
+                Event::BatchCoalesced(b) => {
+                    o.uint("broker", b.broker).uint("shard", b.shard).str("tenant", &b.tenant);
+                    o.uint("merged", b.merged).uint("bytes", b.bytes);
+                }
+                Event::ShardSteal(s) => {
+                    o.uint("broker", s.broker).uint("thief", s.thief).uint("victim", s.victim);
+                    o.uint("stolen", s.stolen);
+                }
+                Event::SampleRateChanged(s) => {
+                    o.uint("broker", s.broker).str("tenant", &s.tenant);
+                    o.uint("old_period", s.old_period).uint("new_period", s.new_period);
+                }
+                Event::HotPromoted(h) => {
+                    o.uint("broker", h.broker).str("tenant", &h.tenant).uint("region", h.region);
+                    o.uint("to", h.to.0).uint("bytes", h.bytes).f64("cost_ns", h.cost_ns);
+                }
+                Event::BudgetExhausted(b) => {
+                    o.uint("broker", b.broker).uint("epoch", b.epoch).f64("spent_ns", b.spent_ns);
+                    o.f64("budget_ns", b.budget_ns).uint("deferred", b.deferred);
+                }
             }
-            Event::AttrFallback(a) => vec![
-                ("event", JsonValue::str("attr_fallback")),
-                ("requested", JsonValue::str(&attr_name(a.requested))),
-                ("used", JsonValue::str(&attr_name(a.used))),
-            ],
-            Event::Migration(m) => vec![
-                ("event", JsonValue::str("migration")),
-                ("region", JsonValue::num(m.region as f64)),
-                ("from", placement_json(&m.from)),
-                ("to", JsonValue::num(m.to.0 as f64)),
-                ("bytes_moved", JsonValue::num(m.bytes_moved as f64)),
-                ("cost_ns", JsonValue::num(m.cost_ns)),
-            ],
-            Event::Free(f) => vec![
-                ("event", JsonValue::str("free")),
-                ("region", JsonValue::num(f.region as f64)),
-                ("placement", placement_json(&f.placement)),
-            ],
-            Event::PhaseSpan(p) => vec![
-                ("event", JsonValue::str("phase_span")),
-                ("name", JsonValue::str(&p.name)),
-                ("time_ns", JsonValue::num(p.time_ns)),
-                ("threads", JsonValue::num(p.threads as f64)),
-                (
-                    "per_node",
-                    JsonValue::Array(
-                        p.per_node
-                            .iter()
-                            .map(|t| {
-                                JsonValue::Object(vec![
-                                    ("node".into(), JsonValue::num(t.node.0 as f64)),
-                                    ("bytes_read".into(), JsonValue::num(t.bytes_read as f64)),
-                                    (
-                                        "bytes_written".into(),
-                                        JsonValue::num(t.bytes_written as f64),
-                                    ),
-                                    ("achieved_bw_mbps".into(), JsonValue::num(t.achieved_bw_mbps)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ],
-            Event::OccupancyGauge(g) => vec![
-                ("event", JsonValue::str("occupancy")),
-                ("node", JsonValue::num(g.node.0 as f64)),
-                ("used", JsonValue::num(g.used as f64)),
-                ("high_water", JsonValue::num(g.high_water as f64)),
-                ("total", JsonValue::num(g.total as f64)),
-            ],
-            Event::TieringAction(t) => vec![
-                ("event", JsonValue::str("tiering_action")),
-                ("region", JsonValue::num(t.region as f64)),
-                ("action", JsonValue::str(action_name(t.promoted))),
-                ("to", JsonValue::num(t.to.0 as f64)),
-                ("cost_ns", JsonValue::num(t.cost_ns)),
-            ],
-            Event::GuidanceDecision(g) => vec![
-                ("event", JsonValue::str("guidance_decision")),
-                ("interval", JsonValue::num(g.interval as f64)),
-                ("region", JsonValue::num(g.region as f64)),
-                ("action", JsonValue::str(action_name(g.promoted))),
-                ("to", JsonValue::num(g.to.0 as f64)),
-                ("estimated_hotness", JsonValue::num(g.estimated_hotness)),
-                ("actual_hotness", JsonValue::num(g.actual_hotness)),
-                ("cost_ns", JsonValue::num(g.cost_ns)),
-                ("period", JsonValue::num(g.period as f64)),
-            ],
-            Event::TenantAdmit(t) => vec![
-                ("event", JsonValue::str("tenant_admit")),
-                ("broker", JsonValue::num(t.broker as f64)),
-                ("tenant", JsonValue::str(&t.tenant)),
-                ("lease", JsonValue::num(t.lease as f64)),
-                ("size", JsonValue::num(t.size as f64)),
-                ("placement", placement_json(&t.placement)),
-                ("clamped", JsonValue::str(if t.clamped { "yes" } else { "no" })),
-                ("fast_bytes", JsonValue::num(t.fast_bytes as f64)),
-            ],
-            Event::QuotaClamp(q) => vec![
-                ("event", JsonValue::str("quota_clamp")),
-                ("broker", JsonValue::num(q.broker as f64)),
-                ("tenant", JsonValue::str(&q.tenant)),
-                ("node", JsonValue::num(q.node.0 as f64)),
-                ("requested", JsonValue::num(q.requested as f64)),
-                ("allowed", JsonValue::num(q.allowed as f64)),
-            ],
-            Event::ContentionStall(c) => vec![
-                ("event", JsonValue::str("contention_stall")),
-                ("broker", JsonValue::num(c.broker as f64)),
-                ("tenant", JsonValue::str(&c.tenant)),
-                ("node", JsonValue::num(c.node.0 as f64)),
-                ("stall_ns", JsonValue::num(c.stall_ns)),
-                ("sharers", JsonValue::num(c.sharers as f64)),
-            ],
-            Event::LeaseExpired(l) => vec![
-                ("event", JsonValue::str("lease_expired")),
-                ("broker", JsonValue::num(l.broker as f64)),
-                ("tenant", JsonValue::str(&l.tenant)),
-                ("lease", JsonValue::num(l.lease as f64)),
-                ("ttl_epochs", JsonValue::num(l.ttl_epochs as f64)),
-            ],
-            Event::LeaseRevoked(l) => vec![
-                ("event", JsonValue::str("lease_revoked")),
-                ("broker", JsonValue::num(l.broker as f64)),
-                ("tenant", JsonValue::str(&l.tenant)),
-                ("lease", JsonValue::num(l.lease as f64)),
-                ("reason", JsonValue::str(&l.reason)),
-            ],
-            Event::TierDegraded(t) => vec![
-                ("event", JsonValue::str("tier_degraded")),
-                ("broker", JsonValue::num(t.broker as f64)),
-                ("kind", JsonValue::str(&t.kind)),
-                ("degraded", JsonValue::str(if t.degraded { "yes" } else { "no" })),
-            ],
-            Event::RetryExhausted(r) => vec![
-                ("event", JsonValue::str("retry_exhausted")),
-                ("tenant", JsonValue::str(&r.tenant)),
-                ("op", JsonValue::str(&r.op)),
-                ("attempts", JsonValue::num(r.attempts as f64)),
-                ("last_error", JsonValue::str(&r.last_error)),
-            ],
-            Event::Reclaim(r) => vec![
-                ("event", JsonValue::str("reclaim")),
-                ("broker", JsonValue::num(r.broker as f64)),
-                ("tenant", JsonValue::str(&r.tenant)),
-                ("lease", JsonValue::num(r.lease as f64)),
-                ("bytes", JsonValue::num(r.bytes as f64)),
-                ("placement", placement_json(&r.placement)),
-                ("reason", JsonValue::str(&r.reason)),
-            ],
-            Event::SpillForwarded(s) => vec![
-                ("event", JsonValue::str("spill_forwarded")),
-                ("broker", JsonValue::num(s.broker as f64)),
-                ("origin", JsonValue::num(s.origin as f64)),
-                ("tenant", JsonValue::str(&s.tenant)),
-                ("size", JsonValue::num(s.size as f64)),
-                ("fast_bytes", JsonValue::num(s.fast_bytes as f64)),
-                ("cost_ns", JsonValue::num(s.cost_ns)),
-            ],
-            Event::DigestMerged(d) => vec![
-                ("event", JsonValue::str("digest_merged")),
-                ("broker", JsonValue::num(d.broker as f64)),
-                ("peer", JsonValue::num(d.peer as f64)),
-                ("epoch", JsonValue::num(d.epoch as f64)),
-                ("applied", JsonValue::str(if d.applied { "yes" } else { "no" })),
-            ],
-            Event::BatchCoalesced(b) => vec![
-                ("event", JsonValue::str("batch_coalesced")),
-                ("broker", JsonValue::num(b.broker as f64)),
-                ("shard", JsonValue::num(b.shard as f64)),
-                ("tenant", JsonValue::str(&b.tenant)),
-                ("merged", JsonValue::num(b.merged as f64)),
-                ("bytes", JsonValue::num(b.bytes as f64)),
-            ],
-            Event::ShardSteal(s) => vec![
-                ("event", JsonValue::str("shard_steal")),
-                ("broker", JsonValue::num(s.broker as f64)),
-                ("thief", JsonValue::num(s.thief as f64)),
-                ("victim", JsonValue::num(s.victim as f64)),
-                ("stolen", JsonValue::num(s.stolen as f64)),
-            ],
-            Event::SampleRateChanged(s) => vec![
-                ("event", JsonValue::str("sample_rate_changed")),
-                ("broker", JsonValue::num(s.broker as f64)),
-                ("tenant", JsonValue::str(&s.tenant)),
-                ("old_period", JsonValue::num(s.old_period as f64)),
-                ("new_period", JsonValue::num(s.new_period as f64)),
-            ],
-            Event::HotPromoted(h) => vec![
-                ("event", JsonValue::str("hot_promoted")),
-                ("broker", JsonValue::num(h.broker as f64)),
-                ("tenant", JsonValue::str(&h.tenant)),
-                ("region", JsonValue::num(h.region as f64)),
-                ("to", JsonValue::num(h.to.0 as f64)),
-                ("bytes", JsonValue::num(h.bytes as f64)),
-                ("cost_ns", JsonValue::num(h.cost_ns)),
-            ],
-            Event::BudgetExhausted(b) => vec![
-                ("event", JsonValue::str("budget_exhausted")),
-                ("broker", JsonValue::num(b.broker as f64)),
-                ("epoch", JsonValue::num(b.epoch as f64)),
-                ("spent_ns", JsonValue::num(b.spent_ns)),
-                ("budget_ns", JsonValue::num(b.budget_ns)),
-                ("deferred", JsonValue::num(b.deferred as f64)),
-            ],
-        };
-        JsonValue::Object(obj.into_iter().map(|(k, v)| (k.to_string(), v)).collect()).render()
+        });
+        line
     }
 
     /// Parses one JSON line produced by [`Event::to_json`].
     pub fn from_json(line: &str) -> Result<Event, ParseError> {
         let v = json::parse(line)?;
-        let kind = v.get("event")?.string()?;
-        match kind.as_str() {
-            "alloc_decision" => {
-                let region = match v.get("region")? {
+        let v = &v;
+        Ok(match v.field("event")?.as_str()? {
+            "alloc_decision" => Event::AllocDecision(AllocDecision {
+                region: match v.field("region")? {
                     JsonValue::Null => None,
-                    other => Some(other.u64()?),
-                };
-                Ok(Event::AllocDecision(AllocDecision {
-                    region,
-                    size: v.get("size")?.u64()?,
-                    requested: attr_id(&v.get("requested")?.string()?)?,
-                    used: attr_id(&v.get("used")?.string()?)?,
-                    scope: match v.get("scope")?.string()?.as_str() {
-                        "local" => Scope::Local,
-                        "any" => Scope::Any,
-                        other => return Err(ParseError::new(format!("bad scope {other:?}"))),
-                    },
-                    fallback: match v.get("fallback")?.string()?.as_str() {
-                        "strict" => FallbackMode::Strict,
-                        "next_target" => FallbackMode::NextTarget,
-                        "partial_spill" => FallbackMode::PartialSpill,
-                        other => return Err(ParseError::new(format!("bad fallback {other:?}"))),
-                    },
-                    candidates: v
-                        .get("candidates")?
-                        .array()?
-                        .iter()
-                        .map(|c| {
-                            Ok(Candidate {
-                                node: NodeId(c.get("node")?.u64()? as u32),
-                                value: c.get("value")?.u64()?,
-                            })
-                        })
-                        .collect::<Result<_, ParseError>>()?,
-                    hops: v
-                        .get("hops")?
-                        .array()?
-                        .iter()
-                        .map(|h| {
-                            Ok(Hop {
-                                node: NodeId(h.get("node")?.u64()? as u32),
-                                reason: h.get("reason")?.string()?,
-                            })
-                        })
-                        .collect::<Result<_, ParseError>>()?,
-                    placement: placement_from_json(&v.get("placement")?)?,
-                    error: match v.get("error") {
-                        Ok(e) => Some(e.string()?),
-                        Err(_) => None,
-                    },
-                }))
-            }
-            "attr_fallback" => Ok(Event::AttrFallback(AttrFallback {
-                requested: attr_id(&v.get("requested")?.string()?)?,
-                used: attr_id(&v.get("used")?.string()?)?,
-            })),
-            "migration" => Ok(Event::Migration(Migration {
-                region: v.get("region")?.u64()?,
-                from: placement_from_json(&v.get("from")?)?,
-                to: NodeId(v.get("to")?.u64()? as u32),
-                bytes_moved: v.get("bytes_moved")?.u64()?,
-                cost_ns: v.get("cost_ns")?.f64()?,
-            })),
-            "free" => Ok(Event::Free(FreeEvent {
-                region: v.get("region")?.u64()?,
-                placement: placement_from_json(&v.get("placement")?)?,
-            })),
-            "phase_span" => Ok(Event::PhaseSpan(PhaseSpan {
-                name: v.get("name")?.string()?,
-                time_ns: v.get("time_ns")?.f64()?,
-                threads: v.get("threads")?.u64()?,
+                    other => Some(other.as_uint()?),
+                },
+                size: uint(v, "size")?,
+                requested: attr_id(v.field("requested")?.as_str()?)?,
+                used: attr_id(v.field("used")?.as_str()?)?,
+                scope: match v.field("scope")?.as_str()? {
+                    "local" => Scope::Local,
+                    "any" => Scope::Any,
+                    other => return Err(ParseError::new(format!("bad scope {other:?}"))),
+                },
+                fallback: match v.field("fallback")?.as_str()? {
+                    "strict" => FallbackMode::Strict,
+                    "next_target" => FallbackMode::NextTarget,
+                    "partial_spill" => FallbackMode::PartialSpill,
+                    other => return Err(ParseError::new(format!("bad fallback {other:?}"))),
+                },
+                candidates: v
+                    .field("candidates")?
+                    .as_array()?
+                    .iter()
+                    .map(|c| Ok(Candidate { node: node(c, "node")?, value: uint(c, "value")? }))
+                    .collect::<Result<_, ParseError>>()?,
+                hops: v
+                    .field("hops")?
+                    .as_array()?
+                    .iter()
+                    .map(|h| Ok(Hop { node: node(h, "node")?, reason: string(h, "reason")? }))
+                    .collect::<Result<_, ParseError>>()?,
+                placement: placement_from_json(v.field("placement")?)?,
+                error: v.get("error").map(|e| e.as_str().map(str::to_owned)).transpose()?,
+            }),
+            "attr_fallback" => Event::AttrFallback(AttrFallback {
+                requested: attr_id(v.field("requested")?.as_str()?)?,
+                used: attr_id(v.field("used")?.as_str()?)?,
+            }),
+            "migration" => Event::Migration(Migration {
+                region: uint(v, "region")?,
+                from: placement_from_json(v.field("from")?)?,
+                to: node(v, "to")?,
+                bytes_moved: uint(v, "bytes_moved")?,
+                cost_ns: float(v, "cost_ns")?,
+            }),
+            "free" => Event::Free(FreeEvent {
+                region: uint(v, "region")?,
+                placement: placement_from_json(v.field("placement")?)?,
+            }),
+            "phase_span" => Event::PhaseSpan(PhaseSpan {
+                name: string(v, "name")?,
+                time_ns: float(v, "time_ns")?,
+                threads: uint(v, "threads")?,
                 per_node: v
-                    .get("per_node")?
-                    .array()?
+                    .field("per_node")?
+                    .as_array()?
                     .iter()
                     .map(|t| {
                         Ok(NodeTrafficSample {
-                            node: NodeId(t.get("node")?.u64()? as u32),
-                            bytes_read: t.get("bytes_read")?.u64()?,
-                            bytes_written: t.get("bytes_written")?.u64()?,
-                            achieved_bw_mbps: t.get("achieved_bw_mbps")?.f64()?,
+                            node: node(t, "node")?,
+                            bytes_read: uint(t, "bytes_read")?,
+                            bytes_written: uint(t, "bytes_written")?,
+                            achieved_bw_mbps: float(t, "achieved_bw_mbps")?,
                         })
                     })
                     .collect::<Result<_, ParseError>>()?,
-            })),
-            "occupancy" => Ok(Event::OccupancyGauge(OccupancyGauge {
-                node: NodeId(v.get("node")?.u64()? as u32),
-                used: v.get("used")?.u64()?,
-                high_water: v.get("high_water")?.u64()?,
-                total: v.get("total")?.u64()?,
-            })),
-            "tiering_action" => Ok(Event::TieringAction(TieringEvent {
-                region: v.get("region")?.u64()?,
-                promoted: action_promoted(&v.get("action")?.string()?)?,
-                to: NodeId(v.get("to")?.u64()? as u32),
-                cost_ns: v.get("cost_ns")?.f64()?,
-            })),
-            "guidance_decision" => Ok(Event::GuidanceDecision(GuidanceDecision {
-                interval: v.get("interval")?.u64()?,
-                region: v.get("region")?.u64()?,
-                promoted: action_promoted(&v.get("action")?.string()?)?,
-                to: NodeId(v.get("to")?.u64()? as u32),
-                estimated_hotness: v.get("estimated_hotness")?.f64()?,
-                actual_hotness: v.get("actual_hotness")?.f64()?,
-                cost_ns: v.get("cost_ns")?.f64()?,
-                period: v.get("period")?.u64()?,
-            })),
-            "tenant_admit" => Ok(Event::TenantAdmit(TenantAdmit {
-                broker: broker_from_json(&v)?,
-                tenant: v.get("tenant")?.string()?,
-                lease: v.get("lease")?.u64()?,
-                size: v.get("size")?.u64()?,
-                placement: placement_from_json(&v.get("placement")?)?,
-                clamped: match v.get("clamped")?.string()?.as_str() {
-                    "yes" => true,
-                    "no" => false,
-                    other => return Err(ParseError::new(format!("bad clamped {other:?}"))),
-                },
-                fast_bytes: v.get("fast_bytes")?.u64()?,
-            })),
-            "quota_clamp" => Ok(Event::QuotaClamp(QuotaClamp {
-                broker: broker_from_json(&v)?,
-                tenant: v.get("tenant")?.string()?,
-                node: NodeId(v.get("node")?.u64()? as u32),
-                requested: v.get("requested")?.u64()?,
-                allowed: v.get("allowed")?.u64()?,
-            })),
-            "contention_stall" => Ok(Event::ContentionStall(ContentionStall {
-                broker: broker_from_json(&v)?,
-                tenant: v.get("tenant")?.string()?,
-                node: NodeId(v.get("node")?.u64()? as u32),
-                stall_ns: v.get("stall_ns")?.f64()?,
-                sharers: v.get("sharers")?.u64()?,
-            })),
-            "lease_expired" => Ok(Event::LeaseExpired(LeaseExpired {
-                broker: broker_from_json(&v)?,
-                tenant: v.get("tenant")?.string()?,
-                lease: v.get("lease")?.u64()?,
-                ttl_epochs: v.get("ttl_epochs")?.u64()?,
-            })),
-            "lease_revoked" => Ok(Event::LeaseRevoked(LeaseRevoked {
-                broker: broker_from_json(&v)?,
-                tenant: v.get("tenant")?.string()?,
-                lease: v.get("lease")?.u64()?,
-                reason: v.get("reason")?.string()?,
-            })),
-            "tier_degraded" => Ok(Event::TierDegraded(TierDegraded {
-                broker: broker_from_json(&v)?,
-                kind: v.get("kind")?.string()?,
-                degraded: match v.get("degraded")?.string()?.as_str() {
-                    "yes" => true,
-                    "no" => false,
-                    other => return Err(ParseError::new(format!("bad degraded {other:?}"))),
-                },
-            })),
-            "retry_exhausted" => Ok(Event::RetryExhausted(RetryExhausted {
-                tenant: v.get("tenant")?.string()?,
-                op: v.get("op")?.string()?,
-                attempts: v.get("attempts")?.u64()?,
-                last_error: v.get("last_error")?.string()?,
-            })),
-            "reclaim" => Ok(Event::Reclaim(Reclaim {
-                broker: broker_from_json(&v)?,
-                tenant: v.get("tenant")?.string()?,
-                lease: v.get("lease")?.u64()?,
-                bytes: v.get("bytes")?.u64()?,
-                placement: placement_from_json(&v.get("placement")?)?,
-                reason: v.get("reason")?.string()?,
-            })),
-            "spill_forwarded" => Ok(Event::SpillForwarded(SpillForwarded {
-                broker: broker_from_json(&v)?,
-                origin: v.get("origin")?.u64()? as u32,
-                tenant: v.get("tenant")?.string()?,
-                size: v.get("size")?.u64()?,
-                fast_bytes: v.get("fast_bytes")?.u64()?,
-                cost_ns: v.get("cost_ns")?.f64()?,
-            })),
-            "digest_merged" => Ok(Event::DigestMerged(DigestMerged {
-                broker: broker_from_json(&v)?,
-                peer: v.get("peer")?.u64()? as u32,
-                epoch: v.get("epoch")?.u64()?,
-                applied: match v.get("applied")?.string()?.as_str() {
-                    "yes" => true,
-                    "no" => false,
-                    other => return Err(ParseError::new(format!("bad applied {other:?}"))),
-                },
-            })),
-            "batch_coalesced" => Ok(Event::BatchCoalesced(BatchCoalesced {
-                broker: broker_from_json(&v)?,
-                shard: v.get("shard")?.u64()? as u32,
-                tenant: v.get("tenant")?.string()?,
-                merged: v.get("merged")?.u64()?,
-                bytes: v.get("bytes")?.u64()?,
-            })),
-            "shard_steal" => Ok(Event::ShardSteal(ShardSteal {
-                broker: broker_from_json(&v)?,
-                thief: v.get("thief")?.u64()? as u32,
-                victim: v.get("victim")?.u64()? as u32,
-                stolen: v.get("stolen")?.u64()?,
-            })),
-            "sample_rate_changed" => Ok(Event::SampleRateChanged(SampleRateChanged {
-                broker: broker_from_json(&v)?,
-                tenant: v.get("tenant")?.string()?,
-                old_period: v.get("old_period")?.u64()?,
-                new_period: v.get("new_period")?.u64()?,
-            })),
-            "hot_promoted" => Ok(Event::HotPromoted(HotPromoted {
-                broker: broker_from_json(&v)?,
-                tenant: v.get("tenant")?.string()?,
-                region: v.get("region")?.u64()?,
-                to: NodeId(v.get("to")?.u64()? as u32),
-                bytes: v.get("bytes")?.u64()?,
-                cost_ns: v.get("cost_ns")?.f64()?,
-            })),
-            "budget_exhausted" => Ok(Event::BudgetExhausted(BudgetExhausted {
-                broker: broker_from_json(&v)?,
-                epoch: v.get("epoch")?.u64()?,
-                spent_ns: v.get("spent_ns")?.f64()?,
-                budget_ns: v.get("budget_ns")?.f64()?,
-                deferred: v.get("deferred")?.u64()?,
-            })),
-            other => Err(ParseError::new(format!("unknown event kind {other:?}"))),
-        }
+            }),
+            "occupancy" => Event::OccupancyGauge(OccupancyGauge {
+                node: node(v, "node")?,
+                used: uint(v, "used")?,
+                high_water: uint(v, "high_water")?,
+                total: uint(v, "total")?,
+            }),
+            "tiering_action" => Event::TieringAction(TieringEvent {
+                region: uint(v, "region")?,
+                promoted: action_promoted(v.field("action")?.as_str()?)?,
+                to: node(v, "to")?,
+                cost_ns: float(v, "cost_ns")?,
+            }),
+            "guidance_decision" => Event::GuidanceDecision(GuidanceDecision {
+                interval: uint(v, "interval")?,
+                region: uint(v, "region")?,
+                promoted: action_promoted(v.field("action")?.as_str()?)?,
+                to: node(v, "to")?,
+                estimated_hotness: float(v, "estimated_hotness")?,
+                actual_hotness: float(v, "actual_hotness")?,
+                cost_ns: float(v, "cost_ns")?,
+                period: uint(v, "period")?,
+            }),
+            "tenant_admit" => Event::TenantAdmit(TenantAdmit {
+                broker: broker_from_json(v)?,
+                tenant: string(v, "tenant")?,
+                lease: uint(v, "lease")?,
+                size: uint(v, "size")?,
+                placement: placement_from_json(v.field("placement")?)?,
+                clamped: yes_no(v, "clamped")?,
+                fast_bytes: uint(v, "fast_bytes")?,
+            }),
+            "quota_clamp" => Event::QuotaClamp(QuotaClamp {
+                broker: broker_from_json(v)?,
+                tenant: string(v, "tenant")?,
+                node: node(v, "node")?,
+                requested: uint(v, "requested")?,
+                allowed: uint(v, "allowed")?,
+            }),
+            "contention_stall" => Event::ContentionStall(ContentionStall {
+                broker: broker_from_json(v)?,
+                tenant: string(v, "tenant")?,
+                node: node(v, "node")?,
+                stall_ns: float(v, "stall_ns")?,
+                sharers: uint(v, "sharers")?,
+            }),
+            "lease_expired" => Event::LeaseExpired(LeaseExpired {
+                broker: broker_from_json(v)?,
+                tenant: string(v, "tenant")?,
+                lease: uint(v, "lease")?,
+                ttl_epochs: uint(v, "ttl_epochs")?,
+            }),
+            "lease_revoked" => Event::LeaseRevoked(LeaseRevoked {
+                broker: broker_from_json(v)?,
+                tenant: string(v, "tenant")?,
+                lease: uint(v, "lease")?,
+                reason: string(v, "reason")?,
+            }),
+            "tier_degraded" => Event::TierDegraded(TierDegraded {
+                broker: broker_from_json(v)?,
+                kind: string(v, "kind")?,
+                degraded: yes_no(v, "degraded")?,
+            }),
+            "retry_exhausted" => Event::RetryExhausted(RetryExhausted {
+                tenant: string(v, "tenant")?,
+                op: string(v, "op")?,
+                attempts: uint(v, "attempts")?,
+                last_error: string(v, "last_error")?,
+            }),
+            "reclaim" => Event::Reclaim(Reclaim {
+                broker: broker_from_json(v)?,
+                tenant: string(v, "tenant")?,
+                lease: uint(v, "lease")?,
+                bytes: uint(v, "bytes")?,
+                placement: placement_from_json(v.field("placement")?)?,
+                reason: string(v, "reason")?,
+            }),
+            "spill_forwarded" => Event::SpillForwarded(SpillForwarded {
+                broker: broker_from_json(v)?,
+                origin: uint(v, "origin")?,
+                tenant: string(v, "tenant")?,
+                size: uint(v, "size")?,
+                fast_bytes: uint(v, "fast_bytes")?,
+                cost_ns: float(v, "cost_ns")?,
+            }),
+            "digest_merged" => Event::DigestMerged(DigestMerged {
+                broker: broker_from_json(v)?,
+                peer: uint(v, "peer")?,
+                epoch: uint(v, "epoch")?,
+                applied: yes_no(v, "applied")?,
+            }),
+            "batch_coalesced" => Event::BatchCoalesced(BatchCoalesced {
+                broker: broker_from_json(v)?,
+                shard: uint(v, "shard")?,
+                tenant: string(v, "tenant")?,
+                merged: uint(v, "merged")?,
+                bytes: uint(v, "bytes")?,
+            }),
+            "shard_steal" => Event::ShardSteal(ShardSteal {
+                broker: broker_from_json(v)?,
+                thief: uint(v, "thief")?,
+                victim: uint(v, "victim")?,
+                stolen: uint(v, "stolen")?,
+            }),
+            "sample_rate_changed" => Event::SampleRateChanged(SampleRateChanged {
+                broker: broker_from_json(v)?,
+                tenant: string(v, "tenant")?,
+                old_period: uint(v, "old_period")?,
+                new_period: uint(v, "new_period")?,
+            }),
+            "hot_promoted" => Event::HotPromoted(HotPromoted {
+                broker: broker_from_json(v)?,
+                tenant: string(v, "tenant")?,
+                region: uint(v, "region")?,
+                to: node(v, "to")?,
+                bytes: uint(v, "bytes")?,
+                cost_ns: float(v, "cost_ns")?,
+            }),
+            "budget_exhausted" => Event::BudgetExhausted(BudgetExhausted {
+                broker: broker_from_json(v)?,
+                epoch: uint(v, "epoch")?,
+                spent_ns: float(v, "spent_ns")?,
+                budget_ns: float(v, "budget_ns")?,
+                deferred: uint(v, "deferred")?,
+            }),
+            other => return Err(ParseError::new(format!("unknown event kind {other:?}"))),
+        })
     }
 }
 
@@ -1144,6 +1038,14 @@ fn action_name(promoted: bool) -> &'static str {
         "promote"
     } else {
         "demote"
+    }
+}
+
+fn yes_no_name(yes: bool) -> &'static str {
+    if yes {
+        "yes"
+    } else {
+        "no"
     }
 }
 
@@ -1204,9 +1106,9 @@ impl JsonlWriter {
     /// Writes one event as a JSON line. Write errors are swallowed —
     /// a full disk mid-trace must not take the experiment down.
     pub fn write_event(&self, event: &Event) {
-        let line = event.to_json();
-        let mut out = self.out.lock().expect("writer poisoned");
-        let _ = writeln!(out, "{line}");
+        let mut line = event.to_json();
+        line.push('\n');
+        let _ = self.out.lock().expect("writer poisoned").write_all(line.as_bytes());
     }
 }
 
@@ -1214,6 +1116,9 @@ impl JsonlWriter {
 pub fn read_jsonl(text: &str) -> Result<Vec<Event>, ParseError> {
     text.lines().map(str::trim).filter(|l| !l.is_empty()).map(Event::from_json).collect()
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1237,9 +1142,8 @@ mod tests {
         })
     }
 
-    #[test]
-    fn jsonl_roundtrip_every_variant() {
-        let events = vec![
+    fn every_variant() -> Vec<Event> {
+        vec![
             sample_decision(),
             Event::AllocDecision(AllocDecision {
                 region: None,
@@ -1394,7 +1298,12 @@ mod tests {
                 budget_ns: 100_000.0,
                 deferred: 3,
             }),
-        ];
+        ]
+    }
+
+    #[test]
+    fn jsonl_roundtrip_every_variant() {
+        let events = every_variant();
         let text: String = events.iter().map(|e| e.to_json() + "\n").collect();
         let back = read_jsonl(&text).expect("roundtrip");
         assert_eq!(back, events);
@@ -1407,6 +1316,53 @@ mod tests {
                 "kind() disagrees with to_json() for {e:?}"
             );
         }
+    }
+
+    /// The direct writer renders every event as the tree renderer did,
+    /// and the borrowed decoder reads every line near a valid one as the
+    /// tree decoder did: the same `Ok` value, or an error on both sides.
+    #[test]
+    fn the_codec_agrees_with_its_tree_reference() {
+        use reference::Reference;
+        let golden = read_jsonl(include_str!("../tests/golden/events.jsonl")).expect("golden");
+        for event in every_variant().into_iter().chain(golden) {
+            let line = event.to_json();
+            assert_eq!(line, event.ref_to_json());
+            for m in json::mutate::mutations(&line) {
+                match (Event::from_json(&m), Event::ref_from_json(&m)) {
+                    (Ok(new), Ok(old)) => assert_eq!(new, old, "{m}"),
+                    (Err(_), Err(_)) => {}
+                    (new, old) => panic!("{m}\n  new: {new:?}\n  reference: {old:?}"),
+                }
+            }
+        }
+    }
+
+    /// Trace events follow the wire's integer rule: exact digits at
+    /// every magnitude, and a value too large for its field refused.
+    #[test]
+    fn trace_integers_are_exact() {
+        let e = Event::OccupancyGauge(OccupancyGauge {
+            node: NodeId(u32::MAX),
+            used: u64::MAX,
+            high_water: (1 << 53) + 1,
+            total: 9_000_000_000_000_000,
+        });
+        let line = e.to_json();
+        assert_eq!(
+            line,
+            r#"{"event":"occupancy","node":4294967295,"used":18446744073709551615,"high_water":9007199254740993,"total":9000000000000000}"#
+        );
+        assert_eq!(Event::from_json(&line).expect("decodes"), e);
+        let occupancy = |node: &str, used: &str| {
+            Event::from_json(&format!(
+                r#"{{"event":"occupancy","node":{node},"used":{used},"high_water":0,"total":0}}"#
+            ))
+        };
+        assert!(occupancy("4294967296", "0").is_err(), "a node id past u32 is refused");
+        assert!(occupancy("0", "1e30").is_err(), "1e30 bytes is refused, not saturated");
+        assert!(occupancy("0", "18446744073709551616").is_err(), "2^64 is refused");
+        assert!(occupancy("0", "4.096e3").is_ok(), "other number forms keep their reading");
     }
 
     #[test]

@@ -473,6 +473,15 @@ proptest! {
         prop_assert_eq!(back_event, event);
     }
 
+    /// Every event round-trips through its JSON trace line: integers
+    /// exactly at every magnitude, `f64`s through their shortest
+    /// round-trip spelling.
+    #[test]
+    fn jsonl_event_round_trips(event in event_strategy()) {
+        let line = event.to_json();
+        prop_assert_eq!(Event::from_json(&line).expect("decodes"), event, "{}", line);
+    }
+
     /// Framed on-disk streams round-trip: any sequence of records
     /// written with `append_framed` reads back verbatim.
     #[test]
