@@ -1021,10 +1021,7 @@ fn shard() {
     use hetmem_bench::shard_load::{knl_shard_load, run_shard_load};
     let ctx = Ctx::knl();
     println!("== Sharded dispatch: scaling sweep (KNL, fair-share, 8 tenants) ==");
-    println!(
-        "{:<7} {:>9} {:>7} {:>9} {:>8} {:>7}",
-        "shards", "admitted", "denied", "fast-hit", "merges", "steals"
-    );
+    println!("{:<7} {:>9} {:>7} {:>9} {:>8}", "shards", "admitted", "denied", "fast-hit", "merges");
     let mut records = Vec::new();
     let mut identical = true;
     let mut fair = true;
@@ -1038,13 +1035,12 @@ fn shard() {
         }
         fair &= (report.fast_hit - baseline_hit).abs() <= 0.01;
         println!(
-            "{:<7} {:>9} {:>7} {:>8.1}% {:>8} {:>7}",
+            "{:<7} {:>9} {:>7} {:>8.1}% {:>8}",
             shards,
             report.admitted,
             report.denied,
             report.fast_hit * 100.0,
-            report.merged_batches,
-            report.steals
+            report.merged_batches
         );
         records.extend([
             BenchRecord::new(

@@ -3,14 +3,14 @@
 //! [`run_shard_load`] posts a seeded request stream onto a
 //! [`Plane`] — the module whose calls `hetmem-serve`'s threads make —
 //! with one connection per tenant, so connection `t` routes to shard
-//! `t mod S`. Each round, idle shards steal and every shard serves its
-//! queue through the plane's merge runs, all on one thread. The report
-//! holds outcomes only: admits, denials, fast-tier hit rate, clamps,
-//! merge runs and steals. Admission is real — every request goes
-//! through the broker's ranking, fair-share arbitration and commit
-//! path — so the numbers are facts, and the same config produces the
-//! same report on any machine. The sweep has no clock: how fast a
-//! sharded daemon serves is for a wall-clock benchmark to measure.
+//! `t mod S`. Each round, every shard serves its queue through the
+//! plane's merge runs, all on one thread. The report holds outcomes
+//! only: admits, denials, fast-tier hit rate, clamps and merge runs.
+//! Admission is real — every request goes through the broker's
+//! ranking, fair-share arbitration and commit path — so the numbers
+//! are facts, and the same config produces the same report on any
+//! machine. The sweep has no clock: how fast a sharded daemon serves
+//! is for a wall-clock benchmark to measure.
 
 use crate::load::draw;
 use hetmem_alloc::{AllocRequest, Fallback};
@@ -60,8 +60,6 @@ pub struct ShardLoadReport {
     pub merged_batches: u64,
     /// Requests covered by those merges.
     pub merged_requests: u64,
-    /// `shard_steal` events emitted.
-    pub steals: u64,
 }
 
 /// The canonical KNL sweep point: eight even fair-share tenants (four
@@ -112,7 +110,7 @@ pub fn run_shard_load(
     let mut ledger: Vec<(u32, Lease)> = Vec::new();
     let (mut admitted, mut denied) = (0u64, 0u64);
     let (mut fast_bytes, mut total_bytes) = (0u64, 0u64);
-    let (mut merged_batches, mut merged_requests, mut steals) = (0u64, 0u64, 0u64);
+    let (mut merged_batches, mut merged_requests) = (0u64, 0u64);
 
     for tick in 0..cfg.ticks {
         broker.advance_epoch();
@@ -137,19 +135,11 @@ pub fn run_shard_load(
         }
 
         let mut outcomes = Vec::new();
-        let loans: Vec<_> = (0..plane.shards())
-            .filter(|&s| !plane.has_work(s))
-            .filter_map(|thief| Some((thief, plane.steal(thief)?)))
-            .collect();
         for shard in 0..plane.shards() {
             let mut turn = Turn::reader(false);
             while let Step::Tick(frames) = plane.next(shard, &mut turn) {
                 plane.serve_tick(shard, frames, |_, outcome| outcomes.push(outcome));
             }
-        }
-        for (thief, loan) in loans {
-            plane.serve_tick(thief, loan.frames, |_, outcome| outcomes.push(outcome));
-            plane.hand_back(loan.victim, &loan.conns);
         }
         for outcome in outcomes {
             match outcome.expect("an ask is an alloc") {
@@ -164,13 +154,9 @@ pub fn run_shard_load(
             }
         }
         for record in collector.drain_sorted() {
-            match &record.event {
-                Event::BatchCoalesced(bc) => {
-                    merged_batches += 1;
-                    merged_requests += bc.merged;
-                }
-                Event::ShardSteal(_) => steals += 1,
-                _ => {}
+            if let Event::BatchCoalesced(bc) = &record.event {
+                merged_batches += 1;
+                merged_requests += bc.merged;
             }
         }
     }
@@ -187,7 +173,6 @@ pub fn run_shard_load(
         clamps: broker.tenants().iter().map(|t| t.clamps).sum(),
         merged_batches,
         merged_requests,
-        steals,
     }
 }
 

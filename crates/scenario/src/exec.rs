@@ -1248,6 +1248,11 @@ free fresh
             "/../../scenarios/replay_chaos.txt"
         ))
         .expect("scenarios/replay_chaos.txt");
+        // The shipped stanza writes a fixed path; the test writes one
+        // of its own and removes it, so two runs never share the file.
+        let snap_path =
+            std::env::temp_dir().join(format!("hetmem-replay-chaos-{}.snap", std::process::id()));
+        let text = text.replace("/tmp/replay_chaos.snap", &snap_path.display().to_string());
         let s = parse(&text).expect("parses");
         let sink = TelemetrySink::with_ring_words(1 << 18);
         let r = execute_with_options(&s, sink, ExecOptions { record: true, ..Default::default() })
@@ -1258,9 +1263,9 @@ free fresh
             "log ends in a trailer"
         );
         // The shipped stanza checkpoints at epoch 6, mid-degradation.
-        let snap =
-            hetmem_snapshot::Snapshot::read_file(std::path::Path::new("/tmp/replay_chaos.snap"))
-                .expect("snapshot written by the stanza");
+        let snap = hetmem_snapshot::Snapshot::read_file(&snap_path)
+            .expect("snapshot written by the stanza");
+        let _ = std::fs::remove_file(&snap_path);
         assert_eq!(snap.state.epoch, 6);
         assert!(
             snap.state.degraded.contains(&hetmem_topology::MemoryKind::Hbm),

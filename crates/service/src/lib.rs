@@ -26,10 +26,9 @@
 //!   saturate a node charge each other bandwidth-degradation stalls,
 //!   surfaced as `ContentionStall` events.
 //! * [`shard`] — the serve plane's decisions, with no threads:
-//!   per-shard admission queues, ticks, merge runs
-//!   of same-tenant requests into single planning walks
-//!   (`BatchCoalesced`), and stealing whole connections from loaded
-//!   siblings (`ShardSteal`). The server's threads call it; arbitration
+//!   per-shard admission queues, ticks, merge runs of same-tenant
+//!   requests into single planning walks (`BatchCoalesced`) and the
+//!   serve-token hand-off. The server's threads call it; arbitration
 //!   outcomes are byte-identical to the single-shard plane and each
 //!   connection is served in order.
 //! * Lease lifecycle — leases may carry a TTL in service epochs

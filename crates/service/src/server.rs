@@ -14,14 +14,13 @@
 //! the shard stays. Ticks keep the epoch semantics of the
 //! [`crate::TrafficBoard`] meaningful — requests landing in the same
 //! tick contend with each other — and give natural backpressure: a
-//! slow broker grows the tick instead of the thread count. With more
-//! than one shard, each shard also keeps one thread that steals whole
-//! connections from its busiest sibling while its own queue is idle.
+//! slow broker grows the tick instead of the thread count. At any
+//! shard count the server runs one accept thread and one reader per
+//! connection, and no other.
 //!
 //! This module holds the threads, the sockets and the serve tokens;
-//! every decision — what a tick takes, which frames merge, what a
-//! steal takes, when the token changes hands — is a call into
-//! [`crate::shard`].
+//! every decision — what a tick takes, which frames merge, when the
+//! token changes hands — is a call into [`crate::shard`].
 //!
 //! Robustness rules (specified in `docs/PROTOCOL.md`, operational
 //! guidance in `docs/OPERATIONS.md`):
@@ -182,8 +181,9 @@ impl Peer {
         }
     }
 
-    /// Records a grant, or revokes it when the connection already hung
-    /// up (a stolen frame served after its peer's disconnect).
+    /// Records a grant, or revokes it when the connection is already
+    /// cut off: an earlier reply write to it failed, in this tick or a
+    /// previous one.
     fn granted(&self, broker: &Broker, lease: LeaseId) {
         let dead = {
             let mut state = self.state.lock().expect("peer poisoned");
@@ -262,11 +262,6 @@ fn discard_to_newline<R: BufRead>(reader: &mut R) -> bool {
     }
 }
 
-/// How often a shard's steal thread looks for work on its siblings
-/// while its own queue is idle. Only sharded servers have steal
-/// threads; with one shard the readers alone serve.
-const STEAL_POLL: Duration = Duration::from_millis(2);
-
 /// How long one reply write may block. A peer that stops reading holds
 /// its shard's serve token for at most this long, then is cut off.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
@@ -279,7 +274,6 @@ pub struct Server {
     /// when it exits, closing the handle with the connection.
     conns: Arc<Mutex<HashMap<u64, Conn>>>,
     accept_thread: Option<JoinHandle<()>>,
-    steal_threads: Vec<JoinHandle<()>>,
     local_addr: String,
     sock_path: Option<PathBuf>,
 }
@@ -321,14 +315,11 @@ impl Server {
     }
 
     /// [`Server::bind_with`] over a serve plane of `shards` shards
-    /// ([`crate::shard`]; `0` counts as `1`): one queue per shard,
-    /// connections routed to
-    /// shard `conn_id mod S`, one steal thread per shard taking whole
-    /// connections off its busiest sibling while its own queue is idle
-    /// (`shard_steal` telemetry), and consecutive mergeable same-tenant
-    /// `alloc` frames in a tick batched through one
-    /// [`Broker::acquire_batch`] planning walk (`batch_coalesced`
-    /// telemetry).
+    /// ([`crate::shard`]; `0` counts as `1`): one queue and one serve
+    /// token per shard, connections routed to shard `conn_id mod S`,
+    /// and consecutive mergeable same-tenant `alloc` frames in a tick
+    /// batched through one [`Broker::acquire_batch`] planning walk
+    /// (`batch_coalesced` telemetry).
     ///
     /// Recording composes only with the single-shard plane: a wire log
     /// replays serially, and neither a cross-shard thread interleaving
@@ -410,30 +401,7 @@ impl Server {
             })
         };
 
-        let steal_threads = if shards > 1 {
-            (0..shards as usize)
-                .map(|s| {
-                    let plane = plane.clone();
-                    std::thread::spawn(move || {
-                        while !plane.stop.load(Ordering::SeqCst) {
-                            std::thread::sleep(STEAL_POLL);
-                            plane.steal(s);
-                        }
-                    })
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-        Ok(Server {
-            plane,
-            conns,
-            accept_thread: Some(accept_thread),
-            steal_threads,
-            local_addr,
-            sock_path,
-        })
+        Ok(Server { plane, conns, accept_thread: Some(accept_thread), local_addr, sock_path })
     }
 
     /// The bound address in connectable form (`tcp:127.0.0.1:PORT` or
@@ -462,9 +430,6 @@ impl Server {
         // peer that stopped reading.
         for (_, conn) in self.conns.lock().expect("conns poisoned").drain() {
             conn.shutdown();
-        }
-        for t in self.steal_threads.drain(..) {
-            let _ = t.join();
         }
         // Whoever takes a token after this sees `stop` and serves
         // nothing; a tick already running finishes first.
@@ -520,44 +485,41 @@ impl Plane {
             };
             if !alive {
                 self.queues.post(Work::Disconnect { peer: peer.clone() });
-                self.serve(s, true);
+                self.serve(s);
                 return;
             }
             // Frames the peer pipelined are already buffered: post them
             // too, so they share this tick instead of opening one each.
             if !reader.buffer().contains(&b'\n') {
-                self.serve(s, true);
+                self.serve(s);
             }
         }
     }
 
-    /// Serves shard `s` tick by tick until it has nothing servable,
+    /// Serves shard `s` tick by tick until its queue is empty,
     /// unless another thread holds the shard's serve token; that thread
     /// then serves whatever was posted. A holder re-checks the queue
     /// after dropping the token, so a frame posted while it was
     /// finishing is never stranded.
     ///
-    /// A connection's `reader` does not serve others indefinitely: once
-    /// its own frames are answered it hands the token to a reader that
-    /// stands by for it ([`shard::Plane::stand_by`]) and goes back to
-    /// reading. A thief (`reader == false`) has no frame of its own on
-    /// `s`, so it hands over from its first tick: a standby reader is
-    /// not reading its connection while it waits.
-    fn serve(&self, s: usize, reader: bool) {
+    /// A reader does not serve others indefinitely: once its own frames
+    /// are answered it hands the token to a reader that stands by for it
+    /// ([`shard::Plane::stand_by`]) and goes back to reading.
+    fn serve(&self, s: usize) {
         loop {
             let mut standby = false;
             let token = match self.tokens[s].try_lock() {
                 Ok(token) => token,
                 Err(TryLockError::Poisoned(token)) => token.into_inner(),
                 Err(TryLockError::WouldBlock) => {
-                    if !reader || !self.queues.stand_by(s) {
+                    if !self.queues.stand_by(s) {
                         return;
                     }
                     standby = true;
                     self.tokens[s].lock().unwrap_or_else(PoisonError::into_inner)
                 }
             };
-            let mut turn = if reader { Turn::reader(standby) } else { Turn::thief() };
+            let mut turn = Turn::reader(standby);
             let handed_over = loop {
                 if self.stop.load(Ordering::SeqCst) {
                     break true;
@@ -577,23 +539,6 @@ impl Plane {
                 return;
             }
         }
-    }
-
-    /// One look by `thief`'s steal thread: if the server runs and its
-    /// own queue is idle, it serves a loan of whole connections from
-    /// the busiest sibling as one tick, hands them back, and re-checks
-    /// the victim as a poster does.
-    fn steal(&self, thief: usize) {
-        if self.stop.load(Ordering::SeqCst) || self.queues.has_work(thief) {
-            return;
-        }
-        let Some(loan) = self.queues.steal(thief) else {
-            return;
-        };
-        self.broker().advance_epoch();
-        self.queues.serve_tick(thief, loan.frames, |work, outcome| self.answer(work, outcome));
-        self.queues.hand_back(loan.victim, &loan.conns);
-        self.serve(loan.victim, false);
     }
 
     /// Answers one served frame: an `alloc` with the outcome the plane
@@ -1197,32 +1142,6 @@ mod tests {
         let resp = caller.join().expect("caller").expect("answered by the standby");
         assert!(matches!(resp, Response::Stats { .. }), "{resp:?}");
         assert!(!plane.queues.standing_by(0));
-        server.shutdown();
-    }
-
-    #[test]
-    fn a_thief_rechecking_its_victim_leaves_the_token_to_a_standby() {
-        let mut server = serve_knl();
-        let plane = server.plane.clone();
-        // This thread stands by for a holder that hands over.
-        let token = plane.tokens[0].lock().expect("token");
-        let mut holder = Turn::reader(false);
-        take_two_ticks(&plane, &mut holder);
-        assert!(plane.queues.stand_by(0));
-        assert!(matches!(plane.queues.next(0, &mut holder), Step::HandOver));
-        drop(token);
-        // A thief re-checking the shard takes the free token first. It
-        // has no frame of its own there, so it hands over at once
-        // instead of serving while the standby is not reading.
-        plane.queues.post(stats_from_a_gone_peer());
-        plane.serve(0, false);
-        assert!(plane.queues.has_work(0), "the thief left the frame to the standby");
-        // The standby then takes the token and serves it.
-        let token = plane.tokens[0].lock().expect("token");
-        let mut standby = Turn::reader(true);
-        assert!(matches!(plane.queues.next(0, &mut standby), Step::Tick(_)));
-        assert!(!plane.queues.standing_by(0));
-        drop(token);
         server.shutdown();
     }
 

@@ -540,7 +540,12 @@ impl Response {
             });
         }
         let Some(tenants) = v.get("tenants") else {
-            return Ok(Response::Freed);
+            // Only the bare `{"ok":1}` is a `freed`: an `ok` frame with a
+            // field no variant claims is one this decoder cannot place.
+            return match &v {
+                JsonValue::Object(fields) if fields.len() == 1 => Ok(Response::Freed),
+                _ => Err(wire("unknown response shape")),
+            };
         };
         let tenants = tenants.as_array()?.iter().map(|t| {
             Ok(TenantStats {
@@ -585,9 +590,10 @@ impl Response {
 
 impl From<ParseError> for ServiceError {
     /// A frame that does not parse, or lacks a field of the right type,
-    /// is a `wire` error.
+    /// is a `wire` error carrying the reader's message alone: the line
+    /// is a wire frame, not a trace line.
     fn from(e: ParseError) -> ServiceError {
-        ServiceError::Wire(e.to_string())
+        ServiceError::Wire(e.message().to_owned())
     }
 }
 
@@ -853,6 +859,30 @@ mod tests {
             resp,
             Response::Stats { tenants: vec![], nodes: vec![], shards: 1, guided: None }
         );
+    }
+
+    /// A frame that does not parse is answered with the reader's own
+    /// message: the error names the wire frame, not the trace format.
+    #[test]
+    fn a_garbage_line_is_a_wire_error_that_names_no_trace() {
+        let e = Request::from_json("not json").expect_err("not json");
+        assert_eq!(e, ServiceError::Wire("bad literal at byte 0".into()));
+        assert_eq!(
+            Response::from_error(&e).to_json(),
+            r#"{"ok":0,"code":"wire","error":"bad request: bad literal at byte 0"}"#
+        );
+        let e = Response::from_json(r#"{"ok":1,"placement":[]}"#).expect_err("no lease");
+        assert_eq!(e, ServiceError::Wire("missing field \"lease\"".into()));
+    }
+
+    /// Only the bare `{"ok":1}` decodes as `freed`: an `ok` frame with
+    /// fields no variant claims is a `wire` error, not a silent success.
+    #[test]
+    fn only_the_bare_ok_frame_is_freed() {
+        assert_eq!(Response::from_json(r#"{"ok":1}"#).expect("bare"), Response::Freed);
+        for line in [r#"{"ok":1,"lease":7}"#, r#"{"ok":1,"renewed":"x"}"#] {
+            assert!(matches!(Response::from_json(line), Err(ServiceError::Wire(_))), "{line}");
+        }
     }
 
     #[test]

@@ -718,6 +718,11 @@ mod tests {
                 // a value past `u32::MAX` into a node id, which the
                 // reference truncated and the decoder refuses.
                 (Err(ServiceError::Wire(e)), Ok(_)) if e.ends_with("is out of range") => {}
+                // Only the bare `{"ok":1}` is a `freed`: the reference
+                // answers any `ok` frame it cannot place `freed` (the
+                // one value that renders as that bare frame), which the
+                // decoder refuses.
+                (Err(ServiceError::Wire(_)), Ok(old)) if old.ref_to_json() == r#"{"ok":1}"# => {}
                 (new, old) => return Err(format!("{m}\n  new: {new:?}\n  reference: {old:?}")),
             }
         }

@@ -226,7 +226,7 @@ fn a_sharded_coalescing_server_settles_clean_under_mixed_clients() {
     assert_eq!(loss.iter().map(|l| l.lost).sum::<u64>(), 0, "{loss:?}");
     // Over a hundred connections came and went; their readers handed
     // their rings on, so the count tracks the emitting threads alive
-    // at once (clients, steal threads, readers still exiting).
+    // at once (clients and readers still exiting).
     assert!(loss.len() <= CLIENTS + 2 + 6, "{} rings", loss.len());
     assert!(
         events.iter().any(|e| matches!(e.event, Event::BatchCoalesced(_))),

@@ -1,12 +1,10 @@
 //! Shard-plane edge cases pinned as regression anchors. Each drives
 //! the `shard::Plane` calls the server's threads make — post, tick,
-//! merge runs, steal — on one thread:
+//! merge runs — on one thread:
 //!
 //! * `shards = 1` is **bit-identical** to serving the same request
 //!   stream straight through the broker — the plane must be a pure
 //!   refactor at its degenerate point.
-//! * Idle shards steal whole connections from the longest sibling
-//!   queue, and every steal is a `ShardSteal` telemetry event.
 //! * (Property) Coalesced merge runs grant byte-for-byte what serial
 //!   admission of the same stream grants — placements, spill shapes
 //!   and node ledgers included, under every fallback mode and
@@ -46,28 +44,21 @@ fn traced_broker(policy: ArbitrationPolicy) -> (Arc<Broker>, Collector) {
     (Arc::new(broker), collector)
 }
 
-/// `(merged batches, merged requests, steals, stolen requests)` in the
-/// telemetry drained from `collector`.
-fn plane_events(collector: &mut Collector) -> (u64, u64, u64, u64) {
-    let mut counts = (0, 0, 0, 0);
+/// `(merged batches, merged requests)` in the telemetry drained from
+/// `collector`.
+fn plane_events(collector: &mut Collector) -> (u64, u64) {
+    let mut counts = (0, 0);
     for record in collector.drain_sorted() {
-        match record.event {
-            Event::BatchCoalesced(b) => {
-                counts.0 += 1;
-                counts.1 += b.merged;
-            }
-            Event::ShardSteal(s) => {
-                counts.2 += 1;
-                counts.3 += s.stolen;
-            }
-            _ => {}
+        if let Event::BatchCoalesced(b) = record.event {
+            counts.0 += 1;
+            counts.1 += b.merged;
         }
     }
     counts
 }
 
-/// Takes and serves `shard`'s ticks until it has nothing servable, as
-/// a token holder does; returns each ask's tag and outcome in service
+/// Takes and serves `shard`'s ticks until its queue is empty, as a
+/// token holder does; returns each ask's tag and outcome in service
 /// order.
 fn serve(plane: &Plane<Ask>, shard: usize) -> Vec<(u64, Result<Lease, ServiceError>)> {
     let mut out = Vec::new();
@@ -157,7 +148,6 @@ fn single_shard_plane_is_bit_identical_to_the_serial_broker() {
             plane.post(Ask { conn, tag, tenant: *tenant, req: req.clone(), ttl: *ttl });
             tag += 1;
         }
-        assert!(plane.steal(0).is_none(), "one shard has no sibling to steal from");
         for (tag, outcome) in serve(&plane, 0) {
             sharded_out.push((tag, footprint(&outcome)));
         }
@@ -173,92 +163,11 @@ fn single_shard_plane_is_bit_identical_to_the_serial_broker() {
         assert_eq!(*token, i as u64, "tokens come back in submit order");
         assert_eq!(sharded_fp, serial_fp, "request {i} diverged from the serial broker");
     }
-    assert_eq!(plane_events(&mut collector), (0, 0, 0, 0), "one shard never steals or merges");
+    assert_eq!(plane_events(&mut collector), (0, 0), "one shard never merges");
     assert_eq!(sharded.node_usage(), serial.node_usage(), "node ledgers are bit-identical");
     assert_eq!(sharded.live_leases(), serial.live_leases());
     sharded.check_invariants().expect("sharded ledgers consistent");
     serial.check_invariants().expect("serial ledgers consistent");
-}
-
-#[test]
-fn idle_shards_steal_from_the_longest_queue() {
-    let (broker, mut collector) = traced_broker(ArbitrationPolicy::FairShare);
-    let tenants = register(
-        &broker,
-        &[
-            ("steal-0", Priority::Normal),
-            ("steal-1", Priority::Normal),
-            ("steal-2", Priority::Normal),
-            ("steal-3", Priority::Normal),
-        ],
-    );
-    let plane = Plane::new(broker.clone(), 4);
-
-    // Skew the whole burst onto one shard: connections 2, 6, 10 and 14
-    // all route to shard 2 while the other three sit idle. Each
-    // connection is one tenant and alternates criteria, so no two
-    // consecutive frames share a merge key anywhere.
-    let mut tags = Vec::new();
-    for i in 0..16u64 {
-        let c = i % 4;
-        let criterion = if i / 4 % 2 == 0 { attr::BANDWIDTH } else { attr::CAPACITY };
-        let req = AllocRequest::new((1 + i % 4) * MIB)
-            .criterion(criterion)
-            .fallback(Fallback::PartialSpill);
-        let ask = Ask { conn: 2 + 4 * c, tag: i, tenant: tenants[c as usize], req, ttl: None };
-        assert_eq!(plane.shard_of(ask.conn), 2);
-        plane.post(ask);
-        tags.push(i);
-    }
-    assert!(plane.has_work(2));
-    assert!([0, 1, 3].iter().all(|&s| !plane.has_work(s)), "the burst is skewed onto one shard");
-
-    broker.advance_epoch();
-    let loans: Vec<_> =
-        [0, 1, 3].into_iter().filter_map(|thief| Some((thief, plane.steal(thief)?))).collect();
-    let steals = loans.len() as u64;
-    let stolen: u64 = loans.iter().map(|(_, loan)| loan.frames.len() as u64).sum();
-    let mut results = serve(&plane, 2);
-    for (thief, loan) in loans {
-        assert_eq!(loan.victim, 2);
-        plane.serve_tick(thief, loan.frames, |ask, outcome| {
-            results.push((ask.tag, outcome.expect("an ask is an alloc")));
-        });
-        plane.hand_back(loan.victim, &loan.conns);
-    }
-    assert!(!plane.has_work(2), "handed-back connections left nothing queued");
-    assert_eq!(results.len(), 16, "stolen work still gets served");
-    for (_, outcome) in &results {
-        assert!(outcome.is_ok(), "small requests are all admitted: {outcome:?}");
-    }
-    let mut served: Vec<u64> = results.iter().map(|(tag, _)| *tag).collect();
-    served.sort_unstable();
-    assert_eq!(served, tags, "every tag comes back exactly once");
-
-    let steal_events: Vec<_> = collector
-        .drain_sorted()
-        .into_iter()
-        .filter_map(|c| match c.event {
-            Event::ShardSteal(s) => Some(s),
-            Event::BatchCoalesced(_) => panic!("no two consecutive frames share a merge key"),
-            _ => None,
-        })
-        .collect();
-    assert!(steals >= 2, "three idle shards re-balance a 16-deep queue (got {steals})");
-    assert!(stolen >= 8, "roughly half the queue moves (got {stolen})");
-    assert_eq!(steal_events.len() as u64, steals, "every steal is emitted");
-    for s in &steal_events {
-        assert_ne!(s.thief, s.victim, "a shard never steals from itself");
-        assert!(s.stolen > 0);
-        assert_eq!(s.broker, broker.id());
-    }
-
-    for (_, outcome) in results {
-        if let Ok(lease) = outcome {
-            broker.release(lease).expect("release");
-        }
-    }
-    broker.check_invariants().expect("consistent after churn");
 }
 
 #[test]
@@ -408,7 +317,7 @@ fn check_coalesced_matches_serial(
         prop_assert_eq!(*tag, i as u64, "contiguous tenant runs preserve submit order");
         prop_assert_eq!(c, s, "request {} diverged under coalescing", i);
     }
-    let (merged_batches, merged_requests, _, _) = plane_events(&mut collector);
+    let (merged_batches, merged_requests) = plane_events(&mut collector);
     prop_assert!(merged_requests >= 2 * merged_batches, "merges are >= 2 requests each");
     prop_assert_eq!(
         coalesced.node_usage(),

@@ -9,10 +9,9 @@
 //! `hetmem_service::wire` for the request vocabulary.
 //!
 //! Each connection's thread serves its shard's queue itself. `--shards
-//! N` runs N admission queues, each with one steal thread, with
-//! request coalescing and work stealing (see docs/OPERATIONS.md §8 for
-//! when to raise it); `--record` requires the default single-shard
-//! plane.
+//! N` runs N admission queues (connection `c` on queue `c mod N`) with
+//! request coalescing (see docs/OPERATIONS.md §8 for when to raise
+//! it); `--record` requires the default single-shard plane.
 //!
 //! `--guided` turns on guided service: one adaptive guidance plane
 //! per tenant feeding per-epoch promote/demote batches under the

@@ -42,6 +42,12 @@ impl ParseError {
     pub fn new(msg: impl Into<String>) -> ParseError {
         ParseError { msg: msg.into() }
     }
+
+    /// The message alone, without the `trace parse error:` prefix that
+    /// `Display` gives trace readers; for readers of other JSON lines.
+    pub fn message(&self) -> &str {
+        &self.msg
+    }
 }
 
 impl std::fmt::Display for ParseError {
@@ -506,6 +512,13 @@ mod tests {
         assert_eq!(v.field("a").unwrap().as_array().unwrap()[1].as_f64().unwrap(), 2.5);
         assert_eq!(v.field("b").unwrap().field("c").unwrap().as_str().unwrap(), "x\ny");
         assert!(matches!(v.field("a").unwrap().as_array().unwrap()[2], JsonValue::Null));
+    }
+
+    #[test]
+    fn errors_display_as_trace_errors_and_keep_the_bare_message() {
+        let e = parse("not json").unwrap_err();
+        assert_eq!(e.message(), "bad literal at byte 0");
+        assert_eq!(e.to_string(), "trace parse error: bad literal at byte 0");
     }
 
     #[test]

@@ -438,7 +438,8 @@ pub struct BatchCoalesced {
 }
 
 /// A shard's steal thread found its own admission queue idle and stole
-/// pending work from the most-loaded sibling shard.
+/// pending work from the most-loaded sibling shard. Retired: no daemon
+/// emits it any more; the kind stays so older traces still decode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSteal {
     /// Id of the emitting broker (0 standalone).
