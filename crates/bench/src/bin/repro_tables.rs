@@ -1275,6 +1275,60 @@ fn wire_costs() -> Vec<BenchRecord> {
     ]
 }
 
+/// Wall-clock cost of one fair-share admission and its release, as
+/// tier-contention's load threads issue them: a 64–512 MiB bandwidth
+/// request with partial spill on a 32-tenant KNL broker whose tenants
+/// hold bytes on every node. One thread and no telemetry, so the
+/// figure is the broker's own path: ranking, tier snapshots, planning
+/// walk, commit and lease bookkeeping.
+fn service_costs(ctx: &Ctx) -> Vec<BenchRecord> {
+    use hetmem_alloc::AllocRequest;
+    use hetmem_service::{ArbitrationPolicy, Broker, Priority, TenantSpec};
+    use hetmem_topology::MIB;
+    const TENANTS: usize = 32;
+    const REPS: u32 = 4096;
+    let broker = Broker::new(ctx.machine.clone(), ctx.attrs.clone(), ArbitrationPolicy::FairShare);
+    let priorities = [Priority::Batch, Priority::Normal, Priority::Latency];
+    let tenants: Vec<_> = (0..TENANTS)
+        .map(|i| {
+            let spec = TenantSpec::new(format!("t{i}")).priority(priorities[i % 3]);
+            broker.register(spec).expect("register")
+        })
+        .collect();
+    // Each tenant fills from its own SNC-4 cluster: MCDRAM first, then
+    // that cluster's DRAM, so every node carries holdings.
+    let held: Vec<_> = tenants
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| {
+            let req = AllocRequest::new(256 * MIB)
+                .criterion(attr::BANDWIDTH)
+                .initiator(&hetmem_apps::pinned_cpus(16 * (i % 4), 16))
+                .fallback(Fallback::PartialSpill);
+            broker.acquire(t, &req).expect("fits")
+        })
+        .collect();
+    assert!(broker.node_usage().iter().all(|&(_, used, _)| used > 0), "a node holds nothing");
+    let req = |i: u32| {
+        AllocRequest::new((64 + u64::from(i % 8) * 64) * MIB)
+            .criterion(attr::BANDWIDTH)
+            .fallback(Fallback::PartialSpill)
+    };
+    let start = std::time::Instant::now();
+    for i in 0..REPS {
+        let lease = broker
+            .acquire_with_ttl(tenants[i as usize % TENANTS], &req(i), None)
+            .expect("admitted");
+        broker.release(lease).expect("release");
+    }
+    let admit_release = start.elapsed().as_nanos() as f64 / REPS as f64;
+    for lease in held {
+        broker.release(lease).expect("release");
+    }
+    broker.check_invariants().expect("broker consistent");
+    vec![BenchRecord::new("service", "admit_release_32", admit_release, "ns", 0)]
+}
+
 /// §VII: capacity conflicts — FCFS vs priorities on the KNL MCDRAM.
 fn capacity(trace: Option<&str>) {
     use hetmem_telemetry::{JsonlWriter, Summary, TelemetrySink};
@@ -1386,6 +1440,7 @@ fn capacity(trace: Option<&str>) {
     }
     records.extend(memsim_costs(&ctx));
     records.extend(wire_costs());
+    records.extend(service_costs(&ctx));
     emit_bench("alloc", &records);
     if let (Some(w), Some(path)) = (&writer, trace) {
         let mut collector = sink.collector();

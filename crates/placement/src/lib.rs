@@ -287,26 +287,27 @@ pub struct TierSnapshot {
 /// fair-share / static-partition test — over caller-snapshotted tier
 /// state.
 #[derive(Debug, Clone)]
-pub struct TierPolicy {
+pub struct TierPolicy<'a> {
     mode: ArbitrationPolicy,
-    node_kind: BTreeMap<NodeId, MemoryKind>,
+    node_kind: &'a BTreeMap<NodeId, MemoryKind>,
     tiers: BTreeMap<MemoryKind, TierSnapshot>,
     planned: BTreeMap<MemoryKind, u64>,
 }
 
-impl TierPolicy {
+impl<'a> TierPolicy<'a> {
     /// A policy over the given snapshots. `node_kind` maps every
-    /// candidate node to its tier.
+    /// candidate node to its tier; the policy borrows it, so a caller
+    /// planning under a lock copies nothing.
     pub fn new(
         mode: ArbitrationPolicy,
-        node_kind: BTreeMap<NodeId, MemoryKind>,
+        node_kind: &'a BTreeMap<NodeId, MemoryKind>,
         tiers: BTreeMap<MemoryKind, TierSnapshot>,
-    ) -> TierPolicy {
+    ) -> TierPolicy<'a> {
         TierPolicy { mode, node_kind, tiers, planned: BTreeMap::new() }
     }
 }
 
-impl AdmissionPolicy for TierPolicy {
+impl AdmissionPolicy for TierPolicy<'_> {
     fn admissible(&mut self, node: NodeId) -> u64 {
         let Some(kind) = self.node_kind.get(&node) else {
             return 0;
@@ -792,8 +793,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let mut policy =
-            TierPolicy::new(ArbitrationPolicy::FairShare, node_kind.clone(), tiers.clone());
+        let mut policy = TierPolicy::new(ArbitrationPolicy::FairShare, &node_kind, tiers.clone());
         // Guarantee 2 GiB, free 4 GiB, others' shortfall 2 GiB: may
         // take exactly the guarantee, nothing borrowable.
         assert_eq!(policy.admissible(NodeId(4)), 2 * GIB);
@@ -802,7 +802,7 @@ mod tests {
 
         let mut capped = TierPolicy::new(
             ArbitrationPolicy::Fcfs,
-            node_kind,
+            &node_kind,
             tiers
                 .into_iter()
                 .map(|(k, mut s)| {
@@ -828,7 +828,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let mut policy = TierPolicy::new(ArbitrationPolicy::Fcfs, node_kind, tiers);
+        let mut policy = TierPolicy::new(ArbitrationPolicy::Fcfs, &node_kind, tiers);
         let req =
             PlanRequest { size: 4 * GIB, mode: FallbackMode::PartialSpill, page_quantize: false };
         let free = |n: NodeId| if n == NodeId(4) { 8 * GIB } else { 24 * GIB };

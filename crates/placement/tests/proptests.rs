@@ -183,7 +183,7 @@ proptest! {
         ]
         .into_iter()
         .collect();
-        let mut policy = TierPolicy::new(ArbitrationPolicy::Fcfs, node_kind.clone(), tiers);
+        let mut policy = TierPolicy::new(ArbitrationPolicy::Fcfs, &node_kind, tiers);
         let req = PlanRequest { size, mode: mode(sel), page_quantize: false };
         let plan = eng.plan(&req, &candidates, free, &mut policy);
         let fast_bytes: u64 = plan

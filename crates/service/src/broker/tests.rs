@@ -1,3 +1,4 @@
+use super::guidance::GuidedConfig;
 use super::*;
 use hetmem_alloc::Fallback;
 use hetmem_core::discovery;
@@ -148,7 +149,7 @@ fn acquire_matches_reference(
         let reference = reference_tier_snapshots(broker, &registry, tenant, &ledger, &ranked);
         prop_assert_eq!(fields(&fast), fields(&reference));
         let plan = |snapshots| {
-            let mut policy = TierPolicy::new(broker.policy, broker.node_kind.clone(), snapshots);
+            let mut policy = TierPolicy::new(broker.policy, &broker.node_kind, snapshots);
             broker.placer.plan(
                 &PlanRequest {
                     size: req.size(),
@@ -210,10 +211,11 @@ proptest! {
         let mut ledger = broker.ledger.lock().unwrap();
         let nodes: Vec<NodeId> = ledger.held.keys().copied().collect();
         // Holdings may name ids past the registry (a tenant that
-        // registered after the snapshot was taken).
+        // registered after the snapshot was taken). Ids are issued in
+        // order from 0, so a tenant's registry index is its id.
         for &(node, tenant, bytes) in &holdings {
-            let held = ledger.held.get_mut(&nodes[node % nodes.len()]).unwrap();
-            held.insert(TenantId(tenant as u32), bytes);
+            let placement = [(nodes[node % nodes.len()], bytes)];
+            ledger.settle(TenantId(tenant as u32), tenant, &placement, true);
         }
         // Free bytes are the manager's: a filler region takes each
         // node down to its drawn free bytes (modulo its capacity).
@@ -272,6 +274,97 @@ proptest! {
         for lease in leases {
             broker.release(lease).expect("release");
         }
+    }
+
+    /// Every path that settles the ledger, interleaved on a guided
+    /// broker (standalone or a federation member): acquire, release,
+    /// guided migration, served phases with the epoch turnover's
+    /// expiry and fold, revocation, and a snapshot → restore round
+    /// trip that carries on with the restored broker. After every step
+    /// the per-tier view agrees with the live leases and with the
+    /// per-node holdings.
+    #[test]
+    fn the_tier_view_follows_every_ledger_path(
+        tenants in prop::collection::vec((0usize..3, 0u64..2048, 0u64..4096, any::<bool>()), 1..12),
+        ops in prop::collection::vec((0u8..8, 0usize..64, 1u64..4096), 1..60),
+        sharded in any::<bool>(),
+    ) {
+        let guided = GuidedConfig {
+            policy: hetmem_guidance::GuidancePolicy { window_bytes: GIB, ..Default::default() },
+            ..Default::default()
+        };
+        let mut broker = knl_member(ArbitrationPolicy::FairShare, sharded);
+        broker.enable_guidance(guided);
+        for (i, &t) in tenants.iter().enumerate() {
+            register_generated(&broker, i, t);
+        }
+        let ids: Vec<TenantId> = broker.tenants().iter().map(|t| t.id).collect();
+        let nodes: Vec<NodeId> = broker.shard().into_iter().collect();
+        let mut leases: Vec<Lease> = Vec::new();
+        for (op, who, mib) in ops {
+            let tenant = ids[who % ids.len()];
+            match op {
+                0..=2 => {
+                    let criterion = if op == 2 { attr::CAPACITY } else { attr::BANDWIDTH };
+                    let req = AllocRequest::new(mib * MIB)
+                        .criterion(criterion)
+                        .fallback(Fallback::PartialSpill);
+                    let ttl = Some(1 + mib % 4);
+                    if let Ok(lease) = broker.acquire_with_ttl(tenant, &req, ttl) {
+                        leases.push(lease);
+                    }
+                }
+                // An expired lease is already gone: `UnknownLease`.
+                3 if !leases.is_empty() => {
+                    let _ = broker.release(leases.swap_remove(who % leases.len()));
+                }
+                4 if !leases.is_empty() => {
+                    let _ = broker.revoke(leases.swap_remove(who % leases.len()).id(), "operator");
+                }
+                5 if !leases.is_empty() => {
+                    let region = leases[who % leases.len()].region();
+                    let _ = broker.migrate_lease_region(region, nodes[mib as usize % nodes.len()]);
+                }
+                6 => {
+                    let live: Vec<BufferAccess> = leases
+                        .iter()
+                        .filter(|l| l.tenant() == tenant && broker.placement(l.id()).is_some())
+                        .map(|l| {
+                            BufferAccess::new(l.region(), 2 * l.size(), 0, AccessPattern::Sequential)
+                        })
+                        .collect();
+                    if !live.is_empty() {
+                        let phase = Phase {
+                            name: "hot".into(),
+                            accesses: live,
+                            threads: 16,
+                            initiator: "0-15".parse().expect("cpuset"),
+                            compute_ns: 0.0,
+                        };
+                        broker.run_phase(tenant, &phase).map_err(|e| e.to_string())?;
+                    }
+                    // Expiry, then the guided fold.
+                    broker.advance_epoch();
+                }
+                7 => {
+                    let state = broker.snapshot_state();
+                    let machine = broker.machine().clone();
+                    let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("attrs"));
+                    let mut restored =
+                        Broker::restore(machine, attrs, &state).map_err(|e| e.to_string())?;
+                    prop_assert_eq!(restored.snapshot_state(), state);
+                    restored.enable_guidance(guided);
+                    broker = restored;
+                }
+                _ => {}
+            }
+            broker.check_invariants().map_err(|e| format!("after op {op}: {e}"))?;
+        }
+        for lease in leases {
+            let _ = broker.release(lease);
+        }
+        prop_assert_eq!(broker.live_leases(), 0);
+        broker.check_invariants().map_err(|e| e.to_string())?;
     }
 }
 

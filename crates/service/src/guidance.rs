@@ -300,7 +300,11 @@ impl Broker {
     /// Returns `(cost_ns, bytes_moved)`, or `None` when the region has
     /// no live lease or the target cannot take it (the failed migrate
     /// has no side effects).
-    fn migrate_lease_region(&self, region: RegionId, target: NodeId) -> Option<(f64, u64)> {
+    pub(super) fn migrate_lease_region(
+        &self,
+        region: RegionId,
+        target: NodeId,
+    ) -> Option<(f64, u64)> {
         if !self.node_kind.contains_key(&target) {
             return None;
         }
@@ -310,8 +314,8 @@ impl Broker {
         let mut ledger = self.ledger();
         let report = ledger.mm.migrate(region, target).ok()?;
         let placement = ledger.mm.region(region)?.placement.clone();
-        ledger.settle(record.tenant, &record.placement, false);
-        ledger.settle(record.tenant, &placement, true);
+        ledger.settle(record.tenant, record.index, &record.placement, false);
+        ledger.settle(record.tenant, record.index, &placement, true);
         record.placement = placement;
         Some((report.cost_ns, report.bytes_moved))
     }

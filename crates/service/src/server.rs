@@ -269,13 +269,20 @@ pub const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 /// The running service.
 pub struct Server {
     plane: Arc<Plane>,
-    /// A handle on every open connection, keyed by connection id, so
-    /// shutdown can unblock its reader. The reader removes its entry
-    /// when it exits, closing the handle with the connection.
-    conns: Arc<Mutex<HashMap<u64, Conn>>>,
+    /// Every open connection's reader, keyed by connection id, so
+    /// shutdown can unblock and join it. A reader removes its entry
+    /// when it exits, so a long-running daemon holds nothing for a
+    /// closed connection.
+    conns: Arc<Mutex<HashMap<u64, Reader>>>,
     accept_thread: Option<JoinHandle<()>>,
     local_addr: String,
     sock_path: Option<PathBuf>,
+}
+
+/// One connection's reader thread and a handle on its socket.
+struct Reader {
+    conn: Conn,
+    thread: JoinHandle<()>,
 }
 
 /// A serve-side observer of accepted requests: called with the
@@ -362,7 +369,7 @@ impl Server {
             recorder: Mutex::new(recorder),
             stop: AtomicBool::new(false),
         });
-        let conns: Arc<Mutex<HashMap<u64, Conn>>> = Arc::new(Mutex::new(HashMap::new()));
+        let conns: Arc<Mutex<HashMap<u64, Reader>>> = Arc::new(Mutex::new(HashMap::new()));
 
         let accept_thread = {
             let plane = plane.clone();
@@ -382,22 +389,28 @@ impl Server {
                 let Ok(write_half) = conn.try_clone() else {
                     continue;
                 };
+                let Ok(handle) = conn.try_clone() else {
+                    continue;
+                };
                 let _ = conn.set_write_timeout(Some(WRITE_TIMEOUT));
                 let id = next_conn_id.fetch_add(1, Ordering::Relaxed);
-                if let Ok(handle) = conn.try_clone() {
-                    conns.lock().expect("conns poisoned").insert(id, handle);
-                }
                 let peer = Arc::new(Peer {
                     id,
                     writer: Mutex::new(Some(write_half)),
                     state: Mutex::new(PeerState::default()),
                 });
-                let plane = plane.clone();
-                let conns = conns.clone();
-                std::thread::spawn(move || {
-                    plane.read_frames(&peer, conn);
-                    conns.lock().expect("conns poisoned").remove(&peer.id);
-                });
+                // Spawned under the lock, so the entry is in the map
+                // before the reader can exit and remove it.
+                let mut readers = conns.lock().expect("conns poisoned");
+                let thread = {
+                    let plane = plane.clone();
+                    let conns = conns.clone();
+                    std::thread::spawn(move || {
+                        plane.read_frames(&peer, conn);
+                        conns.lock().expect("conns poisoned").remove(&peer.id);
+                    })
+                };
+                readers.insert(id, Reader { conn: handle, thread });
             })
         };
 
@@ -415,8 +428,12 @@ impl Server {
         self.plane.queues.broker()
     }
 
-    /// Stops accepting, serves nothing further, and waits out any tick
-    /// in flight. Idempotent; also runs on drop.
+    /// Stops accepting, serves nothing further, cuts every open
+    /// connection and joins its reader, so no server thread outlives
+    /// the call. A tick in flight finishes first; nothing is served
+    /// after it, so the leases of connections still open at shutdown
+    /// are not revoked and stay with the broker. Idempotent; also runs
+    /// on drop.
     pub fn shutdown(&mut self) {
         if self.plane.stop.swap(true, Ordering::SeqCst) {
             return;
@@ -427,14 +444,18 @@ impl Server {
             let _ = t.join();
         }
         // Unblock connection readers, and any reply write stuck on a
-        // peer that stopped reading.
-        for (_, conn) in self.conns.lock().expect("conns poisoned").drain() {
-            conn.shutdown();
+        // peer that stopped reading. The lock is released before the
+        // joins: an exiting reader takes it to remove its entry.
+        let readers: Vec<Reader> =
+            self.conns.lock().expect("conns poisoned").drain().map(|(_, r)| r).collect();
+        for reader in &readers {
+            reader.conn.shutdown();
         }
-        // Whoever takes a token after this sees `stop` and serves
-        // nothing; a tick already running finishes first.
-        for token in &self.plane.tokens {
-            drop(token.lock().unwrap_or_else(PoisonError::into_inner));
+        // A reader sees `stop` on its next token and serves nothing. A
+        // reader that panicked was reported by the panic hook; shutdown
+        // still completes.
+        for reader in readers {
+            let _ = reader.thread.join();
         }
         if let Some(path) = self.sock_path.take() {
             let _ = std::fs::remove_file(path);

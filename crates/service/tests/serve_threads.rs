@@ -1,7 +1,7 @@
 //! The daemon's thread budget: at any shard count a server runs one
-//! accept thread and one reader per open connection, and no other.
-//! The test is alone in its binary, so no other test's threads are
-//! counted.
+//! accept thread and one reader per open connection, and no other, and
+//! shutdown joins them all. The test is alone in its binary, so no
+//! other test's threads are counted.
 
 #![cfg(target_os = "linux")]
 
@@ -13,11 +13,25 @@ use hetmem_service::{
     ArbitrationPolicy, Broker,
 };
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-/// Threads of this process.
+/// The kernel's `PF_EXITING` task flag: set as a thread starts to
+/// exit, before a `join` on it can return.
+const PF_EXITING: u64 = 0x4;
+
+/// Threads of this process that are not exiting. A joined thread can
+/// stay listed for milliseconds until the kernel reaps it, but it is
+/// already flagged exiting, so it does not count.
 fn threads() -> usize {
-    std::fs::read_dir("/proc/self/task").expect("procfs").count()
+    let live = |tid: &std::fs::DirEntry| {
+        // A thread reaped since the listing has no stat to read.
+        let Ok(stat) = std::fs::read_to_string(tid.path().join("stat")) else { return false };
+        // After the parenthesised name: state, ppid, pgrp, session,
+        // tty_nr, tpgid, flags (proc(5)).
+        let rest = &stat[stat.rfind(')').expect("stat name") + 1..];
+        let flags: u64 = rest.split_whitespace().nth(6).expect("flags").parse().expect("flags");
+        flags & PF_EXITING == 0
+    };
+    std::fs::read_dir("/proc/self/task").expect("procfs").flatten().filter(live).count()
 }
 
 #[test]
@@ -38,13 +52,10 @@ fn a_server_runs_one_accept_thread_and_one_reader_per_connection() {
             assert!(matches!(resp, Response::Stats { .. }), "{resp:?}");
         }
         assert_eq!(threads(), idle + 1 + CONNS, "{shards} shard(s)");
-        drop(clients);
+        // Shutdown cuts the connections still open and joins their
+        // readers: no server thread outlives the call.
         server.shutdown();
-        // Readers exit on their own once their connections close.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while threads() > idle {
-            assert!(Instant::now() < deadline, "{} threads outlived the server", threads() - idle);
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        assert_eq!(threads(), idle, "{shards} shard(s): threads outlived the server");
+        drop(clients);
     }
 }
