@@ -9,9 +9,12 @@ use hetmem_service::{
     wire::{REQUEST_OPS, RESPONSE_KINDS},
     ERROR_CODES,
 };
+use hetmem_telemetry::json::{self, JsonValue};
 use hetmem_telemetry::EVENT_KINDS;
 
 const PROTOCOL: &str = include_str!("../../../docs/PROTOCOL.md");
+/// One rendered event of every kind, in `EVENT_KINDS` order.
+const EVENTS: &str = include_str!("../../telemetry/tests/golden/events.jsonl");
 const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
 
 /// The doc convention: every protocol identifier appears in backticks
@@ -43,6 +46,28 @@ fn every_error_code_is_documented() {
 #[test]
 fn every_telemetry_event_is_documented() {
     assert_documented("docs/PROTOCOL.md", PROTOCOL, "telemetry events", EVENT_KINDS);
+}
+
+/// Every top-level key of every event kind, as the codec renders it in
+/// the golden trace, appears in backticks in that kind's `### 6.N`
+/// section, so a new field cannot go undocumented.
+#[test]
+fn every_telemetry_event_field_is_documented_in_its_section() {
+    for line in EVENTS.lines() {
+        let event = json::parse(line).expect("golden event parses");
+        let JsonValue::Object(fields) = &event else { panic!("not an object: {line}") };
+        let kind = event.field("event").and_then(|k| k.as_str()).expect("event kind");
+        let heading = PROTOCOL
+            .match_indices("\n### 6.")
+            .map(|(at, _)| &PROTOCOL[at + 1..])
+            .find(|s| s.lines().next().is_some_and(|h| h.ends_with(&format!(" `{kind}`"))))
+            .unwrap_or_else(|| panic!("docs/PROTOCOL.md has no `### 6.N `{kind}`` section"));
+        let body = &heading[heading.find('\n').unwrap_or(heading.len())..];
+        let section = &body[..body.find("\n#").unwrap_or(body.len())];
+        let keys: Vec<&str> =
+            fields.iter().map(|(k, _)| k.as_ref()).filter(|&k| k != "event").collect();
+        assert_documented(&format!("docs/PROTOCOL.md §6 `{kind}`"), section, "fields", &keys);
+    }
 }
 
 #[test]

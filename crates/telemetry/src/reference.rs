@@ -13,6 +13,22 @@ pub(crate) trait Reference: Sized {
     fn ref_from_json(line: &str) -> Result<Self, ParseError>;
 }
 
+fn action_name(promoted: bool) -> &'static str {
+    if promoted {
+        "promote"
+    } else {
+        "demote"
+    }
+}
+
+fn action_promoted(name: &str) -> Result<bool, ParseError> {
+    match name {
+        "promote" => Ok(true),
+        "demote" => Ok(false),
+        other => Err(ParseError::new(format!("bad action {other:?}"))),
+    }
+}
+
 fn placement_json(placement: &[(NodeId, u64)]) -> JsonValue {
     JsonValue::Array(
         placement

@@ -199,10 +199,11 @@ impl Summary {
                 self.budget_exhaustions += 1;
                 self.deferred_moves += b.deferred;
             }
-            // Event is non_exhaustive for forward compatibility;
-            // unknown variants simply don't aggregate.
-            #[allow(unreachable_patterns)]
-            _ => {}
+            Event::LeaseExpired(_)
+            | Event::LeaseRevoked(_)
+            | Event::TierDegraded(_)
+            | Event::RetryExhausted(_)
+            | Event::Reclaim(_) => {}
         }
     }
 

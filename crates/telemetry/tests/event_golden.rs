@@ -1,11 +1,12 @@
-//! Byte anchor for the trace codec: one event of each of the 23 kinds,
-//! rendered and decoded against the committed
-//! `tests/golden/events.jsonl`, one event per line in `EVENT_KINDS`
-//! order. Integers stay below 9e15; the `f64` fields straddle the 9e15
-//! boundary of the number rule.
+//! Byte anchors for both trace codecs: one event of each of the 23
+//! kinds, rendered and decoded against the committed
+//! `tests/golden/events.jsonl` and `tests/golden/events.compact.hex`,
+//! one event per line in `EVENT_KINDS` order. Integers stay below 9e15;
+//! the `f64` fields straddle the 9e15 boundary of the number rule, and
+//! the compact records' epochs take 1-, 2- and 10-byte varints.
 
 use hetmem_telemetry::{
-    read_jsonl, AllocDecision, AttrFallback, BatchCoalesced, BudgetExhausted, Candidate,
+    compact, read_jsonl, AllocDecision, AttrFallback, BatchCoalesced, BudgetExhausted, Candidate,
     ContentionStall, DigestMerged, Event, FallbackMode, FreeEvent, GuidanceDecision, Hop,
     HotPromoted, LeaseExpired, LeaseRevoked, Migration, NodeTrafficSample, OccupancyGauge,
     PhaseSpan, QuotaClamp, Reclaim, RetryExhausted, SampleRateChanged, Scope, ShardSteal,
@@ -14,6 +15,7 @@ use hetmem_telemetry::{
 use hetmem_topology::NodeId;
 
 const GOLDEN: &str = include_str!("golden/events.jsonl");
+const COMPACT_GOLDEN: &str = include_str!("golden/events.compact.hex");
 
 /// Quotes, backslashes, the named escapes, other control characters
 /// and non-ASCII text.
@@ -195,4 +197,58 @@ fn every_event_renders_byte_for_byte() {
 #[test]
 fn every_golden_event_decodes_to_its_value() {
     assert_eq!(read_jsonl(GOLDEN).expect("golden parses"), events());
+}
+
+/// The epoch the compact golden pairs with event `i`: a 1-, 2- or
+/// 10-byte varint in turn.
+fn epoch(i: usize) -> u64 {
+    let n = i as u64;
+    [n, 128 + n, u64::MAX - n][i % 3]
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(line: &str) -> Vec<u8> {
+    (0..line.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&line[i..i + 2], 16).expect("hex digit pair"))
+        .collect()
+}
+
+#[test]
+fn every_event_encodes_compact_byte_for_byte() {
+    let lines: Vec<&str> = COMPACT_GOLDEN.lines().collect();
+    assert_eq!(lines.len(), EVENT_KINDS.len());
+    for (i, (event, want)) in events().iter().zip(lines).enumerate() {
+        let mut record = Vec::new();
+        compact::encode_record(epoch(i), event, &mut record);
+        assert_eq!(hex(&record), want, "event {} ({}) differs", i + 1, EVENT_KINDS[i]);
+    }
+}
+
+#[test]
+fn every_compact_golden_record_decodes_to_its_value() {
+    let decoded: Vec<(u64, Event)> = COMPACT_GOLDEN
+        .lines()
+        .map(|line| compact::decode_record(&unhex(line)).expect("golden record decodes"))
+        .collect();
+    let want: Vec<(u64, Event)> =
+        events().into_iter().enumerate().map(|(i, e)| (epoch(i), e)).collect();
+    assert_eq!(decoded, want);
+}
+
+/// Kind bytes are frozen: each kind keeps its `EVENT_KINDS` position as
+/// its byte, the retired `shard_steal` included, so that older records
+/// decode and no byte is reused.
+#[test]
+fn every_kind_byte_is_its_event_kinds_position() {
+    for (i, event) in events().iter().enumerate() {
+        let mut record = Vec::new();
+        compact::encode_record(0, event, &mut record);
+        assert_eq!(usize::from(record[0]), i, "{}", event.kind());
+    }
+    assert_eq!(EVENT_KINDS.len(), 23);
+    assert_eq!(EVENT_KINDS[19], "shard_steal");
 }

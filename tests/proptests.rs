@@ -481,18 +481,4 @@ proptest! {
         let line = event.to_json();
         prop_assert_eq!(Event::from_json(&line).expect("decodes"), event, "{}", line);
     }
-
-    /// Framed on-disk streams round-trip: any sequence of records
-    /// written with `append_framed` reads back verbatim.
-    #[test]
-    fn compact_framed_stream_round_trips(
-        records in prop::collection::vec((any::<u64>(), event_strategy()), 0..12),
-    ) {
-        let mut buf = Vec::new();
-        for (epoch, event) in &records {
-            compact::append_framed(&mut buf, *epoch, event);
-        }
-        let back = compact::read_framed(&buf).expect("reads");
-        prop_assert_eq!(back, records);
-    }
 }
