@@ -1,7 +1,7 @@
 //! Regenerates every table of the paper's evaluation.
 //!
 //! ```text
-//! repro_tables [--table1|--table2a|--table2b|--table3a|--table3b|--table4|--portability|--capacity|--guidance|--service|--chaos|--replay|--federation|--shard|--guided-service|--all]
+//! repro_tables [--table1|--table2a|--table2b|--table3a|--table3b|--table4|--portability|--capacity|--guidance|--service|--chaos|--replay|--federation|--guided-service|--all]
 //!              [--trace <out.jsonl>]
 //! repro_tables --compare <baseline.json|dir> <current.json|dir> [--tolerance <frac>]
 //! repro_tables --check-bench <BENCH_*.json>...
@@ -14,7 +14,7 @@
 //! `lease_expired`, `reclaim`, ...).
 //!
 //! The `--capacity`, `--guidance`, `--service`, `--chaos`, `--replay`,
-//! `--federation`, `--shard` and `--guided-service` runs also persist
+//! `--federation` and `--guided-service` runs also persist
 //! their key numbers as `BENCH_<area>.json` at the repo root (schema:
 //! `docs/bench_schema.json`). `--compare` diffs a fresh run against
 //! the committed baseline and exits non-zero when any metric regresses
@@ -35,11 +35,6 @@
 //! reruns are bit-identical, every broker's independent replay
 //! verifies, and cross-broker spill lifts the aggregate fast-tier hit
 //! rate at two or more broker counts.
-//!
-//! `--shard` sweeps dispatch shard counts {1, 2, 4, 8} through the
-//! serve plane's own module; it exits non-zero unless reruns are
-//! bit-identical and every shard count's aggregate fast-tier hit rate
-//! stays within one percentage point of the 1-shard baseline.
 //!
 //! `--guided-service` sweeps {1, 2, 4} latency tenants against a
 //! fast-tier hog with the broker's guidance plane on and off, under
@@ -124,9 +119,6 @@ fn main() {
     }
     if all || arg == "--federation" {
         federation();
-    }
-    if all || arg == "--shard" {
-        shard();
     }
     if all || arg == "--guided-service" {
         guided_service();
@@ -1006,67 +998,6 @@ fn federation() {
     );
     println!();
     if !identical || !all_verified || spill_wins < 2 {
-        std::process::exit(1);
-    }
-}
-
-/// Sharded serve plane: shard counts {1, 2, 4, 8} on the KNL, driven
-/// through the plane module `hetmem-serve` runs. Every number is an
-/// admission outcome through the real broker (no clock), so
-/// `BENCH_shard.json` is regression-gated on all machines. Exits
-/// non-zero unless reruns are bit-identical and each shard count's
-/// fast-tier hit rate stays within one percentage point of the
-/// 1-shard baseline.
-fn shard() {
-    use hetmem_bench::shard_load::{knl_shard_load, run_shard_load};
-    let ctx = Ctx::knl();
-    println!("== Sharded dispatch: scaling sweep (KNL, fair-share, 8 tenants) ==");
-    println!("{:<7} {:>9} {:>7} {:>9} {:>8}", "shards", "admitted", "denied", "fast-hit", "merges");
-    let mut records = Vec::new();
-    let mut identical = true;
-    let mut fair = true;
-    let mut baseline_hit = 0.0;
-    for shards in [1u32, 2, 4, 8] {
-        let cfg = knl_shard_load(shards);
-        let report = run_shard_load(ctx.machine.clone(), ctx.attrs.clone(), &cfg);
-        identical &= report == run_shard_load(ctx.machine.clone(), ctx.attrs.clone(), &cfg);
-        if shards == 1 {
-            baseline_hit = report.fast_hit;
-        }
-        fair &= (report.fast_hit - baseline_hit).abs() <= 0.01;
-        println!(
-            "{:<7} {:>9} {:>7} {:>8.1}% {:>8}",
-            shards,
-            report.admitted,
-            report.denied,
-            report.fast_hit * 100.0,
-            report.merged_batches
-        );
-        records.extend([
-            BenchRecord::new(
-                "shard_sweep",
-                format!("s{shards}_fast_hit"),
-                report.fast_hit,
-                "frac",
-                cfg.seed,
-            ),
-            BenchRecord::new(
-                "shard_sweep",
-                format!("s{shards}_merged_batches"),
-                report.merged_batches as f64,
-                "count",
-                cfg.seed,
-            ),
-        ]);
-    }
-    emit_bench("shard", &records);
-    println!(
-        "  => reruns bit-identical: {}; fast-tier hit within 1pp of 1-shard baseline: {}",
-        if identical { "yes" } else { "NO" },
-        if fair { "yes" } else { "NO" }
-    );
-    println!();
-    if !identical || !fair {
         std::process::exit(1);
     }
 }

@@ -12,7 +12,6 @@ use std::sync::Arc;
 pub mod guided_load;
 pub mod load;
 pub mod perf;
-pub mod shard_load;
 
 /// A ready-to-run experiment context for one machine.
 pub struct Ctx {

@@ -317,7 +317,7 @@ mod tests {
     fn committed_baselines_re_render_byte_for_byte() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let files = bench_files(&root).expect("workspace root");
-        assert!(files.len() >= 9, "{files:?}");
+        assert!(files.len() >= 8, "{files:?}");
         for file in files {
             let text = std::fs::read_to_string(&file).expect("baseline");
             let records = load_str(&text).expect("parses");
@@ -359,7 +359,7 @@ mod tests {
         assert!(check_rates(Path::new("BENCH_service.json"), &modelled).is_ok());
         for unit in ["ops", "ops/s", "events/s"] {
             let rate = vec![rec("b", "rate", 1.0, unit)];
-            assert!(check_rates(Path::new("BENCH_shard.json"), &rate).is_err(), "{unit}");
+            assert!(check_rates(Path::new("BENCH_chaos.json"), &rate).is_err(), "{unit}");
             assert!(check_rates(Path::new("BENCH_telemetry.json"), &rate).is_ok(), "{unit}");
         }
     }

@@ -414,42 +414,6 @@ impl PlacementPlan {
     pub fn is_complete(&self) -> bool {
         self.shortfall == 0
     }
-
-    /// Fans a merged batch plan back out to its member requests: the
-    /// plan placed `sizes.iter().sum()` bytes in one walk, and request
-    /// `i` takes the next `sizes[i]` bytes of the chunk sequence in
-    /// order. This is the batch planning entry point used by the
-    /// sharded broker's coalescing — one walk, N grants — and it
-    /// reproduces what N serial walks would have placed whenever the
-    /// merged walk was neither clamped nor short (each serial prefix
-    /// greedily fills the same ranked nodes).
-    ///
-    /// Returns `None` when the plan holds fewer bytes than the sizes
-    /// demand (an incomplete plan must not be split — the caller falls
-    /// back to serial admission).
-    pub fn split(&self, sizes: &[u64]) -> Option<Vec<Vec<(NodeId, u64)>>> {
-        let mut splits = Vec::with_capacity(sizes.len());
-        let mut chunks = self.chunks.iter().copied();
-        let mut carry: Option<(NodeId, u64)> = None;
-        for &size in sizes {
-            let mut want = size;
-            let mut mine = Vec::new();
-            while want > 0 {
-                let (node, avail) = match carry.take() {
-                    Some(c) => c,
-                    None => chunks.next()?,
-                };
-                let take = avail.min(want);
-                mine.push((node, take));
-                want -= take;
-                if avail > take {
-                    carry = Some((node, avail - take));
-                }
-            }
-            splits.push(mine);
-        }
-        Some(splits)
-    }
 }
 
 /// One planning request: how many bytes, which capacity-fallback mode,
@@ -620,36 +584,6 @@ mod tests {
         let machine = Arc::new(Machine::knl_snc4_flat());
         let attrs = Arc::new(discovery::from_firmware(&machine, true).unwrap());
         (machine, PlacementEngine::new(attrs))
-    }
-
-    #[test]
-    fn split_fans_chunks_out_in_arrival_order() {
-        let plan = PlacementPlan {
-            chunks: vec![(NodeId(4), 6), (NodeId(0), 4)],
-            hops: vec![],
-            clamps: vec![],
-            shortfall: 0,
-            failure: None,
-        };
-        let splits = plan.split(&[2, 5, 3]).expect("fits");
-        assert_eq!(splits[0], vec![(NodeId(4), 2)]);
-        assert_eq!(splits[1], vec![(NodeId(4), 4), (NodeId(0), 1)]);
-        assert_eq!(splits[2], vec![(NodeId(0), 3)]);
-        // Conservation: every byte of every chunk lands in one split.
-        let total: u64 = splits.iter().flatten().map(|&(_, b)| b).sum();
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn split_refuses_a_short_plan() {
-        let plan = PlacementPlan {
-            chunks: vec![(NodeId(4), 6)],
-            hops: vec![],
-            clamps: vec![],
-            shortfall: 2,
-            failure: None,
-        };
-        assert!(plan.split(&[4, 4]).is_none());
     }
 
     #[test]

@@ -277,7 +277,7 @@ pub fn execute_with_options(
     for stmt in &scenario.commands {
         let line = stmt.line;
         match &stmt.cmd {
-            Command::Serve { policy, shards, guided, budget_ms } => {
+            Command::Serve { policy, guided, budget_ms } => {
                 let misuse = |message: &str| ExecError::Service {
                     name: "serve".into(),
                     line,
@@ -295,12 +295,6 @@ pub fn execute_with_options(
                 if guidance.is_some() {
                     return Err(misuse("guidance and served mode are mutually exclusive"));
                 }
-                if options.record && *shards > 1 {
-                    return Err(misuse(
-                        "recording requires the single-dispatcher plane (shards=1): \
-                         wire-log replay is serial",
-                    ));
-                }
                 if options.record && initiator != *machine.topology().machine_cpuset() {
                     return Err(misuse(
                         "record mode needs the full-machine initiator (replayed requests \
@@ -315,10 +309,6 @@ pub fn execute_with_options(
                 }
                 let mut b = Broker::new(machine.clone(), attrs.clone(), *policy);
                 b.set_sink(sink.clone());
-                // Model the dispatch plane width the way the sharded
-                // server does: the broker folds `shards` ticks into
-                // each contention epoch.
-                b.set_dispatch_planes(*shards);
                 if *guided {
                     let mut cfg = hetmem_service::GuidedConfig::default();
                     if let Some(ms) = budget_ms {
@@ -1350,16 +1340,6 @@ free fresh
             }
             other => panic!("expected service error, got {:?}", other.map(|_| ())),
         }
-        // A sharded dispatch plane cannot be recorded (replay is
-        // serial).
-        let s = parse("machine knl-flat\nserve shards=4\n").expect("parses");
-        match execute_with_options(&s, sink(), opts) {
-            Err(ExecError::Service { name, message, .. }) => {
-                assert_eq!(name, "serve");
-                assert!(message.contains("single-dispatcher"), "{message}");
-            }
-            other => panic!("expected service error, got {:?}", other.map(|_| ())),
-        }
         // Guided service cannot be recorded: the plane's estimator
         // state is not replayable history.
         let s = parse("machine knl-flat\nserve guided=on\n").expect("parses");
@@ -1384,22 +1364,6 @@ free fresh
         .expect("parses");
         let r = execute_with_sink(&s, TelemetrySink::with_ring_words(1 << 12)).expect("runs");
         assert_eq!(r.phases.len(), 1);
-        assert_eq!(r.tenants.len(), 1);
-    }
-
-    #[test]
-    fn serve_shards_folds_ticks_into_epochs() {
-        // With `shards=N` the broker's plane clock folds N ticks into
-        // one contention epoch, so a served scenario behaves the same
-        // whether one dispatcher ticks once or N dispatchers each
-        // tick once per round. The scenario itself must still run end
-        // to end.
-        let s = parse(
-            "machine knl-flat\nserve shards=2\ntenant t latency\n\
-             alloc a 2GiB bandwidth spill\ntick\ntick\nfree a\n",
-        )
-        .expect("parses");
-        let r = execute(&s).expect("runs");
         assert_eq!(r.tenants.len(), 1);
     }
 

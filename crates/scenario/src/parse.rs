@@ -137,20 +137,15 @@ pub enum Command {
         /// Attribute whose best local target hot regions move to.
         criterion: AttrId,
     },
-    /// `serve [policy] [shards=N] [guided=on|off] [budget=N]`: switch
-    /// execution to broker-backed multi-tenant mode; all following
-    /// allocations go through the arbiter (must appear before the
-    /// first `alloc`). `shards=N` declares the dispatch plane width
-    /// the scenario models — the broker folds N dispatcher ticks into
-    /// each contention epoch, as the live sharded server would.
+    /// `serve [policy] [guided=on|off] [budget=N]`: switch execution
+    /// to broker-backed multi-tenant mode; all following allocations go
+    /// through the arbiter (must appear before the first `alloc`).
     /// `guided=on` embeds one adaptive guidance plane per tenant;
     /// `budget=N` caps each epoch's migration batch at N milliseconds
     /// of modelled move cost (requires `guided=on`).
     Serve {
         /// The arbitration policy (default fair-share).
         policy: ArbitrationPolicy,
-        /// Dispatch shards (default 1, the single dispatcher).
-        shards: u32,
         /// Whether guided service (per-tenant guidance planes) is on.
         guided: bool,
         /// Per-epoch migration budget in milliseconds of modelled move
@@ -510,17 +505,10 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
             }
             "serve" => {
                 let mut policy = None;
-                let mut shards = 1u32;
                 let mut guided = false;
                 let mut budget_ms = None;
                 for &tok in &toks[1..] {
-                    if let Some(n) = tok.strip_prefix("shards=") {
-                        shards =
-                            n.parse().map_err(|_| err(format!("bad shards= value {tok:?}")))?;
-                        if shards == 0 {
-                            return Err(err("serve needs at least 1 shard".into()));
-                        }
-                    } else if let Some(v) = tok.strip_prefix("guided=") {
+                    if let Some(v) = tok.strip_prefix("guided=") {
                         guided = match v {
                             "on" => true,
                             "off" => false,
@@ -540,7 +528,7 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                     } else {
                         return Err(err(format!(
                             "unknown serve argument {tok:?} \
-                             (fair-share|fcfs|static, shards=N, guided=on|off, budget=N)"
+                             (fair-share|fcfs|static, guided=on|off, budget=N)"
                         )));
                     }
                 }
@@ -551,7 +539,6 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                     line,
                     cmd: Command::Serve {
                         policy: policy.unwrap_or(ArbitrationPolicy::FairShare),
-                        shards,
                         guided,
                         budget_ms,
                     },
@@ -876,12 +863,7 @@ serve fcfs
         .expect("valid");
         assert_eq!(
             s.commands[0].cmd,
-            Command::Serve {
-                policy: ArbitrationPolicy::FairShare,
-                shards: 1,
-                guided: false,
-                budget_ms: None
-            }
+            Command::Serve { policy: ArbitrationPolicy::FairShare, guided: false, budget_ms: None }
         );
         assert_eq!(
             s.commands[1].cmd,
@@ -893,12 +875,7 @@ serve fcfs
         );
         assert_eq!(
             s.commands[4].cmd,
-            Command::Serve {
-                policy: ArbitrationPolicy::Fcfs,
-                shards: 1,
-                guided: false,
-                budget_ms: None
-            }
+            Command::Serve { policy: ArbitrationPolicy::Fcfs, guided: false, budget_ms: None }
         );
         // Default priority is normal.
         let s = parse("machine m\ntenant t\n").expect("valid");
@@ -929,35 +906,10 @@ serve fcfs
     }
 
     #[test]
-    fn serve_shards_argument() {
-        let s = parse("machine knl-flat\nserve fcfs shards=4\n").expect("valid");
-        assert_eq!(
-            s.commands[0].cmd,
-            Command::Serve {
-                policy: ArbitrationPolicy::Fcfs,
-                shards: 4,
-                guided: false,
-                budget_ms: None
-            }
-        );
-        // Order-independent: shards= may precede the policy.
-        let s = parse("machine knl-flat\nserve shards=2 fair-share\n").expect("valid");
-        assert_eq!(
-            s.commands[0].cmd,
-            Command::Serve {
-                policy: ArbitrationPolicy::FairShare,
-                shards: 2,
-                guided: false,
-                budget_ms: None
-            }
-        );
-
-        let e = parse("machine m\nserve shards=0\n").expect_err("zero shards");
+    fn serve_refuses_a_shards_argument() {
+        let e = parse("machine m\nserve shards=2\n").expect_err("no shards argument");
         assert_eq!(e.line, 2);
-        assert!(e.message.contains("at least 1 shard"), "{e}");
-
-        let e = parse("machine m\nserve shards=many\n").expect_err("bad count");
-        assert!(e.message.contains("shards="), "{e}");
+        assert!(e.message.contains("unknown serve argument \"shards=2\""), "{e}");
 
         let e = parse("machine m\nserve fcfs static\n").expect_err("two policies");
         assert!(e.message.contains("at most one policy"), "{e}");
@@ -970,7 +922,6 @@ serve fcfs
             s.commands[0].cmd,
             Command::Serve {
                 policy: ArbitrationPolicy::FairShare,
-                shards: 1,
                 guided: true,
                 budget_ms: Some(5),
             }
@@ -979,12 +930,7 @@ serve fcfs
         let s = parse("machine knl-flat\nserve fcfs guided=off\n").expect("valid");
         assert_eq!(
             s.commands[0].cmd,
-            Command::Serve {
-                policy: ArbitrationPolicy::Fcfs,
-                shards: 1,
-                guided: false,
-                budget_ms: None,
-            }
+            Command::Serve { policy: ArbitrationPolicy::Fcfs, guided: false, budget_ms: None }
         );
 
         let e = parse("machine m\nserve guided=maybe\n").expect_err("bad value");

@@ -1,8 +1,8 @@
 //! The allocation broker: one shared `MemoryManager` served to many
 //! concurrent tenants behind one ledger lock.
 //!
-//! Every admission — one [`Broker::acquire_with_ttl`] or a coalesced
-//! [`Broker::acquire_batch`] — runs through the same pipeline:
+//! Every admission runs through one pipeline,
+//! [`Broker::acquire_with_ttl`]:
 //!
 //! 1. **Ranking** — candidates come from the same attribute machinery
 //!    the single-tenant allocator uses (local targets of the
@@ -14,14 +14,9 @@
 //!    then the fair-share test, then ranked fallback to slower tiers.
 //!    Denials emit `QuotaClamp` telemetry and never preempt existing
 //!    leases.
-//! 3. **Commit** — still under the lock, each request is placed as one
+//! 3. **Commit** — still under the lock, the request is placed as one
 //!    region with `AllocPolicy::Exact` and charged to the tenant's
 //!    holdings; its [`Lease`] is issued once the lock is released.
-//!
-//! A batch differs only at the end: its merged plan fans out through
-//! `PlacementPlan::split`, or, when one merged walk could grant
-//! something serial admission would not, the batch is admitted one
-//! request at a time.
 //!
 //! The ledger is one mutex over the memory manager and every tenant's
 //! holdings; free bytes are the manager's own. Every
@@ -56,12 +51,12 @@ use hetmem_memsim::{
     AccessEngine, AllocPolicy, Machine, ManagerState, MemoryManager, Phase, PhaseReport, RegionId,
 };
 use hetmem_placement::{
-    normalize_initiator, ArbitrationPolicy, FallbackMode, PlacementEngine, PlacementError,
-    PlanRequest, RankedCandidates, TierPolicy, TierSnapshot,
+    normalize_initiator, ArbitrationPolicy, PlacementEngine, PlacementError, PlanRequest,
+    RankedCandidates, TierPolicy, TierSnapshot,
 };
 use hetmem_telemetry::{
-    AttrFallback, BatchCoalesced, ContentionStall, Event, LeaseExpired, LeaseRevoked, QuotaClamp,
-    Reclaim, TelemetrySink, TenantAdmit, TierDegraded,
+    AttrFallback, ContentionStall, Event, LeaseExpired, LeaseRevoked, QuotaClamp, Reclaim,
+    TelemetrySink, TenantAdmit, TierDegraded,
 };
 use hetmem_topology::{MemoryKind, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -714,101 +709,33 @@ impl Broker {
     /// in epochs; `None` falls back to the tenant's default TTL. The
     /// lease expires `ttl` epochs after the grant unless a
     /// [`Broker::renew`] or [`Broker::heartbeat`] resets the clock.
+    ///
+    /// This is the admission pipeline: stall check, registry snapshot
+    /// and ranking; then, under the ledger lock, the tier snapshots,
+    /// the planning walk and an `Exact` commit of the plan's chunks;
+    /// the lease is issued and the clamps and the admission reported
+    /// after the lock is released.
     pub fn acquire_with_ttl(
         &self,
         tenant: TenantId,
         req: &AllocRequest,
         ttl: Option<u64>,
     ) -> Result<Lease, ServiceError> {
-        let mut outcome = self.admit(tenant, std::slice::from_ref(req), ttl, 0);
-        outcome.pop().expect("one outcome per request")
-    }
-
-    /// Serves a same-tenant batch of admission requests, coalescing
-    /// them into **one** ranking and planning walk when they agree on
-    /// criterion, fallback, scope and initiator. The merged grant fans
-    /// back out to the individual requests in arrival order, each
-    /// committing its own region and lease, and one
-    /// [`BatchCoalesced`] event records the merge.
-    ///
-    /// Coalescing never changes an outcome: the merged walk stands in
-    /// for serial admission only when it is complete, never clamped,
-    /// and either spills or was taken whole by its first candidate.
-    /// Otherwise — where fair-share arithmetic decides who gets what,
-    /// or where a next-target walk skipped a node that would have held
-    /// a single request — the batch is admitted one request at a time,
-    /// byte for byte like the single-shard path. `shard` only
-    /// labels the telemetry.
-    pub fn acquire_batch(
-        &self,
-        tenant: TenantId,
-        reqs: &[AllocRequest],
-        ttl: Option<u64>,
-        shard: u32,
-    ) -> Vec<Result<Lease, ServiceError>> {
-        // Sizes come off the wire unchecked: a batch whose total does
-        // not fit a u64 cannot be planned as one walk.
-        let mergeable = !reqs.is_empty()
-            && reqs.windows(2).all(|w| {
-                w[0].get_criterion() == w[1].get_criterion()
-                    && w[0].get_fallback() == w[1].get_fallback()
-                    && w[0].scope() == w[1].scope()
-                    && w[0].get_initiator() == w[1].get_initiator()
-            })
-            && reqs.iter().try_fold(0u64, |total, r| total.checked_add(r.size())).is_some();
-        if mergeable {
-            self.admit(tenant, reqs, ttl, shard)
-        } else {
-            self.admit_each(tenant, reqs, ttl, shard)
-        }
-    }
-
-    /// Admits each request of `reqs` on its own, in order.
-    fn admit_each(
-        &self,
-        tenant: TenantId,
-        reqs: &[AllocRequest],
-        ttl: Option<u64>,
-        shard: u32,
-    ) -> Vec<Result<Lease, ServiceError>> {
-        reqs.chunks(1).flat_map(|one| self.admit(tenant, one, ttl, shard)).collect()
-    }
-
-    /// The admission pipeline: one outcome per request of `reqs`
-    /// (non-empty, mergeable, total within a u64), in order. Stall
-    /// check, registry snapshot and one ranking; then, under the ledger
-    /// lock, the tier snapshots, one planning walk for the batch total,
-    /// and an `Exact` commit per request; leases are issued and
-    /// telemetry emitted after the lock is released.
-    fn admit(
-        &self,
-        tenant: TenantId,
-        reqs: &[AllocRequest],
-        ttl: Option<u64>,
-        shard: u32,
-    ) -> Vec<Result<Lease, ServiceError>> {
-        let refuse = |e: ServiceError| reqs.iter().map(|_| Err(e.clone())).collect();
         // Fault hook: a stalled broker refuses allocations with a
         // typed transient error until the stall window closes.
         if self.epoch.load(Ordering::SeqCst) < self.stall_until.load(Ordering::SeqCst) {
-            return refuse(ServiceError::Stalled);
+            return Err(ServiceError::Stalled);
         }
         // The registry snapshot keeps share math stable for this
         // request without a lock or a copy.
         let registry = self.registry();
         let Some(me) = registry.index(tenant) else {
-            return refuse(ServiceError::UnknownTenant(format!("{tenant}")));
+            return Err(ServiceError::UnknownTenant(format!("{tenant}")));
         };
         let record = registry.record(me);
-        // Mergeable requests share criterion, scope and initiator, so
-        // the first one's ranking serves them all.
-        let (ranking, ranked) = match self.rank_candidates(&reqs[0]) {
-            Ok(ranked) => ranked,
-            Err(e) => return refuse(e),
-        };
-        let sizes: Vec<u64> = reqs.iter().map(AllocRequest::size).collect();
-        let mode = reqs[0].get_fallback().as_telemetry();
-        let batched = reqs.len() > 1;
+        let (ranking, ranked) = self.rank_candidates(req)?;
+        let size = req.size();
+        let mode = req.get_fallback().as_telemetry();
 
         let mut ledger = self.ledger();
         let snapshots = self.tier_snapshots(&registry, me, &ledger, &ranked);
@@ -818,64 +745,31 @@ impl Broker {
         // Ledger bytes are exact (the commit path rounds), so no page
         // quantization here.
         let plan = self.placer.plan(
-            &PlanRequest { size: sizes.iter().sum(), mode, page_quantize: false },
+            &PlanRequest { size, mode, page_quantize: false },
             &ranked,
             |n| ledger.mm.available(n),
             &mut admission,
         );
-        // The plan fans out across the requests in arrival order;
-        // `split` fails on a short plan. One walk grants what serial
-        // walks would only when it is complete and never clamped
-        // (arbitration is not deciding), and either spills or was
-        // taken whole by its first candidate: a next-target walk that
-        // skipped a node may have skipped one that holds a single
-        // request. Any other batch is admitted one request at a time.
-        let merge_holds =
-            plan.clamps.is_empty() && (mode == FallbackMode::PartialSpill || plan.hops.is_empty());
-        let splits = match plan.split(&sizes) {
-            Some(splits) if !batched || merge_holds => splits,
-            _ if batched => {
-                drop(ledger);
-                return self.admit_each(tenant, reqs, ttl, shard);
-            }
-            // A lone request's short plan commits nothing.
-            _ => Vec::new(),
-        };
-        let emit_attr_fallback = || {
-            if self.sink.enabled() && ranking.attr_fell_back() {
-                self.sink.emit(Event::AttrFallback(AttrFallback {
-                    requested: ranking.requested().0,
-                    used: ranking.used().0,
-                }));
-            }
-        };
-        if !batched {
-            emit_attr_fallback();
+        if self.sink.enabled() && ranking.attr_fell_back() {
+            self.sink.emit(Event::AttrFallback(AttrFallback {
+                requested: ranking.requested().0,
+                used: ranking.used().0,
+            }));
         }
-
-        // Commit request by request under the ledger lock; `Exact`
-        // cannot spill past what the arbiter admitted.
-        let mut grants: Vec<(RegionId, Vec<(NodeId, u64)>)> = Vec::with_capacity(reqs.len());
-        for (&size, chunks) in sizes.iter().zip(splits) {
-            let region = match ledger.mm.alloc(size, AllocPolicy::Exact(chunks)) {
-                Ok(region) => region,
-                // Page rounding can exhaust a nearly-full node
-                // mid-batch; the rest of the batch is admitted on its
-                // own below, against the settled ledger.
-                Err(_) if batched => break,
-                Err(e) => return vec![Err(ServiceError::Commit(e.to_string()))],
-            };
+        // Commit under the ledger lock; `Exact` cannot spill past what
+        // the arbiter admitted. A short plan commits nothing.
+        let grant = if plan.is_complete() {
+            let region = ledger
+                .mm
+                .alloc(size, AllocPolicy::Exact(plan.chunks))
+                .map_err(|e| ServiceError::Commit(e.to_string()))?;
             let placement = ledger.mm.region(region).expect("fresh region").placement.clone();
             ledger.settle(tenant, me, &placement, true);
-            grants.push((region, placement));
-        }
+            Some((region, placement))
+        } else {
+            None
+        };
         drop(ledger);
-        // A merged walk substitutes the attribute once, and only for
-        // the grants it keeps; requests it could not commit are
-        // admitted, and reported, one by one.
-        if batched && !grants.is_empty() {
-            emit_attr_fallback();
-        }
 
         record.clamps.fetch_add(plan.clamps.len() as u64, Ordering::Relaxed);
         if self.sink.enabled() {
@@ -889,67 +783,46 @@ impl Broker {
                 }));
             }
         }
-        if !plan.is_complete() {
-            // Only a lone request gets here: a short batch walk was
-            // admitted one request at a time above.
-            let size = sizes[0];
-            return vec![Err(ServiceError::Admission {
+        let Some((region, placement)) = grant else {
+            return Err(ServiceError::Admission {
                 requested: size,
                 granted: size - plan.shortfall,
-            })];
-        }
+            });
+        };
 
         let lease_ttl = ttl.or(record.lease_ttl);
         let expires_at = lease_ttl.map(|t| self.epoch.load(Ordering::SeqCst).saturating_add(t));
-        let mut outcomes: Vec<Result<Lease, ServiceError>> = Vec::with_capacity(reqs.len());
-        for (region, placement) in grants {
-            let size: u64 = placement.iter().map(|&(_, b)| b).sum();
-            let fast_bytes: u64 = placement
-                .iter()
-                .filter(|(n, _)| self.node_kind.get(n) == Some(&self.fast_kind))
-                .map(|&(_, b)| b)
-                .sum();
-            let id = LeaseId(self.next_lease.fetch_add(1, Ordering::Relaxed));
-            self.leases.lock().expect("leases poisoned").insert(
-                id,
-                LeaseRecord {
-                    tenant,
-                    index: me,
-                    region,
-                    placement: placement.clone(),
-                    ttl: lease_ttl,
-                    expires_at,
-                },
-            );
-            record.admits.fetch_add(1, Ordering::Relaxed);
-            if self.sink.enabled() {
-                self.sink.emit(Event::TenantAdmit(TenantAdmit {
-                    broker: self.id,
-                    tenant: record.name.clone(),
-                    lease: id.0,
-                    size,
-                    placement: placement.clone(),
-                    clamped: !plan.clamps.is_empty(),
-                    fast_bytes,
-                }));
-            }
-            outcomes.push(Ok(Lease { id, tenant, region, size, placement, fast_bytes }));
+        let size: u64 = placement.iter().map(|&(_, b)| b).sum();
+        let fast_bytes: u64 = placement
+            .iter()
+            .filter(|(n, _)| self.node_kind.get(n) == Some(&self.fast_kind))
+            .map(|&(_, b)| b)
+            .sum();
+        let id = LeaseId(self.next_lease.fetch_add(1, Ordering::Relaxed));
+        self.leases.lock().expect("leases poisoned").insert(
+            id,
+            LeaseRecord {
+                tenant,
+                index: me,
+                region,
+                placement: placement.clone(),
+                ttl: lease_ttl,
+                expires_at,
+            },
+        );
+        record.admits.fetch_add(1, Ordering::Relaxed);
+        if self.sink.enabled() {
+            self.sink.emit(Event::TenantAdmit(TenantAdmit {
+                broker: self.id,
+                tenant: record.name.clone(),
+                lease: id.0,
+                size,
+                placement: placement.clone(),
+                clamped: !plan.clamps.is_empty(),
+                fast_bytes,
+            }));
         }
-        if batched {
-            let merged = outcomes.len();
-            if merged >= 2 && self.sink.enabled() {
-                let bytes = outcomes.iter().flatten().map(Lease::size).sum();
-                self.sink.emit(Event::BatchCoalesced(BatchCoalesced {
-                    broker: self.id,
-                    shard,
-                    tenant: record.name.clone(),
-                    merged: merged as u64,
-                    bytes,
-                }));
-            }
-            outcomes.extend(self.admit_each(tenant, &reqs[merged..], ttl, shard));
-        }
-        outcomes
+        Ok(Lease { id, tenant, region, size, placement, fast_bytes })
     }
 
     /// Returns a lease's capacity to the machine.
@@ -1174,35 +1047,22 @@ impl Broker {
         self.leases.lock().expect("leases poisoned").len()
     }
 
-    /// Registers one served tick. With a single dispatch plane
-    /// (the default) every tick opens the next contention epoch,
+    /// Registers one served tick: opens the next contention epoch,
     /// advances the service clock, and reclaims any lease whose TTL
-    /// elapsed without a renewal. With `S` planes
-    /// ([`Broker::set_dispatch_planes`]) the epoch — and therefore
-    /// TTL aging — advances once per round of `S` ticks, keeping
-    /// contention windows and lease lifetimes one service round wide
-    /// regardless of shard count.
+    /// elapsed without a renewal.
     pub fn advance_epoch(&self) {
-        if self.board.advance_epoch() {
-            self.epoch.fetch_add(1, Ordering::SeqCst);
-            self.expire_overdue();
-            self.guided_fold();
-        }
-    }
-
-    /// Tells the epoch clock how many dispatch planes (shards) tick
-    /// this broker per service round. The sharded
-    /// server calls this at bind time; `hetmem-serve` style embedders
-    /// driving [`Broker::advance_epoch`] from one loop never need to.
-    pub fn set_dispatch_planes(&self, planes: u32) {
-        self.board.set_planes(planes);
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        self.expire_overdue();
+        self.guided_fold();
     }
 
     /// Captures every piece of mutable broker state as plain data.
-    /// Meant to be called at an epoch boundary (between served
-    /// ticks); the capture is internally consistent regardless, but
-    /// only epoch-boundary captures are exactly replayable because the
-    /// contention board resets per epoch.
+    /// A capture restores exactly only at an epoch boundary (between
+    /// served ticks), with no request in flight: an admission between
+    /// its commit and its lease insert is charged in the ledger but
+    /// missing from the lease table, and [`Broker::restore`] refuses
+    /// such a capture. The contention board resets per epoch and is not
+    /// captured.
     pub fn snapshot_state(&self) -> BrokerState {
         // Lock order: leases → ledger, same as every other broker path.
         // The registry's read lock is held throughout so no tenant
@@ -1270,8 +1130,10 @@ impl Broker {
     /// Every cross-reference is validated before anything is
     /// installed: the machine name must match, ids must precede their
     /// issue counters, leases must point at registered tenants and
-    /// live manager regions, per-node free bytes must agree with the
-    /// restored manager, and degraded kinds must exist on the machine.
+    /// live manager regions with the same placement, per-node free
+    /// bytes must agree with the restored manager, each node's
+    /// per-tenant holdings must equal what that tenant's live leases
+    /// hold there, and degraded kinds must exist on the machine.
     /// Violations return [`ServiceError::Snapshot`]; nothing panics on
     /// corrupt input. Telemetry starts disabled — call
     /// [`Broker::set_sink`] to re-attach collectors.
@@ -1333,8 +1195,14 @@ impl Broker {
             let Some(index) = registry.index(TenantId(l.tenant)) else {
                 return Err(err(format!("lease #{} held by unknown tenant #{}", l.id, l.tenant)));
             };
-            if mm.region(RegionId(l.region)).is_none() {
+            let Some(region) = mm.region(RegionId(l.region)) else {
                 return Err(err(format!("lease #{} backed by unknown region #{}", l.id, l.region)));
+            };
+            if region.placement != l.placement {
+                return Err(err(format!(
+                    "lease #{} placement disagrees with region #{}",
+                    l.id, l.region
+                )));
             }
             let previous = leases.insert(
                 LeaseId(l.id),
@@ -1358,6 +1226,16 @@ impl Broker {
                 state.stripes.len(),
                 broker.node_kind.len()
             )));
+        }
+        // What each tenant's live leases hold on each node, which the
+        // stripes must charge exactly. Sums saturate: corrupt sizes
+        // then disagree instead of overflowing.
+        let mut leased: BTreeMap<NodeId, BTreeMap<TenantId, u64>> = BTreeMap::new();
+        for record in leases.values() {
+            for &(node, bytes) in record.placement.iter().filter(|&&(_, b)| b > 0) {
+                let held = leased.entry(node).or_default().entry(record.tenant).or_insert(0);
+                *held = held.saturating_add(bytes);
+            }
         }
         // Both views of the holdings are rebuilt from the stripes: the
         // per-node maps as captured, the per-tier rows by registry
@@ -1386,6 +1264,12 @@ impl Broker {
                     return Err(err(format!("stripe {} charges tenant #{} twice", s.node, tenant)));
                 }
                 ledger.tier_mut(s.node).settle(index, bytes, true);
+            }
+            if used_by != leased.remove(&s.node).unwrap_or_default() {
+                return Err(err(format!(
+                    "stripe {} per-tenant holdings disagree with the live leases",
+                    s.node
+                )));
             }
             ledger.held.insert(s.node, used_by);
         }
@@ -1423,13 +1307,14 @@ impl Broker {
         traffic: &[(NodeId, u64)],
         window_ns: f64,
     ) -> f64 {
+        let epoch = self.epoch();
         let mut stall_ns: f64 = 0.0;
         let mut stalled = 0u64;
         for &(node, bytes) in traffic {
             if bytes == 0 {
                 continue;
             }
-            let (others, sharers) = self.board.offer(node, tenant, bytes);
+            let (others, sharers) = self.board.offer(node, tenant, bytes, epoch);
             if others == 0 {
                 continue;
             }

@@ -537,6 +537,23 @@ fn restore_rejects_inconsistent_state() {
     bad.next_tenant = 0;
     assert!(matches!(restore(&bad), Err(ServiceError::Snapshot(_))));
 
+    // Holdings that disagree with the leases: a stripe charging more
+    // than the tenant's leases hold there, a lease whose placement is
+    // not its region's, and the same lease with its stripe shrunk to
+    // match it.
+    let charged = |s: &StripeEntry| !s.used_by.is_empty();
+    let mut bad = state.clone();
+    bad.stripes.iter_mut().find(|s| charged(s)).expect("a charged node").used_by[0].1 += 4096;
+    assert!(matches!(restore(&bad), Err(ServiceError::Snapshot(_))));
+
+    let mut bad = state.clone();
+    bad.leases[0].placement[0].1 -= 4096;
+    assert!(matches!(restore(&bad), Err(ServiceError::Snapshot(_))));
+
+    let node = bad.leases[0].placement[0].0;
+    bad.stripes.iter_mut().find(|s| s.node == node).expect("the lease's node").used_by[0].1 -= 4096;
+    assert!(matches!(restore(&bad), Err(ServiceError::Snapshot(_))));
+
     assert!(restore(&state).is_ok());
 }
 
@@ -668,22 +685,14 @@ fn strict_fallback_fails_rather_than_spill() {
 }
 
 #[test]
-fn a_batch_whose_total_overflows_is_admitted_one_by_one() {
+fn a_request_whose_size_fills_a_u64_is_refused() {
     let broker = knl_broker(ArbitrationPolicy::FairShare);
     let t = broker.register(TenantSpec::new("t")).expect("register");
-    let huge = 10_000_000_000_000_000_000;
-    let outcomes = broker.acquire_batch(t, &[bw_request(huge), bw_request(huge)], None, 0);
-    assert_eq!(outcomes.len(), 2);
-    for outcome in &outcomes {
-        assert!(
-            matches!(outcome, Err(ServiceError::Admission { requested, .. }) if *requested == huge),
-            "{outcome:?}"
-        );
-    }
-    let outcomes = broker.acquire_batch(t, &[bw_request(u64::MAX), bw_request(MIB)], None, 0);
-    assert!(matches!(outcomes[0], Err(ServiceError::Admission { .. })), "{outcomes:?}");
-    let small = outcomes.into_iter().nth(1).expect("two outcomes").expect("1 MiB fits");
-    broker.release(small).expect("release");
+    let outcome = broker.acquire(t, &bw_request(u64::MAX));
+    assert!(
+        matches!(outcome, Err(ServiceError::Admission { requested: u64::MAX, .. })),
+        "{outcome:?}"
+    );
     // The ledger is not poisoned: the broker keeps serving.
     let lease = broker.acquire(t, &bw_request(GIB)).expect("admitted");
     broker.release(lease).expect("release");
@@ -868,29 +877,6 @@ fn attr_fallback_emits_event_through_the_broker() {
         .count();
     assert_eq!(fallbacks, 0, "no further fallback after the first drain");
     broker.release(lease).expect("release");
-}
-
-#[test]
-fn a_merged_batch_reports_one_attr_fallback_after_its_commits() {
-    let machine = Arc::new(Machine::knl_snc4_flat());
-    let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("attrs"));
-    let mut broker = Broker::new(machine, attrs, ArbitrationPolicy::FairShare);
-    let sink = TelemetrySink::new();
-    broker.set_sink(sink.clone());
-    let t = broker.register(TenantSpec::new("t")).expect("register");
-    let req =
-        AllocRequest::new(GIB).criterion(attr::READ_BANDWIDTH).fallback(Fallback::PartialSpill);
-    let leases = broker.acquire_batch(t, &[req.clone(), req], None, 0);
-    let kinds: Vec<&str> = sink.collector().drain_sorted().iter().map(|e| e.event.kind()).collect();
-    let at = |kind: &str| kinds.iter().position(|k| *k == kind).expect(kind);
-    assert_eq!(kinds.iter().filter(|k| **k == "attr_fallback").count(), 1, "{kinds:?}");
-    assert_eq!(kinds.iter().filter(|k| **k == "batch_coalesced").count(), 1, "{kinds:?}");
-    let last_commit = kinds.iter().rposition(|k| *k == "occupancy").expect("commits");
-    assert!(last_commit < at("attr_fallback"), "{kinds:?}");
-    assert!(at("attr_fallback") < at("tenant_admit"), "{kinds:?}");
-    for lease in leases {
-        broker.release(lease.expect("admitted")).expect("release");
-    }
 }
 
 #[test]

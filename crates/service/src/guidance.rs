@@ -20,10 +20,9 @@
 //!   are deferred to a later epoch and one `budget_exhausted` event
 //!   reports the spend.
 //!
-//! Guidance state deliberately lives with the broker, not with any
-//! dispatch shard: sharded dispatch only changes who carries requests,
-//! and a fold at the epoch boundary happens exactly once per service
-//! round regardless of shard count. It is also *not* captured by
+//! Guidance state deliberately lives with the broker, not with the
+//! serve plane: the plane only carries requests, and a fold happens
+//! exactly once per epoch, at its boundary. It is also *not* captured by
 //! [`BrokerState`](super::BrokerState) — record mode refuses guided
 //! service, so replay never needs it.
 

@@ -20,17 +20,14 @@
 //!   rankings as the single-tenant allocator and emits `TenantAdmit` /
 //!   `QuotaClamp` telemetry.
 //! * [`wire`] / [`server`] — a JSONL request/response protocol over a
-//!   Unix or TCP socket with a thread-per-connection pool and
-//!   per-tick request batching (`hetmem-serve` binary).
+//!   Unix or TCP socket with a thread-per-connection pool and one
+//!   admission queue served in ticks (`hetmem-serve` binary).
 //! * [`TrafficBoard`] — contention feedback: co-located tenants that
 //!   saturate a node charge each other bandwidth-degradation stalls,
 //!   surfaced as `ContentionStall` events.
-//! * [`shard`] — the serve plane's decisions, with no threads:
-//!   per-shard admission queues, ticks, merge runs of same-tenant
-//!   requests into single planning walks (`BatchCoalesced`) and the
-//!   serve-token hand-off. The server's threads call it; arbitration
-//!   outcomes are byte-identical to the single-shard plane and each
-//!   connection is served in order.
+//! * `plane` — the serve plane's decisions, with no threads: the
+//!   admission queue, its ticks and the serve-token hand-off. The
+//!   server's threads call it, and each connection is served in order.
 //! * Lease lifecycle — leases may carry a TTL in service epochs
 //!   ([`TenantSpec::lease_ttl`]) with heartbeat renewal over the wire;
 //!   a silent or disconnected tenant's capacity is reclaimed within
@@ -41,8 +38,8 @@
 
 mod board;
 mod broker;
+mod plane;
 pub mod server;
-pub mod shard;
 mod tenant;
 pub mod wire;
 

@@ -2,8 +2,8 @@
 //! [`Broker`].
 //!
 //! One reader thread per connection parses request lines, posts them
-//! on its shard's queue and then serves that shard itself: the thread
-//! holding the shard's serve token takes the queue in ticks, opens a
+//! on the one admission queue and then serves that queue itself: the
+//! thread holding the serve token takes the queue in ticks, opens a
 //! fresh contention epoch per tick, and serves every request in
 //! arrival order, writing each response line back with a single
 //! write. A reader that finds the token taken goes back to reading;
@@ -11,16 +11,15 @@
 //! the token, so no frame is stranded. Once the holder's own frames
 //! are answered it hands the token to the next reader that posts, so
 //! its own connection is read again within a tick or two however busy
-//! the shard stays. Ticks keep the epoch semantics of the
+//! the queue stays. Ticks keep the epoch semantics of the
 //! [`crate::TrafficBoard`] meaningful — requests landing in the same
 //! tick contend with each other — and give natural backpressure: a
-//! slow broker grows the tick instead of the thread count. At any
-//! shard count the server runs one accept thread and one reader per
-//! connection, and no other.
+//! slow broker grows the tick instead of the thread count. The server
+//! runs one accept thread and one reader per connection, and no other.
 //!
-//! This module holds the threads, the sockets and the serve tokens;
-//! every decision — what a tick takes, which frames merge, when the
-//! token changes hands — is a call into [`crate::shard`].
+//! This module holds the threads, the sockets and the serve token;
+//! every decision — what a tick takes, when the token changes hands —
+//! is a call into the thread-free `plane` module.
 //!
 //! Robustness rules (specified in `docs/PROTOCOL.md`, operational
 //! guidance in `docs/OPERATIONS.md`):
@@ -29,10 +28,10 @@
 //!   a typed `wire` error and the rest of the line is discarded; the
 //!   connection stays usable.
 //! * A connection that drops — cleanly or mid-frame — has every lease
-//!   it acquired revoked and reclaimed on its shard's next tick.
+//!   it acquired revoked and reclaimed on the next tick.
 //! * A reply write that blocks longer than [`WRITE_TIMEOUT`] cuts its
-//!   peer off the same way, so a client that stops reading holds its
-//!   shard for at most that long.
+//!   peer off the same way, so a client that stops reading holds the
+//!   queue for at most that long.
 //! * Telemetry is wait-free at emission: broker events land in
 //!   per-thread rings; the serve binary's background collector drains
 //!   them to the trace file,
@@ -47,7 +46,7 @@
 //! chosen port back from [`Server::local_addr`].
 
 use crate::broker::{Broker, Lease};
-use crate::shard::{self, Admission, Frame, Step, Turn};
+use crate::plane::{self, Step, Turn};
 use crate::wire::{Request, Response};
 use crate::{LeaseId, ServiceError, TenantSpec};
 use hetmem_alloc::{AllocRequest, Fallback};
@@ -143,7 +142,7 @@ enum Bound {
 /// its hang-up, carry an `Arc` of this, so whichever thread serves them
 /// can answer and track the leases the connection holds.
 struct Peer {
-    /// Connection id; the connection's frames go to shard `id mod S`.
+    /// Connection id, the key of its reader in the server's table.
     id: u64,
     /// The write half, locked for one whole reply line at a time;
     /// `None` once a reply could not be written.
@@ -223,31 +222,6 @@ enum Work {
     Disconnect { peer: Arc<Peer> },
 }
 
-impl Frame for Work {
-    fn conn(&self) -> u64 {
-        match self {
-            Work::Request { peer, .. } | Work::Disconnect { peer } => peer.id,
-        }
-    }
-
-    fn admission(&self, broker: &Broker) -> Option<Admission> {
-        let Work::Request {
-            request: Ok(Request::Alloc { tenant, size, criterion, fallback, label, ttl }),
-            ..
-        } = self
-        else {
-            return None;
-        };
-        Some(Admission {
-            tenant: broker
-                .tenant_id(tenant)
-                .ok_or_else(|| ServiceError::UnknownTenant(tenant.clone())),
-            req: alloc_request(*size, *criterion, *fallback, label.clone()),
-            ttl: *ttl,
-        })
-    }
-}
-
 /// Reads and discards bytes until a newline. Returns `false` when the
 /// stream ends first (the peer is gone).
 fn discard_to_newline<R: BufRead>(reader: &mut R) -> bool {
@@ -263,7 +237,7 @@ fn discard_to_newline<R: BufRead>(reader: &mut R) -> bool {
 }
 
 /// How long one reply write may block. A peer that stops reading holds
-/// its shard's serve token for at most this long, then is cut off.
+/// the serve token for at most this long, then is cut off.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// The running service.
@@ -291,13 +265,14 @@ struct Reader {
 /// wire-log writer so the run can be replayed later.
 pub type RequestRecorder = Box<dyn FnMut(u64, &Request) + Send>;
 
-/// What every serving thread shares: the shard queues, one serve token
-/// per shard, the recorder and the stop flag.
+/// What every serving thread shares: the broker, the admission queue,
+/// the serve token, the recorder and the stop flag.
 struct Plane {
-    queues: shard::Plane<Work>,
-    /// Held by the one thread serving a shard's ticks. They guard no
-    /// data, so a panic while serving leaves nothing to repair.
-    tokens: Vec<Mutex<()>>,
+    broker: Arc<Broker>,
+    queue: plane::Plane<Work>,
+    /// Held by the one thread serving ticks. It guards no data, so a
+    /// panic while serving leaves nothing to repair.
+    token: Mutex<()>,
     recorder: Mutex<Option<RequestRecorder>>,
     stop: AtomicBool,
 }
@@ -318,32 +293,6 @@ impl Server {
         addr: &str,
         recorder: Option<RequestRecorder>,
     ) -> Result<Server, ServiceError> {
-        Server::bind_sharded(broker, addr, recorder, 1)
-    }
-
-    /// [`Server::bind_with`] over a serve plane of `shards` shards
-    /// ([`crate::shard`]; `0` counts as `1`): one queue and one serve
-    /// token per shard, connections routed to shard `conn_id mod S`,
-    /// and consecutive mergeable same-tenant `alloc` frames in a tick
-    /// batched through one [`Broker::acquire_batch`] planning walk
-    /// (`batch_coalesced` telemetry).
-    ///
-    /// Recording composes only with the single-shard plane: a wire log
-    /// replays serially, and neither a cross-shard thread interleaving
-    /// nor a coalesced walk is reconstructible from it. Passing a
-    /// recorder with `shards > 1` is refused with a `wire` error.
-    pub fn bind_sharded(
-        broker: Arc<Broker>,
-        addr: &str,
-        recorder: Option<RequestRecorder>,
-        shards: u32,
-    ) -> Result<Server, ServiceError> {
-        let shards = shards.max(1);
-        if recorder.is_some() && shards > 1 {
-            return Err(ServiceError::Wire(
-                "recording requires the single-shard plane (shards=1)".into(),
-            ));
-        }
         let io = |e: std::io::Error| ServiceError::Io(e.to_string());
         let bound = if let Some(path) = addr.strip_prefix("unix:") {
             let path = PathBuf::from(path);
@@ -359,13 +308,10 @@ impl Server {
             Bound::Unix(_, path) => (format!("unix:{}", path.display()), Some(path.clone())),
         };
 
-        // S shards tick the broker S times per service round; fold
-        // those ticks into one epoch so contention windows and TTL
-        // aging stay round-wide.
-        broker.set_dispatch_planes(shards);
         let plane = Arc::new(Plane {
-            queues: shard::Plane::new(broker, shards),
-            tokens: (0..shards).map(|_| Mutex::new(())).collect(),
+            broker,
+            queue: plane::Plane::default(),
+            token: Mutex::new(()),
             recorder: Mutex::new(recorder),
             stop: AtomicBool::new(false),
         });
@@ -425,7 +371,7 @@ impl Server {
 
     /// The broker behind the socket.
     pub fn broker(&self) -> &Arc<Broker> {
-        self.plane.queues.broker()
+        &self.plane.broker
     }
 
     /// Stops accepting, serves nothing further, cuts every open
@@ -470,16 +416,10 @@ impl Drop for Server {
 }
 
 impl Plane {
-    fn broker(&self) -> &Broker {
-        self.queues.broker()
-    }
-
-    /// A connection's reader: parses frames onto the connection's
-    /// shard and serves that shard, until the peer hangs up or the
-    /// server stops.
+    /// A connection's reader: parses frames onto the queue and serves
+    /// it, until the peer hangs up or the server stops.
     fn read_frames(&self, peer: &Arc<Peer>, conn: Conn) {
-        let s = self.queues.shard_of(peer.id);
-        let post = |request| self.queues.post(Work::Request { peer: peer.clone(), request });
+        let post = |request| self.queue.post(Work::Request { peer: peer.clone(), request });
         let mut reader = BufReader::new(conn);
         while !self.stop.load(Ordering::SeqCst) {
             let mut buf = Vec::new();
@@ -505,39 +445,39 @@ impl Plane {
                 false
             };
             if !alive {
-                self.queues.post(Work::Disconnect { peer: peer.clone() });
-                self.serve(s);
+                self.queue.post(Work::Disconnect { peer: peer.clone() });
+                self.serve();
                 return;
             }
             // Frames the peer pipelined are already buffered: post them
             // too, so they share this tick instead of opening one each.
             if !reader.buffer().contains(&b'\n') {
-                self.serve(s);
+                self.serve();
             }
         }
     }
 
-    /// Serves shard `s` tick by tick until its queue is empty,
-    /// unless another thread holds the shard's serve token; that thread
-    /// then serves whatever was posted. A holder re-checks the queue
-    /// after dropping the token, so a frame posted while it was
-    /// finishing is never stranded.
+    /// Serves the queue tick by tick until it is empty, unless another
+    /// thread holds the serve token; that thread then serves whatever
+    /// was posted. A holder re-checks the queue after dropping the
+    /// token, so a frame posted while it was finishing is never
+    /// stranded.
     ///
     /// A reader does not serve others indefinitely: once its own frames
     /// are answered it hands the token to a reader that stands by for it
-    /// ([`shard::Plane::stand_by`]) and goes back to reading.
-    fn serve(&self, s: usize) {
+    /// (`plane::Plane::stand_by`) and goes back to reading.
+    fn serve(&self) {
         loop {
             let mut standby = false;
-            let token = match self.tokens[s].try_lock() {
+            let token = match self.token.try_lock() {
                 Ok(token) => token,
                 Err(TryLockError::Poisoned(token)) => token.into_inner(),
                 Err(TryLockError::WouldBlock) => {
-                    if !self.queues.stand_by(s) {
+                    if !self.queue.stand_by() {
                         return;
                     }
                     standby = true;
-                    self.tokens[s].lock().unwrap_or_else(PoisonError::into_inner)
+                    self.token.lock().unwrap_or_else(PoisonError::into_inner)
                 }
             };
             let mut turn = Turn::reader(standby);
@@ -545,27 +485,29 @@ impl Plane {
                 if self.stop.load(Ordering::SeqCst) {
                     break true;
                 }
-                match self.queues.next(s, &mut turn) {
+                match self.queue.next(&mut turn) {
                     Step::Tick(tick) => {
-                        // One tick = one contention epoch (per shard).
-                        self.broker().advance_epoch();
-                        self.queues.serve_tick(s, tick, |work, outcome| self.answer(work, outcome));
+                        // One tick = one contention epoch.
+                        self.broker.advance_epoch();
+                        for work in tick {
+                            self.answer(work);
+                        }
                     }
                     Step::HandOver => break true,
                     Step::Release => break false,
                 }
             };
             drop(token);
-            if handed_over || !self.queues.has_work(s) {
+            if handed_over || !self.queue.has_work() {
                 return;
             }
         }
     }
 
-    /// Answers one served frame: an `alloc` with the outcome the plane
-    /// admitted, anything else by serving it here.
-    fn answer(&self, work: Work, outcome: Option<Result<Lease, ServiceError>>) {
-        let broker = self.broker();
+    /// Serves one frame and writes its reply, or revokes a hung-up
+    /// connection's leases.
+    fn answer(&self, work: Work) {
+        let broker = &*self.broker;
         let (peer, request) = match work {
             Work::Disconnect { peer } => return peer.hang_up(broker),
             Work::Request { peer, request } => (peer, request),
@@ -579,11 +521,7 @@ impl Plane {
                     Request::Free { lease, .. } => Some(LeaseId(*lease)),
                     _ => None,
                 };
-                let resp = match outcome {
-                    Some(Ok(lease)) => granted(&lease),
-                    Some(Err(e)) => Response::from_error(&e),
-                    None => serve_with_shards(broker, request, self.tokens.len() as u32),
-                };
+                let resp = serve(broker, request);
                 match (&resp, freeing) {
                     (Response::Granted { lease, .. }, _) => peer.granted(broker, LeaseId(*lease)),
                     (Response::Freed, Some(lease)) => peer.freed(lease),
@@ -623,12 +561,6 @@ fn granted(lease: &Lease) -> Response {
 
 /// Serves one already-parsed request against the broker.
 pub fn serve(broker: &Broker, request: Request) -> Response {
-    serve_with_shards(broker, request, 1)
-}
-
-/// [`serve`] for a broker fronted by `shards` dispatch shards — the
-/// count is reported in `stats` responses.
-pub fn serve_with_shards(broker: &Broker, request: Request, shards: u32) -> Response {
     let outcome = (|| match request {
         Request::Register { tenant, priority, quota, reserve } => {
             let mut spec = TenantSpec::new(tenant).priority(priority);
@@ -679,7 +611,6 @@ pub fn serve_with_shards(broker: &Broker, request: Request, shards: u32) -> Resp
         Request::Stats => Ok(Response::Stats {
             tenants: broker.tenants(),
             nodes: broker.node_usage(),
-            shards,
             guided: broker.guided_overhead(),
         }),
         Request::Forward { origin, tenant, size, criterion, fallback, label, ttl } => {
@@ -995,12 +926,11 @@ mod tests {
         };
         assert_eq!(code, "unknown_lease");
         let resp = client.call(&Request::Stats).expect("stats");
-        let Response::Stats { tenants, nodes, shards, guided } = resp else {
+        let Response::Stats { tenants, nodes, guided } = resp else {
             panic!("expected stats");
         };
         assert_eq!(tenants.len(), 1);
         assert_eq!(nodes.len(), 8, "KNL SNC-4 flat has 8 NUMA nodes");
-        assert_eq!(shards, 1, "default plane is one shard");
         assert_eq!(guided, None, "guidance is off unless enabled");
         server.shutdown();
     }
@@ -1058,8 +988,8 @@ mod tests {
         assert!(matches!(resp, Response::Granted { .. }), "{resp:?}");
         assert_eq!(server.broker().live_leases(), 1);
         drop(client);
-        // The reader thread posts the disconnect and its shard's next
-        // tick revokes. Wait on the revoked count: a revocation drops
+        // The reader thread posts the disconnect and the next tick
+        // revokes. Wait on the revoked count: a revocation drops
         // the lease first and bumps the count last.
         for _ in 0..200 {
             if server.broker().robustness().revoked > 0 {
@@ -1130,13 +1060,13 @@ mod tests {
         Work::Request { peer: Arc::new(peer), request: Ok(Request::Stats) }
     }
 
-    /// Stands in for a reader holding shard 0's token past its first
-    /// tick: `holder` takes two ticks, so it wants relief. The caller
-    /// holds the token.
+    /// Stands in for a reader holding the token past its first tick:
+    /// `holder` takes two ticks, so it wants relief. The caller holds
+    /// the token.
     fn take_two_ticks(plane: &Plane, holder: &mut Turn) {
         for _ in 0..2 {
-            plane.queues.post(stats_from_a_gone_peer());
-            assert!(matches!(plane.queues.next(0, holder), Step::Tick(_)));
+            plane.queue.post(stats_from_a_gone_peer());
+            assert!(matches!(plane.queue.next(holder), Step::Tick(_)));
         }
     }
 
@@ -1146,23 +1076,23 @@ mod tests {
         let mut client = Client::connect(server.local_addr()).expect("connect");
         client.set_deadline(Some(Duration::from_secs(10))).expect("deadline");
         let plane = server.plane.clone();
-        let token = plane.tokens[0].lock().expect("token");
+        let token = plane.token.lock().expect("token");
         let mut holder = Turn::reader(false);
         take_two_ticks(&plane, &mut holder);
         let caller = std::thread::spawn(move || client.call(&Request::Stats));
         // The client's reader posts its frame, finds the token taken
         // and waits for it instead of going back to reading.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !plane.queues.standing_by(0) {
+        while !plane.queue.standing_by() {
             assert!(std::time::Instant::now() < deadline, "no reader stood by");
             std::thread::sleep(Duration::from_millis(1));
         }
         // The holder hands the token over; the standby serves the frame.
-        assert!(matches!(plane.queues.next(0, &mut holder), Step::HandOver));
+        assert!(matches!(plane.queue.next(&mut holder), Step::HandOver));
         drop(token);
         let resp = caller.join().expect("caller").expect("answered by the standby");
         assert!(matches!(resp, Response::Stats { .. }), "{resp:?}");
-        assert!(!plane.queues.standing_by(0));
+        assert!(!plane.queue.standing_by());
         server.shutdown();
     }
 

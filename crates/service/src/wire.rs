@@ -368,9 +368,6 @@ pub enum Response {
         tenants: Vec<TenantStats>,
         /// Per-node `(node, used, total)` bytes.
         nodes: Vec<(NodeId, u64, u64)>,
-        /// Dispatch shards serving this broker (`1` = one queue;
-        /// absent frames from older brokers parse as `1`).
-        shards: u32,
         /// Per-tenant `(name, sampling overhead ns)` when guided
         /// service is on; `None` when it is off. An absent field
         /// parses as off, so unguided brokers keep the old frame.
@@ -442,8 +439,7 @@ impl Response {
                     o.uint("renewed", *renewed);
                 }
                 Response::Freed => {}
-                Response::Stats { tenants, nodes, shards, guided } => {
-                    o.uint("shards", *shards);
+                Response::Stats { tenants, nodes, guided } => {
                     if let Some(guided) = guided {
                         o.array("guided", |a| {
                             for (name, overhead_ns) in guided {
@@ -574,7 +570,6 @@ impl Response {
                 }
                 _ => Err(wire("node entries are [node, used, total] triples")),
             })?,
-            shards: probe("shards").map_or(Ok(1), JsonValue::as_uint)?,
             // An absent `guided` field (an unguided or older broker)
             // parses as guidance off.
             guided: match v.get("guided") {
@@ -791,7 +786,7 @@ mod tests {
             Response::Renewed { lease: 0, expires_at: None },
             Response::HeartbeatAck { renewed: 0 },
             Response::Freed,
-            Response::Stats { tenants: vec![], nodes: vec![], shards: 1, guided: None },
+            Response::Stats { tenants: vec![], nodes: vec![], guided: None },
             Response::Digest { broker: 0, epoch: 0, tiers: vec![] },
             Response::from_error(&ServiceError::Stalled),
         ];
@@ -826,13 +821,11 @@ mod tests {
                     stalls: 0,
                 }],
                 nodes: vec![(NodeId(0), 0, 1 << 30), (NodeId(4), 4096, 1 << 30)],
-                shards: 4,
                 guided: None,
             },
             Response::Stats {
                 tenants: vec![],
                 nodes: vec![(NodeId(0), 0, 1 << 30)],
-                shards: 1,
                 guided: Some(vec![("graph".into(), 1536.0), ("stream".into(), 0.0)]),
             },
             Response::Digest {
@@ -852,13 +845,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_stats_frames_parse_as_single_shard_and_unguided() {
-        let line = r#"{"ok":1,"tenants":[],"nodes":[]}"#;
-        let resp = Response::from_json(line).expect("legacy stats frame");
-        assert_eq!(
-            resp,
-            Response::Stats { tenants: vec![], nodes: vec![], shards: 1, guided: None }
-        );
+    fn stats_frames_from_older_daemons_parse_unguided() {
+        // Without `guided`, and with the `shards` count that sharded
+        // daemons sent, which is ignored.
+        for line in [
+            r#"{"ok":1,"tenants":[],"nodes":[]}"#,
+            r#"{"ok":1,"shards":4,"tenants":[],"nodes":[]}"#,
+        ] {
+            let resp = Response::from_json(line).expect("older stats frame");
+            assert_eq!(resp, Response::Stats { tenants: vec![], nodes: vec![], guided: None });
+        }
     }
 
     /// A frame that does not parse is answered with the reader's own
@@ -939,7 +935,6 @@ mod tests {
             r#"{"ok":1,"renewed":1e30}"#,
             r#"{"ok":1,"lease":1,"size":1,"placement":[[4294967296,1]],"fast_bytes":0}"#,
             r#"{"ok":1,"broker":4294967296,"epoch":0,"tiers":[]}"#,
-            r#"{"ok":1,"shards":4294967296,"tenants":[],"nodes":[]}"#,
             r#"{"ok":1,"tenants":[],"nodes":[[4294967296,0,0]]}"#,
         ];
         for line in responses {

@@ -263,11 +263,8 @@ impl Reference for Response {
                 ("renewed".into(), JsonValue::num(*renewed as f64)),
             ],
             Response::Freed => vec![("ok".into(), JsonValue::num(1.0))],
-            Response::Stats { tenants, nodes, shards, guided } => {
-                let mut fields = vec![
-                    ("ok".into(), JsonValue::num(1.0)),
-                    ("shards".into(), JsonValue::num(*shards as f64)),
-                ];
+            Response::Stats { tenants, nodes, guided } => {
+                let mut fields = vec![("ok".into(), JsonValue::num(1.0))];
                 if let Some(guided) = guided {
                     fields.push((
                         "guided".into(),
@@ -500,7 +497,6 @@ impl Reference for Response {
                     ))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
-            let shards = v.get("shards").and_then(|s| s.u64()).map(|s| s as u32).unwrap_or(1);
             // Absent `guided` field (an unguided or older broker)
             // parses as guidance off.
             let guided = match v.get("guided") {
@@ -524,7 +520,7 @@ impl Reference for Response {
                         .collect::<Result<Vec<_>, _>>()?,
                 ),
             };
-            return Ok(Response::Stats { tenants, nodes, shards, guided });
+            return Ok(Response::Stats { tenants, nodes, guided });
         }
         Ok(Response::Freed)
     }
@@ -669,14 +665,12 @@ mod tests {
             (
                 prop::collection::vec(tenant_stats(), 0..3),
                 prop::collection::vec((node(), int(), int()), 0..3),
-                any::<u32>(),
                 prop::option::of(prop::collection::vec((name(), overhead()), 0..3)),
             )
-                .prop_map(|(tenants, nodes, shards, guided)| Response::Stats {
+                .prop_map(|(tenants, nodes, guided)| Response::Stats {
                     tenants,
                     nodes,
-                    shards,
-                    guided,
+                    guided
                 }),
             (any::<u32>(), int(), prop::collection::vec((kind(), int(), any::<bool>()), 0..4))
                 .prop_map(|(broker, epoch, tiers)| Response::Digest { broker, epoch, tiers }),

@@ -263,9 +263,10 @@ fn guided_batches_phases_and_folds_interleave_cleanly() {
                     let ttl = if (i + round) % 3 == 0 { Some(2) } else { None };
                     let mib = 4 + (i * 7 + round * 5) % 29;
                     if round % 4 == 0 {
-                        let pair = [req(mib), req(mib + 3)];
-                        for outcome in broker.acquire_batch(tenant, &pair, ttl, 0) {
-                            held.push(outcome.expect("batch admitted"));
+                        for mib in [mib, mib + 3] {
+                            held.push(
+                                broker.acquire_with_ttl(tenant, &req(mib), ttl).expect("admitted"),
+                            );
                         }
                     } else {
                         held.push(

@@ -130,15 +130,16 @@ fn the_operator_handbook_covers_the_record_replay_runbook() {
 #[test]
 fn the_operator_handbook_covers_concurrency_tuning() {
     // OPERATIONS.md must carry the concurrency-tuning section, and the
-    // section itself must name what an operator can see today: the
-    // shard flag, the coalescing event, the stats field that confirms
-    // the plane width, and the flag that needs the single-shard plane.
+    // section itself must name what an operator can see of the serve
+    // plane today: the reply write timeout that cuts off a client that
+    // stops reading, and the recording that logs requests in the order
+    // they are served.
     let start = OPERATIONS
         .find("## 8. Concurrency tuning")
         .expect("docs/OPERATIONS.md is missing the `## 8. Concurrency tuning` section");
     let body = &OPERATIONS[start + "## 8.".len()..];
     let section = &body[..body.find("\n## ").unwrap_or(body.len())];
-    let required = ["--shards", "batch_coalesced", "shards", "--record"];
+    let required = ["WRITE_TIMEOUT", "--record"];
     assert_documented("docs/OPERATIONS.md §8", section, "concurrency-tuning vocabulary", &required);
 }
 

@@ -1,19 +1,20 @@
-//! Socket tests of the serve plane: readers serve their own shard's
-//! ticks, so a pipelined burst must be answered in order on one shard
-//! and on several, several clients on a sharded, coalescing server
-//! must leave the broker clean, a client that never reads must not
-//! freeze its shard — and the telemetry rings those short-lived reader
-//! threads emit into must be reused, not piled up.
+//! Socket tests of the serve plane: readers serve the one admission
+//! queue themselves, so a client that waits for each reply gets the
+//! same grants as serial admission on a twin broker, a pipelined burst
+//! must be answered in order, several pipelining clients must leave
+//! the broker clean, a client that never reads must not freeze the
+//! queue — and the telemetry rings those short-lived reader threads
+//! emit into must be reused, not piled up.
 
-use hetmem_alloc::Fallback;
+use hetmem_alloc::{AllocRequest, Fallback};
 use hetmem_core::{attr, discovery};
 use hetmem_memsim::Machine;
 use hetmem_service::{
     server::{Client, Server, WRITE_TIMEOUT},
     wire::{Request, Response},
-    ArbitrationPolicy, Broker, Priority,
+    ArbitrationPolicy, Broker, Priority, TenantId, TenantSpec,
 };
-use hetmem_telemetry::{Event, TelemetrySink};
+use hetmem_telemetry::TelemetrySink;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -103,8 +104,86 @@ fn settle(server: &Server, revoked: u64) {
     }
 }
 
+/// A deterministic mixed request stream: varied sizes, both criteria,
+/// both spill modes, every fourth round with a TTL.
+fn mixed_stream(rounds: usize, tenants: &[TenantId]) -> Vec<(TenantId, AllocRequest, Option<u64>)> {
+    let mut stream = Vec::new();
+    for round in 0..rounds {
+        for (i, &tenant) in tenants.iter().enumerate() {
+            let size = ((1 + (round * 3 + i * 5) % 48) as u64) << 20;
+            let criterion = if (round + i) % 2 == 0 { attr::BANDWIDTH } else { attr::CAPACITY };
+            let fallback =
+                if (round + i) % 3 == 0 { Fallback::NextTarget } else { Fallback::PartialSpill };
+            let ttl = if round % 4 == 3 { Some(8) } else { None };
+            stream.push((
+                tenant,
+                AllocRequest::new(size).criterion(criterion).fallback(fallback),
+                ttl,
+            ));
+        }
+    }
+    stream
+}
+
 #[test]
-fn one_shard_answers_a_pipelined_burst_in_order() {
+fn the_served_plane_is_bit_identical_to_the_serial_broker() {
+    let tenant_mix = [
+        ("anchor-a", Priority::Latency),
+        ("anchor-b", Priority::Normal),
+        ("anchor-c", Priority::Batch),
+    ];
+    let mut server =
+        Server::bind(knl_broker(TelemetrySink::disabled()), "tcp:127.0.0.1:0").expect("bind");
+    let served = server.broker().clone();
+    let serial = knl_broker(TelemetrySink::disabled());
+    let register = |broker: &Broker| -> Vec<TenantId> {
+        tenant_mix
+            .iter()
+            .map(|&(name, priority)| {
+                broker.register(TenantSpec::new(name).priority(priority)).expect("register")
+            })
+            .collect()
+    };
+    let tenants = register(&served);
+    assert_eq!(tenants, register(&serial), "registration order fixes tenant ids");
+
+    // A client that waits for each reply makes one tick, so one epoch,
+    // per request: the twin advances one epoch before each of its own.
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for (i, (tenant, req, ttl)) in mixed_stream(12, &tenants).into_iter().enumerate() {
+        let resp = client
+            .call(&Request::Alloc {
+                tenant: tenant_mix[tenant.0 as usize].0.into(),
+                size: req.size(),
+                criterion: req.get_criterion(),
+                fallback: req.get_fallback(),
+                label: None,
+                ttl,
+            })
+            .expect("answered");
+        serial.advance_epoch();
+        let want = match serial.acquire_with_ttl(tenant, &req, ttl) {
+            Ok(lease) => Response::Granted {
+                lease: lease.id().0,
+                size: lease.size(),
+                placement: lease.placement().to_vec(),
+                fast_bytes: lease.fast_bytes(),
+            },
+            Err(e) => Response::from_error(&e),
+        };
+        assert_eq!(resp, want, "request {i} diverged from the serial broker");
+    }
+    assert_eq!(served.epoch(), serial.epoch(), "one tick per request");
+    assert_eq!(served.node_usage(), serial.node_usage(), "node ledgers are bit-identical");
+    assert_eq!(served.live_leases(), serial.live_leases());
+    served.check_invariants().expect("served ledgers consistent");
+    serial.check_invariants().expect("serial ledgers consistent");
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn a_pipelined_burst_is_answered_in_order() {
     let broker = knl_broker(TelemetrySink::disabled());
     let mut server = Server::bind(broker, "tcp:127.0.0.1:0").expect("bind");
     let mut frames = vec![register("t")];
@@ -126,7 +205,7 @@ fn one_shard_answers_a_pipelined_burst_in_order() {
                 assert_eq!(*lease, (i as u64 - 1) / 2, "reply {i} out of order")
             }
             (Request::Free { .. }, Response::Freed) => {}
-            (Request::Stats, Response::Stats { shards, .. }) => assert_eq!(*shards, 1),
+            (Request::Stats, Response::Stats { .. }) => {}
             _ => panic!("reply {i} to {frame:?} is {resp:?}"),
         }
     }
@@ -136,7 +215,7 @@ fn one_shard_answers_a_pipelined_burst_in_order() {
 }
 
 #[test]
-fn a_sharded_coalescing_server_settles_clean_under_mixed_clients() {
+fn a_server_settles_clean_under_mixed_pipelining_clients() {
     const CLIENTS: usize = 4;
     const ROUNDS: u64 = 40;
     const PIPELINED: u64 = 8;
@@ -144,7 +223,7 @@ fn a_sharded_coalescing_server_settles_clean_under_mixed_clients() {
     // at the end.
     let sink = TelemetrySink::with_ring_words(1 << 16);
     let broker = knl_broker(sink.clone());
-    let mut server = Server::bind_sharded(broker, "tcp:127.0.0.1:0", None, 2).expect("bind");
+    let mut server = Server::bind(broker, "tcp:127.0.0.1:0").expect("bind");
     let addr = server.local_addr().to_string();
     let mut admin = Line::open(&addr);
     for c in 0..CLIENTS {
@@ -167,8 +246,8 @@ fn a_sharded_coalescing_server_settles_clean_under_mixed_clients() {
                         assert_eq!(line.call(free(&tenant, lease)), Response::Freed);
                     }
                     // Same-tenant allocs of distinct sizes pipelined in
-                    // one write, so a tick can coalesce them: the grants
-                    // must come back in request order.
+                    // one write, so one tick can take several: the
+                    // grants must come back in request order.
                     let sizes: Vec<u64> = (1..=PIPELINED).map(|k| k << 20).collect();
                     line.send(&sizes.iter().map(|&size| alloc(&tenant, size)).collect::<Vec<_>>());
                     let mut leases = Vec::new();
@@ -221,21 +300,17 @@ fn a_sharded_coalescing_server_settles_clean_under_mixed_clients() {
     server.shutdown();
 
     let mut collector = sink.collector();
-    let events = collector.drain_sorted();
+    collector.drain_sorted();
     let loss = collector.loss();
     assert_eq!(loss.iter().map(|l| l.lost).sum::<u64>(), 0, "{loss:?}");
     // Over a hundred connections came and went; their readers handed
     // their rings on, so the count tracks the emitting threads alive
     // at once (clients and readers still exiting).
     assert!(loss.len() <= CLIENTS + 2 + 6, "{} rings", loss.len());
-    assert!(
-        events.iter().any(|e| matches!(e.event, Event::BatchCoalesced(_))),
-        "pipelined same-tenant allocs never shared a planning walk"
-    );
 }
 
 #[test]
-fn a_client_that_never_reads_does_not_freeze_its_shard() {
+fn a_client_that_never_reads_does_not_freeze_the_queue() {
     let broker = knl_broker(TelemetrySink::disabled());
     let mut server = Server::bind(broker, "tcp:127.0.0.1:0").expect("bind");
     // One client writes 1 MiB of `stats` frames and never reads its

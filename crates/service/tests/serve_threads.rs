@@ -1,6 +1,6 @@
-//! The daemon's thread budget: at any shard count a server runs one
-//! accept thread and one reader per open connection, and no other, and
-//! shutdown joins them all. The test is alone in its binary, so no
+//! The daemon's thread budget: a server runs one accept thread and one
+//! reader per open connection, and no other, and shutdown joins them
+//! all. The test is alone in its binary, so no
 //! other test's threads are counted.
 
 #![cfg(target_os = "linux")]
@@ -38,24 +38,21 @@ fn threads() -> usize {
 fn a_server_runs_one_accept_thread_and_one_reader_per_connection() {
     const CONNS: usize = 3;
     let idle = threads();
-    for shards in [1, 4] {
-        let machine = Arc::new(Machine::knl_snc4_flat());
-        let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("attrs"));
-        let broker = Arc::new(Broker::new(machine, attrs, ArbitrationPolicy::FairShare));
-        let mut server =
-            Server::bind_sharded(broker, "tcp:127.0.0.1:0", None, shards).expect("bind");
-        let mut clients: Vec<Client> =
-            (0..CONNS).map(|_| Client::connect(server.local_addr()).expect("connect")).collect();
-        // An answered frame means its connection's reader is running.
-        for client in &mut clients {
-            let resp = client.call(&Request::Stats).expect("stats");
-            assert!(matches!(resp, Response::Stats { .. }), "{resp:?}");
-        }
-        assert_eq!(threads(), idle + 1 + CONNS, "{shards} shard(s)");
-        // Shutdown cuts the connections still open and joins their
-        // readers: no server thread outlives the call.
-        server.shutdown();
-        assert_eq!(threads(), idle, "{shards} shard(s): threads outlived the server");
-        drop(clients);
+    let machine = Arc::new(Machine::knl_snc4_flat());
+    let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("attrs"));
+    let broker = Arc::new(Broker::new(machine, attrs, ArbitrationPolicy::FairShare));
+    let mut server = Server::bind(broker, "tcp:127.0.0.1:0").expect("bind");
+    let mut clients: Vec<Client> =
+        (0..CONNS).map(|_| Client::connect(server.local_addr()).expect("connect")).collect();
+    // An answered frame means its connection's reader is running.
+    for client in &mut clients {
+        let resp = client.call(&Request::Stats).expect("stats");
+        assert!(matches!(resp, Response::Stats { .. }), "{resp:?}");
     }
+    assert_eq!(threads(), idle + 1 + CONNS);
+    // Shutdown cuts the connections still open and joins their
+    // readers: no server thread outlives the call.
+    server.shutdown();
+    assert_eq!(threads(), idle, "threads outlived the server");
+    drop(clients);
 }

@@ -149,13 +149,11 @@ fn responses() -> Vec<Response> {
                 },
             ],
             nodes: vec![(NodeId(0), 0, 96 << 30), (NodeId(4), 4096, 4 << 30)],
-            shards: 4,
             guided: None,
         },
         Response::Stats {
             tenants: vec![],
             nodes: vec![],
-            shards: 1,
             guided: Some(vec![
                 ("graph".into(), 1536.0),
                 (TRICKY.into(), 0.1),
@@ -164,7 +162,7 @@ fn responses() -> Vec<Response> {
                 ("tiny".into(), 5e-324),
             ]),
         },
-        Response::Stats { tenants: vec![], nodes: vec![], shards: 2, guided: Some(vec![]) },
+        Response::Stats { tenants: vec![], nodes: vec![], guided: Some(vec![]) },
         Response::Digest {
             broker: 2,
             epoch: 14,

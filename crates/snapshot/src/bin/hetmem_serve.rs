@@ -1,17 +1,17 @@
 //! The broker daemon:
 //! `hetmem-serve <machine> [--policy fair-share|fcfs|static] [--addr <addr>]
-//! [--shards N] [--guided] [--trace <out.jsonl>] [--record <out.hmwl>]
+//! [--guided] [--trace <out.jsonl>] [--record <out.hmwl>]
 //! [--restore <in.snap>]`.
 //!
 //! Binds a JSONL socket (default `tcp:127.0.0.1:7474`; use
 //! `unix:/path.sock` for a Unix socket) and serves allocation requests
 //! against a simulated machine until killed. See
-//! `hetmem_service::wire` for the request vocabulary.
+//! `hetmem_service::wire` for the request vocabulary. An unknown
+//! option or a second machine name exits 2 before anything is bound.
 //!
-//! Each connection's thread serves its shard's queue itself. `--shards
-//! N` runs N admission queues (connection `c` on queue `c mod N`) with
-//! request coalescing (see docs/OPERATIONS.md §8 for when to raise
-//! it); `--record` requires the default single-shard plane.
+//! Each connection's thread posts its requests on the one admission
+//! queue and serves the queue itself while it holds the serve token
+//! (docs/OPERATIONS.md §8).
 //!
 //! `--guided` turns on guided service: one adaptive guidance plane
 //! per tenant feeding per-epoch promote/demote batches under the
@@ -60,7 +60,6 @@ fn main() {
     let mut trace: Option<String> = None;
     let mut record: Option<String> = None;
     let mut restore: Option<String> = None;
-    let mut shards: u32 = 1;
     let mut guided = false;
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
@@ -100,18 +99,11 @@ fn main() {
                 };
                 restore = Some(path.clone());
             }
-            "--shards" => {
-                let Some(n) = iter.next().and_then(|n| n.parse().ok()).filter(|&n| n >= 1) else {
-                    eprintln!("hetmem-serve: --shards needs a count >= 1");
-                    std::process::exit(2);
-                };
-                shards = n;
-            }
             "--guided" => guided = true,
             "--help" | "-h" => {
                 eprintln!(
                     "usage: hetmem-serve <machine> [--policy fair-share|fcfs|static] \
-                     [--addr tcp:host:port|unix:/path.sock] [--shards N] [--guided] \
+                     [--addr tcp:host:port|unix:/path.sock] [--guided] \
                      [--trace <out.jsonl>] [--record <out.hmwl>] [--restore <in.snap>]"
                 );
                 eprintln!(
@@ -120,7 +112,19 @@ fn main() {
                 );
                 return;
             }
-            other => machine_name = Some(other.to_string()),
+            other if other.starts_with('-') => {
+                eprintln!("hetmem-serve: unknown option {other:?} (try --help)");
+                std::process::exit(2);
+            }
+            other => {
+                if let Some(first) = machine_name.replace(other.to_string()) {
+                    eprintln!(
+                        "hetmem-serve: one machine name, not both {first:?} and {other:?} \
+                         (try --help)"
+                    );
+                    std::process::exit(2);
+                }
+            }
         }
     }
     let Some(machine_name) = machine_name else {
@@ -239,7 +243,7 @@ fn main() {
         }
         None => None,
     };
-    let server = match Server::bind_sharded(Arc::new(broker), &addr, recorder, shards) {
+    let server = match Server::bind_with(Arc::new(broker), &addr, recorder) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("hetmem-serve: {e}");
@@ -247,13 +251,11 @@ fn main() {
         }
     };
     println!(
-        "hetmem-serve: {} under {} arbitration on {} ({} dispatch shard{}{})",
+        "hetmem-serve: {} under {} arbitration on {}{}",
         machine_name,
         policy.as_str(),
         server.local_addr(),
-        shards,
-        if shards == 1 { "" } else { "s" },
-        if guided { ", guided" } else { "" }
+        if guided { " (guided)" } else { "" }
     );
     println!("fast tier: {:?}", server.broker().fast_kind());
     // The background collector owns the trace cadence; main just

@@ -95,9 +95,10 @@ impl FallbackMode {
 }
 
 // The event table, the one declaration of every event kind. A row gives
-// the kind's frozen compact byte (never reused: the retired `shard_steal`
-// keeps 19), its `event` name and its variant. A field names a spelling
-// after `as` only where it is not spelled as its type is (`codec.rs`).
+// the kind's frozen compact byte (never reused: the retired
+// `batch_coalesced` and `shard_steal` keep 18 and 19), its `event` name
+// and its variant. A field names a spelling after `as` only where it is
+// not spelled as its type is (`codec.rs`).
 schema! {
     /// A telemetry event.
     #[derive(Debug, Clone, PartialEq)]
@@ -139,10 +140,11 @@ schema! {
         16 "spill_forwarded" SpillForwarded(SpillForwarded),
         /// A peer capacity digest merged into a federation board.
         17 "digest_merged" DigestMerged(DigestMerged),
-        /// Same-tenant admissions merged into one planning walk (shard
-        /// dispatch plane).
+        /// Same-tenant admissions merged into one planning walk (the
+        /// retired shard dispatch plane).
         18 "batch_coalesced" BatchCoalesced(BatchCoalesced),
-        /// An idle shard stole queued admissions from a loaded sibling.
+        /// An idle shard stole queued admissions from a loaded sibling
+        /// (the retired shard dispatch plane).
         19 "shard_steal" ShardSteal(ShardSteal),
         /// A tenant's adaptive sampler backed off or burst its period.
         20 "sample_rate_changed" SampleRateChanged(SampleRateChanged),
@@ -480,8 +482,10 @@ schema! {
 
     /// Several same-tenant, same-attribute admissions were merged into a
     /// single placement planning walk in one shard tick. The grants
-    /// fan back out to the individual requests; this event records only
-    /// the merge itself (one per coalesced batch).
+    /// fanned back out to the individual requests; this event recorded
+    /// only the merge itself (one per coalesced batch). Retired: no
+    /// daemon emits it any more; the kind stays so older traces still
+    /// decode.
     #[derive(Debug, Clone, PartialEq)]
     pub struct BatchCoalesced {
         /// Id of the emitting broker (0 standalone).
