@@ -1,11 +1,15 @@
 //! Regenerates every table of the paper's evaluation.
 //!
 //! ```text
-//! repro_tables [--table1|--table2a|--table2b|--table3a|--table3b|--table4|--portability|--capacity|--guidance|--service|--chaos|--replay|--federation|--guided-service|--all]
+//! repro_tables [--table1|--table2a|--table2b|--table3a|--table3b|--table4|--portability|--capacity|--section8|--migration|--guidance|--service|--chaos|--replay|--federation|--guided-service|--all]
 //!              [--trace <out.jsonl>]
 //! repro_tables --compare <baseline.json|dir> <current.json|dir> [--tolerance <frac>]
 //! repro_tables --check-bench <BENCH_*.json>...
 //! ```
+//!
+//! At most one area runs (`--all`, the default, runs every one in
+//! order); an unknown area, a second area or a stray argument exits 2
+//! with the usage line before anything runs.
 //!
 //! `--trace` streams every allocation decision, migration and
 //! occupancy change of the capacity-conflict demo to a JSONL file and
@@ -54,6 +58,14 @@ use hetmem_core::attr;
 use hetmem_profile::Profiler;
 use hetmem_topology::{MemoryKind, NodeId, GIB};
 
+/// Exits 2 after naming what was wrong with the arguments, followed by
+/// the usage line over the names of every area.
+fn usage_error(why: &str, areas: &[&str]) -> ! {
+    eprintln!("repro_tables: {why}");
+    eprintln!("usage: repro_tables [{}|--all] [--trace <out.jsonl>]", areas.join("|"));
+    std::process::exit(2);
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -73,55 +85,44 @@ fn main() {
         }
         None => None,
     };
-    let arg = args.first().cloned().unwrap_or_else(|| "--all".to_string());
-    let all = arg == "--all";
-    if all || arg == "--table1" {
-        table1();
+    let trace = trace.as_deref();
+    // Every area, in the order `--all` runs them.
+    let areas: [(&str, &dyn Fn()); 16] = [
+        ("--table1", &table1),
+        ("--table2a", &table2a),
+        ("--table2b", &table2b),
+        ("--table3a", &table3a),
+        ("--table3b", &table3b),
+        ("--table4", &table4),
+        ("--portability", &portability),
+        ("--capacity", &|| capacity(trace)),
+        ("--section8", &section8),
+        ("--migration", &migration),
+        ("--guidance", &guidance),
+        ("--service", &service),
+        ("--chaos", &|| chaos(trace)),
+        ("--replay", &replay_determinism),
+        ("--federation", &federation),
+        ("--guided-service", &guided_service),
+    ];
+    let names: Vec<&str> = areas.iter().map(|&(name, _)| name).collect();
+    let mut chosen: Option<&str> = None;
+    for a in &args {
+        if a != "--all" && !names.contains(&a.as_str()) {
+            if a.starts_with('-') {
+                usage_error(&format!("unknown area {a:?}"), &names);
+            }
+            usage_error(&format!("stray argument {a:?}"), &names);
+        }
+        if let Some(first) = chosen.replace(a) {
+            usage_error(&format!("one area, not both {first:?} and {a:?}"), &names);
+        }
     }
-    if all || arg == "--table2a" {
-        table2a();
-    }
-    if all || arg == "--table2b" {
-        table2b();
-    }
-    if all || arg == "--table3a" {
-        table3a();
-    }
-    if all || arg == "--table3b" {
-        table3b();
-    }
-    if all || arg == "--table4" {
-        table4();
-    }
-    if all || arg == "--portability" {
-        portability();
-    }
-    if all || arg == "--capacity" {
-        capacity(trace.as_deref());
-    }
-    if all || arg == "--section8" {
-        section8();
-    }
-    if all || arg == "--migration" {
-        migration();
-    }
-    if all || arg == "--guidance" {
-        guidance();
-    }
-    if all || arg == "--service" {
-        service();
-    }
-    if all || arg == "--chaos" {
-        chaos(trace.as_deref());
-    }
-    if all || arg == "--replay" {
-        replay_determinism();
-    }
-    if all || arg == "--federation" {
-        federation();
-    }
-    if all || arg == "--guided-service" {
-        guided_service();
+    let chosen = chosen.unwrap_or("--all");
+    for (name, run) in areas {
+        if chosen == "--all" || chosen == name {
+            run();
+        }
     }
 }
 
@@ -1260,6 +1261,82 @@ fn service_costs(ctx: &Ctx) -> Vec<BenchRecord> {
     vec![BenchRecord::new("service", "admit_release_32", admit_release, "ns", 0)]
 }
 
+/// Wall-clock cost of one epoch turnover as tier-contention runs it:
+/// `advance_epoch` (expiry and the guided fold) plus one `heartbeat`
+/// per tenant, on a guided 32-tenant KNL fair-share broker whose
+/// tenants each hold four leases (64–256 MiB, bandwidth, partial
+/// spill from the tenant's SNC-4 cluster, 16-epoch TTL) and have run
+/// one phase over them, so every tenant has a guidance plane. The
+/// first epochs' moves settle before the clock starts. One thread and
+/// no telemetry.
+fn epoch_turnover_cost(ctx: &Ctx) -> BenchRecord {
+    use hetmem_alloc::AllocRequest;
+    use hetmem_memsim::{AccessPattern, BufferAccess, Phase};
+    use hetmem_service::{ArbitrationPolicy, Broker, GuidedConfig, Priority, TenantSpec};
+    use hetmem_topology::MIB;
+    const TENANTS: u64 = 32;
+    const LEASES: u64 = 4;
+    const WARMUP: u32 = 8;
+    const REPS: u32 = 256;
+    let mut broker =
+        Broker::new(ctx.machine.clone(), ctx.attrs.clone(), ArbitrationPolicy::FairShare);
+    broker.enable_guidance(GuidedConfig::default());
+    let priorities = [Priority::Batch, Priority::Normal, Priority::Latency];
+    let tenants: Vec<_> = (0..TENANTS)
+        .map(|i| {
+            let spec =
+                TenantSpec::new(format!("t{i}")).priority(priorities[i as usize % 3]).lease_ttl(16);
+            broker.register(spec).expect("register")
+        })
+        .collect();
+    let mut held = Vec::new();
+    for (i, &tenant) in (0..).zip(&tenants) {
+        // Each tenant fills from its own SNC-4 cluster.
+        let cpus = hetmem_apps::pinned_cpus(16 * (i as usize % 4), 16);
+        let leases: Vec<_> = (0..LEASES)
+            .map(|k| {
+                let req = AllocRequest::new((64 + (i * LEASES + k) % 4 * 64) * MIB)
+                    .criterion(attr::BANDWIDTH)
+                    .initiator(&cpus)
+                    .fallback(Fallback::PartialSpill);
+                broker.acquire(tenant, &req).expect("fits")
+            })
+            .collect();
+        let phase = Phase {
+            name: "turnover".into(),
+            accesses: leases
+                .iter()
+                .map(|l| BufferAccess::new(l.region(), l.size(), 0, AccessPattern::Sequential))
+                .collect(),
+            threads: 16,
+            initiator: cpus,
+            compute_ns: 0.0,
+        };
+        broker.run_phase(tenant, &phase).expect("phase");
+        held.extend(leases);
+    }
+    let turnover = || {
+        broker.advance_epoch();
+        for &t in &tenants {
+            std::hint::black_box(broker.heartbeat(t).expect("heartbeat"));
+        }
+    };
+    for _ in 0..WARMUP {
+        turnover();
+    }
+    let start = std::time::Instant::now();
+    for _ in 0..REPS {
+        turnover();
+    }
+    let ns = start.elapsed().as_nanos() as f64 / REPS as f64;
+    assert_eq!(broker.live_leases(), held.len(), "heartbeats keep every lease");
+    broker.check_invariants().expect("broker consistent");
+    for lease in held {
+        broker.release(lease).expect("release");
+    }
+    BenchRecord::new("service", "epoch_turnover_32", ns, "ns", 0)
+}
+
 /// §VII: capacity conflicts — FCFS vs priorities on the KNL MCDRAM.
 fn capacity(trace: Option<&str>) {
     use hetmem_telemetry::{JsonlWriter, Summary, TelemetrySink};
@@ -1372,6 +1449,7 @@ fn capacity(trace: Option<&str>) {
     records.extend(memsim_costs(&ctx));
     records.extend(wire_costs());
     records.extend(service_costs(&ctx));
+    records.push(epoch_turnover_cost(&ctx));
     emit_bench("alloc", &records);
     if let (Some(w), Some(path)) = (&writer, trace) {
         let mut collector = sink.collector();

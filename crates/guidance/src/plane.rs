@@ -245,7 +245,8 @@ impl GuidancePlane {
     /// `hot_share` and that are not already fully on the hot target;
     /// demotions are regions below `cold_share` still holding bytes
     /// there, gated on estimator warm-up. Hysteresis filters both.
-    /// Returned pairs carry the estimated share that triggered them.
+    /// Returned pairs keep the order of `regions` and carry the
+    /// estimated share that triggered them.
     pub fn plan(&self, regions: &[RegionView], hot: bool) -> Vec<(RegionId, f64)> {
         regions
             .iter()

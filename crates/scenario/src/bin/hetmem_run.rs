@@ -6,6 +6,9 @@
 //! wire log (trailer included) that `hetmem-replay` can re-execute and
 //! verify; combine with a `snapshot` stanza in the scenario to
 //! checkpoint mid-run.
+//!
+//! An unknown option or a second scenario file exits 2 with a usage
+//! hint before anything is read.
 
 use hetmem_scenario::{execute_with_options, parse, ExecOptions};
 use hetmem_telemetry::{read_jsonl, BackgroundCollector, JsonlWriter, Summary, TelemetrySink};
@@ -20,42 +23,42 @@ fn main() {
     let mut show_objects = false;
     let mut show_timeline = false;
     let mut trace: Option<String> = None;
-    let mut want_trace_path = false;
     let mut record: Option<String> = None;
-    let mut want_record_path = false;
     let mut guidance: Option<u64> = None;
-    let mut want_period = false;
-    for a in &args {
-        if want_trace_path {
-            trace = Some(a.clone());
-            want_trace_path = false;
-            continue;
-        }
-        if want_record_path {
-            record = Some(a.clone());
-            want_record_path = false;
-            continue;
-        }
-        if want_period {
-            want_period = false;
-            if let Ok(p) = a.parse::<u64>() {
-                if p == 0 {
-                    eprintln!("hetmem-run: --guidance period must be at least 1");
-                    std::process::exit(2);
-                }
-                guidance = Some(p);
-                continue;
-            }
-            // Not a number: fall through and treat it as the next arg.
-        }
+    let mut iter = args.iter().peekable();
+    while let Some(a) = iter.next() {
         match a.as_str() {
             "--objects" => show_objects = true,
             "--timeline" => show_timeline = true,
-            "--trace" => want_trace_path = true,
-            "--record" => want_record_path = true,
+            "--trace" => {
+                let Some(path) = iter.next() else {
+                    eprintln!("hetmem-run: --trace needs a file argument");
+                    std::process::exit(2);
+                };
+                trace = Some(path.clone());
+            }
+            "--record" => {
+                let Some(path) = iter.next() else {
+                    eprintln!("hetmem-run: --record needs a file argument");
+                    std::process::exit(2);
+                };
+                record = Some(path.clone());
+            }
             "--guidance" => {
-                guidance = Some(DEFAULT_PERIOD);
-                want_period = true;
+                // The period is optional: only a number right after the
+                // flag is taken as one.
+                let period = match iter.peek().and_then(|p| p.parse::<u64>().ok()) {
+                    Some(p) => {
+                        iter.next();
+                        p
+                    }
+                    None => DEFAULT_PERIOD,
+                };
+                if period == 0 {
+                    eprintln!("hetmem-run: --guidance period must be at least 1");
+                    std::process::exit(2);
+                }
+                guidance = Some(period);
             }
             "--help" | "-h" => {
                 eprintln!(
@@ -73,16 +76,20 @@ fn main() {
                 eprintln!("platforms: {}", hetmem_scenario::PLATFORM_NAMES.join(", "));
                 return;
             }
-            other => file = Some(other.to_string()),
+            other if other.starts_with('-') => {
+                eprintln!("hetmem-run: unknown option {other:?} (try --help)");
+                std::process::exit(2);
+            }
+            other => {
+                if let Some(first) = file.replace(other.to_string()) {
+                    eprintln!(
+                        "hetmem-run: one scenario file, not both {first:?} and {other:?} \
+                         (try --help)"
+                    );
+                    std::process::exit(2);
+                }
+            }
         }
-    }
-    if want_trace_path {
-        eprintln!("hetmem-run: --trace needs a file argument");
-        std::process::exit(2);
-    }
-    if want_record_path {
-        eprintln!("hetmem-run: --record needs a file argument");
-        std::process::exit(2);
     }
     let Some(file) = file else {
         eprintln!("hetmem-run: no scenario file (try --help)");

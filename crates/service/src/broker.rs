@@ -148,6 +148,100 @@ struct LeaseRecord {
     expires_at: Option<u64>,
 }
 
+/// The live leases, in two views: every record by lease id, and each
+/// tenant's lease ids in ascending order by registry index. Only
+/// [`LeaseTable::insert`] and [`LeaseTable::remove`] add or drop a
+/// lease, and they keep both views in step. A heartbeat and the guided
+/// fold read one tenant's ids; only expiry, capture, restore and
+/// `check_invariants` walk every lease.
+#[derive(Debug, Default)]
+struct LeaseTable {
+    records: BTreeMap<LeaseId, LeaseRecord>,
+    /// Live lease ids by registry index, ascending. Registration only
+    /// appends, so an index names one tenant for the broker's lifetime;
+    /// the row grows when a tenant is first granted a lease, and a
+    /// tenant past its end holds none.
+    by_tenant: Vec<Vec<LeaseId>>,
+}
+
+impl LeaseTable {
+    /// Adds a lease under `id`, listed under `record.index`. An id
+    /// already live is refused and nothing changes.
+    fn insert(&mut self, id: LeaseId, record: LeaseRecord) -> bool {
+        let index = record.index;
+        let std::collections::btree_map::Entry::Vacant(slot) = self.records.entry(id) else {
+            return false;
+        };
+        slot.insert(record);
+        if self.by_tenant.len() <= index {
+            self.by_tenant.resize_with(index + 1, Vec::new);
+        }
+        let ids = &mut self.by_tenant[index];
+        // Ids are issued in order, so this is nearly always the end.
+        let at = ids.partition_point(|&other| other < id);
+        ids.insert(at, id);
+        true
+    }
+
+    /// Removes a live lease from both views.
+    fn remove(&mut self, id: LeaseId) -> Option<LeaseRecord> {
+        let record = self.records.remove(&id)?;
+        let ids = &mut self.by_tenant[record.index];
+        let at = ids.binary_search(&id).expect("a live lease is listed under its tenant");
+        ids.remove(at);
+        Some(record)
+    }
+
+    /// The live lease ids of the tenant at registry index `index`,
+    /// ascending.
+    fn of(&self, index: usize) -> &[LeaseId] {
+        self.by_tenant.get(index).map_or(&[], Vec::as_slice)
+    }
+
+    /// Resets the TTL clock of every lease of the tenant at `index` to
+    /// `now`; returns how many run under a TTL.
+    fn renew_tenant(&mut self, index: usize, now: u64) -> u64 {
+        let mut renewed = 0;
+        for id in self.by_tenant.get(index).map_or(&[][..], Vec::as_slice) {
+            let record = self.records.get_mut(id).expect("a listed lease is live");
+            if let Some(t) = record.ttl {
+                record.expires_at = Some(now.saturating_add(t));
+                renewed += 1;
+            }
+        }
+        renewed
+    }
+
+    /// Holds the per-tenant view to the records: every live lease is
+    /// listed exactly once, under its record's index, each row is
+    /// ascending, and nothing else is listed.
+    fn check(&self) -> Result<(), String> {
+        let mut listed = 0;
+        for (index, ids) in self.by_tenant.iter().enumerate() {
+            if let Some(pair) = ids.windows(2).find(|pair| pair[0] >= pair[1]) {
+                return Err(format!("tenant index {index} lists {} before {}", pair[0], pair[1]));
+            }
+            for id in ids {
+                match self.records.get(id) {
+                    Some(record) if record.index == index => {}
+                    Some(record) => {
+                        return Err(format!(
+                            "{id} is listed under tenant index {index}, its record under {}",
+                            record.index
+                        ))
+                    }
+                    None => return Err(format!("tenant index {index} lists {id}, not live")),
+                }
+            }
+            listed += ids.len();
+        }
+        if listed != self.records.len() {
+            return Err(format!("{listed} leases listed by tenant, {} live", self.records.len()));
+        }
+        Ok(())
+    }
+}
+
 /// Why a lease was reclaimed outside the normal release path.
 #[derive(Debug, Clone)]
 enum ReclaimCause {
@@ -413,7 +507,7 @@ pub struct Broker {
     /// a new one, requests only clone the `Arc`.
     registry: RwLock<Arc<Registry>>,
     next_tenant: AtomicU32,
-    leases: Mutex<BTreeMap<LeaseId, LeaseRecord>>,
+    leases: Mutex<LeaseTable>,
     next_lease: AtomicU64,
     board: TrafficBoard,
     node_kind: BTreeMap<NodeId, MemoryKind>,
@@ -490,7 +584,7 @@ impl Broker {
             ledger: Mutex::new(ledger),
             registry,
             next_tenant: AtomicU32::new(0),
-            leases: Mutex::new(BTreeMap::new()),
+            leases: Mutex::new(LeaseTable::default()),
             next_lease: AtomicU64::new(0),
             board,
             node_kind,
@@ -799,7 +893,7 @@ impl Broker {
             .map(|&(_, b)| b)
             .sum();
         let id = LeaseId(self.next_lease.fetch_add(1, Ordering::Relaxed));
-        self.leases.lock().expect("leases poisoned").insert(
+        let fresh = self.leases.lock().expect("leases poisoned").insert(
             id,
             LeaseRecord {
                 tenant,
@@ -810,6 +904,7 @@ impl Broker {
                 expires_at,
             },
         );
+        debug_assert!(fresh, "lease ids are issued once");
         record.admits.fetch_add(1, Ordering::Relaxed);
         if self.sink.enabled() {
             self.sink.emit(Event::TenantAdmit(TenantAdmit {
@@ -837,7 +932,7 @@ impl Broker {
             .leases
             .lock()
             .expect("leases poisoned")
-            .remove(&id)
+            .remove(id)
             .ok_or(ServiceError::UnknownLease(id.0))?;
         self.settle_free(&record);
         Ok(())
@@ -864,7 +959,7 @@ impl Broker {
             .leases
             .lock()
             .expect("leases poisoned")
-            .remove(&id)
+            .remove(id)
             .ok_or(ServiceError::UnknownLease(id.0))?;
         self.settle_free(&record);
         let bytes: u64 = record.placement.iter().map(|&(_, b)| b).sum();
@@ -921,7 +1016,7 @@ impl Broker {
     pub fn renew(&self, tenant: TenantId, id: LeaseId) -> Result<Option<u64>, ServiceError> {
         let now = self.epoch.load(Ordering::SeqCst);
         let mut leases = self.leases.lock().expect("leases poisoned");
-        let record = leases.get_mut(&id).ok_or(ServiceError::UnknownLease(id.0))?;
+        let record = leases.records.get_mut(&id).ok_or(ServiceError::UnknownLease(id.0))?;
         if record.tenant != tenant {
             return Err(ServiceError::UnknownLease(id.0));
         }
@@ -931,21 +1026,13 @@ impl Broker {
 
     /// Renews every lease the tenant holds in one call — the wire
     /// heartbeat. Returns the number of leases whose clock was reset.
+    /// Visits only the tenant's own leases.
     pub fn heartbeat(&self, tenant: TenantId) -> Result<u64, ServiceError> {
-        if self.registry().index(tenant).is_none() {
+        let Some(index) = self.registry().index(tenant) else {
             return Err(ServiceError::UnknownTenant(format!("{tenant}")));
-        }
+        };
         let now = self.epoch.load(Ordering::SeqCst);
-        let mut renewed = 0;
-        for record in self.leases.lock().expect("leases poisoned").values_mut() {
-            if record.tenant == tenant {
-                if let Some(t) = record.ttl {
-                    record.expires_at = Some(now.saturating_add(t));
-                    renewed += 1;
-                }
-            }
-        }
-        Ok(renewed)
+        Ok(self.leases.lock().expect("leases poisoned").renew_tenant(index, now))
     }
 
     /// Reclaims every lease whose TTL elapsed without a renewal.
@@ -957,6 +1044,7 @@ impl Broker {
             .leases
             .lock()
             .expect("leases poisoned")
+            .records
             .iter()
             .filter(|(_, r)| r.expires_at.is_some_and(|at| at <= now))
             .map(|(&id, r)| (id, r.ttl.unwrap_or(0)))
@@ -1013,7 +1101,7 @@ impl Broker {
     /// The expiry epoch of a live lease: `Some(epoch)` for a TTL'd
     /// lease, `None` when the lease is immortal or unknown.
     pub fn lease_deadline(&self, id: LeaseId) -> Option<u64> {
-        self.leases.lock().expect("leases poisoned").get(&id).and_then(|r| r.expires_at)
+        self.leases.lock().expect("leases poisoned").records.get(&id).and_then(|r| r.expires_at)
     }
 
     /// Snapshot of the robustness counters.
@@ -1033,18 +1121,18 @@ impl Broker {
 
     /// The placement of a live lease, if it exists.
     pub fn placement(&self, id: LeaseId) -> Option<Vec<(NodeId, u64)>> {
-        self.leases.lock().expect("leases poisoned").get(&id).map(|r| r.placement.clone())
+        self.leases.lock().expect("leases poisoned").records.get(&id).map(|r| r.placement.clone())
     }
 
     /// The tenant holding a live lease, if it exists (the wire layer
     /// uses this to refuse cross-tenant frees).
     pub fn lease_owner(&self, id: LeaseId) -> Option<TenantId> {
-        self.leases.lock().expect("leases poisoned").get(&id).map(|r| r.tenant)
+        self.leases.lock().expect("leases poisoned").records.get(&id).map(|r| r.tenant)
     }
 
     /// Number of live leases.
     pub fn live_leases(&self) -> usize {
-        self.leases.lock().expect("leases poisoned").len()
+        self.leases.lock().expect("leases poisoned").records.len()
     }
 
     /// Registers one served tick: opens the next contention epoch,
@@ -1085,6 +1173,7 @@ impl Broker {
             })
             .collect();
         let lease_entries = leases
+            .records
             .iter()
             .map(|(&id, r)| LeaseEntry {
                 id: id.0,
@@ -1184,7 +1273,7 @@ impl Broker {
         }
         let registry = Registry::build(tenants.into_iter().collect(), &broker.tier_capacity);
 
-        let mut leases: BTreeMap<LeaseId, LeaseRecord> = BTreeMap::new();
+        let mut leases = LeaseTable::default();
         for l in &state.leases {
             if l.id >= state.next_lease {
                 return Err(err(format!(
@@ -1204,7 +1293,7 @@ impl Broker {
                     l.id, l.region
                 )));
             }
-            let previous = leases.insert(
+            let fresh = leases.insert(
                 LeaseId(l.id),
                 LeaseRecord {
                     tenant: TenantId(l.tenant),
@@ -1215,7 +1304,7 @@ impl Broker {
                     expires_at: l.expires_at,
                 },
             );
-            if previous.is_some() {
+            if !fresh {
                 return Err(err(format!("duplicate lease #{}", l.id)));
             }
         }
@@ -1231,7 +1320,7 @@ impl Broker {
         // stripes must charge exactly. Sums saturate: corrupt sizes
         // then disagree instead of overflowing.
         let mut leased: BTreeMap<NodeId, BTreeMap<TenantId, u64>> = BTreeMap::new();
-        for record in leases.values() {
+        for record in leases.records.values() {
             for &(node, bytes) in record.placement.iter().filter(|&&(_, b)| b > 0) {
                 let held = leased.entry(node).or_default().entry(record.tenant).or_insert(0);
                 *held = held.saturating_add(bytes);
@@ -1414,8 +1503,9 @@ impl Broker {
     }
 
     /// Cross-checks every ledger against the memory manager and the
-    /// lease table, and the per-tier view against both the live leases
-    /// and the per-node holdings. Intended for tests at quiescent
+    /// lease table, the per-tier view against both the live leases
+    /// and the per-node holdings, and the lease table's per-tenant
+    /// view against its records. Intended for tests at quiescent
     /// points (no in-flight requests); returns a description of the
     /// first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -1424,10 +1514,18 @@ impl Broker {
         let registry = self.registry();
         let mut lease_bytes: BTreeMap<NodeId, u64> = BTreeMap::new();
         let mut lease_tiers: BTreeMap<(MemoryKind, usize), u64> = BTreeMap::new();
-        for record in self.leases.lock().expect("leases poisoned").values() {
+        let leases = self.leases.lock().expect("leases poisoned");
+        leases.check()?;
+        for (id, record) in &leases.records {
             let Some(index) = registry.index(record.tenant) else {
                 return Err(format!("a live lease is held by unknown {}", record.tenant));
             };
+            if record.index != index {
+                return Err(format!(
+                    "{id} records index {} for {}, registered at {index}",
+                    record.index, record.tenant
+                ));
+            }
             for &(node, bytes) in &record.placement {
                 *lease_bytes.entry(node).or_insert(0) += bytes;
                 if let Some(&kind) = self.node_kind.get(&node) {

@@ -189,6 +189,91 @@ fn acquire_matches_reference(
     }
 }
 
+/// [`Broker::heartbeat`] as it ran before the lease table kept a
+/// per-tenant view, a walk over every lease, applied to a copy of the
+/// table: the renewed count and every lease's deadline afterwards.
+fn reference_heartbeat(
+    broker: &Broker,
+    tenant: TenantId,
+) -> Result<(u64, BTreeMap<LeaseId, Option<u64>>), ServiceError> {
+    if broker.registry().index(tenant).is_none() {
+        return Err(ServiceError::UnknownTenant(format!("{tenant}")));
+    }
+    let now = broker.epoch.load(Ordering::SeqCst);
+    let mut records = broker.leases.lock().unwrap().records.clone();
+    let mut renewed = 0;
+    for record in records.values_mut() {
+        if record.tenant == tenant {
+            if let Some(t) = record.ttl {
+                record.expires_at = Some(now.saturating_add(t));
+                renewed += 1;
+            }
+        }
+    }
+    Ok((renewed, records.iter().map(|(&id, r)| (id, r.expires_at)).collect()))
+}
+
+/// The guided fold's region views as it built them before the
+/// per-tenant view, a walk over every lease, each with its lease id.
+fn reference_tenant_views(
+    broker: &Broker,
+    tenant: TenantId,
+) -> Vec<(LeaseId, hetmem_guidance::RegionView)> {
+    let leases = broker.leases.lock().unwrap();
+    leases
+        .records
+        .iter()
+        .filter(|(_, r)| r.tenant == tenant)
+        .map(|(&id, r)| {
+            let view = hetmem_guidance::RegionView {
+                id: r.region,
+                size: r.placement.iter().map(|&(_, b)| b).sum(),
+                on_target: r
+                    .placement
+                    .iter()
+                    .filter(|(n, _)| broker.node_kind.get(n) == Some(&broker.fast_kind))
+                    .map(|&(_, b)| b)
+                    .sum(),
+            };
+            (id, view)
+        })
+        .collect()
+}
+
+/// Heartbeats `tenant` and checks the renewed count and every live
+/// lease's deadline against the reference walk.
+fn heartbeat_matches_reference(broker: &Broker, tenant: TenantId) -> Result<(), String> {
+    let expected = reference_heartbeat(broker, tenant);
+    let renewed = broker.heartbeat(tenant);
+    let (count, deadlines) = match (renewed, expected) {
+        (Ok(renewed), Ok((count, deadlines))) => {
+            prop_assert_eq!(renewed, count, "{} renewed", tenant);
+            (count, deadlines)
+        }
+        (renewed, expected) => {
+            prop_assert_eq!(renewed.err(), expected.err());
+            return Ok(());
+        }
+    };
+    prop_assert_eq!(broker.live_leases(), deadlines.len(), "{} leases renewed", count);
+    for (id, deadline) in deadlines {
+        prop_assert_eq!(broker.lease_deadline(id), deadline, "{}", id);
+    }
+    Ok(())
+}
+
+/// Every registered tenant's fold views (lease ids, regions, sizes,
+/// fast bytes, order) equal the reference walk's.
+fn views_match_reference(broker: &Broker) -> Result<(), String> {
+    let registry = broker.registry();
+    for (index, (tenant, _)) in registry.iter().enumerate() {
+        let views = broker.tenant_views(index);
+        let indexed: Vec<_> = views.ids.iter().copied().zip(views.views).collect();
+        prop_assert_eq!(indexed, reference_tenant_views(broker, tenant), "{}", tenant);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -276,17 +361,20 @@ proptest! {
         }
     }
 
-    /// Every path that settles the ledger, interleaved on a guided
-    /// broker (standalone or a federation member): acquire, release,
-    /// guided migration, served phases with the epoch turnover's
-    /// expiry and fold, revocation, and a snapshot → restore round
-    /// trip that carries on with the restored broker. After every step
-    /// the per-tier view agrees with the live leases and with the
-    /// per-node holdings.
+    /// Every path that settles the ledger or the lease table,
+    /// interleaved on a guided broker (standalone or a federation
+    /// member): acquire, release, guided migration, served phases with
+    /// the epoch turnover's expiry and fold, revocation, heartbeats,
+    /// and a snapshot → restore round trip that carries on with the
+    /// restored broker and heartbeats it. After every step the per-tier
+    /// view agrees with the live leases and with the per-node holdings,
+    /// the lease table's per-tenant view with its records, and every
+    /// tenant's fold views with the reference walk over every lease;
+    /// each heartbeat renews what the reference walk renews.
     #[test]
     fn the_tier_view_follows_every_ledger_path(
         tenants in prop::collection::vec((0usize..3, 0u64..2048, 0u64..4096, any::<bool>()), 1..12),
-        ops in prop::collection::vec((0u8..8, 0usize..64, 1u64..4096), 1..60),
+        ops in prop::collection::vec((0u8..9, 0usize..64, 1u64..4096), 1..60),
         sharded in any::<bool>(),
     ) {
         let guided = GuidedConfig {
@@ -322,8 +410,8 @@ proptest! {
                     let _ = broker.revoke(leases.swap_remove(who % leases.len()).id(), "operator");
                 }
                 5 if !leases.is_empty() => {
-                    let region = leases[who % leases.len()].region();
-                    let _ = broker.migrate_lease_region(region, nodes[mib as usize % nodes.len()]);
+                    let lease = leases[who % leases.len()].id();
+                    let _ = broker.migrate_lease(lease, nodes[mib as usize % nodes.len()]);
                 }
                 6 => {
                     let live: Vec<BufferAccess> = leases
@@ -355,10 +443,14 @@ proptest! {
                     prop_assert_eq!(restored.snapshot_state(), state);
                     restored.enable_guidance(guided);
                     broker = restored;
+                    // The per-tenant view was rebuilt from the capture.
+                    heartbeat_matches_reference(&broker, tenant)?;
                 }
+                8 => heartbeat_matches_reference(&broker, tenant)?,
                 _ => {}
             }
             broker.check_invariants().map_err(|e| format!("after op {op}: {e}"))?;
+            views_match_reference(&broker)?;
         }
         for lease in leases {
             let _ = broker.release(lease);

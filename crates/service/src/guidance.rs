@@ -26,7 +26,7 @@
 //! [`BrokerState`](super::BrokerState) — record mode refuses guided
 //! service, so replay never needs it.
 
-use super::Broker;
+use super::{Broker, LeaseId};
 use crate::tenant::TenantId;
 use hetmem_core::attr;
 use hetmem_guidance::{
@@ -203,10 +203,12 @@ impl Broker {
             .collect();
 
         // Demotions first, every tenant: free the hot tier before the
-        // promotions below compete for it.
+        // promotions below compete for it. A tenant registered after
+        // `registry` was loaded has no views until the next fold.
         for (&tenant, plane) in planes.iter_mut() {
-            let views = self.tenant_views(tenant);
-            for (region, _share) in plane.plan(&views, false) {
+            let Some(index) = registry.index(tenant) else { continue };
+            let views = self.tenant_views(index);
+            for (lease, region) in views.planned(plane, false) {
                 if budget.remaining_ns() <= 0.0 {
                     budget.defer();
                     continue;
@@ -214,7 +216,7 @@ impl Broker {
                 // First capacity-ranked node that takes the region
                 // wins; a full node fails the migrate cleanly.
                 for &to in &capacity_order {
-                    if let Some((cost_ns, _)) = self.migrate_lease_region(region, to) {
+                    if let Some((cost_ns, _)) = self.migrate_lease(lease, to) {
                         budget.charge(cost_ns);
                         plane.record_move(region, false, cost_ns);
                         break;
@@ -229,9 +231,10 @@ impl Broker {
             (Reverse(registry.get(t).map(|s| s.priority.weight()).unwrap_or(0)), t.0)
         });
         for tenant in order {
+            let Some(index) = registry.index(tenant) else { continue };
             let plane = planes.get_mut(&tenant).expect("plane listed");
-            let views = self.tenant_views(tenant);
-            for (region, _share) in plane.plan(&views, true) {
+            let views = self.tenant_views(index);
+            for (lease, region) in views.planned(plane, true) {
                 if budget.remaining_ns() <= 0.0 {
                     budget.defer();
                     continue;
@@ -240,7 +243,7 @@ impl Broker {
                 // wins; full nodes fail the migrate cleanly.
                 let Some((to, cost_ns, bytes)) = fast_order
                     .iter()
-                    .find_map(|&to| self.migrate_lease_region(region, to).map(|(c, b)| (to, c, b)))
+                    .find_map(|&to| self.migrate_lease(lease, to).map(|(c, b)| (to, c, b)))
                 else {
                     continue;
                 };
@@ -270,53 +273,74 @@ impl Broker {
         }
     }
 
-    /// The plane's view of one tenant's regions, from the lease table
-    /// (lease order — deterministic). `on_target` counts bytes
-    /// anywhere on the fast tier, so a region promoted to any fast
-    /// node stops being a promotion candidate.
-    fn tenant_views(&self, tenant: TenantId) -> Vec<RegionView> {
+    /// The plane's view of the regions of the tenant at registry index
+    /// `index`, read from its lease ids (lease order — deterministic).
+    /// `on_target` counts bytes anywhere on the fast tier, so a region
+    /// promoted to any fast node stops being a promotion candidate.
+    pub(super) fn tenant_views(&self, index: usize) -> TenantViews {
         let leases = self.leases.lock().expect("leases poisoned");
-        leases
-            .values()
-            .filter(|r| r.tenant == tenant)
-            .map(|r| RegionView {
-                id: r.region,
-                size: r.placement.iter().map(|&(_, b)| b).sum(),
-                on_target: r
-                    .placement
-                    .iter()
-                    .filter(|(n, _)| self.node_kind.get(n) == Some(&self.fast_kind))
-                    .map(|&(_, b)| b)
-                    .sum(),
+        let ids = leases.of(index).to_vec();
+        let views = ids
+            .iter()
+            .map(|&id| {
+                let r = &leases.records[&id];
+                RegionView {
+                    id: r.region,
+                    size: r.placement.iter().map(|&(_, b)| b).sum(),
+                    on_target: r
+                        .placement
+                        .iter()
+                        .filter(|(n, _)| self.node_kind.get(n) == Some(&self.fast_kind))
+                        .map(|&(_, b)| b)
+                        .sum(),
+                }
             })
-            .collect()
+            .collect();
+        TenantViews { ids, views }
     }
 
-    /// Migrates a leased region to `target` and moves its holdings in
-    /// the ledger, atomically with the lease record's placement update
-    /// (a concurrent renewal serialises on the lease table and can
-    /// never observe a placement the fold already moved away from).
-    /// Returns `(cost_ns, bytes_moved)`, or `None` when the region has
-    /// no live lease or the target cannot take it (the failed migrate
-    /// has no side effects).
-    pub(super) fn migrate_lease_region(
-        &self,
-        region: RegionId,
-        target: NodeId,
-    ) -> Option<(f64, u64)> {
+    /// Migrates lease `id`'s region to `target` and moves its holdings
+    /// in the ledger, atomically with the lease record's placement
+    /// update (a concurrent renewal serialises on the lease table and
+    /// can never observe a placement the fold already moved away
+    /// from). Returns `(cost_ns, bytes_moved)`, or `None` when the
+    /// lease is gone or the target cannot take its region (the failed
+    /// migrate has no side effects).
+    pub(super) fn migrate_lease(&self, id: LeaseId, target: NodeId) -> Option<(f64, u64)> {
         if !self.node_kind.contains_key(&target) {
             return None;
         }
         // Lock order: leases → ledger, the broker's global order.
         let mut leases = self.leases.lock().expect("leases poisoned");
-        let record = leases.values_mut().find(|r| r.region == region)?;
+        let record = leases.records.get_mut(&id)?;
         let mut ledger = self.ledger();
-        let report = ledger.mm.migrate(region, target).ok()?;
-        let placement = ledger.mm.region(region)?.placement.clone();
+        let report = ledger.mm.migrate(record.region, target).ok()?;
+        let placement = ledger.mm.region(record.region)?.placement.clone();
         ledger.settle(record.tenant, record.index, &record.placement, false);
         ledger.settle(record.tenant, record.index, &placement, true);
         record.placement = placement;
         Some((report.cost_ns, report.bytes_moved))
+    }
+}
+
+/// One tenant's region views, each with the lease backing it.
+pub(super) struct TenantViews {
+    pub(super) ids: Vec<LeaseId>,
+    pub(super) views: Vec<RegionView>,
+}
+
+impl TenantViews {
+    /// The plane's candidate moves as `(lease, region)` pairs. The plan
+    /// keeps the order of the views, so one pass pairs them up.
+    fn planned(&self, plane: &GuidancePlane, hot: bool) -> Vec<(LeaseId, RegionId)> {
+        let mut views = self.ids.iter().zip(&self.views);
+        plane
+            .plan(&self.views, hot)
+            .into_iter()
+            .filter_map(|(region, _share)| {
+                views.find(|(_, v)| v.id == region).map(|(&lease, _)| (lease, region))
+            })
+            .collect()
     }
 }
 

@@ -7,7 +7,8 @@
 //! broker state and telemetry summary against the log's trailer byte
 //! for byte. Exit status: 0 = replay verified (or the log has no
 //! trailer — reported as UNVERIFIED), 1 = divergence, 2 = bad usage
-//! or unreadable input.
+//! (an unknown option or a second wire log among them, refused before
+//! anything is read) or unreadable input.
 
 use hetmem_core::discovery;
 use hetmem_memsim::Machine;
@@ -69,7 +70,19 @@ fn main() {
                 );
                 return;
             }
-            other => log_path = Some(other.to_string()),
+            other if other.starts_with('-') => {
+                eprintln!("hetmem-replay: unknown option {other:?} (try --help)");
+                std::process::exit(2);
+            }
+            other => {
+                if let Some(first) = log_path.replace(other.to_string()) {
+                    eprintln!(
+                        "hetmem-replay: one wire log, not both {first:?} and {other:?} \
+                         (try --help)"
+                    );
+                    std::process::exit(2);
+                }
+            }
         }
     }
     let Some(log_path) = log_path else {
