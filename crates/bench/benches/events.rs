@@ -10,8 +10,8 @@
 //! what they pay now: a varint encode into the thread's own SPSC ring,
 //! with a background collector doing the JSONL rendering off the hot
 //! path (overwrite-tolerant, losses counted exactly). Results are
-//! printed and persisted to `BENCH_telemetry.json` for
-//! `repro_tables --compare`.
+//! printed and persisted to `BENCH_telemetry.json`, a wall-clock area
+//! that CI does not regenerate.
 
 use hetmem_bench::perf::{self, BenchRecord};
 use hetmem_telemetry::{BackgroundCollector, Event, JsonlWriter, OccupancyGauge, TelemetrySink};

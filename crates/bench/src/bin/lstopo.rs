@@ -4,36 +4,20 @@
 //! lstopo [PLATFORM] [--memattrs] [--summary] [--export] [--input FILE]
 //! ```
 //!
-//! Platforms: knl-flat (default), knl-hybrid, knl-cache, xeon,
-//! xeon-snc, xeon-2lm, xeon-4s, fictitious, power9, fugaku.
+//! Platforms: the simulated ones (`Machine::PLATFORMS`, default
+//! knl-flat), plus knl-hybrid, which has a topology for Fig. 1 but no
+//! timing calibration.
 
 use hetmem_core::{discovery, render_memattrs};
 use hetmem_memsim::Machine;
 use hetmem_topology::Topology;
 use std::sync::Arc;
 
-fn machine_by_name(name: &str) -> Option<Machine> {
-    Some(match name {
-        "knl-flat" => Machine::knl_snc4_flat(),
-        "knl-cache" => Machine::knl_quadrant_cache(),
-        "xeon" => Machine::xeon_1lm_no_snc(),
-        "xeon-snc" => Machine::xeon_1lm_snc(),
-        "xeon-2lm" => Machine::xeon_2lm(),
-        "xeon-4s" => Machine::xeon_4s_snc(),
-        "fictitious" => Machine::fictitious(),
-        "power9" => Machine::power9_gpu(),
-        "fugaku" => Machine::fugaku_like(),
-        _ => return None,
-    })
-}
-
 fn topology_by_name(name: &str) -> Option<Topology> {
-    // knl-hybrid has no Machine (no paper timing calibration) but has
-    // a topology for Fig. 1.
     if name == "knl-hybrid" {
         return Some(hetmem_topology::platforms::knl_snc4_hybrid50());
     }
-    machine_by_name(name).map(|m| m.topology().clone())
+    Machine::by_name(name).map(|m| m.topology().clone())
 }
 
 fn main() {
@@ -54,7 +38,7 @@ fn main() {
                 eprintln!(
                     "usage: lstopo [PLATFORM] [--memattrs] [--summary] [--export] [--input FILE]"
                 );
-                eprintln!("platforms: knl-flat knl-hybrid knl-cache xeon xeon-snc xeon-2lm xeon-4s fictitious power9 fugaku");
+                eprintln!("platforms: {}, knl-hybrid", Machine::platform_names());
                 return;
             }
             other => platform = other.to_string(),
@@ -88,7 +72,7 @@ fn main() {
         print!("{}", topo.render());
     }
     if memattrs {
-        match machine_by_name(&platform) {
+        match Machine::by_name(&platform) {
             Some(machine) => {
                 let machine = Arc::new(machine);
                 let attrs = discovery::from_firmware(&machine, true).expect("firmware discovery");

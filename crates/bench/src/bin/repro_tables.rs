@@ -3,7 +3,6 @@
 //! ```text
 //! repro_tables [--table1|--table2a|--table2b|--table3a|--table3b|--table4|--portability|--capacity|--section8|--migration|--guidance|--service|--chaos|--replay|--federation|--guided-service|--all]
 //!              [--trace <out.jsonl>]
-//! repro_tables --compare <baseline.json|dir> <current.json|dir> [--tolerance <frac>]
 //! repro_tables --check-bench <BENCH_*.json>...
 //! ```
 //!
@@ -20,15 +19,11 @@
 //! The `--capacity`, `--guidance`, `--service`, `--chaos`, `--replay`,
 //! `--federation` and `--guided-service` runs also persist
 //! their key numbers as `BENCH_<area>.json` at the repo root (schema:
-//! `docs/bench_schema.json`). `--compare` diffs a fresh run against
-//! the committed baseline and exits non-zero when any metric regresses
-//! by more than the tolerance (default 10%) in its losing direction;
-//! areas listed in `perf::MACHINE_DEPENDENT_AREAS` (wall-clock
-//! timings) are skipped with an explicit message rather than gated.
-//! `--check-bench` validates files against the schema, and refuses a
-//! rate unit (`ops`, or any unit ending in `/s`) outside those
-//! wall-clock areas: every other area is a deterministic model, and a
-//! rate needs a clock.
+//! `docs/bench_schema.json`). `--check-bench` validates files against
+//! the schema, and refuses a rate unit (`ops`, or any unit ending in
+//! `/s`) outside the wall-clock areas listed in
+//! `perf::MACHINE_DEPENDENT_AREAS`: every other area is a
+//! deterministic model, and a rate needs a clock.
 //!
 //! `--replay` drives the `hetmem-snapshot` record → snapshot → restore
 //! → replay harness and exits non-zero unless every replay reproduces
@@ -68,10 +63,8 @@ fn usage_error(why: &str, areas: &[&str]) -> ! {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("--compare") => std::process::exit(compare_cmd(&args[1..])),
-        Some("--check-bench") => std::process::exit(check_bench_cmd(&args[1..])),
-        _ => {}
+    if args.first().is_some_and(|a| a == "--check-bench") {
+        std::process::exit(check_bench_cmd(&args[1..]));
     }
     let trace = match args.iter().position(|a| a == "--trace") {
         Some(i) if i + 1 < args.len() => {
@@ -124,81 +117,6 @@ fn main() {
             run();
         }
     }
-}
-
-/// `--compare <baseline> <current> [--tolerance <frac>]`: regression
-/// gate over `BENCH_*.json`. Returns the process exit code.
-fn compare_cmd(args: &[String]) -> i32 {
-    use hetmem_bench::perf;
-    let mut args = args.to_vec();
-    let tolerance = match args.iter().position(|a| a == "--tolerance") {
-        Some(i) if i + 1 < args.len() => {
-            let raw = args.remove(i + 1);
-            args.remove(i);
-            match raw.parse::<f64>() {
-                Ok(t) if t >= 0.0 => t,
-                _ => {
-                    eprintln!("repro_tables: --tolerance needs a non-negative fraction");
-                    return 2;
-                }
-            }
-        }
-        Some(_) => {
-            eprintln!("repro_tables: --tolerance needs a value");
-            return 2;
-        }
-        None => 0.10,
-    };
-    let [baseline_path, current_path] = args.as_slice() else {
-        eprintln!("usage: repro_tables --compare <baseline.json|dir> <current.json|dir> [--tolerance <frac>]");
-        return 2;
-    };
-    let load = |p: &String| {
-        let (records, skipped) =
-            perf::load_comparable(std::path::Path::new(p)).unwrap_or_else(|e| {
-                eprintln!("repro_tables: {e}");
-                std::process::exit(2);
-            });
-        for s in skipped {
-            println!(
-                "skipping {}: machine-dependent timings are not regression-gated",
-                s.display()
-            );
-        }
-        records
-    };
-    let (baseline, current) = (load(baseline_path), load(current_path));
-    if baseline.is_empty() {
-        println!("nothing to compare (baseline has no machine-independent areas)");
-        return 0;
-    }
-    let deltas = perf::compare(&baseline, &current, tolerance);
-    println!(
-        "{:<14} {:<36} {:>14} {:>14} {:>8}",
-        "bench", "metric", "baseline", "current", "change"
-    );
-    let mut regressions = 0;
-    for d in &deltas {
-        println!(
-            "{:<14} {:<36} {:>14.2} {:>14} {:>7.1}% {}",
-            d.bench,
-            d.metric,
-            d.baseline,
-            d.current.map_or_else(|| "missing".into(), |v| format!("{v:.2}")),
-            d.change * 100.0,
-            if d.regressed { "REGRESSED" } else { "" }
-        );
-        regressions += d.regressed as u32;
-    }
-    if regressions > 0 {
-        eprintln!(
-            "repro_tables: {regressions} metric(s) regressed beyond {:.0}%",
-            tolerance * 100.0
-        );
-        return 1;
-    }
-    println!("all {} metrics within {:.0}% of baseline", deltas.len(), tolerance * 100.0);
-    0
 }
 
 /// `--check-bench <files...>`: validates `BENCH_*.json` files against

@@ -23,8 +23,7 @@
 //! Everything is seeded-schedule deterministic and wall-clock-free:
 //! the same config produces the same report on any machine, and
 //! `repro_tables --guided-service` persists the sweep into
-//! `BENCH_guided.json`, which `--compare` treats as exactly
-//! reproducible.
+//! `BENCH_guided.json`, which CI regenerates byte for byte.
 
 use hetmem_alloc::{AllocRequest, Fallback};
 use hetmem_core::{attr, MemAttrs};

@@ -1,23 +1,17 @@
 //! Machine-readable perf baselines: `BENCH_<area>.json` emission,
-//! loading, schema validation and regression comparison.
+//! loading and schema validation.
 //!
 //! Every record follows the committed schema
 //! (`docs/bench_schema.json`): `{bench, metric, value, unit, seed,
-//! git_rev}`. The files live at the repo root so each PR's numbers are
-//! diffable in review, and `repro_tables --compare` turns them into a
-//! regression gate: a metric that moves more than the tolerance in the
-//! losing direction fails the run with a non-zero exit.
-//!
-//! Direction is inferred from the unit: pure time units (`ns`, `us`,
-//! `ms`, `s`) are lower-is-better; everything else (`events/s`,
-//! `ops/s`, `x`, counts) is higher-is-better.
+//! git_rev}`. The files live at the repo root so each commit's numbers
+//! are diffable; CI regenerates the deterministic areas and diffs them
+//! byte for byte.
 //!
 //! Areas listed in [`MACHINE_DEPENDENT_AREAS`] carry wall-clock
 //! timings of whatever host produced them; they are schema-validated
-//! and diffable but explicitly skipped by `--compare` (see
-//! [`load_comparable`]) instead of silently drifting across runners.
-//! Only they may hold a rate ([`check_rates`]): every other area is a
-//! deterministic model, and a rate needs a clock.
+//! and diffable but not expected to regenerate. Only they may hold a
+//! rate ([`check_rates`]): every other area is a deterministic model,
+//! and a rate needs a clock.
 
 use hetmem_telemetry::json::{parse, write_object, JsonValue};
 use std::path::{Path, PathBuf};
@@ -33,7 +27,7 @@ pub struct BenchRecord {
     pub metric: String,
     /// The measured value.
     pub value: f64,
-    /// The unit; drives the regression direction (see module docs).
+    /// The unit; a rate unit needs a clock-measured area.
     pub unit: String,
     /// The workload seed (0 for unseeded/deterministic workloads).
     pub seed: u64,
@@ -58,11 +52,6 @@ impl BenchRecord {
             seed,
             git_rev: git_rev(),
         }
-    }
-
-    /// Whether a smaller value of this metric is an improvement.
-    pub fn lower_is_better(&self) -> bool {
-        matches!(self.unit.as_str(), "ns" | "us" | "ms" | "s")
     }
 
     fn write_json(&self, out: &mut String) {
@@ -166,8 +155,8 @@ pub fn area_of(path: &Path) -> Option<String> {
     Some(name.strip_prefix("BENCH_")?.strip_suffix(".json")?.to_string())
 }
 
-/// Whether a baseline file carries machine-dependent timings that
-/// `--compare` must skip (its area is in [`MACHINE_DEPENDENT_AREAS`]).
+/// Whether a baseline file carries machine-dependent timings (its
+/// area is in [`MACHINE_DEPENDENT_AREAS`]).
 pub fn is_machine_dependent(path: &Path) -> bool {
     area_of(path).is_some_and(|a| MACHINE_DEPENDENT_AREAS.contains(&a.as_str()))
 }
@@ -210,80 +199,16 @@ fn bench_files(path: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
-fn load_files(files: &[PathBuf]) -> Result<Vec<BenchRecord>, String> {
-    let mut records = Vec::new();
-    for file in files {
-        let text = std::fs::read_to_string(file).map_err(|e| format!("{}: {e}", file.display()))?;
-        records.extend(load_str(&text).map_err(|e| format!("{}: {e}", file.display()))?);
-    }
-    Ok(records)
-}
-
 /// Loads one `BENCH_*.json` file, or every `BENCH_*.json` directly
 /// inside a directory.
 pub fn load(path: &Path) -> Result<Vec<BenchRecord>, String> {
-    load_files(&bench_files(path)?)
-}
-
-/// [`load`] for regression comparison: machine-dependent areas are
-/// dropped rather than gated. Returns the loaded records and the
-/// skipped paths so the caller can report the skips explicitly.
-pub fn load_comparable(path: &Path) -> Result<(Vec<BenchRecord>, Vec<PathBuf>), String> {
-    let (skipped, kept): (Vec<PathBuf>, Vec<PathBuf>) =
-        bench_files(path)?.into_iter().partition(|p| is_machine_dependent(p));
-    Ok((load_files(&kept)?, skipped))
-}
-
-/// One metric's baseline-vs-current comparison.
-#[derive(Debug, Clone)]
-pub struct Delta {
-    /// The benchmark name.
-    pub bench: String,
-    /// The metric name.
-    pub metric: String,
-    /// The committed baseline value.
-    pub baseline: f64,
-    /// The fresh value, or `None` if the metric disappeared.
-    pub current: Option<f64>,
-    /// Signed relative change `(current - baseline) / |baseline|`.
-    pub change: f64,
-    /// Whether the change exceeds the tolerance in the losing
-    /// direction (a vanished metric always regresses).
-    pub regressed: bool,
-}
-
-/// Compares a fresh run against the committed baseline. Every baseline
-/// metric must still exist and must not be worse than `tolerance`
-/// (e.g. `0.10` for 10%) in its losing direction; new metrics that
-/// have no baseline yet are ignored.
-pub fn compare(baseline: &[BenchRecord], current: &[BenchRecord], tolerance: f64) -> Vec<Delta> {
-    baseline
-        .iter()
-        .map(|b| {
-            let cur = current
-                .iter()
-                .find(|c| c.bench == b.bench && c.metric == b.metric && c.seed == b.seed)
-                .map(|c| c.value);
-            let (change, regressed) = match cur {
-                None => (0.0, true),
-                Some(v) => {
-                    let denom = b.value.abs().max(f64::MIN_POSITIVE);
-                    let change = (v - b.value) / denom;
-                    let regressed =
-                        if b.lower_is_better() { change > tolerance } else { change < -tolerance };
-                    (change, regressed)
-                }
-            };
-            Delta {
-                bench: b.bench.clone(),
-                metric: b.metric.clone(),
-                baseline: b.value,
-                current: cur,
-                change,
-                regressed,
-            }
-        })
-        .collect()
+    let mut records = Vec::new();
+    for file in bench_files(path)? {
+        let text =
+            std::fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;
+        records.extend(load_str(&text).map_err(|e| format!("{}: {e}", file.display()))?);
+    }
+    Ok(records)
 }
 
 #[cfg(test)]
@@ -340,20 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn compare_direction_follows_the_unit() {
-        let base = vec![rec("b", "latency", 100.0, "ns"), rec("b", "throughput", 100.0, "ops/s")];
-        // 11% slower and 11% less throughput: both regress.
-        let worse = vec![rec("b", "latency", 111.0, "ns"), rec("b", "throughput", 89.0, "ops/s")];
-        assert!(compare(&base, &worse, 0.10).iter().all(|d| d.regressed));
-        // 11% faster and 11% more throughput: both fine.
-        let better = vec![rec("b", "latency", 89.0, "ns"), rec("b", "throughput", 111.0, "ops/s")];
-        assert!(compare(&base, &better, 0.10).iter().all(|d| !d.regressed));
-        // Inside the tolerance in the losing direction: fine.
-        let near = vec![rec("b", "latency", 109.0, "ns"), rec("b", "throughput", 91.0, "ops/s")];
-        assert!(compare(&base, &near, 0.10).iter().all(|d| !d.regressed));
-    }
-
-    #[test]
     fn rates_are_refused_outside_clock_measured_areas() {
         let modelled = vec![rec("b", "admitted", 461.0, "count"), rec("b", "p50", 1.0, "ns")];
         assert!(check_rates(Path::new("BENCH_service.json"), &modelled).is_ok());
@@ -362,14 +273,5 @@ mod tests {
             assert!(check_rates(Path::new("BENCH_chaos.json"), &rate).is_err(), "{unit}");
             assert!(check_rates(Path::new("BENCH_telemetry.json"), &rate).is_ok(), "{unit}");
         }
-    }
-
-    #[test]
-    fn vanished_metric_regresses_and_new_metric_is_ignored() {
-        let base = vec![rec("b", "gone", 1.0, "ns")];
-        let cur = vec![rec("b", "brand_new", 1.0, "ns")];
-        let deltas = compare(&base, &cur, 0.10);
-        assert_eq!(deltas.len(), 1);
-        assert!(deltas[0].regressed && deltas[0].current.is_none());
     }
 }

@@ -1,6 +1,6 @@
 //! `lstopo --memattrs`-style reporting (the paper's Fig. 5).
 
-use crate::attrs::{attr, MemAttrs};
+use crate::attrs::{attr, AttrId, MemAttrs};
 use hetmem_topology::ObjectType;
 use std::fmt::Write;
 
@@ -29,42 +29,23 @@ fn initiator_label(attrs: &MemAttrs, cpus: &hetmem_bitmap::Bitmap) -> String {
 /// (Fig. 5): one block per attribute, one line per target (and per
 /// initiator for performance attributes).
 pub fn render_memattrs(attrs: &MemAttrs) -> String {
-    let mut out = String::new();
-    let topo = attrs.topology();
-    for id in attrs.attributes() {
-        let name = attrs.name(id).expect("listed attribute exists");
-        writeln!(out, "Memory attribute #{} name '{}'", id.0, name).unwrap();
-        let flags = attrs.flags(id).expect("listed attribute exists");
-        for node in attrs.targets(id) {
-            let logical = topo.numa_by_os_index(node).map(|o| o.logical_index).unwrap_or(node.0);
-            if flags.need_initiator {
-                for (ini, value) in attrs.initiators(id, node) {
-                    writeln!(
-                        out,
-                        "  NUMANode L#{} = {} from {}",
-                        logical,
-                        value,
-                        initiator_label(attrs, &ini)
-                    )
-                    .unwrap();
-                }
-            } else if let Ok(Some(value)) = attrs.get_value(id, node, None) {
-                writeln!(out, "  NUMANode L#{} = {}", logical, value).unwrap();
-            }
-        }
-    }
-    out
+    render(attrs, attrs.attributes())
 }
 
 /// Renders only the attributes the paper's Fig. 5 shows (Capacity,
 /// Bandwidth, Latency), for a side-by-side comparison.
 pub fn render_fig5(attrs: &MemAttrs) -> String {
+    render(attrs, [attr::CAPACITY, attr::BANDWIDTH, attr::LATENCY])
+}
+
+/// One `lstopo --memattrs` block per attribute of `ids`, in order.
+fn render(attrs: &MemAttrs, ids: impl IntoIterator<Item = AttrId>) -> String {
     let mut out = String::new();
     let topo = attrs.topology();
-    for id in [attr::CAPACITY, attr::BANDWIDTH, attr::LATENCY] {
-        let name = attrs.name(id).expect("predefined");
+    for id in ids {
+        let name = attrs.name(id).expect("rendered attribute exists");
         writeln!(out, "Memory attribute #{} name '{}'", id.0, name).unwrap();
-        let flags = attrs.flags(id).expect("predefined");
+        let flags = attrs.flags(id).expect("rendered attribute exists");
         for node in attrs.targets(id) {
             let logical = topo.numa_by_os_index(node).map(|o| o.logical_index).unwrap_or(node.0);
             if flags.need_initiator {

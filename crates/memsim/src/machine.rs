@@ -43,6 +43,9 @@ pub struct Machine {
     llc: Vec<LlcCache>,
 }
 
+/// A built-in platform: its command-line name and its constructor.
+type Platform = (&'static str, fn() -> Machine);
+
 /// One NUMA node's facts, in the machine's slot order.
 #[derive(Debug, Clone)]
 pub(crate) struct NodeRow {
@@ -333,6 +336,31 @@ impl Machine {
             MemoryKind::Hbm => NodeTiming::hbm2(),
             other => unreachable!("no {other} on A64FX"),
         })
+    }
+
+    /// The built-in platforms, each with the name the command-line
+    /// tools and the scenario DSL's `machine` statement take.
+    pub const PLATFORMS: &'static [Platform] = &[
+        ("knl-flat", Machine::knl_snc4_flat),
+        ("knl-cache", Machine::knl_quadrant_cache),
+        ("xeon", Machine::xeon_1lm_no_snc),
+        ("xeon-snc", Machine::xeon_1lm_snc),
+        ("xeon-2lm", Machine::xeon_2lm),
+        ("xeon-4s", Machine::xeon_4s_snc),
+        ("fictitious", Machine::fictitious),
+        ("power9", Machine::power9_gpu),
+        ("fugaku", Machine::fugaku_like),
+    ];
+
+    /// The built-in platform called `name` in [`Machine::PLATFORMS`].
+    pub fn by_name(name: &str) -> Option<Machine> {
+        Machine::PLATFORMS.iter().find(|&&(n, _)| n == name).map(|(_, build)| build())
+    }
+
+    /// The names of [`Machine::PLATFORMS`], comma-separated, for usage
+    /// texts.
+    pub fn platform_names() -> String {
+        Machine::PLATFORMS.iter().map(|&(name, _)| name).collect::<Vec<_>>().join(", ")
     }
 
     /// Machine name.

@@ -73,7 +73,7 @@ fn main() {
                     "  --record: write the served request stream as a wire log for \
                      hetmem-replay (served scenarios without phases only)"
                 );
-                eprintln!("platforms: {}", hetmem_scenario::PLATFORM_NAMES.join(", "));
+                eprintln!("platforms: {}", hetmem_memsim::Machine::platform_names());
                 return;
             }
             other if other.starts_with('-') => {

@@ -6,7 +6,7 @@ use hetmem_bitmap::Bitmap;
 use hetmem_core::MemAttrs;
 use hetmem_federation::{FederatedLease, Federation, FederationConfig};
 use hetmem_guidance::{GuidanceEngine, GuidancePolicy, GuidanceStats, SamplerConfig};
-use hetmem_memsim::{AccessEngine, BufferAccess, MemoryManager, Phase, RegionId};
+use hetmem_memsim::{AccessEngine, BufferAccess, Machine, MemoryManager, Phase, RegionId};
 use hetmem_profile::Profiler;
 use hetmem_service::wire::Request;
 use hetmem_service::{Broker, LeaseId, RobustnessStats, TenantId, TenantSpec, TenantStats};
@@ -69,7 +69,7 @@ impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecError::UnknownMachine(m) => {
-                write!(f, "unknown machine {m:?} (known: {})", crate::PLATFORM_NAMES.join(", "))
+                write!(f, "unknown machine {m:?} (known: {})", Machine::platform_names())
             }
             ExecError::BadInitiator(e) => write!(f, "bad initiator cpuset: {e}"),
             ExecError::Discovery(e) => write!(f, "discovery failed: {e}"),
@@ -192,7 +192,7 @@ pub fn execute_with_options(
     sink: TelemetrySink,
     options: ExecOptions,
 ) -> Result<ScenarioReport, ExecError> {
-    let machine = crate::machine_by_name(&scenario.machine)
+    let machine = Machine::by_name(&scenario.machine)
         .ok_or_else(|| ExecError::UnknownMachine(scenario.machine.clone()))?;
     let machine = Arc::new(machine);
     let mut initiator: Bitmap = scenario
@@ -1263,7 +1263,7 @@ free fresh
             snap.state.degraded
         );
         assert!(!snap.state.leases.is_empty(), "leases in flight at the checkpoint");
-        let machine = Arc::new(crate::machine_by_name("knl-flat").expect("machine"));
+        let machine = Arc::new(Machine::by_name("knl-flat").expect("machine"));
         let attrs = Arc::new(hetmem_core::discovery::from_firmware(&machine, true).expect("attrs"));
         let report = hetmem_snapshot::replay(&snap, &log, machine, attrs).expect("replays");
         assert!(report.requests > 0, "{report:?}");
@@ -1286,7 +1286,7 @@ free fresh
         assert_eq!(snap.state.epoch, 3);
         assert_eq!(snap.state.tenants.len(), 1);
         assert_eq!(snap.state.leases.len(), 1);
-        let machine = Arc::new(crate::machine_by_name("knl-flat").expect("machine"));
+        let machine = Arc::new(Machine::by_name("knl-flat").expect("machine"));
         let attrs = Arc::new(hetmem_core::discovery::from_firmware(&machine, true).expect("attrs"));
         let broker = snap.restore(machine, attrs).expect("restores");
         assert_eq!(broker.epoch(), 3);

@@ -3,7 +3,8 @@
 //! The repo's applications (Graph500, STREAM, SpMV) hardcode their
 //! phase structure; this crate lets a user describe *any* workload —
 //! buffers, criteria, phases, migrations — in a plain text file and
-//! run it against any built-in platform, without recompiling:
+//! run it against any built-in platform
+//! ([`hetmem_memsim::Machine::PLATFORMS`]), without recompiling:
 //!
 //! ```text
 //! # two-phase capacity conflict on the KNL
@@ -41,34 +42,3 @@ pub use exec::{
     PhaseOutcome, ScenarioReport,
 };
 pub use parse::{parse, AccessSpec, Command, ParseError, PhaseSpec, Scenario, Stmt};
-
-use hetmem_memsim::Machine;
-
-/// Resolves a platform name from the DSL's `machine` statement.
-pub fn machine_by_name(name: &str) -> Option<Machine> {
-    Some(match name {
-        "knl-flat" => Machine::knl_snc4_flat(),
-        "knl-cache" => Machine::knl_quadrant_cache(),
-        "xeon" => Machine::xeon_1lm_no_snc(),
-        "xeon-snc" => Machine::xeon_1lm_snc(),
-        "xeon-2lm" => Machine::xeon_2lm(),
-        "xeon-4s" => Machine::xeon_4s_snc(),
-        "fictitious" => Machine::fictitious(),
-        "power9" => Machine::power9_gpu(),
-        "fugaku" => Machine::fugaku_like(),
-        _ => return None,
-    })
-}
-
-/// The platform names [`machine_by_name`] accepts.
-pub const PLATFORM_NAMES: &[&str] = &[
-    "knl-flat",
-    "knl-cache",
-    "xeon",
-    "xeon-snc",
-    "xeon-2lm",
-    "xeon-4s",
-    "fictitious",
-    "power9",
-    "fugaku",
-];

@@ -232,7 +232,7 @@ pub enum Discovery {
 /// A parsed scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
-    /// Platform name (resolved by [`crate::machine_by_name`]).
+    /// Platform name (resolved by [`hetmem_memsim::Machine::by_name`]).
     pub machine: String,
     /// Initiator cpuset in hwloc list format.
     pub initiator: String,

@@ -35,9 +35,10 @@
 //! Fair-share admission costs O(tenants) per candidate tier, with no
 //! lookup per holding: the registry snapshot carries every tenant's
 //! guarantee on every tier, and the ledger keeps every tenant's bytes
-//! on every tier in one array by registry index, next to the per-node
-//! maps the snapshot's stripes need. One pass over a tier's floors and
-//! holdings gives the other tenants' unclaimed guarantees. On
+//! on every tier in one array by registry index. One pass over a
+//! tier's floors and holdings gives the other tenants' unclaimed
+//! guarantees. What each tenant holds on each node is summed from the
+//! lease table when a capture or a check needs it. On
 //! tier-contention (32 tenants, two admitting threads, KNL) an
 //! admission holds the ledger about 3.5 µs, 1 µs of it for the
 //! snapshots.
@@ -212,6 +213,20 @@ impl LeaseTable {
         renewed
     }
 
+    /// Bytes the live leases hold on each node, by holder. Empty
+    /// chunks are skipped and sums saturate, so a corrupt capture's
+    /// leases disagree with its stripes instead of overflowing.
+    fn held(&self) -> BTreeMap<NodeId, BTreeMap<TenantId, u64>> {
+        let mut held: BTreeMap<NodeId, BTreeMap<TenantId, u64>> = BTreeMap::new();
+        for record in self.records.values() {
+            for &(node, bytes) in record.placement.iter().filter(|&&(_, b)| b > 0) {
+                let sum = held.entry(node).or_default().entry(record.tenant).or_insert(0);
+                *sum = sum.saturating_add(bytes);
+            }
+        }
+        held
+    }
+
     /// Holds the per-tenant view to the records: every live lease is
     /// listed exactly once, under its record's index, each row is
     /// ascending, and nothing else is listed.
@@ -263,16 +278,14 @@ pub struct RobustnessStats {
     pub reclaimed_bytes: u64,
 }
 
-/// The memory manager and every tenant's holdings, behind one lock.
-/// Free bytes are the manager's own (`mm.available`), so there is no
-/// cached copy to keep in sync. Holdings are kept in two views, both
-/// written only by [`Ledger::settle`]: per node by tenant id (the
-/// snapshot's stripes, which `check_invariants` holds against the
-/// manager) and per tier by registry index (what admission reads).
+/// The memory manager and every tenant's holdings per tier, behind
+/// one lock. Free bytes are the manager's own (`mm.available`), so
+/// there is no cached copy to keep in sync. The tier rows, by registry
+/// index, are what admission reads; only [`Ledger::settle`] writes
+/// them. Per-node holdings are not kept: [`LeaseTable::held`] sums
+/// them from the live leases.
 struct Ledger {
     mm: MemoryManager,
-    /// Bytes each tenant holds on each node of the broker's shard.
-    held: BTreeMap<NodeId, BTreeMap<TenantId, u64>>,
     /// The shard's tiers, sorted by kind.
     tiers: Vec<TierHoldings>,
 }
@@ -315,37 +328,17 @@ impl Ledger {
             }
         }
         tiers.sort_by_key(|t| t.kind);
-        let held = node_kind.keys().map(|&n| (n, BTreeMap::new())).collect();
-        Ledger { mm, held, tiers }
+        Ledger { mm, tiers }
     }
 
-    /// The tier holding `node`, one of the shard's.
-    fn tier_mut(&mut self, node: NodeId) -> &mut TierHoldings {
-        self.tiers
-            .iter_mut()
-            .find(|t| t.nodes.contains(&node))
-            .expect("every shard node has a tier")
-    }
-
-    /// Charges `placement` to `tenant`, at registry index `index`, or
-    /// discharges it when `charge` is false, in both views; a node
-    /// holding that drops to zero leaves its map. Nodes outside the
-    /// shard are ignored.
-    fn settle(
-        &mut self,
-        tenant: TenantId,
-        index: usize,
-        placement: &[(NodeId, u64)],
-        charge: bool,
-    ) {
+    /// Charges `placement` to the tenant at registry index `index`, or
+    /// discharges it when `charge` is false. Nodes outside the shard
+    /// are ignored.
+    fn settle(&mut self, index: usize, placement: &[(NodeId, u64)], charge: bool) {
         for &(node, bytes) in placement {
-            let Some(held) = self.held.get_mut(&node) else { continue };
-            let used = held.entry(tenant).or_insert(0);
-            *used = if charge { *used + bytes } else { used.saturating_sub(bytes) };
-            if *used == 0 {
-                held.remove(&tenant);
+            if let Some(tier) = self.tiers.iter_mut().find(|t| t.nodes.contains(&node)) {
+                tier.settle(index, bytes, charge);
             }
-            self.tier_mut(node).settle(index, bytes, charge);
         }
     }
 }
@@ -858,7 +851,7 @@ impl Broker {
                 .alloc(size, AllocPolicy::Exact(plan.chunks))
                 .map_err(|e| ServiceError::Commit(e.to_string()))?;
             let placement = ledger.mm.region(region).expect("fresh region").placement.clone();
-            ledger.settle(tenant, me, &placement, true);
+            ledger.settle(me, &placement, true);
             Some((region, placement))
         } else {
             None
@@ -944,7 +937,7 @@ impl Broker {
         {
             let mut ledger = self.ledger();
             ledger.mm.free(record.region);
-            ledger.settle(record.tenant, record.index, &record.placement, false);
+            ledger.settle(record.index, &record.placement, false);
         }
         // Outside the ledger lock: the plane must stop tracking a
         // region whose id the manager may now reuse.
@@ -1184,14 +1177,15 @@ impl Broker {
                 expires_at: r.expires_at,
             })
             .collect();
+        let held = leases.held();
         let ledger = self.ledger();
-        let stripe_entries = ledger
-            .held
-            .iter()
-            .map(|(&node, held)| StripeEntry {
+        let stripe_entries = self
+            .node_kind
+            .keys()
+            .map(|&node| StripeEntry {
                 node,
                 free: ledger.mm.available(node),
-                used_by: held.iter().map(|(&t, &b)| (t.0, b)).collect(),
+                used_by: held.get(&node).into_iter().flatten().map(|(t, &b)| (t.0, b)).collect(),
             })
             .collect();
         let manager = ledger.mm.capture();
@@ -1222,7 +1216,9 @@ impl Broker {
     /// live manager regions with the same placement, per-node free
     /// bytes must agree with the restored manager, each node's
     /// per-tenant holdings must equal what that tenant's live leases
-    /// hold there, and degraded kinds must exist on the machine.
+    /// hold there, the manager must use exactly what the live leases
+    /// hold on each node (no region without a lease), and degraded
+    /// kinds must exist on the machine.
     /// Violations return [`ServiceError::Snapshot`]; nothing panics on
     /// corrupt input. Telemetry starts disabled — call
     /// [`Broker::set_sink`] to re-attach collectors.
@@ -1309,6 +1305,8 @@ impl Broker {
             }
         }
 
+        // The shard is the stripes' node set, so equal counts also
+        // refuse a repeated stripe and one naming a node off the machine.
         if state.stripes.len() != broker.node_kind.len() {
             return Err(err(format!(
                 "snapshot carries {} node stripes, machine has {}",
@@ -1316,51 +1314,40 @@ impl Broker {
                 broker.node_kind.len()
             )));
         }
-        // What each tenant's live leases hold on each node, which the
-        // stripes must charge exactly. Sums saturate: corrupt sizes
-        // then disagree instead of overflowing.
-        let mut leased: BTreeMap<NodeId, BTreeMap<TenantId, u64>> = BTreeMap::new();
-        for record in leases.records.values() {
-            for &(node, bytes) in record.placement.iter().filter(|&&(_, b)| b > 0) {
-                let held = leased.entry(node).or_default().entry(record.tenant).or_insert(0);
-                *held = held.saturating_add(bytes);
-            }
-        }
-        // Both views of the holdings are rebuilt from the stripes: the
-        // per-node maps as captured, the per-tier rows by registry
-        // index.
-        let mut ledger = Ledger::new(mm, &broker.node_kind);
+        // Each stripe must charge exactly what the live leases hold on
+        // its node, by tenant in id order, and the manager must use
+        // exactly their sum there.
+        let held = leases.held();
         for s in &state.stripes {
-            if !broker.node_kind.contains_key(&s.node) {
-                return Err(err(format!("stripe references unknown {}", s.node)));
-            }
-            let available = ledger.mm.available(s.node);
+            let available = mm.available(s.node);
             if s.free != available {
                 return Err(err(format!(
                     "stripe {} free bytes {} disagree with the manager's {}",
                     s.node, s.free, available
                 )));
             }
-            let mut used_by: BTreeMap<TenantId, u64> = BTreeMap::new();
-            for &(tenant, bytes) in &s.used_by {
-                let Some(index) = registry.index(TenantId(tenant)) else {
-                    return Err(err(format!(
-                        "stripe {} charges unknown tenant #{}",
-                        s.node, tenant
-                    )));
-                };
-                if used_by.insert(TenantId(tenant), bytes).is_some() {
-                    return Err(err(format!("stripe {} charges tenant #{} twice", s.node, tenant)));
-                }
-                ledger.tier_mut(s.node).settle(index, bytes, true);
-            }
-            if used_by != leased.remove(&s.node).unwrap_or_default() {
+            let leased: Vec<(u32, u64)> =
+                held.get(&s.node).into_iter().flatten().map(|(t, &b)| (t.0, b)).collect();
+            if s.used_by != leased {
                 return Err(err(format!(
                     "stripe {} per-tenant holdings disagree with the live leases",
                     s.node
                 )));
             }
-            ledger.held.insert(s.node, used_by);
+            let used = mm.used(s.node);
+            let total = leased.iter().fold(0u64, |sum, &(_, b)| sum.saturating_add(b));
+            if used != total {
+                return Err(err(format!(
+                    "stripe {} manager use {used} disagrees with the live leases' {total}",
+                    s.node
+                )));
+            }
+        }
+        // Checked above: every lease charges a known tenant, and each
+        // node's sums are bounded by the manager's use.
+        let mut ledger = Ledger::new(mm, &broker.node_kind);
+        for record in leases.records.values() {
+            ledger.settle(record.index, &record.placement, true);
         }
 
         for &kind in &state.degraded {
@@ -1502,17 +1489,15 @@ impl Broker {
             .collect()
     }
 
-    /// Cross-checks every ledger against the memory manager and the
-    /// lease table, the per-tier view against both the live leases
-    /// and the per-node holdings, and the lease table's per-tenant
-    /// view against its records. Intended for tests at quiescent
-    /// points (no in-flight requests); returns a description of the
-    /// first violation found.
+    /// Cross-checks the per-tier holdings and each node's manager use
+    /// against the live leases, and the lease table's per-tenant view
+    /// against its records. Intended for tests at quiescent points (no
+    /// in-flight requests); returns a description of the first
+    /// violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
         // Taken before the lease table: the registry lock is never
         // taken while another broker lock is held.
         let registry = self.registry();
-        let mut lease_bytes: BTreeMap<NodeId, u64> = BTreeMap::new();
         let mut lease_tiers: BTreeMap<(MemoryKind, usize), u64> = BTreeMap::new();
         let leases = self.leases.lock().expect("leases poisoned");
         leases.check()?;
@@ -1527,12 +1512,12 @@ impl Broker {
                 ));
             }
             for &(node, bytes) in &record.placement {
-                *lease_bytes.entry(node).or_insert(0) += bytes;
                 if let Some(&kind) = self.node_kind.get(&node) {
                     *lease_tiers.entry((kind, index)).or_insert(0) += bytes;
                 }
             }
         }
+        let held = leases.held();
         let ledger = self.ledger();
         for tier in &ledger.tiers {
             for i in 0..tier.by_tenant.len().max(registry.len()) {
@@ -1546,27 +1531,13 @@ impl Broker {
                     ));
                 }
             }
-            let by_tenant: u64 = tier.by_tenant.iter().sum();
-            let by_node: u64 = tier.nodes.iter().flat_map(|n| ledger.held[n].values()).sum();
-            if by_tenant != by_node {
-                return Err(format!(
-                    "{:?} tier: its holdings sum to {by_tenant}, its nodes' to {by_node}",
-                    tier.kind
-                ));
-            }
         }
-        for (&node, held) in &ledger.held {
+        for &node in self.node_kind.keys() {
             let used = ledger.mm.used(node);
-            let from_leases = lease_bytes.get(&node).copied().unwrap_or(0);
+            let from_leases: u64 = held.get(&node).into_iter().flat_map(|h| h.values()).sum();
             if used != from_leases {
                 return Err(format!(
                     "node {node:?}: manager reports {used} used but live leases hold {from_leases}"
-                ));
-            }
-            let ledger_used: u64 = held.values().sum();
-            if ledger_used != used {
-                return Err(format!(
-                    "node {node:?}: per-tenant ledger sums to {ledger_used}, manager says {used}"
                 ));
             }
         }

@@ -53,24 +53,29 @@ fn reference_guarantee(
     my_reserve + share
 }
 
+/// Bytes each tenant holds on each node.
+type NodeHoldings = BTreeMap<NodeId, BTreeMap<TenantId, u64>>;
+
 /// The per-tenant shortfall loop admission ran before
 /// [`Broker::tier_snapshots`]: every other tenant's guarantee and
-/// holdings recomputed per candidate tier, O(tenants²).
+/// holdings recomputed per candidate tier, O(tenants²), from
+/// per-node holdings `held` rather than the ledger's tier rows.
 fn reference_tier_snapshots(
     broker: &Broker,
     registry: &Registry,
     tenant: TenantId,
     ledger: &Ledger,
+    held: &NodeHoldings,
     ranked: &[NodeId],
 ) -> BTreeMap<MemoryKind, TierSnapshot> {
     let tiers: BTreeSet<MemoryKind> = ranked.iter().map(|n| broker.node_kind[n]).collect();
     let tier_nodes = |kind: MemoryKind| {
-        ledger.held.iter().filter(move |(n, _)| broker.node_kind.get(n) == Some(&kind))
+        broker.node_kind.iter().filter(move |&(_, &k)| k == kind).map(|(&n, _)| n)
     };
     let tier_free =
-        |kind: MemoryKind| tier_nodes(kind).map(|(&n, _)| ledger.mm.available(n)).sum::<u64>();
+        |kind: MemoryKind| tier_nodes(kind).map(|n| ledger.mm.available(n)).sum::<u64>();
     let tier_used_by = |kind: MemoryKind, who: TenantId| {
-        tier_nodes(kind).map(|(_, held)| held.get(&who).copied().unwrap_or(0)).sum::<u64>()
+        tier_nodes(kind).filter_map(|n| held.get(&n)?.get(&who).copied()).sum::<u64>()
     };
     let mut snapshots = BTreeMap::new();
     for kind in tiers {
@@ -144,9 +149,11 @@ fn acquire_matches_reference(
     };
     let (_, ranked) = broker.rank_candidates(req).map_err(|e| e.to_string())?;
     let expected = {
+        let held = broker.leases.lock().unwrap().held();
         let ledger = broker.ledger.lock().unwrap();
         let fast = broker.tier_snapshots(&registry, me, &ledger, &ranked);
-        let reference = reference_tier_snapshots(broker, &registry, tenant, &ledger, &ranked);
+        let reference =
+            reference_tier_snapshots(broker, &registry, tenant, &ledger, &held, &ranked);
         prop_assert_eq!(fields(&fast), fields(&reference));
         let plan = |snapshots| {
             let mut policy = TierPolicy::new(broker.policy, &broker.node_kind, snapshots);
@@ -294,13 +301,15 @@ proptest! {
             register_generated(&broker, i, t);
         }
         let mut ledger = broker.ledger.lock().unwrap();
-        let nodes: Vec<NodeId> = ledger.held.keys().copied().collect();
+        let nodes: Vec<NodeId> = broker.shard().into_iter().collect();
         // Holdings may name ids past the registry (a tenant that
         // registered after the snapshot was taken). Ids are issued in
         // order from 0, so a tenant's registry index is its id.
+        let mut held = NodeHoldings::new();
         for &(node, tenant, bytes) in &holdings {
-            let placement = [(nodes[node % nodes.len()], bytes)];
-            ledger.settle(TenantId(tenant as u32), tenant, &placement, true);
+            let node = nodes[node % nodes.len()];
+            ledger.settle(tenant, &[(node, bytes)], true);
+            *held.entry(node).or_default().entry(TenantId(tenant as u32)).or_insert(0) += bytes;
         }
         // Free bytes are the manager's: a filler region takes each
         // node down to its drawn free bytes (modulo its capacity).
@@ -315,7 +324,7 @@ proptest! {
         for (me, (id, _)) in registry.iter().enumerate() {
             prop_assert_eq!(
                 fields(&broker.tier_snapshots(&registry, me, &ledger, &nodes)),
-                fields(&reference_tier_snapshots(&broker, &registry, id, &ledger, &nodes)),
+                fields(&reference_tier_snapshots(&broker, &registry, id, &ledger, &held, &nodes)),
                 "tenant {id}"
             );
         }
@@ -367,7 +376,7 @@ proptest! {
     /// the epoch turnover's expiry and fold, revocation, heartbeats,
     /// and a snapshot → restore round trip that carries on with the
     /// restored broker and heartbeats it. After every step the per-tier
-    /// view agrees with the live leases and with the per-node holdings,
+    /// view and each node's manager use agree with the live leases,
     /// the lease table's per-tenant view with its records, and every
     /// tenant's fold views with the reference walk over every lease;
     /// each heartbeat renews what the reference walk renews.
@@ -644,6 +653,15 @@ fn restore_rejects_inconsistent_state() {
 
     let node = bad.leases[0].placement[0].0;
     bad.stripes.iter_mut().find(|s| s.node == node).expect("the lease's node").used_by[0].1 -= 4096;
+    assert!(matches!(restore(&bad), Err(ServiceError::Snapshot(_))));
+
+    // A region no lease names: the lease and its stripe charges are
+    // gone, but the manager still holds the region.
+    let mut bad = state.clone();
+    bad.leases.clear();
+    for stripe in &mut bad.stripes {
+        stripe.used_by.clear();
+    }
     assert!(matches!(restore(&bad), Err(ServiceError::Snapshot(_))));
 
     assert!(restore(&state).is_ok());

@@ -316,8 +316,8 @@ impl Broker {
         let mut ledger = self.ledger();
         let report = ledger.mm.migrate(record.region, target).ok()?;
         let placement = ledger.mm.region(record.region)?.placement.clone();
-        ledger.settle(record.tenant, record.index, &record.placement, false);
-        ledger.settle(record.tenant, record.index, &placement, true);
+        ledger.settle(record.index, &record.placement, false);
+        ledger.settle(record.index, &placement, true);
         record.placement = placement;
         Some((report.cost_ns, report.bytes_moved))
     }

@@ -19,33 +19,12 @@ use std::sync::Arc;
 /// Resolves a log/snapshot machine header. Headers written by the
 /// recording paths carry [`Machine::name`] (e.g. `knl-7230-snc4-flat`)
 /// but the CLI platform names (`knl-flat`) are accepted too.
-fn machine_by_name(name: &str) -> Option<Machine> {
-    let platforms = [
-        Machine::knl_snc4_flat(),
-        Machine::knl_quadrant_cache(),
-        Machine::xeon_1lm_no_snc(),
-        Machine::xeon_1lm_snc(),
-        Machine::xeon_2lm(),
-        Machine::xeon_4s_snc(),
-        Machine::fictitious(),
-        Machine::power9_gpu(),
-        Machine::fugaku_like(),
-    ];
-    if let Some(m) = platforms.into_iter().find(|m| m.name() == name) {
-        return Some(m);
-    }
-    Some(match name {
-        "knl-flat" => Machine::knl_snc4_flat(),
-        "knl-cache" => Machine::knl_quadrant_cache(),
-        "xeon" => Machine::xeon_1lm_no_snc(),
-        "xeon-snc" => Machine::xeon_1lm_snc(),
-        "xeon-2lm" => Machine::xeon_2lm(),
-        "xeon-4s" => Machine::xeon_4s_snc(),
-        "fictitious" => Machine::fictitious(),
-        "power9" => Machine::power9_gpu(),
-        "fugaku" => Machine::fugaku_like(),
-        _ => return None,
-    })
+fn machine_by_header(name: &str) -> Option<Machine> {
+    Machine::PLATFORMS
+        .iter()
+        .map(|(_, build)| build())
+        .find(|m| m.name() == name)
+        .or_else(|| Machine::by_name(name))
 }
 
 fn main() {
@@ -96,7 +75,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let Some(machine) = machine_by_name(&log.machine) else {
+    let Some(machine) = machine_by_header(&log.machine) else {
         eprintln!("hetmem-replay: log names unknown machine {:?}", log.machine);
         std::process::exit(2);
     };

@@ -33,24 +33,9 @@ use hetmem_service::server::{RequestRecorder, Server};
 use hetmem_service::{ArbitrationPolicy, Broker};
 use hetmem_snapshot::{Snapshot, WireLogWriter};
 use hetmem_telemetry::{BackgroundCollector, JsonlWriter, TelemetrySink};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const DEFAULT_ADDR: &str = "tcp:127.0.0.1:7474";
-
-fn machine_by_name(name: &str) -> Option<Machine> {
-    Some(match name {
-        "knl-flat" => Machine::knl_snc4_flat(),
-        "knl-cache" => Machine::knl_quadrant_cache(),
-        "xeon" => Machine::xeon_1lm_no_snc(),
-        "xeon-snc" => Machine::xeon_1lm_snc(),
-        "xeon-2lm" => Machine::xeon_2lm(),
-        "xeon-4s" => Machine::xeon_4s_snc(),
-        "fictitious" => Machine::fictitious(),
-        "power9" => Machine::power9_gpu(),
-        "fugaku" => Machine::fugaku_like(),
-        _ => return None,
-    })
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -106,10 +91,7 @@ fn main() {
                      [--addr tcp:host:port|unix:/path.sock] [--guided] \
                      [--trace <out.jsonl>] [--record <out.hmwl>] [--restore <in.snap>]"
                 );
-                eprintln!(
-                    "machines: knl-flat, knl-cache, xeon, xeon-snc, xeon-2lm, xeon-4s, \
-                     fictitious, power9, fugaku"
-                );
+                eprintln!("machines: {}", Machine::platform_names());
                 return;
             }
             other if other.starts_with('-') => {
@@ -131,7 +113,7 @@ fn main() {
         eprintln!("hetmem-serve: no machine name (try --help)");
         std::process::exit(2);
     };
-    let Some(machine) = machine_by_name(&machine_name) else {
+    let Some(machine) = Machine::by_name(&machine_name) else {
         eprintln!("hetmem-serve: unknown machine {machine_name:?} (try --help)");
         std::process::exit(2);
     };
@@ -221,22 +203,24 @@ fn main() {
     }
     // A killed daemon writes no trailer; hetmem-replay reports such
     // logs as UNVERIFIED but still re-executes them. Each frame is
-    // flushed as it is accepted, so the log survives a crash.
+    // flushed as it is accepted, so the log survives a crash. The
+    // server calls the recorder under its own lock, in serve order, so
+    // the closure owns the writer.
     let recorder: Option<RequestRecorder> = match &record {
         Some(path) => {
-            let writer = match WireLogWriter::create(
+            let mut writer = match WireLogWriter::create(
                 std::path::Path::new(path),
                 machine_internal.as_str(),
                 policy,
             ) {
-                Ok(w) => Arc::new(Mutex::new(w)),
+                Ok(w) => w,
                 Err(e) => {
                     eprintln!("hetmem-serve: cannot create {path}: {e}");
                     std::process::exit(1);
                 }
             };
             Some(Box::new(move |epoch, request: &_| {
-                if let Err(e) = writer.lock().unwrap().append_request(epoch, request) {
+                if let Err(e) = writer.append_request(epoch, request) {
                     eprintln!("hetmem-serve: wire log write failed: {e}");
                 }
             }))

@@ -136,6 +136,12 @@ impl From<CodecError> for SnapshotError {
     }
 }
 
+impl From<std::io::Error> for SnapshotError {
+    fn from(e: std::io::Error) -> SnapshotError {
+        SnapshotError::Io(e.to_string())
+    }
+}
+
 impl From<ServiceError> for SnapshotError {
     fn from(e: ServiceError) -> SnapshotError {
         SnapshotError::Restore(e.to_string())
@@ -165,79 +171,32 @@ impl Snapshot {
         Snapshot { state: broker.snapshot_state(), faults }
     }
 
-    /// Encodes the snapshot: magic, version, section count, then
-    /// tagged length-prefixed sections.
+    /// Encodes the snapshot: the broker-state section, then the fault
+    /// plan's when there is one.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        put_u64(&mut out, SNAPSHOT_VERSION);
-        let sections = 1 + self.faults.is_some() as u64;
-        put_u64(&mut out, sections);
-
-        let mut payload = Vec::new();
-        encode_state(&self.state, &mut payload);
-        out.push(SECTION_STATE);
-        put_u64(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
-
+        let mut sections = vec![(SECTION_STATE, encode_with(encode_state, &self.state))];
         if let Some(plan) = &self.faults {
-            payload.clear();
-            encode_fault_plan(plan, &mut payload);
-            out.push(SECTION_FAULTS);
-            put_u64(&mut out, payload.len() as u64);
-            out.extend_from_slice(&payload);
+            sections.push((SECTION_FAULTS, encode_with(encode_fault_plan, plan)));
         }
-        out
+        encode_sections(&sections)
     }
 
     /// Decodes a snapshot, skipping unknown sections (forward
     /// compatibility) and rejecting unknown versions, truncation, and
     /// corruption with typed errors.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let mut cur = Cursor::new(bytes);
-        if cur.take(4).map_err(|_| SnapshotError::BadMagic { expected: "snapshot" })?
-            != SNAPSHOT_MAGIC
-        {
-            return Err(SnapshotError::BadMagic { expected: "snapshot" });
-        }
-        let version = cur.u64()?;
-        if version > SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        let sections = cur.u64()?;
         let mut state = None;
         let mut faults = None;
-        for _ in 0..sections {
-            let tag = cur.take(1)?[0];
-            let len = cur.u64()? as usize;
-            let payload = cur.take(len)?;
-            match tag {
-                SECTION_STATE => {
-                    let mut section = Cursor::new(payload);
-                    let decoded = decode_state(&mut section)?;
-                    section.done()?;
-                    if state.replace(decoded).is_some() {
-                        return Err(SnapshotError::Corrupt(
-                            "duplicate broker-state section".into(),
-                        ));
-                    }
-                }
-                SECTION_FAULTS => {
-                    let mut section = Cursor::new(payload);
-                    let decoded = decode_fault_plan(&mut section)?;
-                    section.done()?;
-                    if faults.replace(decoded).is_some() {
-                        return Err(SnapshotError::Corrupt("duplicate fault-plan section".into()));
-                    }
-                }
-                // Unknown sections are future extensions: skip.
-                _ => {}
+        decode_sections(bytes, |tag, payload| match tag {
+            SECTION_STATE => {
+                fill_once(&mut state, decode_whole(payload, decode_state)?, "broker-state")
             }
-        }
-        cur.done()?;
+            SECTION_FAULTS => {
+                fill_once(&mut faults, decode_whole(payload, decode_fault_plan)?, "fault-plan")
+            }
+            // Unknown sections are future extensions: skip.
+            _ => Ok(()),
+        })?;
         let state =
             state.ok_or_else(|| SnapshotError::Corrupt("missing broker-state section".into()))?;
         Ok(Snapshot { state, faults })
@@ -245,13 +204,12 @@ impl Snapshot {
 
     /// Encodes and writes the snapshot to `path`.
     pub fn write_file(&self, path: &std::path::Path) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.encode()).map_err(|e| SnapshotError::Io(e.to_string()))
+        Ok(std::fs::write(path, self.encode())?)
     }
 
     /// Reads and decodes a snapshot from `path`.
     pub fn read_file(path: &std::path::Path) -> Result<Snapshot, SnapshotError> {
-        let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        Snapshot::decode(&bytes)
+        Snapshot::decode(&std::fs::read(path)?)
     }
 
     /// Reconstructs a live broker from this snapshot. Telemetry
@@ -285,51 +243,21 @@ impl FederatedSnapshot {
         FederatedSnapshot { states }
     }
 
-    /// Encodes the snapshot: magic, version, then one tagged
-    /// length-prefixed `SECTION_BROKER` section per member.
+    /// Encodes the snapshot: one `SECTION_BROKER` section per member.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        put_u64(&mut out, SNAPSHOT_VERSION);
-        put_u64(&mut out, self.states.len() as u64);
-        let mut payload = Vec::new();
-        for state in &self.states {
-            payload.clear();
-            encode_state(state, &mut payload);
-            out.push(SECTION_BROKER);
-            put_u64(&mut out, payload.len() as u64);
-            out.extend_from_slice(&payload);
-        }
-        out
+        let sections: Vec<(u8, Vec<u8>)> =
+            self.states.iter().map(|s| (SECTION_BROKER, encode_with(encode_state, s))).collect();
+        encode_sections(&sections)
     }
 
     /// Decodes a federated snapshot, skipping unknown sections and
     /// rejecting unknown versions, truncation, corruption, and
     /// duplicate broker ids with typed errors.
     pub fn decode(bytes: &[u8]) -> Result<FederatedSnapshot, SnapshotError> {
-        let mut cur = Cursor::new(bytes);
-        if cur.take(4).map_err(|_| SnapshotError::BadMagic { expected: "snapshot" })?
-            != SNAPSHOT_MAGIC
-        {
-            return Err(SnapshotError::BadMagic { expected: "snapshot" });
-        }
-        let version = cur.u64()?;
-        if version > SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        let sections = cur.u64()?;
         let mut states: Vec<BrokerState> = Vec::new();
-        for _ in 0..sections {
-            let tag = cur.take(1)?[0];
-            let len = cur.u64()? as usize;
-            let payload = cur.take(len)?;
+        decode_sections(bytes, |tag, payload| {
             if tag == SECTION_BROKER {
-                let mut section = Cursor::new(payload);
-                let decoded = decode_state(&mut section)?;
-                section.done()?;
+                let decoded = decode_whole(payload, decode_state)?;
                 if states.iter().any(|s| s.id == decoded.id) {
                     return Err(SnapshotError::Corrupt(format!(
                         "duplicate broker id {} in federated snapshot",
@@ -338,8 +266,8 @@ impl FederatedSnapshot {
                 }
                 states.push(decoded);
             }
-        }
-        cur.done()?;
+            Ok(())
+        })?;
         if states.is_empty() {
             return Err(SnapshotError::Corrupt("no per-broker sections".into()));
         }
@@ -349,13 +277,12 @@ impl FederatedSnapshot {
 
     /// Encodes and writes the snapshot to `path`.
     pub fn write_file(&self, path: &std::path::Path) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.encode()).map_err(|e| SnapshotError::Io(e.to_string()))
+        Ok(std::fs::write(path, self.encode())?)
     }
 
     /// Reads and decodes a federated snapshot from `path`.
     pub fn read_file(path: &std::path::Path) -> Result<FederatedSnapshot, SnapshotError> {
-        let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        FederatedSnapshot::decode(&bytes)
+        FederatedSnapshot::decode(&std::fs::read(path)?)
     }
 
     /// Reconstructs every member broker (each rebuilds its shard from
@@ -369,6 +296,89 @@ impl FederatedSnapshot {
             .iter()
             .map(|s| Ok(Broker::restore(machine.clone(), attrs.clone(), s)?))
             .collect()
+    }
+}
+
+/// The first bytes of a file: its magic, then its format version.
+fn header(magic: [u8; 4], version: u64) -> Vec<u8> {
+    let mut out = magic.to_vec();
+    put_u64(&mut out, version);
+    out
+}
+
+/// Checks the magic and version [`header`] wrote at the start of
+/// `bytes`, naming the format `expected` in a magic error, and returns
+/// a cursor past them.
+fn open<'a>(
+    bytes: &'a [u8],
+    magic: [u8; 4],
+    expected: &'static str,
+    supported: u64,
+) -> Result<Cursor<'a>, SnapshotError> {
+    let mut cur = Cursor::new(bytes);
+    if cur.take(4).map_err(|_| SnapshotError::BadMagic { expected })? != magic {
+        return Err(SnapshotError::BadMagic { expected });
+    }
+    let found = cur.u64()?;
+    if found > supported {
+        return Err(SnapshotError::UnsupportedVersion { found, supported });
+    }
+    Ok(cur)
+}
+
+/// The `HMSN` framing of [`Snapshot`] and [`FederatedSnapshot`]: the
+/// header, the section count, then each section as its tag, its
+/// payload's length and the payload.
+fn encode_sections(sections: &[(u8, Vec<u8>)]) -> Vec<u8> {
+    let mut out = header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
+    put_u64(&mut out, sections.len() as u64);
+    for (tag, payload) in sections {
+        out.push(*tag);
+        put_u64(&mut out, payload.len() as u64);
+        out.extend_from_slice(payload);
+    }
+    out
+}
+
+/// Reads the framing [`encode_sections`] writes, handing each
+/// section's tag and payload to `section` in file order, and refuses
+/// trailing bytes.
+fn decode_sections(
+    bytes: &[u8],
+    mut section: impl FnMut(u8, &[u8]) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    let mut cur = open(bytes, SNAPSHOT_MAGIC, "snapshot", SNAPSHOT_VERSION)?;
+    for _ in 0..cur.u64()? {
+        let tag = cur.take(1)?[0];
+        let len = cur.u64()? as usize;
+        section(tag, cur.take(len)?)?;
+    }
+    Ok(cur.done()?)
+}
+
+/// `value` encoded by `encode` into a fresh buffer.
+fn encode_with<T>(encode: fn(&T, &mut Vec<u8>), value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode(value, &mut out);
+    out
+}
+
+/// Decodes a section payload that `decode` must consume whole.
+fn decode_whole<T>(
+    payload: &[u8],
+    decode: fn(&mut Cursor<'_>) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let mut cur = Cursor::new(payload);
+    let value = decode(&mut cur)?;
+    cur.done()?;
+    Ok(value)
+}
+
+/// Fills `slot` with the value of a section that may appear once.
+fn fill_once<T>(slot: &mut Option<T>, value: T, what: &str) -> Result<(), SnapshotError> {
+    match slot.replace(value) {
+        Some(_) => Err(SnapshotError::Corrupt(format!("duplicate {what} section"))),
+        None => Ok(()),
     }
 }
 
@@ -803,9 +813,7 @@ impl WireLog {
 
     /// Encodes the whole log (header + framed records).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&WIRELOG_MAGIC);
-        put_u64(&mut out, WIRELOG_VERSION);
+        let mut out = header(WIRELOG_MAGIC, WIRELOG_VERSION);
         put_str(&mut out, &self.machine);
         put_str(&mut out, self.policy.as_str());
         let mut payload = Vec::new();
@@ -822,19 +830,7 @@ impl WireLog {
     /// mid-run) still decodes; replay then reports the final state
     /// unverified.
     pub fn decode(bytes: &[u8]) -> Result<WireLog, SnapshotError> {
-        let mut cur = Cursor::new(bytes);
-        if cur.take(4).map_err(|_| SnapshotError::BadMagic { expected: "wire log" })?
-            != WIRELOG_MAGIC
-        {
-            return Err(SnapshotError::BadMagic { expected: "wire log" });
-        }
-        let version = cur.u64()?;
-        if version > WIRELOG_VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: WIRELOG_VERSION,
-            });
-        }
+        let mut cur = open(bytes, WIRELOG_MAGIC, "wire log", WIRELOG_VERSION)?;
         let machine = cur.str()?;
         let policy_name = cur.str()?;
         let policy = ArbitrationPolicy::from_str_opt(&policy_name).ok_or_else(|| {
@@ -850,13 +846,12 @@ impl WireLog {
 
     /// Encodes and writes the log to `path`.
     pub fn write_file(&self, path: &std::path::Path) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.encode()).map_err(|e| SnapshotError::Io(e.to_string()))
+        Ok(std::fs::write(path, self.encode())?)
     }
 
     /// Reads and decodes a log from `path`.
     pub fn read_file(path: &std::path::Path) -> Result<WireLog, SnapshotError> {
-        let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        WireLog::decode(&bytes)
+        WireLog::decode(&std::fs::read(path)?)
     }
 }
 
@@ -876,29 +871,24 @@ impl WireLogWriter {
         machine: &str,
         policy: ArbitrationPolicy,
     ) -> Result<WireLogWriter, SnapshotError> {
-        let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
-        let file = std::fs::File::create(path).map_err(io)?;
-        let mut out = std::io::BufWriter::new(file);
-        let mut header = Vec::new();
-        header.extend_from_slice(&WIRELOG_MAGIC);
-        put_u64(&mut header, WIRELOG_VERSION);
-        put_str(&mut header, machine);
-        put_str(&mut header, policy.as_str());
-        out.write_all(&header).map_err(io)?;
-        out.flush().map_err(io)?;
+        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+        let mut head = header(WIRELOG_MAGIC, WIRELOG_VERSION);
+        put_str(&mut head, machine);
+        put_str(&mut head, policy.as_str());
+        out.write_all(&head)?;
+        out.flush()?;
         Ok(WireLogWriter { out, scratch: Vec::new() })
     }
 
     /// Appends one frame and flushes it.
     pub fn append(&mut self, frame: &WireFrame) -> Result<(), SnapshotError> {
-        let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
         self.scratch.clear();
         frame.encode(&mut self.scratch);
         let mut len = Vec::new();
         put_u64(&mut len, self.scratch.len() as u64);
-        self.out.write_all(&len).map_err(io)?;
-        self.out.write_all(&self.scratch).map_err(io)?;
-        self.out.flush().map_err(io)
+        self.out.write_all(&len)?;
+        self.out.write_all(&self.scratch)?;
+        Ok(self.out.flush()?)
     }
 
     /// Appends an accepted request stamped with its execution epoch.
