@@ -1,15 +1,15 @@
 //! Telemetry emission throughput: the retired mutex recorder path
-//! against the wait-free `TelemetrySink`/`ThreadWriter` rings, at 1
-//! and 8 producer threads.
+//! against the `TelemetrySink`'s per-thread buffers, at 1 and 8
+//! producer threads.
 //!
 //! Emission must stay off the application's critical path, so the
 //! number that matters is events/sec *at the emission call site*. The
 //! mutex contender replicates what traced producers paid before the
-//! redesign: a shared `Arc<JsonlWriter>` rendering every event to JSON
-//! and appending it to a locked buffered file. The wait-free path is
-//! what they pay now: a varint encode into the thread's own SPSC ring,
-//! with a background collector doing the JSONL rendering off the hot
-//! path (overwrite-tolerant, losses counted exactly). Results are
+//! sink: a shared `Arc<JsonlWriter>` rendering every event to JSON and
+//! appending it to a locked buffered file. The sink path is what they
+//! pay now: a push onto the thread's own buffer, with a background
+//! collector doing the JSONL rendering off the hot path (a full buffer
+//! drops its oldest event, losses counted exactly). Results are
 //! printed and persisted to `BENCH_telemetry.json`, a wall-clock area
 //! that CI does not regenerate.
 
@@ -21,7 +21,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const EVENTS_PER_THREAD: u64 = 100_000;
-const RING_WORDS: usize = 1024;
 
 fn sample_event(i: u64) -> Event {
     Event::OccupancyGauge(OccupancyGauge {
@@ -62,7 +61,7 @@ where
     (threads * EVENTS_PER_THREAD) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// The pre-redesign traced hot path: every producer renders JSON and
+/// The pre-sink traced hot path: every producer renders JSON and
 /// appends to one mutex-guarded buffered writer.
 fn mutex_events_per_sec(threads: u64) -> f64 {
     let path = scratch_path("mutex");
@@ -76,13 +75,13 @@ fn mutex_events_per_sec(threads: u64) -> f64 {
     rate
 }
 
-/// The redesigned hot path: each producer owns a `ThreadWriter` over
-/// its SPSC ring; a background collector drains the rings into the
-/// same JSONL form concurrently, off the emission path.
-fn waitfree_events_per_sec(threads: u64) -> f64 {
-    let path = scratch_path("waitfree");
+/// The sink's hot path: each producer owns a `ThreadWriter` over its
+/// buffer; a background collector drains the buffers into the same
+/// JSONL form concurrently, off the emission path.
+fn sink_events_per_sec(threads: u64) -> f64 {
+    let path = scratch_path("sink");
     let writer = Arc::new(JsonlWriter::create(&path).expect("scratch trace file"));
-    let sink = TelemetrySink::with_ring_words(RING_WORDS);
+    let sink = TelemetrySink::new();
     let drain = writer.clone();
     let collector = BackgroundCollector::spawn(&sink, Duration::from_millis(1), move |batch| {
         for e in &batch {
@@ -101,21 +100,21 @@ fn waitfree_events_per_sec(threads: u64) -> f64 {
 
 fn main() {
     println!("== Telemetry emission throughput (events/sec, higher is better) ==");
-    println!("{:<10} {:>16} {:>16} {:>9}", "threads", "mutex+jsonl", "wait-free", "speedup");
+    println!("{:<10} {:>16} {:>16} {:>9}", "threads", "mutex+jsonl", "sink", "speedup");
     let mut records = Vec::new();
     let mut speedup_8 = 0.0;
     for threads in [1u64, 8] {
         // Warm up both paths once so thread spawn and first-touch
         // costs do not land inside a timed run.
         mutex_events_per_sec(threads);
-        waitfree_events_per_sec(threads);
+        sink_events_per_sec(threads);
         let mutex = mutex_events_per_sec(threads);
-        let waitfree = waitfree_events_per_sec(threads);
-        let speedup = waitfree / mutex;
+        let sink = sink_events_per_sec(threads);
+        let speedup = sink / mutex;
         if threads == 8 {
             speedup_8 = speedup;
         }
-        println!("{threads:<10} {mutex:>16.0} {waitfree:>16.0} {speedup:>8.1}x");
+        println!("{threads:<10} {mutex:>16.0} {sink:>16.0} {speedup:>8.1}x");
         records.push(BenchRecord::new(
             "events",
             format!("events_per_sec_{threads}thread_mutex"),
@@ -125,8 +124,8 @@ fn main() {
         ));
         records.push(BenchRecord::new(
             "events",
-            format!("events_per_sec_{threads}thread_waitfree"),
-            waitfree,
+            format!("events_per_sec_{threads}thread_sink"),
+            sink,
             "events/s",
             0,
         ));

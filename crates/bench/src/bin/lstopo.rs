@@ -7,6 +7,9 @@
 //! Platforms: the simulated ones (`Machine::PLATFORMS`, default
 //! knl-flat), plus knl-hybrid, which has a topology for Fig. 1 but no
 //! timing calibration.
+//!
+//! An unknown option, a second platform name or `--input` without a
+//! file exits 2 with a usage hint; an unknown platform name exits 1.
 
 use hetmem_core::{discovery, render_memattrs};
 use hetmem_memsim::Machine;
@@ -20,9 +23,15 @@ fn topology_by_name(name: &str) -> Option<Topology> {
     Machine::by_name(name).map(|m| m.topology().clone())
 }
 
+/// Refuses the command line: exit 2 with `why` and a usage hint.
+fn refuse(why: &str) -> ! {
+    eprintln!("lstopo: {why} (try --help)");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut platform = "knl-flat".to_string();
+    let mut platform: Option<String> = None;
     let mut memattrs = false;
     let mut summary = false;
     let mut export = false;
@@ -33,7 +42,10 @@ fn main() {
             "--memattrs" => memattrs = true,
             "--summary" => summary = true,
             "--export" => export = true,
-            "--input" => input = it.next().cloned(),
+            "--input" => match it.next() {
+                Some(path) => input = Some(path.clone()),
+                None => refuse("--input needs a file argument"),
+            },
             "--help" | "-h" => {
                 eprintln!(
                     "usage: lstopo [PLATFORM] [--memattrs] [--summary] [--export] [--input FILE]"
@@ -41,9 +53,15 @@ fn main() {
                 eprintln!("platforms: {}, knl-hybrid", Machine::platform_names());
                 return;
             }
-            other => platform = other.to_string(),
+            other if other.starts_with('-') => refuse(&format!("unknown option {other:?}")),
+            other => {
+                if let Some(first) = platform.replace(other.to_string()) {
+                    refuse(&format!("one platform, not both {first:?} and {other:?}"));
+                }
+            }
         }
     }
+    let platform = platform.unwrap_or_else(|| "knl-flat".to_string());
 
     let topo = match input {
         Some(path) => {

@@ -650,7 +650,7 @@ fn chaos(trace: Option<&str>) {
         let baseline = run_load_chaos(ctx.machine.clone(), ctx.attrs.clone(), &cfg, &chaos);
         // The recorded rerun must match the silent one bit for bit —
         // telemetry must never perturb the simulation.
-        let sink = writer.as_ref().map(|_| TelemetrySink::with_ring_words(1 << 18));
+        let sink = writer.as_ref().map(|_| TelemetrySink::with_capacity(1 << 16));
         chaos.sink = sink.clone();
         let rerun = run_load_chaos(ctx.machine.clone(), ctx.attrs.clone(), &cfg, &chaos);
         identical &= baseline == rerun;
@@ -1267,7 +1267,7 @@ fn capacity(trace: Option<&str>) {
         }))
     });
     let sink = if writer.is_some() {
-        TelemetrySink::with_ring_words(1 << 16)
+        TelemetrySink::with_capacity(1 << 14)
     } else {
         TelemetrySink::disabled()
     };

@@ -551,7 +551,7 @@ mod tests {
     #[test]
     fn chaos_reclaims_abandoned_capacity_and_never_hard_fails() {
         let ctx = Ctx::knl();
-        let sink = TelemetrySink::with_ring_words(1 << 18);
+        let sink = TelemetrySink::with_capacity(1 << 16);
         let (cfg, mut chaos) = knl_chaos(ArbitrationPolicy::FairShare, 0xc4a0);
         chaos.sink = Some(sink.clone());
         let report = run_load_chaos(ctx.machine.clone(), ctx.attrs.clone(), &cfg, &chaos);

@@ -23,7 +23,7 @@ pub struct BenchRecord {
     /// `service_load`).
     pub bench: String,
     /// The metric name within the benchmark (e.g.
-    /// `events_per_sec_8thread_waitfree`).
+    /// `events_per_sec_8thread_sink`).
     pub metric: String,
     /// The measured value.
     pub value: f64,
@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn records_round_trip_through_json() {
         let records = vec![
-            rec("events", "events_per_sec_8thread_waitfree", 1.25e8, "events/s"),
+            rec("events", "events_per_sec_8thread_sink", 1.25e8, "events/s"),
             rec("capacity", "plan_priority", 1234.5, "ns"),
         ];
         let back = load_str(&render(&records)).expect("parses");

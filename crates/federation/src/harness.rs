@@ -192,7 +192,7 @@ pub fn federated_record_replay(
     }
 
     // Per-broker trailers: each log carries its broker's final state
-    // and the telemetry summary of its own ring.
+    // and the telemetry summary of its own sink.
     let mut logs = fed
         .take_logs()
         .ok_or_else(|| SnapshotError::Replay("federation was not recording".to_string()))?;

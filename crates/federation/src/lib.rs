@@ -385,7 +385,7 @@ pub struct Federation {
 
 impl Federation {
     /// Builds `config.members` brokers over [`shard_nodes`] shards of
-    /// `machine`, each with its own telemetry ring (drain with
+    /// `machine`, each with its own telemetry sink (drain with
     /// [`Federation::drain_events`]).
     pub fn new(
         machine: Arc<Machine>,
@@ -399,7 +399,7 @@ impl Federation {
         for (i, shard) in shards.iter().enumerate() {
             let mut broker =
                 Broker::with_shard(machine.clone(), attrs.clone(), config.policy, i as u32, shard);
-            let sink = TelemetrySink::with_ring_words(1 << 18);
+            let sink = TelemetrySink::with_capacity(1 << 16);
             collectors.push(sink.collector());
             broker.set_sink(sink);
             brokers.push(broker);
@@ -421,7 +421,7 @@ impl Federation {
     }
 
     /// Streams federation-level telemetry (`digest_merged`) into
-    /// `sink`. Member brokers keep their own rings — federation
+    /// `sink`. Member brokers keep their own sinks — federation
     /// events never pollute a per-broker trace, which must replay
     /// from the broker's wire log alone.
     pub fn set_federation_sink(&mut self, sink: TelemetrySink) {
@@ -464,7 +464,7 @@ impl Federation {
         self.boards.lock().expect("boards poisoned")[member as usize].clone()
     }
 
-    /// Drains a member broker's telemetry ring.
+    /// Drains a member broker's telemetry sink.
     pub fn drain_events(&self, member: u32) -> Vec<Event> {
         self.collectors.lock().expect("collectors poisoned")[member as usize]
             .drain_sorted()

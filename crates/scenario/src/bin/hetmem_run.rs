@@ -114,12 +114,12 @@ fn main() {
                 std::process::exit(1);
             });
             let writer = Arc::new(writer);
-            // Large rings plus a short drain cadence: a scenario trace
+            // Large buffers plus a short drain cadence: a scenario trace
             // is expected to be complete, and any loss is reported.
-            // Record mode sizes the ring like hetmem-replay does, so
+            // Record mode sizes the buffer like hetmem-replay does, so
             // overflow behavior cannot differ between the two sides.
-            let words = if record.is_some() { 1 << 18 } else { 1 << 16 };
-            let sink = TelemetrySink::with_ring_words(words);
+            let events = if record.is_some() { 1 << 16 } else { 1 << 14 };
+            let sink = TelemetrySink::with_capacity(events);
             let collector = {
                 let writer = writer.clone();
                 BackgroundCollector::spawn(
@@ -145,7 +145,7 @@ fn main() {
             // trailer summary is computed from the recorded segment's
             // events (sized like hetmem-replay's sink).
             let sink = if record.is_some() {
-                TelemetrySink::with_ring_words(1 << 18)
+                TelemetrySink::with_capacity(1 << 16)
             } else {
                 TelemetrySink::disabled()
             };

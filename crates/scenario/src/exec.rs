@@ -1231,20 +1231,22 @@ free fresh
         assert_eq!(rob.expired, 1, "{rob:?}");
     }
 
-    #[test]
-    fn shipped_replay_chaos_scenario_records_and_replays_byte_for_byte() {
+    /// Runs the shipped replay drill in record mode on `sink`, checks
+    /// its mid-degradation checkpoint, and replays the log from it: the
+    /// final broker state and the trailer summary must both match.
+    /// `tag` names the run's checkpoint file.
+    fn record_and_replay_the_shipped_drill(tag: &str, sink: TelemetrySink) {
         let text = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../scenarios/replay_chaos.txt"
         ))
         .expect("scenarios/replay_chaos.txt");
-        // The shipped stanza writes a fixed path; the test writes one
+        // The shipped stanza writes a fixed path; each run writes one
         // of its own and removes it, so two runs never share the file.
-        let snap_path =
-            std::env::temp_dir().join(format!("hetmem-replay-chaos-{}.snap", std::process::id()));
+        let snap_path = std::env::temp_dir()
+            .join(format!("hetmem-replay-chaos-{}-{tag}.snap", std::process::id()));
         let text = text.replace("/tmp/replay_chaos.snap", &snap_path.display().to_string());
         let s = parse(&text).expect("parses");
-        let sink = TelemetrySink::with_ring_words(1 << 18);
         let r = execute_with_options(&s, sink, ExecOptions { record: true, ..Default::default() })
             .expect("runs");
         let log = r.wire_log.expect("recorded");
@@ -1273,6 +1275,45 @@ free fresh
     }
 
     #[test]
+    fn shipped_replay_chaos_scenario_records_and_replays_byte_for_byte() {
+        record_and_replay_the_shipped_drill("record", TelemetrySink::with_capacity(1 << 16));
+    }
+
+    /// `hetmem-run --trace --record` runs two collectors on one sink:
+    /// the trace's background collector and the recorder's, which
+    /// drains at the checkpoint and for the trailer. Each must see
+    /// every event, so the trace equals the drill's golden and the
+    /// replay still verifies.
+    #[test]
+    fn shipped_replay_chaos_scenario_traces_while_it_records() {
+        let sink = TelemetrySink::with_capacity(1 << 16);
+        let trace = Arc::new(std::sync::Mutex::new(String::new()));
+        let collector = {
+            let trace = trace.clone();
+            hetmem_telemetry::BackgroundCollector::spawn(
+                &sink,
+                std::time::Duration::from_millis(1),
+                move |batch| {
+                    let mut trace = trace.lock().expect("trace");
+                    for e in &batch {
+                        trace.push_str(&e.event.to_json());
+                        trace.push('\n');
+                    }
+                },
+            )
+        };
+        record_and_replay_the_shipped_drill("trace", sink);
+        let lost: u64 = collector.finish().iter().map(|l| l.lost).sum();
+        assert_eq!(lost, 0, "the trace collector lost events");
+        let golden = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/golden/replay_chaos.trace.jsonl"
+        ))
+        .expect("scenarios/golden/replay_chaos.trace.jsonl");
+        assert_eq!(*trace.lock().expect("trace"), golden);
+    }
+
+    #[test]
     fn snapshot_stanza_writes_a_restorable_checkpoint() {
         let path = std::env::temp_dir().join("hetmem_snapshot_stanza_test.snap");
         let s = parse(&format!(
@@ -1296,7 +1337,7 @@ free fresh
     #[test]
     fn record_mode_refuses_unreplayable_statements() {
         let opts = ExecOptions { record: true, ..Default::default() };
-        let sink = || TelemetrySink::with_ring_words(1 << 12);
+        let sink = || TelemetrySink::with_capacity(1 << 10);
         // Phases cannot be recorded.
         let s = parse(
             "machine knl-flat\nserve\ntenant t\nalloc a 1GiB capacity\n\
@@ -1362,7 +1403,7 @@ free fresh
              phase p\n  read a 2GiB seq\nend\ntick\n",
         )
         .expect("parses");
-        let r = execute_with_sink(&s, TelemetrySink::with_ring_words(1 << 12)).expect("runs");
+        let r = execute_with_sink(&s, TelemetrySink::with_capacity(1 << 10)).expect("runs");
         assert_eq!(r.phases.len(), 1);
         assert_eq!(r.tenants.len(), 1);
     }

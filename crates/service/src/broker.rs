@@ -596,7 +596,7 @@ impl Broker {
     /// Streams broker telemetry (admits, clamps, stalls, plus the
     /// memory manager's occupancy/free events) into `sink`. Call
     /// before sharing the broker across threads; each thread that
-    /// emits through the shared broker gets its own wait-free ring.
+    /// emits through the shared broker gets its own buffer.
     pub fn set_sink(&mut self, sink: TelemetrySink) {
         self.sink = sink.clone();
         self.engine.set_sink(sink.clone());

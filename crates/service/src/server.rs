@@ -32,10 +32,9 @@
 //! * A reply write that blocks longer than [`WRITE_TIMEOUT`] cuts its
 //!   peer off the same way, so a client that stops reading holds the
 //!   queue for at most that long.
-//! * Telemetry is wait-free at emission: broker events land in
-//!   per-thread rings; the serve binary's background collector drains
-//!   them to the trace file,
-//!   so the buffered tail of a `--trace` file survives even a panic
+//! * Broker events land in per-thread telemetry buffers; the serve
+//!   binary's background collector drains them to the trace file, so
+//!   the buffered tail of a `--trace` file survives even a panic
 //!   unwinding a serving thread.
 //! * [`Client`] offers capped exponential backoff retries
 //!   ([`RetryPolicy`]) for transient errors and per-request deadlines

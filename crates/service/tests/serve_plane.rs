@@ -3,7 +3,7 @@
 //! same grants as serial admission on a twin broker, a pipelined burst
 //! must be answered in order, several pipelining clients must leave
 //! the broker clean, a client that never reads must not freeze the
-//! queue — and the telemetry rings those short-lived reader threads
+//! queue — and the telemetry buffers those short-lived reader threads
 //! emit into must be reused, not piled up.
 
 use hetmem_alloc::{AllocRequest, Fallback};
@@ -219,9 +219,9 @@ fn a_server_settles_clean_under_mixed_pipelining_clients() {
     const CLIENTS: usize = 4;
     const ROUNDS: u64 = 40;
     const PIPELINED: u64 = 8;
-    // Rings large enough that nothing is overwritten before the drain
+    // Buffers large enough that nothing is dropped before the drain
     // at the end.
-    let sink = TelemetrySink::with_ring_words(1 << 16);
+    let sink = TelemetrySink::with_capacity(1 << 14);
     let broker = knl_broker(sink.clone());
     let mut server = Server::bind(broker, "tcp:127.0.0.1:0").expect("bind");
     let addr = server.local_addr().to_string();
@@ -304,9 +304,9 @@ fn a_server_settles_clean_under_mixed_pipelining_clients() {
     let loss = collector.loss();
     assert_eq!(loss.iter().map(|l| l.lost).sum::<u64>(), 0, "{loss:?}");
     // Over a hundred connections came and went; their readers handed
-    // their rings on, so the count tracks the emitting threads alive
+    // their buffers on, so the count tracks the emitting threads alive
     // at once (clients and readers still exiting).
-    assert!(loss.len() <= CLIENTS + 2 + 6, "{} rings", loss.len());
+    assert!(loss.len() <= CLIENTS + 2 + 6, "{} buffers", loss.len());
 }
 
 #[test]

@@ -176,7 +176,7 @@ fn main() {
                 // A panicking thread (one serving a tick included) must not
                 // take the buffered trace tail with it: flush before
                 // the default hook prints the backtrace. The collector
-                // drains the rings on a short cadence and its Drop does
+                // drains the buffers on a short cadence and its Drop does
                 // a final drain-and-flush if main itself unwinds.
                 let hook_writer = w.clone();
                 let default_hook = std::panic::take_hook();

@@ -62,7 +62,7 @@ pub fn chaos_record_replay(config: &HarnessConfig) -> Result<HarnessOutcome, Sna
             .map_err(|e| SnapshotError::Restore(e.to_string()))?,
     );
     let mut broker = Broker::new(machine.clone(), attrs.clone(), ArbitrationPolicy::FairShare);
-    let sink = TelemetrySink::with_ring_words(1 << 18);
+    let sink = TelemetrySink::with_capacity(1 << 16);
     let mut collector = sink.collector();
     broker.set_sink(sink);
 

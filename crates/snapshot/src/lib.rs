@@ -949,7 +949,7 @@ pub fn replay(
         )));
     }
     let mut broker = Broker::restore(machine, attrs, &snapshot.state)?;
-    let sink = TelemetrySink::with_ring_words(1 << 18);
+    let sink = TelemetrySink::with_capacity(1 << 16);
     let mut collector = sink.collector();
     broker.set_sink(sink);
     let mut requests = 0u64;

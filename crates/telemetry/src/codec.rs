@@ -1,24 +1,19 @@
 //! The machinery behind the event table in `lib.rs`: `schema!` turns
 //! it into the event structs, [`crate::Event`], [`crate::EVENT_KINDS`]
-//! and both trace codecs. One [`Codec`] impl per field spelling hides
-//! the two formats, a JSON trace field and a compact record value.
+//! and the JSON trace codec. One [`Codec`] impl per field spelling
+//! hides how the field is written in a trace line.
 
-use crate::compact::{put_bool, put_f64, put_placement, put_str, put_u64, CodecError, Cursor};
 use crate::json::{JsonValue, ObjectWriter};
 use crate::{attr_id, attr_name, FallbackMode, ParseError, Scope};
 use hetmem_topology::NodeId;
 
 /// How a field of type `T` is spelled: as the field `key` of a JSON
-/// object, and as the next value of a compact record.
+/// object.
 pub(crate) trait Codec<T> {
     /// Writes `v` as the field `key`.
     fn write(o: &mut ObjectWriter<'_>, key: &str, v: &T);
     /// Reads the field `key` of the object `v`.
     fn read(v: &JsonValue<'_>, key: &str) -> Result<T, ParseError>;
-    /// Appends `v` to a compact record.
-    fn put(out: &mut Vec<u8>, v: &T);
-    /// Reads the next value of a compact record.
-    fn get(c: &mut Cursor<'_>) -> Result<T, CodecError>;
 }
 
 /// A struct of the table, written and read field by field in
@@ -28,10 +23,6 @@ pub(crate) trait Fields: Sized {
     fn write_fields(&self, o: &mut ObjectWriter<'_>);
     /// Reads every field from the object `v`.
     fn read_fields(v: &JsonValue<'_>) -> Result<Self, ParseError>;
-    /// Appends every field to a compact record.
-    fn put_fields(&self, out: &mut Vec<u8>);
-    /// Reads every field from a compact record.
-    fn get_fields(c: &mut Cursor<'_>) -> Result<Self, CodecError>;
 }
 
 /// The spelling of the field's type itself.
@@ -58,12 +49,6 @@ impl Codec<u64> for Natural {
     fn read(v: &JsonValue<'_>, key: &str) -> Result<u64, ParseError> {
         v.field(key)?.as_uint()
     }
-    fn put(out: &mut Vec<u8>, v: &u64) {
-        put_u64(out, *v);
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<u64, CodecError> {
-        c.u64()
-    }
 }
 
 impl Codec<u32> for Natural {
@@ -72,12 +57,6 @@ impl Codec<u32> for Natural {
     }
     fn read(v: &JsonValue<'_>, key: &str) -> Result<u32, ParseError> {
         v.field(key)?.as_uint()
-    }
-    fn put(out: &mut Vec<u8>, v: &u32) {
-        put_u64(out, u64::from(*v));
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<u32, CodecError> {
-        c.u32()
     }
 }
 
@@ -88,12 +67,6 @@ impl Codec<NodeId> for Natural {
     fn read(v: &JsonValue<'_>, key: &str) -> Result<NodeId, ParseError> {
         v.field(key)?.as_uint().map(NodeId)
     }
-    fn put(out: &mut Vec<u8>, v: &NodeId) {
-        put_u64(out, u64::from(v.0));
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<NodeId, CodecError> {
-        c.node()
-    }
 }
 
 impl Codec<f64> for Natural {
@@ -103,12 +76,6 @@ impl Codec<f64> for Natural {
     fn read(v: &JsonValue<'_>, key: &str) -> Result<f64, ParseError> {
         v.field(key)?.as_f64()
     }
-    fn put(out: &mut Vec<u8>, v: &f64) {
-        put_f64(out, *v);
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<f64, CodecError> {
-        c.f64()
-    }
 }
 
 impl Codec<String> for Natural {
@@ -117,12 +84,6 @@ impl Codec<String> for Natural {
     }
     fn read(v: &JsonValue<'_>, key: &str) -> Result<String, ParseError> {
         Ok(v.field(key)?.as_str()?.to_owned())
-    }
-    fn put(out: &mut Vec<u8>, v: &String) {
-        put_str(out, v);
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<String, CodecError> {
-        c.str()
     }
 }
 
@@ -147,16 +108,9 @@ impl Codec<Vec<(NodeId, u64)>> for Natural {
             })
             .collect()
     }
-    fn put(out: &mut Vec<u8>, v: &Vec<(NodeId, u64)>) {
-        put_placement(out, v);
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<Vec<(NodeId, u64)>, CodecError> {
-        c.placement()
-    }
 }
 
-/// A list of records: an array of objects in JSON, a length-prefixed
-/// run of records in compact form.
+/// A list of records: an array of objects in JSON.
 impl<R: Fields> Codec<Vec<R>> for Natural {
     fn write(o: &mut ObjectWriter<'_>, key: &str, v: &Vec<R>) {
         o.array(key, |a| {
@@ -168,19 +122,9 @@ impl<R: Fields> Codec<Vec<R>> for Natural {
     fn read(v: &JsonValue<'_>, key: &str) -> Result<Vec<R>, ParseError> {
         v.field(key)?.as_array()?.iter().map(R::read_fields).collect()
     }
-    fn put(out: &mut Vec<u8>, v: &Vec<R>) {
-        put_u64(out, v.len() as u64);
-        for r in v {
-            r.put_fields(out);
-        }
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<Vec<R>, CodecError> {
-        let n = c.u64()? as usize;
-        (0..n).map(|_| R::get_fields(c)).collect()
-    }
 }
 
-/// `local`/`any` in JSON, a bool byte (any) in compact form.
+/// `local`/`any` in JSON.
 impl Codec<Scope> for Natural {
     fn write(o: &mut ObjectWriter<'_>, key: &str, v: &Scope) {
         o.str(key, v.as_str());
@@ -192,16 +136,9 @@ impl Codec<Scope> for Natural {
             other => Err(ParseError::new(format!("bad {key} {other:?}"))),
         }
     }
-    fn put(out: &mut Vec<u8>, v: &Scope) {
-        put_bool(out, *v == Scope::Any);
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<Scope, CodecError> {
-        Ok(if c.bool()? { Scope::Any } else { Scope::Local })
-    }
 }
 
-/// Its name in JSON; in compact form one byte that is read back as a
-/// varint.
+/// Its name in JSON.
 impl Codec<FallbackMode> for Natural {
     fn write(o: &mut ObjectWriter<'_>, key: &str, v: &FallbackMode) {
         o.str(key, v.as_str());
@@ -214,21 +151,6 @@ impl Codec<FallbackMode> for Natural {
             other => Err(ParseError::new(format!("bad {key} {other:?}"))),
         }
     }
-    fn put(out: &mut Vec<u8>, v: &FallbackMode) {
-        out.push(match v {
-            FallbackMode::Strict => 0,
-            FallbackMode::NextTarget => 1,
-            FallbackMode::PartialSpill => 2,
-        });
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<FallbackMode, CodecError> {
-        match c.u64()? {
-            0 => Ok(FallbackMode::Strict),
-            1 => Ok(FallbackMode::NextTarget),
-            2 => Ok(FallbackMode::PartialSpill),
-            other => Err(CodecError::new(format!("bad fallback byte {other}"))),
-        }
-    }
 }
 
 impl Codec<u32> for Broker {
@@ -238,12 +160,6 @@ impl Codec<u32> for Broker {
     fn read(v: &JsonValue<'_>, key: &str) -> Result<u32, ParseError> {
         v.get(key).map_or(Ok(0), JsonValue::as_uint)
     }
-    fn put(out: &mut Vec<u8>, v: &u32) {
-        <Natural as Codec<u32>>::put(out, v);
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<u32, CodecError> {
-        c.u32()
-    }
 }
 
 impl Codec<u32> for Attr {
@@ -252,12 +168,6 @@ impl Codec<u32> for Attr {
     }
     fn read(v: &JsonValue<'_>, key: &str) -> Result<u32, ParseError> {
         attr_id(v.field(key)?.as_str()?)
-    }
-    fn put(out: &mut Vec<u8>, v: &u32) {
-        <Natural as Codec<u32>>::put(out, v);
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<u32, CodecError> {
-        c.u32()
     }
 }
 
@@ -272,12 +182,6 @@ impl Codec<bool> for YesNo {
             other => Err(ParseError::new(format!("bad {key} {other:?}"))),
         }
     }
-    fn put(out: &mut Vec<u8>, v: &bool) {
-        put_bool(out, *v);
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<bool, CodecError> {
-        c.bool()
-    }
 }
 
 impl Codec<bool> for Action {
@@ -291,12 +195,6 @@ impl Codec<bool> for Action {
             other => Err(ParseError::new(format!("bad action {other:?}"))),
         }
     }
-    fn put(out: &mut Vec<u8>, v: &bool) {
-        put_bool(out, *v);
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<bool, CodecError> {
-        c.bool()
-    }
 }
 
 impl Codec<Option<u64>> for Nullable {
@@ -309,15 +207,6 @@ impl Codec<Option<u64>> for Nullable {
             other => other.as_uint().map(Some),
         }
     }
-    fn put(out: &mut Vec<u8>, v: &Option<u64>) {
-        put_bool(out, v.is_some());
-        if let Some(v) = *v {
-            put_u64(out, v);
-        }
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<Option<u64>, CodecError> {
-        Ok(if c.bool()? { Some(c.u64()?) } else { None })
-    }
 }
 
 impl Codec<Option<String>> for Omitted {
@@ -329,20 +218,11 @@ impl Codec<Option<String>> for Omitted {
     fn read(v: &JsonValue<'_>, key: &str) -> Result<Option<String>, ParseError> {
         v.get(key).map(|s| s.as_str().map(str::to_owned)).transpose()
     }
-    fn put(out: &mut Vec<u8>, v: &Option<String>) {
-        put_bool(out, v.is_some());
-        if let Some(v) = v {
-            put_str(out, v);
-        }
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<Option<String>, CodecError> {
-        Ok(if c.bool()? { Some(c.str()?) } else { None })
-    }
 }
 
 /// Expands the event table: the `Event` enum, one row per kind giving
-/// its frozen compact kind byte, its `event` name and its variant, then
-/// every struct the rows and the list fields name.
+/// its `event` name and its variant, then every struct the rows and the
+/// list fields name.
 macro_rules! schema {
     // The spelling a field names after `as`, else `Natural`.
     (@spelling) => { $crate::codec::Natural };
@@ -350,7 +230,7 @@ macro_rules! schema {
     (
         $(#[$event_meta:meta])*
         pub enum Event {
-            $( $(#[$row_meta:meta])* $byte:literal $kind:literal $variant:ident($payload:ident), )*
+            $( $(#[$row_meta:meta])* $kind:literal $variant:ident($payload:ident), )*
         }
         $(
             $(#[$meta:meta])*
@@ -363,9 +243,6 @@ macro_rules! schema {
         pub enum Event {
             $( $(#[$row_meta])* $variant($payload), )*
         }
-
-        // The kind byte is pushed raw and read back as a varint.
-        $( const _: () = assert!($byte < 0x80, "a kind byte must be a one-byte varint"); )*
 
         /// The `event` field value of every [`Event`] variant, in declaration
         /// order. `docs/PROTOCOL.md` coverage tests enumerate this list so the
@@ -415,32 +292,6 @@ macro_rules! schema {
                     ))),
                 })
             }
-
-            /// Appends the compact record of `(epoch, self)`: the kind
-            /// byte, the epoch, then the fields.
-            pub(crate) fn put_record(&self, epoch: u64, out: &mut Vec<u8>) {
-                match self {
-                    $( Event::$variant(e) => {
-                        out.push($byte);
-                        $crate::compact::put_u64(out, epoch);
-                        $crate::codec::Fields::put_fields(e, out);
-                    } )*
-                }
-            }
-
-            /// Reads the fields of a compact record whose kind byte is
-            /// `kind`.
-            pub(crate) fn get_record(
-                kind: u64,
-                c: &mut $crate::compact::Cursor<'_>,
-            ) -> Result<Event, $crate::compact::CodecError> {
-                Ok(match kind {
-                    $( $byte => Event::$variant($crate::codec::Fields::get_fields(c)?), )*
-                    _ => return Err($crate::compact::CodecError::new(format!(
-                        "unknown kind byte {kind}"
-                    ))),
-                })
-            }
         }
 
         $(
@@ -462,19 +313,6 @@ macro_rules! schema {
                     use $crate::codec::Codec;
                     Ok($name { $( $field: <schema!(@spelling $($codec)?) as Codec<$ty>>::read(
                         v, stringify!($field))?, )* })
-                }
-
-                fn put_fields(&self, out: &mut Vec<u8>) {
-                    use $crate::codec::Codec;
-                    $( <schema!(@spelling $($codec)?) as Codec<$ty>>::put(out, &self.$field); )*
-                }
-
-                fn get_fields(
-                    c: &mut $crate::compact::Cursor<'_>,
-                ) -> Result<Self, $crate::compact::CodecError> {
-                    use $crate::codec::Codec;
-                    Ok($name { $( $field: <schema!(@spelling $($codec)?) as Codec<$ty>>::get(
-                        c)?, )* })
                 }
             }
         )*

@@ -1,17 +1,11 @@
-//! Compact varint event encoding — the in-flight form carried by the
-//! wait-free rings.
-//!
-//! One record is `kind byte · epoch varint · fields`, where integers
-//! are LEB128 varints, floats are 8 raw little-endian bytes
-//! (`f64::to_bits`), strings and lists are length-prefixed. Each kind's
-//! byte and field order come from the event table in `lib.rs`. A
-//! typical occupancy gauge encodes in ~12 bytes against ~90 bytes of
-//! JSONL.
+//! Varint primitives for compact binary files: integers are LEB128
+//! varints, strings and lists are length-prefixed. The snapshot and
+//! wire-log files of `hetmem-snapshot` (`HMSN`, `HMWL`) are built from
+//! them.
 
-use crate::Event;
 use hetmem_topology::NodeId;
 
-/// A malformed compact record.
+/// Malformed compact bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodecError(String);
 
@@ -42,11 +36,6 @@ pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Appends `v` as 8 raw little-endian bytes (`f64::to_bits`).
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
 /// Appends `s` length-prefixed (varint byte count, then UTF-8 bytes).
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u64(out, s.len() as u64);
@@ -69,8 +58,7 @@ pub fn put_placement(out: &mut Vec<u8>, placement: &[(NodeId, u64)]) {
 
 /// A bounds-checked reader over a compact-encoded byte slice: every
 /// read returns a typed [`CodecError`] instead of panicking on
-/// truncated or malformed input. The snapshot codec
-/// (`hetmem-snapshot`) builds its file format on the same primitives.
+/// truncated or malformed input.
 pub struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -80,11 +68,6 @@ impl<'a> Cursor<'a> {
     /// A cursor at the start of `bytes`.
     pub fn new(bytes: &'a [u8]) -> Cursor<'a> {
         Cursor { bytes, pos: 0 }
-    }
-
-    /// The current byte offset.
-    pub fn pos(&self) -> usize {
-        self.pos
     }
 
     /// Bytes not yet consumed.
@@ -126,14 +109,6 @@ impl<'a> Cursor<'a> {
     /// Decodes a varint that must fit in a `u32`.
     pub fn u32(&mut self) -> Result<u32, CodecError> {
         u32::try_from(self.u64()?).map_err(|_| CodecError::new("value overflows u32"))
-    }
-
-    /// Decodes 8 raw little-endian bytes as an `f64`.
-    pub fn f64(&mut self) -> Result<f64, CodecError> {
-        let end = self.pos + 8;
-        let raw = self.bytes.get(self.pos..end).ok_or_else(|| CodecError::new("truncated f64"))?;
-        self.pos = end;
-        Ok(f64::from_bits(u64::from_le_bytes(raw.try_into().expect("8 bytes"))))
     }
 
     /// Decodes one 0/1 byte; anything else is an error.
@@ -182,28 +157,10 @@ impl<'a> Cursor<'a> {
         }
     }
 }
-/// Encodes `(epoch, event)` as one compact record appended to `out`.
-pub fn encode_record(epoch: u64, event: &Event, out: &mut Vec<u8>) {
-    event.put_record(epoch, out);
-}
-
-/// Decodes one compact record produced by [`encode_record`].
-pub fn decode_record(bytes: &[u8]) -> Result<(u64, Event), CodecError> {
-    let mut c = Cursor::new(bytes);
-    let kind = c.u64()?;
-    let epoch = c.u64()?;
-    let event = Event::get_record(kind, &mut c)?;
-    c.done()?;
-    Ok((epoch, event))
-}
-
-#[cfg(test)]
-pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LeaseRevoked, OccupancyGauge};
 
     #[test]
     fn varint_boundaries_roundtrip() {
@@ -213,40 +170,6 @@ mod tests {
             let mut c = Cursor { bytes: &buf, pos: 0 };
             assert_eq!(c.u64().expect("decode"), v);
             c.done().expect("consumed");
-        }
-    }
-
-    #[test]
-    fn compact_is_much_smaller_than_jsonl() {
-        let event = Event::OccupancyGauge(OccupancyGauge {
-            node: NodeId(2),
-            used: 5 << 30,
-            high_water: 9 << 30,
-            total: 768 << 30,
-        });
-        let mut buf = Vec::new();
-        encode_record(7, &event, &mut buf);
-        assert!(
-            buf.len() * 3 < event.to_json().len(),
-            "compact {}B vs jsonl {}B",
-            buf.len(),
-            event.to_json().len()
-        );
-        assert_eq!(decode_record(&buf).expect("roundtrip"), (7, event));
-    }
-
-    #[test]
-    fn truncation_is_an_error_not_a_panic() {
-        let event = Event::LeaseRevoked(LeaseRevoked {
-            broker: 1,
-            tenant: "graph500".into(),
-            lease: 11,
-            reason: "disconnect".into(),
-        });
-        let mut buf = Vec::new();
-        encode_record(3, &event, &mut buf);
-        for cut in 0..buf.len() {
-            assert!(decode_record(&buf[..cut]).is_err(), "cut at {cut} decoded");
         }
     }
 }

@@ -20,17 +20,15 @@
 //! * [`OccupancyGauge`] — per-node used bytes and high-water marks,
 //!   sampled at every capacity change.
 //!
-//! The emission fast path is wait-free: a cloneable [`TelemetrySink`]
-//! hands each producing thread a [`ThreadWriter`] owning a per-thread
-//! SPSC race buffer (after ekotrace's verified protocol), a
-//! [`Collector`] drains every ring tolerating overwrite races with
-//! exact per-thread loss counts, and [`compact`] provides the varint
-//! encoding the rings carry. A [`TelemetrySink::disabled`] sink reports
-//! `enabled() == false` so instrumented hot paths skip building events
-//! entirely. [`JsonlWriter`] streams one JSON object per line, the
-//! format the `--trace` flag of the repro binaries produces.
-//! [`Summary`] folds a stream of events into a per-run placement
-//! report.
+//! A cloneable [`TelemetrySink`] hands each producing thread a
+//! [`ThreadWriter`] owning a bounded per-thread buffer of events, and a
+//! [`Collector`] drains every buffer with exact per-thread loss counts.
+//! A [`TelemetrySink::disabled`] sink reports `enabled() == false` so
+//! instrumented hot paths skip building events entirely.
+//! [`JsonlWriter`] streams one JSON object per line, the format the
+//! `--trace` flag of the repro binaries produces. [`Summary`] folds a
+//! stream of events into a per-run placement report. [`compact`] holds
+//! the varint primitives of the snapshot and wire-log files.
 
 #![warn(missing_docs)]
 
@@ -38,14 +36,13 @@
 mod codec;
 pub mod compact;
 pub mod json;
-mod ring;
 mod sink;
 mod summary;
 
 pub use json::ParseError;
 pub use sink::{
     BackgroundCollector, CollectedEvent, Collector, TelemetrySink, ThreadLoss, ThreadWriter,
-    DEFAULT_RING_WORDS,
+    DEFAULT_CAPACITY,
 };
 pub use summary::{OccupancyStats, PhaseSample, Summary};
 
@@ -95,63 +92,62 @@ impl FallbackMode {
 }
 
 // The event table, the one declaration of every event kind. A row gives
-// the kind's frozen compact byte (never reused: the retired
-// `batch_coalesced` and `shard_steal` keep 18 and 19), its `event` name
-// and its variant. A field names a spelling after `as` only where it is
-// not spelled as its type is (`codec.rs`).
+// the kind's `event` name and its variant; retired kinds keep their rows
+// so older traces still decode. A field names a spelling after `as` only
+// where it is not spelled as its type is (`codec.rs`).
 schema! {
     /// A telemetry event.
     #[derive(Debug, Clone, PartialEq)]
     #[non_exhaustive]
     pub enum Event {
         /// An allocation decision (success or failure).
-        0 "alloc_decision" AllocDecision(AllocDecision),
+        "alloc_decision" AllocDecision(AllocDecision),
         /// An attribute substitution.
-        1 "attr_fallback" AttrFallback(AttrFallback),
+        "attr_fallback" AttrFallback(AttrFallback),
         /// A region migration.
-        2 "migration" Migration(Migration),
+        "migration" Migration(Migration),
         /// A region free.
-        3 "free" Free(FreeEvent),
+        "free" Free(FreeEvent),
         /// A simulated phase.
-        4 "phase_span" PhaseSpan(PhaseSpan),
+        "phase_span" PhaseSpan(PhaseSpan),
         /// A node occupancy sample.
-        5 "occupancy" OccupancyGauge(OccupancyGauge),
+        "occupancy" OccupancyGauge(OccupancyGauge),
         /// A tiering-daemon promotion or demotion.
-        6 "tiering_action" TieringAction(TieringEvent),
+        "tiering_action" TieringAction(TieringEvent),
         /// An online-guidance promotion or demotion.
-        7 "guidance_decision" GuidanceDecision(GuidanceDecision),
+        "guidance_decision" GuidanceDecision(GuidanceDecision),
         /// A broker admission (multi-tenant service).
-        8 "tenant_admit" TenantAdmit(TenantAdmit),
+        "tenant_admit" TenantAdmit(TenantAdmit),
         /// A fair-share denial on one node (multi-tenant service).
-        9 "quota_clamp" QuotaClamp(QuotaClamp),
+        "quota_clamp" QuotaClamp(QuotaClamp),
         /// Contention-induced slowdown charged to a tenant.
-        10 "contention_stall" ContentionStall(ContentionStall),
+        "contention_stall" ContentionStall(ContentionStall),
         /// A lease aged out without renewal (multi-tenant service).
-        11 "lease_expired" LeaseExpired(LeaseExpired),
+        "lease_expired" LeaseExpired(LeaseExpired),
         /// A lease was revoked (disconnect, operator, fault).
-        12 "lease_revoked" LeaseRevoked(LeaseRevoked),
+        "lease_revoked" LeaseRevoked(LeaseRevoked),
         /// A tier entered or left the degraded state.
-        13 "tier_degraded" TierDegraded(TierDegraded),
+        "tier_degraded" TierDegraded(TierDegraded),
         /// A client gave up after its retry budget.
-        14 "retry_exhausted" RetryExhausted(RetryExhausted),
+        "retry_exhausted" RetryExhausted(RetryExhausted),
         /// Capacity reclaimed from an expired or revoked lease.
-        15 "reclaim" Reclaim(Reclaim),
+        "reclaim" Reclaim(Reclaim),
         /// A forwarded residual allocation served for a peer broker.
-        16 "spill_forwarded" SpillForwarded(SpillForwarded),
+        "spill_forwarded" SpillForwarded(SpillForwarded),
         /// A peer capacity digest merged into a federation board.
-        17 "digest_merged" DigestMerged(DigestMerged),
+        "digest_merged" DigestMerged(DigestMerged),
         /// Same-tenant admissions merged into one planning walk (the
         /// retired shard dispatch plane).
-        18 "batch_coalesced" BatchCoalesced(BatchCoalesced),
+        "batch_coalesced" BatchCoalesced(BatchCoalesced),
         /// An idle shard stole queued admissions from a loaded sibling
         /// (the retired shard dispatch plane).
-        19 "shard_steal" ShardSteal(ShardSteal),
+        "shard_steal" ShardSteal(ShardSteal),
         /// A tenant's adaptive sampler backed off or burst its period.
-        20 "sample_rate_changed" SampleRateChanged(SampleRateChanged),
+        "sample_rate_changed" SampleRateChanged(SampleRateChanged),
         /// The epoch fold promoted a tenant's hot region to the fast tier.
-        21 "hot_promoted" HotPromoted(HotPromoted),
+        "hot_promoted" HotPromoted(HotPromoted),
         /// An epoch's migration budget ran out; moves were deferred.
-        22 "budget_exhausted" BudgetExhausted(BudgetExhausted),
+        "budget_exhausted" BudgetExhausted(BudgetExhausted),
     }
 
     /// One ranked candidate target and its attribute value.
@@ -858,57 +854,6 @@ mod tests {
                     (Ok(new), Ok(old)) => assert_eq!(new, old, "{m}"),
                     (Err(_), Err(_)) => {}
                     (new, old) => panic!("{m}\n  new: {new:?}\n  reference: {old:?}"),
-                }
-            }
-        }
-    }
-
-    /// Every mutation of a compact record the agreement test decodes:
-    /// every truncation, every byte replaced by each of eight values
-    /// around the varint and bool boundaries, a continuation byte
-    /// inserted at every offset, and one trailing byte.
-    fn compact_mutations(record: &[u8]) -> Vec<Vec<u8>> {
-        let mut out: Vec<Vec<u8>> = (0..record.len()).map(|cut| record[..cut].to_vec()).collect();
-        for i in 0..record.len() {
-            for b in [0x00, 0x01, 0x02, 0x03, 0x7f, 0x80, 0x81, 0xff] {
-                let mut m = record.to_vec();
-                m[i] = b;
-                out.push(m);
-            }
-        }
-        for i in 0..=record.len() {
-            let mut m = record.to_vec();
-            m.insert(i, 0x80);
-            out.push(m);
-        }
-        out.push([record, &[0]].concat());
-        out
-    }
-
-    /// The table's compact codec writes every event as the hand-written
-    /// one did, and reads every mutation of its records as it did: an
-    /// error on both sides, or values that re-encode to the same bytes
-    /// (bytes, not values, because a mutated `f64` can be NaN).
-    #[test]
-    fn the_compact_codec_agrees_with_its_reference() {
-        use compact::reference;
-        let golden = read_jsonl(include_str!("../tests/golden/events.jsonl")).expect("golden");
-        for (i, event) in every_variant().into_iter().chain(golden).enumerate() {
-            let epoch = [i as u64, 128 + i as u64, u64::MAX - i as u64][i % 3];
-            let (mut record, mut want) = (Vec::new(), Vec::new());
-            compact::encode_record(epoch, &event, &mut record);
-            reference::encode_record(epoch, &event, &mut want);
-            assert_eq!(record, want, "{event:?}");
-            for m in compact_mutations(&record) {
-                match (compact::decode_record(&m), reference::decode_record(&m)) {
-                    (Ok((epoch, new)), Ok((old_epoch, old))) => {
-                        let (mut new_bytes, mut old_bytes) = (Vec::new(), Vec::new());
-                        compact::encode_record(epoch, &new, &mut new_bytes);
-                        reference::encode_record(old_epoch, &old, &mut old_bytes);
-                        assert_eq!(new_bytes, old_bytes, "{m:02x?}");
-                    }
-                    (Err(_), Err(_)) => {}
-                    (new, old) => panic!("{m:02x?}\n  new: {new:?}\n  reference: {old:?}"),
                 }
             }
         }

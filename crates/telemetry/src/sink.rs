@@ -1,62 +1,99 @@
 //! The handle-based emission API: a cloneable [`TelemetrySink`] hands
-//! each producing thread a [`ThreadWriter`] that owns a wait-free SPSC
-//! race buffer ([`crate::ring`]), and a [`Collector`] drains every
-//! ring, tolerating overwrite races and accounting losses exactly.
+//! each producing thread a [`ThreadWriter`] that owns one buffer of
+//! events, and a [`Collector`] drains every buffer, accounting losses
+//! exactly.
 //!
 //! The hot path is `sink.emit(event)` (or `writer.emit(event)` with an
-//! explicit handle): encode the event into the compact varint form
-//! ([`crate::compact`]) and append it to the calling thread's ring —
-//! no lock, no syscall, no allocation beyond a reused scratch buffer.
-//! Every event is stamped with a sink-wide **epoch** (an atomic
-//! counter), so a collector can merge the per-thread streams back into
-//! one causally ordered trace.
+//! explicit handle): stamp the event with a sink-wide **epoch** (an
+//! atomic counter) and push it onto the calling thread's buffer, a
+//! `Mutex`-guarded queue that only its writer and a draining collector
+//! lock. A full buffer drops its oldest event. The epoch lets a
+//! collector merge the per-thread streams back into one causally
+//! ordered trace.
 //!
-//! A dropped writer hands its ring back to the sink, and the next
-//! thread to register takes it over, so a process holds one ring per
-//! *live* emitting thread however many threads come and go. The ring
-//! keeps its slot, sequence numbers and counters across owners, so
-//! collectors read on where they left off and loss stays exact.
+//! A drain swaps each buffer for the collector's empty spare, so the
+//! writer waits at most for that swap. The events a drain takes are
+//! copied to every other live collector of the sink, so collectors are
+//! independent observers.
+//!
+//! A dropped writer hands its buffer back to the sink, and the next
+//! thread to register takes it over, so a process holds one buffer per
+//! *live* emitting thread however many threads come and go. The buffer
+//! keeps its label and its count of events written across owners, so
+//! loss stays exact.
 
-use crate::compact::{decode_record, encode_record};
-use crate::ring::Ring;
 use crate::{Event, Summary};
 use std::cell::RefCell;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
-/// Default per-thread ring capacity in 8-byte words (8 KiB). At ~4
-/// words per compact event this retains roughly 250 events per thread
-/// between collector passes; see OPERATIONS.md for tuning.
-pub const DEFAULT_RING_WORDS: usize = 1024;
+/// Default per-thread buffer capacity in events. A buffer retains
+/// this many events between collector passes; see OPERATIONS.md for
+/// tuning.
+pub const DEFAULT_CAPACITY: usize = 256;
 
 static NEXT_SINK_ID: AtomicU64 = AtomicU64::new(1);
 
 struct SinkShared {
     id: u64,
     enabled: bool,
-    ring_words: usize,
+    capacity: usize,
     epoch: AtomicU64,
-    rings: Mutex<Rings>,
+    buffers: Mutex<Buffers>,
+    inboxes: Mutex<Inboxes>,
 }
 
-/// Every ring a sink ever registered, by slot, plus the ones whose
+/// Every buffer a sink ever registered, by label, plus the ones whose
 /// writer was dropped, waiting for the next registering thread.
 #[derive(Default)]
-struct Rings {
-    all: Vec<Arc<Ring>>,
-    idle: Vec<Arc<Ring>>,
+struct Buffers {
+    all: Vec<Arc<Buffer>>,
+    idle: Vec<Arc<Buffer>>,
+}
+
+/// One emitting thread's events, oldest first.
+struct Buffer {
+    /// The buffer's label (its registration order in the sink).
+    thread: u64,
+    pending: Mutex<Pending>,
+}
+
+#[derive(Default)]
+struct Pending {
+    events: VecDeque<CollectedEvent>,
+    /// Events ever pushed, the dropped ones included.
+    written: u64,
+}
+
+/// The events other collectors' drains took, waiting for each live
+/// collector's next drain, by collector id.
+#[derive(Default)]
+struct Inboxes {
+    next_id: u64,
+    by_collector: BTreeMap<u64, Vec<CollectedEvent>>,
 }
 
 impl SinkShared {
-    fn rings(&self) -> MutexGuard<'_, Rings> {
-        self.rings.lock().expect("sink rings poisoned")
+    fn buffers(&self) -> MutexGuard<'_, Buffers> {
+        self.buffers.lock().expect("sink buffers poisoned")
+    }
+
+    fn inboxes(&self) -> MutexGuard<'_, Inboxes> {
+        self.inboxes.lock().expect("sink inboxes poisoned")
     }
 }
 
-/// Cloneable entry point for wait-free telemetry.
+impl Buffer {
+    fn pending(&self) -> MutexGuard<'_, Pending> {
+        self.pending.lock().expect("telemetry buffer poisoned")
+    }
+}
+
+/// Cloneable entry point for telemetry.
 ///
 /// Producers either call [`TelemetrySink::emit`] directly (each thread
-/// is transparently given its own ring on first use) or take an
+/// is transparently given its own buffer on first use) or take an
 /// explicit [`ThreadWriter`] via [`TelemetrySink::writer`] for hot
 /// loops. Consumers drain everything with a [`Collector`].
 ///
@@ -78,8 +115,8 @@ impl std::fmt::Debug for TelemetrySink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TelemetrySink")
             .field("enabled", &self.shared.enabled)
-            .field("ring_words", &self.shared.ring_words)
-            .field("rings", &self.shared.rings().all.len())
+            .field("capacity", &self.shared.capacity)
+            .field("buffers", &self.shared.buffers().all.len())
             .finish()
     }
 }
@@ -91,33 +128,33 @@ impl Default for TelemetrySink {
 }
 
 impl TelemetrySink {
-    /// An enabled sink with [`DEFAULT_RING_WORDS`] cells per thread.
+    /// An enabled sink holding [`DEFAULT_CAPACITY`] events per thread.
     pub fn new() -> TelemetrySink {
-        TelemetrySink::with_ring_words(DEFAULT_RING_WORDS)
+        TelemetrySink::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// An enabled sink whose per-thread rings hold `words` 8-byte
-    /// cells (rounded up to a power of two). Larger rings tolerate
-    /// slower collectors before overwriting.
-    pub fn with_ring_words(words: usize) -> TelemetrySink {
-        TelemetrySink::build(true, words)
+    /// An enabled sink whose per-thread buffers hold `events` events
+    /// (at least one). Larger buffers tolerate slower collectors before
+    /// dropping.
+    pub fn with_capacity(events: usize) -> TelemetrySink {
+        TelemetrySink::build(true, events)
     }
 
     /// A disabled sink: `enabled()` is `false` and every emission is
-    /// discarded before encoding. The default for every instrumented
-    /// component.
+    /// discarded. The default for every instrumented component.
     pub fn disabled() -> TelemetrySink {
-        TelemetrySink::build(false, 8)
+        TelemetrySink::build(false, 1)
     }
 
-    fn build(enabled: bool, words: usize) -> TelemetrySink {
+    fn build(enabled: bool, capacity: usize) -> TelemetrySink {
         TelemetrySink {
             shared: Arc::new(SinkShared {
                 id: NEXT_SINK_ID.fetch_add(1, Ordering::Relaxed),
                 enabled,
-                ring_words: words,
+                capacity: capacity.max(1),
                 epoch: AtomicU64::new(0),
-                rings: Mutex::new(Rings::default()),
+                buffers: Mutex::new(Buffers::default()),
+                inboxes: Mutex::new(Inboxes::default()),
             }),
         }
     }
@@ -128,22 +165,23 @@ impl TelemetrySink {
         self.shared.enabled
     }
 
-    /// Takes over a ring a dropped writer handed back, or registers a
+    /// Takes over a buffer a dropped writer handed back, or registers a
     /// new one, and returns its owning writer.
     ///
     /// The writer is `Send` but neither `Sync` nor `Clone`: exactly
-    /// one thread produces into each ring at a time, which is what
-    /// makes the fast path wait-free.
+    /// one thread produces into each buffer at a time, so its lock is
+    /// contended only by a draining collector.
     pub fn writer(&self) -> ThreadWriter {
-        let ring = self.shared.enabled.then(|| {
-            let mut rings = self.shared.rings();
-            rings.idle.pop().unwrap_or_else(|| {
-                let ring = Arc::new(Ring::new(self.shared.ring_words, rings.all.len() as u64));
-                rings.all.push(ring.clone());
-                ring
+        let buffer = self.shared.enabled.then(|| {
+            let mut buffers = self.shared.buffers();
+            buffers.idle.pop().unwrap_or_else(|| {
+                let thread = buffers.all.len() as u64;
+                let buffer = Arc::new(Buffer { thread, pending: Mutex::default() });
+                buffers.all.push(buffer.clone());
+                buffer
             })
         });
-        ThreadWriter { shared: self.shared.clone(), ring, scratch: Vec::new() }
+        ThreadWriter { shared: self.shared.clone(), buffer }
     }
 
     /// Emits one event from the calling thread, creating that thread's
@@ -162,7 +200,7 @@ impl TelemetrySink {
                 return;
             }
             // First emission from this thread into this sink: drop
-            // writers whose sinks are gone, then register a new ring.
+            // writers whose sinks are gone, then register a new buffer.
             writers.retain(|e| e.probe.strong_count() > 0);
             let mut entry =
                 TlsEntry { id, probe: Arc::downgrade(&self.shared), writer: self.writer() };
@@ -171,11 +209,19 @@ impl TelemetrySink {
         });
     }
 
-    /// A collector over every ring registered so far and every ring
+    /// A collector over every buffer registered so far and every buffer
     /// registered later. Collectors are independent observers: each
-    /// sees the full stream (modulo overwritten entries).
+    /// sees every event no collector had taken before it was created
+    /// (modulo dropped events).
     pub fn collector(&self) -> Collector {
-        Collector { shared: self.shared.clone(), read: Vec::new(), decoded: Vec::new(), corrupt: 0 }
+        let id = {
+            let mut inboxes = self.shared.inboxes();
+            let id = inboxes.next_id;
+            inboxes.next_id += 1;
+            inboxes.by_collector.insert(id, Vec::new());
+            id
+        };
+        Collector { shared: self.shared.clone(), id, spare: VecDeque::new(), collected: Vec::new() }
     }
 }
 
@@ -189,49 +235,55 @@ thread_local! {
     static TLS_WRITERS: RefCell<Vec<TlsEntry>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A single thread's handle into a [`TelemetrySink`]: owns one SPSC
-/// race buffer. Obtain via [`TelemetrySink::writer`] and keep it on
-/// the producing thread; emission is wait-free and never blocks on
-/// collectors or other producers. Dropping it hands the ring back to
-/// the sink for the next registering thread.
+/// A single thread's handle into a [`TelemetrySink`]: owns one buffer.
+/// Obtain via [`TelemetrySink::writer`] and keep it on the producing
+/// thread; emission never waits on other producers. Dropping it hands
+/// the buffer back to the sink for the next registering thread.
 pub struct ThreadWriter {
     shared: Arc<SinkShared>,
     /// `None` for writers of a disabled sink.
-    ring: Option<Arc<Ring>>,
-    scratch: Vec<u8>,
+    buffer: Option<Arc<Buffer>>,
 }
 
 impl ThreadWriter {
     /// Whether emissions are kept (mirrors the parent sink).
     pub fn enabled(&self) -> bool {
-        self.ring.is_some()
+        self.buffer.is_some()
     }
 
-    /// The label collectors report for this writer's ring.
+    /// The label collectors report for this writer's buffer.
     pub fn thread(&self) -> u64 {
-        self.ring.as_ref().map_or(u64::MAX, |r| r.thread())
+        self.buffer.as_ref().map_or(u64::MAX, |b| b.thread)
     }
 
-    /// Emits one event: stamps it with the next sink epoch, encodes it
-    /// compactly, and appends it to this thread's ring, overwriting
-    /// the oldest entries if the collector has fallen behind.
+    /// Emits one event: stamps it with the next sink epoch and appends
+    /// it to this thread's buffer, dropping the oldest event if the
+    /// collectors have fallen behind.
     pub fn emit(&mut self, event: Event) {
-        let Some(ring) = &self.ring else { return };
+        let Some(buffer) = &self.buffer else { return };
         let epoch = self.shared.epoch.fetch_add(1, Ordering::Relaxed);
-        self.scratch.clear();
-        encode_record(epoch, &event, &mut self.scratch);
-        ring.push(&self.scratch);
+        let event = CollectedEvent { epoch, thread: buffer.thread, event };
+        let mut pending = buffer.pending();
+        let dropped = if pending.events.len() >= self.shared.capacity {
+            pending.events.pop_front()
+        } else {
+            None
+        };
+        pending.events.push_back(event);
+        pending.written += 1;
+        // Free the dropped event's heap parts after unlocking.
+        drop(pending);
+        drop(dropped);
     }
 }
 
 impl Drop for ThreadWriter {
     fn drop(&mut self) {
-        // The sink's mutex orders this owner's last push before the
-        // next owner's first. A poisoned registry just leaves the ring
-        // unused: a destructor must not panic.
-        let Some(ring) = self.ring.take() else { return };
-        if let Ok(mut rings) = self.shared.rings.lock() {
-            rings.idle.push(ring);
+        // A poisoned registry just leaves the buffer unused: a
+        // destructor must not panic.
+        let Some(buffer) = self.buffer.take() else { return };
+        if let Ok(mut buffers) = self.shared.buffers.lock() {
+            buffers.idle.push(buffer);
         }
     }
 }
@@ -242,8 +294,8 @@ impl Drop for ThreadWriter {
 pub struct CollectedEvent {
     /// Sink-wide emission order stamp.
     pub epoch: u64,
-    /// Producing ring's label (its registration order); threads that
-    /// took over a dropped writer's ring share its label.
+    /// Producing buffer's label (its registration order); threads that
+    /// took over a dropped writer's buffer share its label.
     pub thread: u64,
     /// The event.
     pub event: Event,
@@ -252,54 +304,63 @@ pub struct CollectedEvent {
 /// Exact per-thread loss accounting for one collector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadLoss {
-    /// Producing ring's label (see [`CollectedEvent::thread`]).
+    /// Producing buffer's label (see [`CollectedEvent::thread`]).
     pub thread: u64,
-    /// Entries the ring's producers published into it.
+    /// Events the buffer's producers emitted into it.
     pub written: u64,
-    /// Entries this collector decoded.
+    /// Events this collector returned.
     pub collected: u64,
-    /// `written - collected`: entries overwritten before this
-    /// collector reached them, plus any still sitting unread in the
-    /// ring. Exact once the producer is quiescent and the collector
-    /// has drained (a final [`Collector::drain_sorted`] after the
-    /// producing threads stop).
+    /// `written - collected`: events dropped before a collector took
+    /// them, taken by another collector before this one existed, or
+    /// still sitting in the buffer. Exact once the producer is
+    /// quiescent and the collector has drained (a final
+    /// [`Collector::drain_sorted`] after the producing threads stop).
     pub lost: u64,
 }
 
-/// Drains the per-thread rings of one sink. Create with
+/// Drains the per-thread buffers of one sink. Create with
 /// [`TelemetrySink::collector`]; call [`Collector::drain_sorted`]
 /// periodically (or once, at the end of a run) and
 /// [`Collector::loss`] for the per-thread accounting.
 pub struct Collector {
     shared: Arc<SinkShared>,
-    /// Per-ring next read sequence number, parallel to the sink's
-    /// ring registry.
-    read: Vec<u64>,
-    /// Per-ring entries decoded by *this* collector.
-    decoded: Vec<u64>,
-    corrupt: u64,
+    /// This collector's key in the sink's inboxes.
+    id: u64,
+    /// The empty queue swapped in for each buffer a drain takes.
+    spare: VecDeque<CollectedEvent>,
+    /// Per-buffer events returned by *this* collector, by label.
+    collected: Vec<u64>,
 }
 
 impl Collector {
-    /// Drains every decodable event currently published, merged across
-    /// threads in epoch order. Overwritten entries are skipped and
-    /// show up in [`Collector::loss`] instead.
+    /// Drains every event emitted since the last drain, merged across
+    /// threads in epoch order. Dropped events are skipped and show up
+    /// in [`Collector::loss`] instead.
     pub fn drain_sorted(&mut self) -> Vec<CollectedEvent> {
-        let rings: Vec<Arc<Ring>> = self.shared.rings().all.clone();
-        self.read.resize(rings.len(), 0);
-        self.decoded.resize(rings.len(), 0);
-        let mut out = Vec::new();
-        for (i, ring) in rings.iter().enumerate() {
-            let thread = ring.thread();
-            let mut corrupt = 0u64;
-            let (next, decoded) =
-                ring.read_from(self.read[i], |payload| match decode_record(payload) {
-                    Ok((epoch, event)) => out.push(CollectedEvent { epoch, thread, event }),
-                    Err(_) => corrupt += 1,
-                });
-            self.read[i] = next;
-            self.decoded[i] += decoded - corrupt;
-            self.corrupt += corrupt;
+        // Drains run one at a time, under the inboxes, so every batch a
+        // drain takes reaches the other collectors before a later batch
+        // of the same buffer can be taken.
+        let mut inboxes = self.shared.inboxes();
+        let buffers: Vec<Arc<Buffer>> = self.shared.buffers().all.clone();
+        let mut out =
+            inboxes.by_collector.get_mut(&self.id).map(std::mem::take).unwrap_or_default();
+        let handed = out.len();
+        for buffer in &buffers {
+            std::mem::swap(&mut buffer.pending().events, &mut self.spare);
+            out.extend(self.spare.drain(..));
+        }
+        // A peer that does not drain keeps at most what the buffers
+        // themselves could hold.
+        let bound = self.shared.capacity * buffers.len();
+        for (_, inbox) in inboxes.by_collector.iter_mut().filter(|(id, _)| **id != self.id) {
+            inbox.extend_from_slice(&out[handed..]);
+            let excess = inbox.len().saturating_sub(bound);
+            inbox.drain(..excess);
+        }
+        drop(inboxes);
+        self.collected.resize(buffers.len(), 0);
+        for e in &out {
+            self.collected[e.thread as usize] += 1;
         }
         out.sort_by_key(|e| e.epoch);
         out
@@ -308,27 +369,21 @@ impl Collector {
     /// Per-thread written/collected/lost counts as of the last drain.
     /// Exact when the producers are quiescent; see [`ThreadLoss`].
     pub fn loss(&self) -> Vec<ThreadLoss> {
-        let rings: Vec<Arc<Ring>> = self.shared.rings().all.clone();
-        rings
+        self.shared
+            .buffers()
+            .all
             .iter()
-            .enumerate()
-            .map(|(i, ring)| {
-                let written = ring.written() + ring.oversize();
-                let collected = self.decoded.get(i).copied().unwrap_or(0);
+            .map(|buffer| {
+                let written = buffer.pending().written;
+                let collected = self.collected.get(buffer.thread as usize).copied().unwrap_or(0);
                 ThreadLoss {
-                    thread: ring.thread(),
+                    thread: buffer.thread,
                     written,
                     collected,
                     lost: written.saturating_sub(collected),
                 }
             })
             .collect()
-    }
-
-    /// Events whose compact payload failed to decode — zero under the
-    /// protocol; a nonzero count means a codec bug, not a race.
-    pub fn corrupt(&self) -> u64 {
-        self.corrupt
     }
 
     /// Drains the remaining events and folds everything this collector
@@ -342,6 +397,16 @@ impl Collector {
         }
         summary.apply_loss(&self.loss());
         (events, summary)
+    }
+}
+
+impl Drop for Collector {
+    fn drop(&mut self) {
+        // A poisoned registry keeps the inbox: a destructor must not
+        // panic.
+        if let Ok(mut inboxes) = self.shared.inboxes.lock() {
+            inboxes.by_collector.remove(&self.id);
+        }
     }
 }
 
@@ -451,7 +516,7 @@ mod tests {
             })
             .collect();
         assert_eq!(nodes, vec![0, 1, 2]);
-        // Two rings: the explicit writer and the emit() thread writer.
+        // Two buffers: the explicit writer and the emit() thread writer.
         let epochs: Vec<u64> = events.iter().map(|e| e.epoch).collect();
         assert_eq!(epochs, vec![0, 1, 2]);
     }
@@ -474,9 +539,9 @@ mod tests {
 
     #[test]
     fn loss_is_exact_when_collector_lags() {
-        // A tiny ring and a burst far beyond it: the writer overwrites
+        // A tiny buffer and a burst far beyond it: the writer drops
         // most of the stream, and written == collected + lost exactly.
-        let sink = TelemetrySink::with_ring_words(32);
+        let sink = TelemetrySink::with_capacity(8);
         let mut w = sink.writer();
         let total = 10_000u64;
         for i in 0..total {
@@ -489,8 +554,7 @@ mod tests {
         assert_eq!(loss[0].written, total);
         assert_eq!(loss[0].collected, events.len() as u64);
         assert_eq!(loss[0].written, loss[0].collected + loss[0].lost);
-        assert!(loss[0].lost > 0, "a 32-word ring cannot hold 10k events");
-        assert_eq!(collector.corrupt(), 0);
+        assert!(loss[0].lost > 0, "an 8-event buffer cannot hold 10k events");
         // The survivors are the newest events, in epoch order.
         assert_eq!(events.last().expect("tail").epoch, total - 1);
         assert!(events.windows(2).all(|w| w[0].epoch < w[1].epoch));
@@ -498,7 +562,7 @@ mod tests {
 
     #[test]
     fn summarize_folds_events_and_losses() {
-        let sink = TelemetrySink::with_ring_words(16);
+        let sink = TelemetrySink::with_capacity(4);
         let mut w = sink.writer();
         for _ in 0..100 {
             w.emit(Event::AttrFallback(AttrFallback { requested: 4, used: 2 }));
@@ -531,7 +595,7 @@ mod tests {
 
     #[test]
     fn eight_producer_threads_merge_by_epoch() {
-        let sink = TelemetrySink::with_ring_words(1 << 14);
+        let sink = TelemetrySink::with_capacity(1 << 12);
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 let mut w = sink.writer();
@@ -555,7 +619,7 @@ mod tests {
         assert_eq!(epochs.len(), 8 * 500);
         for l in collector.loss() {
             assert_eq!(l.written, l.collected + l.lost);
-            assert_eq!(l.lost, 0, "16k-word rings hold 500 gauges easily");
+            assert_eq!(l.lost, 0, "4096-event buffers hold 500 gauges easily");
         }
     }
 
@@ -571,9 +635,9 @@ mod tests {
     }
 
     #[test]
-    fn threads_that_come_and_go_reuse_one_ring() {
-        // Room for all 1000 events: the one shared ring must not wrap.
-        let sink = TelemetrySink::with_ring_words(1 << 13);
+    fn threads_that_come_and_go_reuse_one_buffer() {
+        // Room for all 1000 events: the one shared buffer must not drop.
+        let sink = TelemetrySink::with_capacity(1 << 11);
         for i in 0..1000 {
             let sink = sink.clone();
             std::thread::spawn(move || sink.emit(gauge(i))).join().expect("emitter");
@@ -583,18 +647,18 @@ mod tests {
         assert_eq!(nodes(&events), (0..1000).collect::<Vec<_>>(), "each event once, in order");
         assert!(events.windows(2).all(|w| w[0].epoch < w[1].epoch));
         let loss = collector.loss();
-        assert!(loss.len() <= 2, "1000 short-lived threads registered {} rings", loss.len());
+        assert!(loss.len() <= 2, "1000 short-lived threads registered {} buffers", loss.len());
         assert_eq!(loss.iter().map(|l| l.lost).sum::<u64>(), 0);
         assert_eq!(loss.iter().map(|l| l.written).sum::<u64>(), 1000);
     }
 
     #[test]
-    fn a_collector_reads_on_across_a_ring_changing_owner() {
+    fn a_collector_reads_on_across_a_buffer_changing_owner() {
         const THREADS: u32 = 100;
         const PER_THREAD: u32 = 20;
-        // Big enough that nothing is overwritten, so any lost or
+        // Big enough that nothing is dropped, so any lost or
         // repeated event is a hand-off bug, not a lagging collector.
-        let sink = TelemetrySink::with_ring_words(1 << 14);
+        let sink = TelemetrySink::with_capacity(1 << 12);
         let stop = Arc::new(AtomicBool::new(false));
         let drainer = {
             let mut collector = sink.collector();
@@ -623,7 +687,7 @@ mod tests {
         let (mut seen, loss) = drainer.join().expect("drainer");
         seen.sort_by_key(|e| e.epoch);
         assert_eq!(nodes(&seen), (0..THREADS * PER_THREAD).collect::<Vec<_>>());
-        assert_eq!(loss.len(), 1, "every writer took over the same ring");
+        assert_eq!(loss.len(), 1, "every writer took over the same buffer");
         assert_eq!(loss[0].written, (THREADS * PER_THREAD) as u64);
         assert_eq!(loss[0].lost, 0);
     }

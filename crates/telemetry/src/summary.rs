@@ -29,8 +29,8 @@ pub struct PhaseSample {
 
 /// Aggregated view of one run's telemetry.
 ///
-/// Feed events in order via [`Summary::add`] (or build from a ring or
-/// a parsed JSONL trace); the summary tracks allocation counts and
+/// Feed events in order via [`Summary::add`] (or build from a
+/// collector or a parsed JSONL trace); the summary tracks allocation counts and
 /// bytes per target, fallback activity, migrations, per-node occupancy
 /// high-water marks, phases, and the *live placement map* — region →
 /// per-node byte split — maintained through allocs, migrations and
@@ -103,11 +103,11 @@ pub struct Summary {
     pub phases: Vec<PhaseSample>,
     /// Live region placement: region id → `(node, bytes)` split.
     pub live: BTreeMap<u64, Vec<(NodeId, u64)>>,
-    /// Events emitted but not collected: overwritten in a wait-free
-    /// ring before a collector reached them. A nonzero count means
-    /// every other total above is a lower bound.
+    /// Events emitted but not collected: dropped from a full
+    /// per-thread buffer before a collector took them. A nonzero count
+    /// means every other total above is a lower bound.
     pub events_lost: u64,
-    /// [`Summary::events_lost`] split by producing ring's label, as
+    /// [`Summary::events_lost`] split by producing buffer's label, as
     /// reported by [`crate::Collector::loss`].
     pub lost_per_thread: BTreeMap<u64, u64>,
 }

@@ -66,7 +66,7 @@ fn main() {
     }
 
     // 5. The telemetry subsystem saw every decision — drained from
-    //    the wait-free per-thread rings, with exact loss accounting.
+    //    the per-thread buffers, with exact loss accounting.
     println!();
     let (_events, summary) = sink.collector().summarize();
     print!("{}", summary.render());

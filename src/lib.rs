@@ -32,10 +32,10 @@
 //! * [`snapshot`] — versioned broker checkpoints, crash-safe wire-log
 //!   recording (`hetmem-serve --record/--restore`), and byte-for-byte
 //!   deterministic replay (`hetmem-replay`);
-//! * [`telemetry`] — allocation-decision events, the wait-free
-//!   [`TelemetrySink`]/[`ThreadWriter`] emission fast path with
-//!   loss-accounted collection, JSONL traces, and the per-run
-//!   placement report behind `--trace`.
+//! * [`telemetry`] — allocation-decision events, per-thread
+//!   [`TelemetrySink`]/[`ThreadWriter`] buffers with loss-accounted
+//!   collection, JSONL traces, and the per-run placement report behind
+//!   `--trace`.
 
 #![warn(missing_docs)]
 pub use hetmem_alloc as alloc;

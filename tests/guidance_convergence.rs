@@ -210,7 +210,7 @@ fn guided_trace_runs_are_byte_identical() {
         let path = std::env::temp_dir()
             .join(format!("hetmem-guidance-determinism-{}-{tag}.jsonl", std::process::id()));
         let writer = Arc::new(JsonlWriter::create(&path).expect("trace file"));
-        let sink = TelemetrySink::with_ring_words(1 << 16);
+        let sink = TelemetrySink::with_capacity(1 << 14);
         execute_with_options(&scenario, sink.clone(), ExecOptions::default())
             .map(|_| ())
             .expect("executes");

@@ -23,9 +23,9 @@ fn knl_with_sink() -> (HetAllocator, TelemetrySink) {
     let machine = Arc::new(Machine::knl_snc4_flat());
     let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("discovery"));
     let mut alloc = HetAllocator::new(attrs, MemoryManager::new(machine));
-    // Rings sized so nothing in these histories is ever overwritten —
+    // Buffers sized so nothing in these histories is ever dropped —
     // the trace must be a complete record, not a sample.
-    let sink = TelemetrySink::with_ring_words(1 << 14);
+    let sink = TelemetrySink::with_capacity(1 << 12);
     alloc.set_sink(sink.clone());
     (alloc, sink)
 }
@@ -34,7 +34,7 @@ fn knl_with_sink() -> (HetAllocator, TelemetrySink) {
 fn drain(sink: &TelemetrySink) -> Vec<Event> {
     let mut collector = sink.collector();
     let events: Vec<Event> = collector.drain_sorted().into_iter().map(|e| e.event).collect();
-    assert!(collector.loss().iter().all(|l| l.lost == 0), "test rings must not overwrite");
+    assert!(collector.loss().iter().all(|l| l.lost == 0), "test buffers must not drop");
     events
 }
 
@@ -128,7 +128,7 @@ fn jsonl_file_round_trip_preserves_events() {
     let machine = Arc::new(Machine::knl_snc4_flat());
     let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("discovery"));
     let mut alloc = HetAllocator::new(attrs, MemoryManager::new(machine));
-    let sink = TelemetrySink::with_ring_words(1 << 14);
+    let sink = TelemetrySink::with_capacity(1 << 12);
     alloc.set_sink(sink.clone());
     let writer = Arc::new(JsonlWriter::create(&path).expect("temp file"));
     // Mirror everything into the file by replaying the drained stream
@@ -232,7 +232,7 @@ fn tiering_daemon_actions_are_traced() {
     let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("discovery"));
     let engine = AccessEngine::new(machine.clone());
     let mut alloc = HetAllocator::new(attrs, MemoryManager::new(machine));
-    let sink = TelemetrySink::with_ring_words(1 << 14);
+    let sink = TelemetrySink::with_capacity(1 << 12);
     alloc.set_sink(sink.clone());
     let cluster: Bitmap = "0-15".parse().expect("cpuset");
 
