@@ -11,10 +11,8 @@ use hetmem_alloc::Fallback;
 use hetmem_core::{attr, discovery};
 use hetmem_memsim::{Machine, SplitMix64};
 use hetmem_service::{ArbitrationPolicy, Priority};
-use hetmem_snapshot::{
-    replay, FederatedSnapshot, ReplayReport, Snapshot, SnapshotError, WireFrame,
-};
-use hetmem_telemetry::{Event, Summary};
+use hetmem_snapshot::{replay, FederatedSnapshot, ReplayReport, Snapshot, SnapshotError, WireLog};
+use hetmem_telemetry::{Collector, Event};
 use std::sync::Arc;
 
 const MIB: u64 = 1 << 20;
@@ -116,6 +114,9 @@ pub fn federated_record_replay(
     // The snapshot is the pristine federation — everything after it,
     // registrations included, is on the logs.
     let snapshot = FederatedSnapshot::capture(fed.brokers());
+    // Each member's spill forwards, read beside its recorder.
+    let mut spill_events: Vec<Collector> =
+        fed.brokers().iter().map(|b| b.sink_handle().collector()).collect();
 
     let tenant_name = |i: u32| format!("tenant{i}");
     for i in 0..config.tenants {
@@ -191,42 +192,37 @@ pub fn federated_record_replay(
         }
     }
 
-    // Per-broker trailers: each log carries its broker's final state
-    // and the telemetry summary of its own sink.
-    let mut logs = fed
-        .take_logs()
-        .ok_or_else(|| SnapshotError::Replay("federation was not recording".to_string()))?;
+    // Spill totals sum broker by broker, each in emission order:
+    // `BENCH_federation.json` records the f64 sum to the bit.
     let mut spills = 0u64;
     let mut spill_cost_ns = 0.0f64;
-    let mut requests_recorded = 0u64;
-    for (i, log) in logs.iter_mut().enumerate() {
-        let events = fed.drain_events(i as u32);
-        for event in &events {
-            if let Event::SpillForwarded(s) = event {
+    for collector in &mut spill_events {
+        for e in collector.drain_sorted() {
+            if let Event::SpillForwarded(s) = e.event {
                 spills += 1;
                 spill_cost_ns += s.cost_ns;
             }
         }
-        let summary = Summary::from_events(&events).render();
-        let mut state = Vec::new();
-        hetmem_snapshot::encode_state(&fed.broker(i as u32).snapshot_state(), &mut state);
-        log.frames.push(WireFrame::Trailer { epoch: fed.epoch(), state, summary });
-        requests_recorded +=
-            log.frames.iter().filter(|f| matches!(f, WireFrame::Request { .. })).count() as u64;
     }
+    // Each log closes with its broker's final state and the telemetry
+    // summary of its own sink.
+    let logs = fed.finish_logs()?;
 
-    // Round-trip both artifacts through their codecs, then replay
-    // every broker independently.
+    // Round-trip the snapshot through its codec, then replay every
+    // broker's log independently.
     let snapshot_bytes = snapshot.encode();
     let snapshot = FederatedSnapshot::decode(&snapshot_bytes)?;
     let mut log_bytes = Vec::new();
+    let mut requests_recorded = 0u64;
     let mut reports = Vec::new();
-    for (state, log) in snapshot.states.iter().zip(&logs) {
-        let bytes = log.encode();
-        let log = hetmem_snapshot::WireLog::decode(&bytes)?;
+    for (state, bytes) in snapshot.states.iter().zip(&logs) {
+        let log = WireLog::decode(bytes)?;
         log_bytes.push(bytes.len() as u64);
         let single = Snapshot { state: state.clone(), faults: None };
-        reports.push(replay(&single, &log, machine.clone(), attrs.clone())?);
+        let report = replay(&single, &log, machine.clone(), attrs.clone())?;
+        // Replay re-executes every recorded request once.
+        requests_recorded += report.requests;
+        reports.push(report);
     }
     Ok(FederatedOutcome {
         snapshot_bytes: snapshot_bytes.len() as u64,

@@ -26,8 +26,8 @@ use hetmem_placement::{
 use hetmem_service::server::serve;
 use hetmem_service::wire::{Request, Response};
 use hetmem_service::{ArbitrationPolicy, Broker, LeaseId, Priority, ServiceError, TenantSpec};
-use hetmem_snapshot::{WireFrame, WireLog};
-use hetmem_telemetry::{Collector, DigestMerged, Event, TelemetrySink};
+use hetmem_snapshot::{SnapshotError, WireLogWriter};
+use hetmem_telemetry::{DigestMerged, Event, TelemetrySink};
 use hetmem_topology::{MemoryKind, NodeId, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -35,6 +35,9 @@ use std::sync::{Arc, Mutex};
 pub mod harness;
 #[cfg(test)]
 mod tests;
+
+/// Why recording into a member's in-memory log cannot fail.
+const IN_MEMORY: &str = "an in-memory wire log takes every write";
 
 /// Safety margin subtracted from a peer's digest-reported free bytes
 /// before planning a spill against it: the digest is a gossip-delayed
@@ -313,7 +316,7 @@ pub struct FederationConfig {
     /// Whether shortfalling placements spill to peers.
     pub spill: bool,
     /// Whether to record every issued request into per-broker wire
-    /// logs ([`Federation::take_logs`]).
+    /// logs ([`Federation::finish_logs`]).
     pub record: bool,
 }
 
@@ -375,18 +378,18 @@ pub struct Federation {
     machine: Arc<Machine>,
     engine: PlacementEngine,
     brokers: Vec<Broker>,
-    collectors: Mutex<Vec<Collector>>,
     boards: Mutex<Vec<DigestBoard>>,
     down: Mutex<BTreeSet<u32>>,
     spill: bool,
     fed_sink: TelemetrySink,
-    logs: Mutex<Option<Vec<WireLog>>>,
+    /// One in-memory wire log per member while recording, else none.
+    recorders: Mutex<Vec<WireLogWriter<Vec<u8>>>>,
 }
 
 impl Federation {
     /// Builds `config.members` brokers over [`shard_nodes`] shards of
-    /// `machine`, each with its own telemetry sink (drain with
-    /// [`Federation::drain_events`]).
+    /// `machine`. A recording federation gives each member its own
+    /// telemetry sink and wire log ([`Federation::finish_logs`]).
     pub fn new(
         machine: Arc<Machine>,
         attrs: Arc<MemAttrs>,
@@ -395,28 +398,25 @@ impl Federation {
         let members = config.members.max(1);
         let shards = shard_nodes(machine.topology(), members);
         let mut brokers = Vec::with_capacity(members as usize);
-        let mut collectors = Vec::with_capacity(members as usize);
+        let mut recorders = Vec::new();
         for (i, shard) in shards.iter().enumerate() {
             let mut broker =
                 Broker::with_shard(machine.clone(), attrs.clone(), config.policy, i as u32, shard);
-            let sink = TelemetrySink::with_capacity(1 << 16);
-            collectors.push(sink.collector());
-            broker.set_sink(sink);
+            if config.record {
+                broker.set_sink(TelemetrySink::with_capacity(1 << 16));
+                recorders.push(WireLogWriter::new(Vec::new(), &broker).expect(IN_MEMORY));
+            }
             brokers.push(broker);
         }
-        let logs = config
-            .record
-            .then(|| (0..members).map(|_| WireLog::new(machine.name(), config.policy)).collect());
         Federation {
             engine: PlacementEngine::new(attrs),
             machine,
             brokers,
-            collectors: Mutex::new(collectors),
             boards: Mutex::new(vec![DigestBoard::new(); members as usize]),
             down: Mutex::new(BTreeSet::new()),
             spill: config.spill,
             fed_sink: TelemetrySink::disabled(),
-            logs: Mutex::new(logs),
+            recorders: Mutex::new(recorders),
         }
     }
 
@@ -464,27 +464,18 @@ impl Federation {
         self.boards.lock().expect("boards poisoned")[member as usize].clone()
     }
 
-    /// Drains a member broker's telemetry sink.
-    pub fn drain_events(&self, member: u32) -> Vec<Event> {
-        self.collectors.lock().expect("collectors poisoned")[member as usize]
-            .drain_sorted()
-            .into_iter()
-            .map(|e| e.event)
-            .collect()
-    }
-
-    /// Takes the recorded per-broker wire logs, ending recording.
-    pub fn take_logs(&self) -> Option<Vec<WireLog>> {
-        self.logs.lock().expect("logs poisoned").take()
+    /// Ends recording: closes each member's wire log with its trailer
+    /// and returns the encoded logs in broker-id order (none when the
+    /// federation was not recording).
+    pub fn finish_logs(&self) -> Result<Vec<Vec<u8>>, SnapshotError> {
+        let recorders = std::mem::take(&mut *self.recorders.lock().expect("recorders poisoned"));
+        recorders.into_iter().zip(&self.brokers).map(|(rec, broker)| rec.finish(broker)).collect()
     }
 
     fn record(&self, member: u32, request: &Request) {
-        let mut logs = self.logs.lock().expect("logs poisoned");
-        if let Some(logs) = logs.as_mut() {
-            logs[member as usize].frames.push(WireFrame::Request {
-                epoch: self.brokers[member as usize].epoch(),
-                json: request.to_json(),
-            });
+        let mut recorders = self.recorders.lock().expect("recorders poisoned");
+        if let Some(rec) = recorders.get_mut(member as usize) {
+            rec.request(self.brokers[member as usize].epoch(), request).expect(IN_MEMORY);
         }
     }
 

@@ -157,11 +157,11 @@ fn main() {
         std::process::exit(1);
     });
     if let (Some(path), Some(log)) = (&record, &report.wire_log) {
-        if let Err(e) = log.write_file(std::path::Path::new(path)) {
+        if let Err(e) = std::fs::write(path, log) {
             eprintln!("hetmem-run: cannot write wire log {path}: {e}");
             std::process::exit(1);
         }
-        eprintln!("record: {} frames -> {path}", log.frames.len());
+        eprintln!("record: {} bytes -> {path}", log.len());
     }
 
     println!("scenario: {file} on {}", scenario.machine);

@@ -10,8 +10,8 @@ use hetmem_memsim::{AccessEngine, BufferAccess, Machine, MemoryManager, Phase, R
 use hetmem_profile::Profiler;
 use hetmem_service::wire::Request;
 use hetmem_service::{Broker, LeaseId, RobustnessStats, TenantId, TenantSpec, TenantStats};
-use hetmem_snapshot::{FederatedSnapshot, Snapshot, WireFrame, WireLog};
-use hetmem_telemetry::{Summary, TelemetrySink};
+use hetmem_snapshot::{FederatedSnapshot, Snapshot, WireLogWriter};
+use hetmem_telemetry::TelemetrySink;
 use hetmem_topology::NodeId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -118,7 +118,7 @@ pub struct ExecOptions {
     /// `snapshot` stanza, recording starts at the checkpoint so the
     /// log continues exactly where the snapshot leaves off; without
     /// one it starts at `serve`. The finished log (trailer included)
-    /// is returned in [`ScenarioReport::wire_log`].
+    /// is returned encoded in [`ScenarioReport::wire_log`].
     pub record: bool,
 }
 
@@ -146,10 +146,10 @@ pub struct ScenarioReport {
     /// Lease-lifecycle counters (expirations, revocations, reclaimed
     /// bytes) when the scenario ran in served mode; `None` otherwise.
     pub robustness: Option<RobustnessStats>,
-    /// The recorded wire log when [`ExecOptions::record`] was set,
-    /// ending in a trailer with the final broker state and the
+    /// The encoded wire log (`HMWL`) when [`ExecOptions::record`] was
+    /// set, ending in a trailer with the final broker state and the
     /// telemetry summary of the recorded segment; `None` otherwise.
-    pub wire_log: Option<WireLog>,
+    pub wire_log: Option<Vec<u8>>,
     /// Federation counters when the scenario ran under a `federate`
     /// statement; `None` otherwise.
     pub federation: Option<FederationSummary>,
@@ -169,6 +169,9 @@ pub struct FederationSummary {
     /// Total bytes granted across every lease part.
     pub granted_bytes: u64,
 }
+
+/// Why recording into the run's in-memory wire log cannot fail.
+const IN_MEMORY: &str = "an in-memory wire log takes every write";
 
 /// Runs a scenario; deterministic like everything else.
 pub fn execute(scenario: &Scenario) -> Result<ScenarioReport, ExecError> {
@@ -257,15 +260,13 @@ pub fn execute_with_options(
     // frames in record mode.
     let mut lease_owners: BTreeMap<String, String> = BTreeMap::new();
 
-    // Record mode (`--record`): frames accumulate here and the
-    // telemetry collector captures exactly the recorded segment's
-    // events for the trailer summary. With a `snapshot` stanza,
-    // `recording` flips on at the checkpoint.
+    // Record mode (`--record`): the recorder logs the served requests
+    // and summarizes the recorded segment's events in the trailer. It
+    // starts at `serve`, or at each `snapshot` stanza when there is
+    // one.
     let has_snapshot_stanza =
         scenario.commands.iter().any(|s| matches!(s.cmd, Command::Snapshot { .. }));
-    let mut wire_log: Option<WireLog> = None;
-    let mut rec_collector = if options.record { Some(sink.collector()) } else { None };
-    let mut recording = false;
+    let mut recorder: Option<WireLogWriter<Vec<u8>>> = None;
 
     let mut buffers: BTreeMap<String, RegionId> = BTreeMap::new();
     let mut phases = Vec::new();
@@ -316,11 +317,10 @@ pub fn execute_with_options(
                     }
                     b.enable_guidance(cfg);
                 }
-                broker = Some(b);
-                if options.record {
-                    wire_log = Some(WireLog::new(machine.name(), *policy));
-                    recording = !has_snapshot_stanza;
+                if options.record && !has_snapshot_stanza {
+                    recorder = Some(WireLogWriter::new(Vec::new(), &b).expect(IN_MEMORY));
                 }
+                broker = Some(b);
             }
             Command::Federate { members, spill, policy } => {
                 let misuse = |message: &str| ExecError::Service {
@@ -396,19 +396,14 @@ pub fn execute_with_options(
                                 message: e.to_string(),
                             })?;
                         tenant_ids.insert(name.clone(), id);
-                        if recording {
-                            if let Some(log) = wire_log.as_mut() {
-                                log.frames.push(WireFrame::Request {
-                                    epoch: broker.epoch(),
-                                    json: Request::Register {
-                                        tenant: name.clone(),
-                                        priority: *priority,
-                                        quota: Vec::new(),
-                                        reserve: Vec::new(),
-                                    }
-                                    .to_json(),
-                                });
-                            }
+                        if let Some(rec) = recorder.as_mut() {
+                            let request = Request::Register {
+                                tenant: name.clone(),
+                                priority: *priority,
+                                quota: Vec::new(),
+                                reserve: Vec::new(),
+                            };
+                            rec.request(broker.epoch(), &request).expect(IN_MEMORY);
                         }
                         id
                     }
@@ -462,7 +457,7 @@ pub fn execute_with_options(
                             message: "no tenant selected (put a `tenant` statement first)".into(),
                         });
                     };
-                    if recording && *global {
+                    if recorder.is_some() && *global {
                         return Err(ExecError::Service {
                             name: name.clone(),
                             line,
@@ -477,21 +472,16 @@ pub fn execute_with_options(
                     buffers.insert(name.clone(), lease.region());
                     lease_ids.insert(name.clone(), lease.id());
                     lease_owners.insert(name.clone(), tenant_name.clone());
-                    if recording {
-                        if let Some(log) = wire_log.as_mut() {
-                            log.frames.push(WireFrame::Request {
-                                epoch: broker.epoch(),
-                                json: Request::Alloc {
-                                    tenant: tenant_name.clone(),
-                                    size: *size,
-                                    criterion: *criterion,
-                                    fallback: *fallback,
-                                    label: Some(name.clone()),
-                                    ttl: *ttl,
-                                }
-                                .to_json(),
-                            });
-                        }
+                    if let Some(rec) = recorder.as_mut() {
+                        let request = Request::Alloc {
+                            tenant: tenant_name.clone(),
+                            size: *size,
+                            criterion: *criterion,
+                            fallback: *fallback,
+                            label: Some(name.clone()),
+                            ttl: *ttl,
+                        };
+                        rec.request(broker.epoch(), &request).expect(IN_MEMORY);
                     }
                 } else {
                     if ttl.is_some() {
@@ -534,13 +524,9 @@ pub fn execute_with_options(
                         line,
                         message: e.to_string(),
                     })?;
-                    if recording {
-                        if let (Some(log), Some(owner)) = (wire_log.as_mut(), owner) {
-                            log.frames.push(WireFrame::Request {
-                                epoch: broker.epoch(),
-                                json: Request::Free { tenant: owner, lease: lease.0 }.to_json(),
-                            });
-                        }
+                    if let (Some(rec), Some(owner)) = (recorder.as_mut(), owner) {
+                        let request = Request::Free { tenant: owner, lease: lease.0 };
+                        rec.request(broker.epoch(), &request).expect(IN_MEMORY);
                     }
                     continue;
                 }
@@ -745,14 +731,8 @@ pub fn execute_with_options(
                     });
                 };
                 broker.set_tier_degraded(*kind, *degraded);
-                if recording {
-                    if let Some(log) = wire_log.as_mut() {
-                        log.frames.push(WireFrame::TierFault {
-                            epoch: broker.epoch(),
-                            kind: *kind,
-                            degraded: *degraded,
-                        });
-                    }
+                if let Some(rec) = recorder.as_mut() {
+                    rec.tier_fault(broker.epoch(), *kind, *degraded).expect(IN_MEMORY);
                 }
             }
             Command::Tick { epochs } => {
@@ -854,13 +834,7 @@ pub fn execute_with_options(
                     // Recording (re)starts at the checkpoint: the log
                     // pairs with this snapshot, and the trailer summary
                     // covers exactly the events after this boundary.
-                    if let Some(c) = rec_collector.as_mut() {
-                        c.drain_sorted();
-                    }
-                    if let Some(log) = wire_log.as_mut() {
-                        log.frames.clear();
-                    }
-                    recording = true;
+                    recorder = Some(WireLogWriter::new(Vec::new(), broker).expect(IN_MEMORY));
                 }
                 let snap = Snapshot::capture(broker, None);
                 snap.write_file(std::path::Path::new(file)).map_err(|e| ExecError::Service {
@@ -882,15 +856,10 @@ pub fn execute_with_options(
             message: "--record needs a served scenario (add a `serve` statement)".into(),
         });
     }
-    if let (Some(log), Some(broker), Some(collector)) =
-        (wire_log.as_mut(), broker.as_ref(), rec_collector.as_mut())
-    {
-        let events: Vec<_> = collector.drain_sorted().into_iter().map(|e| e.event).collect();
-        let summary = Summary::from_events(&events).render();
-        let mut state = Vec::new();
-        hetmem_snapshot::encode_state(&broker.snapshot_state(), &mut state);
-        log.frames.push(WireFrame::Trailer { epoch: broker.epoch(), state, summary });
-    }
+    let wire_log = match (recorder, &broker) {
+        (Some(rec), Some(broker)) => Some(rec.finish(broker).expect(IN_MEMORY)),
+        _ => None,
+    };
 
     if let Some(fed) = federation.as_ref() {
         let final_placements = fed_leases
@@ -963,6 +932,7 @@ pub fn execute_with_options(
 mod tests {
     use super::*;
     use crate::parse::parse;
+    use hetmem_snapshot::{WireFrame, WireLog};
 
     const CONFLICT: &str = r#"
 machine knl-flat
@@ -1249,7 +1219,7 @@ free fresh
         let s = parse(&text).expect("parses");
         let r = execute_with_options(&s, sink, ExecOptions { record: true, ..Default::default() })
             .expect("runs");
-        let log = r.wire_log.expect("recorded");
+        let log = WireLog::decode(&r.wire_log.expect("recorded")).expect("decodes");
         assert!(
             matches!(log.frames.last(), Some(WireFrame::Trailer { .. })),
             "log ends in a trailer"

@@ -164,7 +164,7 @@ impl Peer {
     /// write fails or outlasts [`WRITE_TIMEOUT`] is cut off: its socket
     /// is shut down, its leases are revoked, and later replies to it
     /// are dropped.
-    fn send(&self, broker: &Broker, response: &Response) {
+    fn send(&self, plane: &Plane, response: &Response) {
         let mut line = response.to_json();
         line.push('\n');
         let mut writer = self.writer.lock().expect("conn poisoned");
@@ -175,14 +175,14 @@ impl Peer {
             conn.shutdown();
             *writer = None;
             drop(writer);
-            self.hang_up(broker);
+            self.hang_up(plane);
         }
     }
 
     /// Records a grant, or revokes it when the connection is already
     /// cut off: an earlier reply write to it failed, in this tick or a
     /// previous one.
-    fn granted(&self, broker: &Broker, lease: LeaseId) {
+    fn granted(&self, plane: &Plane, lease: LeaseId) {
         let dead = {
             let mut state = self.state.lock().expect("peer poisoned");
             if !state.dead {
@@ -191,7 +191,7 @@ impl Peer {
             state.dead
         };
         if dead {
-            let _ = broker.revoke(lease, "disconnect");
+            plane.revoke(lease);
         }
     }
 
@@ -200,15 +200,14 @@ impl Peer {
     }
 
     /// Marks the connection dead and revokes every lease it still holds.
-    fn hang_up(&self, broker: &Broker) {
+    fn hang_up(&self, plane: &Plane) {
         let held = {
             let mut state = self.state.lock().expect("peer poisoned");
             state.dead = true;
             std::mem::take(&mut state.leases)
         };
         for lease in held {
-            // Already expired ids come back UnknownLease; that's fine.
-            let _ = broker.revoke(lease, "disconnect");
+            plane.revoke(lease);
         }
     }
 }
@@ -258,11 +257,21 @@ struct Reader {
     thread: JoinHandle<()>,
 }
 
-/// A serve-side observer of accepted requests: called with the
-/// current service epoch and each well-formed request, in exactly the
-/// order they are served. `hetmem-serve --record` wires this to a
-/// wire-log writer so the run can be replayed later.
-pub type RequestRecorder = Box<dyn FnMut(u64, &Request) + Send>;
+/// What the server tells its [`ServeRecorder`].
+#[derive(Debug, Clone, Copy)]
+pub enum Recorded<'a> {
+    /// A well-formed request, about to be served.
+    Request(&'a Request),
+    /// A lease revoked outside any request: the connection holding it
+    /// hung up, or a reply to it could not be written.
+    Revoke(LeaseId),
+}
+
+/// A serve-side observer of every change the server makes to the
+/// broker: called under the serve token, in serve order, with the
+/// epoch each change happens in. `hetmem-serve --record` wires this to
+/// a wire-log recorder so the run can be replayed later.
+pub type ServeRecorder = Box<dyn FnMut(u64, Recorded<'_>) + Send>;
 
 /// What every serving thread shares: the broker, the admission queue,
 /// the serve token, the recorder and the stop flag.
@@ -272,7 +281,7 @@ struct Plane {
     /// Held by the one thread serving ticks. It guards no data, so a
     /// panic while serving leaves nothing to repair.
     token: Mutex<()>,
-    recorder: Mutex<Option<RequestRecorder>>,
+    recorder: Mutex<Option<ServeRecorder>>,
     stop: AtomicBool,
 }
 
@@ -282,15 +291,15 @@ impl Server {
         Server::bind_with(broker, addr, None)
     }
 
-    /// [`Server::bind`] with an optional [`RequestRecorder`] invoked
-    /// by the serving thread for every accepted (parsed) request
-    /// frame, stamped with the epoch it executes in. Malformed frames
-    /// are answered but never recorded — they have no effect on broker
-    /// state, so a replay that skips them converges to the same state.
+    /// [`Server::bind`] with an optional [`ServeRecorder`] the serving
+    /// thread calls before serving each well-formed request frame and
+    /// revoking each lease outside a request. Malformed frames are
+    /// answered but never recorded — they do not change broker state,
+    /// so a replay that skips them converges to the same state.
     pub fn bind_with(
         broker: Arc<Broker>,
         addr: &str,
-        recorder: Option<RequestRecorder>,
+        recorder: Option<ServeRecorder>,
     ) -> Result<Server, ServiceError> {
         let io = |e: std::io::Error| ServiceError::Io(e.to_string());
         let bound = if let Some(path) = addr.strip_prefix("unix:") {
@@ -506,23 +515,20 @@ impl Plane {
     /// Serves one frame and writes its reply, or revokes a hung-up
     /// connection's leases.
     fn answer(&self, work: Work) {
-        let broker = &*self.broker;
         let (peer, request) = match work {
-            Work::Disconnect { peer } => return peer.hang_up(broker),
+            Work::Disconnect { peer } => return peer.hang_up(self),
             Work::Request { peer, request } => (peer, request),
         };
         let response = match request {
             Ok(request) => {
-                if let Some(rec) = self.recorder.lock().expect("recorder poisoned").as_mut() {
-                    rec(broker.epoch(), &request);
-                }
+                self.record(Recorded::Request(&request));
                 let freeing = match &request {
                     Request::Free { lease, .. } => Some(LeaseId(*lease)),
                     _ => None,
                 };
-                let resp = serve(broker, request);
+                let resp = serve(&self.broker, request);
                 match (&resp, freeing) {
-                    (Response::Granted { lease, .. }, _) => peer.granted(broker, LeaseId(*lease)),
+                    (Response::Granted { lease, .. }, _) => peer.granted(self, LeaseId(*lease)),
                     (Response::Freed, Some(lease)) => peer.freed(lease),
                     _ => {}
                 }
@@ -530,7 +536,22 @@ impl Plane {
             }
             Err(e) => Response::from_error(&e),
         };
-        peer.send(broker, &response);
+        peer.send(self, &response);
+    }
+
+    /// Hands `what` to the recorder, if any, stamped with the epoch.
+    fn record(&self, what: Recorded<'_>) {
+        if let Some(rec) = self.recorder.lock().expect("recorder poisoned").as_mut() {
+            rec(self.broker.epoch(), what);
+        }
+    }
+
+    /// Revokes a lease of a connection that is gone, recording it
+    /// first as a request would be.
+    fn revoke(&self, lease: LeaseId) {
+        self.record(Recorded::Revoke(lease));
+        // Already expired ids come back UnknownLease; that's fine.
+        let _ = self.broker.revoke(lease, "disconnect");
     }
 }
 

@@ -13,7 +13,7 @@
 use hetmem_core::discovery;
 use hetmem_memsim::Machine;
 use hetmem_service::Broker;
-use hetmem_snapshot::{replay, Snapshot, WireFrame, WireLog};
+use hetmem_snapshot::{replay, Snapshot, WireLog};
 use std::sync::Arc;
 
 /// Resolves a log/snapshot machine header. Headers written by the
@@ -122,8 +122,7 @@ fn main() {
             println!("VERIFIED: final broker state and telemetry summary match byte for byte");
         }
         (None, _) | (_, None) => {
-            let has_trailer = log.frames.iter().any(|f| matches!(f, WireFrame::Trailer { .. }));
-            debug_assert!(!has_trailer);
+            debug_assert!(log.trailer().is_none());
             println!("UNVERIFIED: log has no trailer (recorder did not shut down cleanly)");
         }
         (state, summary) => {

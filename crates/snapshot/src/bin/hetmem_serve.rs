@@ -19,8 +19,9 @@
 //! state is an online estimator, not replayable history, so
 //! `--guided` refuses to combine with `--record`.
 //!
-//! `--record` appends every accepted request frame, stamped with its
-//! arrival epoch, to a wire log that `hetmem-replay` can re-execute.
+//! `--record` appends every well-formed request frame, stamped with
+//! its arrival epoch, and every lease a hang-up revokes to a wire log
+//! that `hetmem-replay` can re-execute.
 //! `--restore` boots the broker from a snapshot written by
 //! `hetmem-run`'s `snapshot` stanza (or any [`hetmem_snapshot`]
 //! producer) instead of from scratch; the snapshot must have been
@@ -29,9 +30,9 @@
 
 use hetmem_core::discovery;
 use hetmem_memsim::Machine;
-use hetmem_service::server::{RequestRecorder, Server};
+use hetmem_service::server::{Recorded, ServeRecorder, Server};
 use hetmem_service::{ArbitrationPolicy, Broker};
-use hetmem_snapshot::{Snapshot, WireLogWriter};
+use hetmem_snapshot::{Snapshot, SnapshotError, WireLogWriter};
 use hetmem_telemetry::{BackgroundCollector, JsonlWriter, TelemetrySink};
 use std::sync::Arc;
 
@@ -118,9 +119,6 @@ fn main() {
         std::process::exit(2);
     };
     let machine = Arc::new(machine);
-    // Wire-log and snapshot headers carry the machine's internal name
-    // (hetmem-replay resolves either form).
-    let machine_internal = machine.name().to_string();
     let attrs = match discovery::from_firmware(&machine, true) {
         Ok(attrs) => Arc::new(attrs),
         Err(e) => {
@@ -203,30 +201,27 @@ fn main() {
     }
     // A killed daemon writes no trailer; hetmem-replay reports such
     // logs as UNVERIFIED but still re-executes them. Each frame is
-    // flushed as it is accepted, so the log survives a crash. The
-    // server calls the recorder under its own lock, in serve order, so
-    // the closure owns the writer.
-    let recorder: Option<RequestRecorder> = match &record {
-        Some(path) => {
-            let mut writer = match WireLogWriter::create(
-                std::path::Path::new(path),
-                machine_internal.as_str(),
-                policy,
-            ) {
-                Ok(w) => w,
-                Err(e) => {
-                    eprintln!("hetmem-serve: cannot create {path}: {e}");
-                    std::process::exit(1);
-                }
+    // flushed as it is served, so the log survives a crash. The server
+    // calls the recorder under its own lock, in serve order, so the
+    // closure owns the writer.
+    let recorder: Option<ServeRecorder> = record.map(|path| {
+        let mut log = std::fs::File::create(&path)
+            .map_err(SnapshotError::from)
+            .and_then(|file| WireLogWriter::new(std::io::BufWriter::new(file), &broker))
+            .unwrap_or_else(|e| {
+                eprintln!("hetmem-serve: cannot create {path}: {e}");
+                std::process::exit(1);
+            });
+        Box::new(move |epoch, recorded: Recorded<'_>| {
+            let written = match recorded {
+                Recorded::Request(request) => log.request(epoch, request),
+                Recorded::Revoke(lease) => log.revoke(epoch, lease),
             };
-            Some(Box::new(move |epoch, request: &_| {
-                if let Err(e) = writer.append_request(epoch, request) {
-                    eprintln!("hetmem-serve: wire log write failed: {e}");
-                }
-            }))
-        }
-        None => None,
-    };
+            if let Err(e) = written {
+                eprintln!("hetmem-serve: wire log write failed: {e}");
+            }
+        }) as ServeRecorder
+    });
     let server = match Server::bind_with(Arc::new(broker), &addr, recorder) {
         Ok(server) => server,
         Err(e) => {

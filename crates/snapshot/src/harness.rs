@@ -5,13 +5,13 @@
 //! byte. `repro_tables --replay` and the integration tests use this
 //! to prove service-plane replayability without sockets.
 
-use crate::{replay, ReplayReport, Snapshot, SnapshotError, WireFrame, WireLog};
+use crate::{replay, ReplayReport, Snapshot, SnapshotError, WireLog, WireLogWriter};
 use hetmem_core::{attr, discovery};
 use hetmem_memsim::{FaultKind, FaultPlan, Machine, SplitMix64};
 use hetmem_service::server::serve;
 use hetmem_service::wire::{Request, Response};
 use hetmem_service::{ArbitrationPolicy, Broker, Priority};
-use hetmem_telemetry::{Summary, TelemetrySink};
+use hetmem_telemetry::TelemetrySink;
 use hetmem_topology::MemoryKind;
 use std::sync::Arc;
 
@@ -62,9 +62,7 @@ pub fn chaos_record_replay(config: &HarnessConfig) -> Result<HarnessOutcome, Sna
             .map_err(|e| SnapshotError::Restore(e.to_string()))?,
     );
     let mut broker = Broker::new(machine.clone(), attrs.clone(), ArbitrationPolicy::FairShare);
-    let sink = TelemetrySink::with_capacity(1 << 16);
-    let mut collector = sink.collector();
-    broker.set_sink(sink);
+    broker.set_sink(TelemetrySink::with_capacity(1 << 16));
 
     let plan = FaultPlan::seeded(
         config.seed,
@@ -97,26 +95,23 @@ pub fn chaos_record_replay(config: &HarnessConfig) -> Result<HarnessOutcome, Sna
     // Open tier-degradation windows: (close_epoch, kind).
     let mut open_windows: Vec<(u64, MemoryKind)> = Vec::new();
     let mut snapshot: Option<Snapshot> = None;
-    let mut log = WireLog::new(machine.name(), ArbitrationPolicy::FairShare);
-    let mut requests_recorded = 0u64;
+    let mut recorder: Option<WireLogWriter<Vec<u8>>> = None;
 
     for epoch in 0..config.epochs {
         debug_assert_eq!(broker.epoch(), epoch);
         if epoch == config.snapshot_at {
-            // Epoch boundary: discard the pre-snapshot telemetry so
-            // the recorded summary covers exactly the replayed
-            // segment, then capture.
-            collector.drain_sorted();
+            // Epoch boundary: start recording, so the recorded summary
+            // covers exactly the replayed segment, then capture.
+            recorder = Some(WireLogWriter::new(Vec::new(), &broker)?);
             snapshot = Some(Snapshot::capture(&broker, Some(plan.clone())));
         }
-        let recording = snapshot.is_some();
 
         // Close tier windows that expire at this epoch, then apply
         // this epoch's scheduled faults — both as control events.
         for &(_, kind) in open_windows.iter().filter(|&&(close, _)| close == epoch) {
             broker.set_tier_degraded(kind, false);
-            if recording {
-                log.frames.push(WireFrame::TierFault { epoch, kind, degraded: false });
+            if let Some(rec) = recorder.as_mut() {
+                rec.tier_fault(epoch, kind, false)?;
             }
         }
         open_windows.retain(|&(close, _)| close != epoch);
@@ -125,21 +120,23 @@ pub fn chaos_record_replay(config: &HarnessConfig) -> Result<HarnessOutcome, Sna
             match fault.kind {
                 FaultKind::TierDegraded { kind, epochs } => {
                     broker.set_tier_degraded(kind, true);
-                    if recording {
-                        log.frames.push(WireFrame::TierFault { epoch, kind, degraded: true });
+                    if let Some(rec) = recorder.as_mut() {
+                        rec.tier_fault(epoch, kind, true)?;
                     }
                     open_windows.push((epoch.saturating_add(epochs.max(1)), kind));
                 }
                 FaultKind::AllocStall { epochs } => {
                     broker.set_alloc_stall(epochs);
-                    if recording {
-                        log.frames.push(WireFrame::AllocStall { epoch, epochs });
+                    if let Some(rec) = recorder.as_mut() {
+                        rec.alloc_stall(epoch, epochs)?;
                     }
                 }
-                // A dropped client frees everything it holds (the
-                // server would revoke on disconnect; over the
-                // recordable vocabulary an explicit free stream is
-                // the equivalent state transition).
+                // A dropped client frees everything it holds through
+                // `free` frames. A daemon would revoke its leases
+                // (`revoke` frames): the same bytes come back, but the
+                // revocations are counted and emit events of their own,
+                // so the recorded runs and the `BENCH_snapshot.json`
+                // figures drawn from them would move.
                 FaultKind::ClientDrop { victim } => {
                     drops.push((victim % config.tenants as u64) as u32);
                 }
@@ -149,20 +146,17 @@ pub fn chaos_record_replay(config: &HarnessConfig) -> Result<HarnessOutcome, Sna
                 FaultKind::SlowClient { .. } => {}
             }
         }
-        let issue = |request: Request, log: &mut WireLog, recorded: &mut u64| -> Response {
-            if recording {
-                log.frames.push(WireFrame::Request { epoch, json: request.to_json() });
-                *recorded += 1;
+        let issue = |request: Request,
+                     recorder: &mut Option<WireLogWriter<Vec<u8>>>|
+         -> Result<Response, SnapshotError> {
+            if let Some(rec) = recorder.as_mut() {
+                rec.request(epoch, &request)?;
             }
-            serve(&broker, request)
+            Ok(serve(&broker, request))
         };
         for victim in drops {
             for lease in std::mem::take(&mut held[victim as usize]) {
-                issue(
-                    Request::Free { tenant: tenant_name(victim), lease },
-                    &mut log,
-                    &mut requests_recorded,
-                );
+                issue(Request::Free { tenant: tenant_name(victim), lease }, &mut recorder)?;
             }
         }
 
@@ -185,28 +179,19 @@ pub fn chaos_record_replay(config: &HarnessConfig) -> Result<HarnessOutcome, Sna
                             label: Some(format!("buf-{epoch}-{i}")),
                             ttl: Some(3 + roll % 6),
                         },
-                        &mut log,
-                        &mut requests_recorded,
-                    );
+                        &mut recorder,
+                    )?;
                     if let Response::Granted { lease, .. } = response {
                         held[i as usize].push(lease);
                     }
                 }
                 2 => {
                     if let Some(lease) = held[i as usize].pop() {
-                        issue(
-                            Request::Free { tenant: tenant_name(i), lease },
-                            &mut log,
-                            &mut requests_recorded,
-                        );
+                        issue(Request::Free { tenant: tenant_name(i), lease }, &mut recorder)?;
                     }
                 }
                 3 => {
-                    issue(
-                        Request::Heartbeat { tenant: tenant_name(i) },
-                        &mut log,
-                        &mut requests_recorded,
-                    );
+                    issue(Request::Heartbeat { tenant: tenant_name(i) }, &mut recorder)?;
                 }
                 _ => {}
             }
@@ -221,17 +206,13 @@ pub fn chaos_record_replay(config: &HarnessConfig) -> Result<HarnessOutcome, Sna
         }
     }
 
-    let snapshot = snapshot
-        .ok_or_else(|| SnapshotError::Replay("snapshot epoch never reached".to_string()))?;
-    let events: Vec<_> = collector.drain_sorted().into_iter().map(|e| e.event).collect();
-    let summary = Summary::from_events(&events).render();
-    let mut state = Vec::new();
-    crate::encode_state(&broker.snapshot_state(), &mut state);
-    log.frames.push(WireFrame::Trailer { epoch: broker.epoch(), state, summary });
+    let (Some(snapshot), Some(recorder)) = (snapshot, recorder) else {
+        return Err(SnapshotError::Replay("snapshot epoch never reached".to_string()));
+    };
+    let log_bytes = recorder.finish(&broker)?;
 
     // Round-trip both artifacts through their codecs, then replay.
     let snapshot_bytes = snapshot.encode();
-    let log_bytes = log.encode();
     let snapshot = Snapshot::decode(&snapshot_bytes)?;
     let log = WireLog::decode(&log_bytes)?;
     let report = replay(&snapshot, &log, machine, attrs)?;
@@ -239,7 +220,8 @@ pub fn chaos_record_replay(config: &HarnessConfig) -> Result<HarnessOutcome, Sna
         snapshot_bytes: snapshot_bytes.len() as u64,
         log_bytes: log_bytes.len() as u64,
         frames: log.frames.len() as u64,
-        requests_recorded,
+        // Replay re-executes every recorded request once.
+        requests_recorded: report.requests,
         report,
     })
 }

@@ -11,15 +11,15 @@
 //!   broker state ([`hetmem_service::BrokerState`]) plus an optional
 //!   pending [`hetmem_memsim::FaultPlan`], taken at an epoch boundary.
 //!   The format is magic + version + self-describing length-prefixed
-//!   sections (the same LEB128 codec telemetry uses), so newer
+//!   sections (LEB128 varints, this crate's own codec), so newer
 //!   writers can add sections old readers skip, and old snapshots
 //!   decode forever. Unknown *versions* and corrupted input are
 //!   rejected with typed [`SnapshotError`]s — never a panic.
-//! * [`WireLog`] — an append-only record of every accepted request
-//!   frame (and every fault-control transition) stamped with the
-//!   epoch it executed in, plus a trailer carrying the final broker
-//!   state and the telemetry [`Summary`]
-//!   of the recorded segment.
+//! * [`WireLogWriter`] — the one recorder of a [`WireLog`]: every
+//!   request a broker served, fault transition and out-of-band
+//!   revocation, stamped with the epoch it ran in, then a trailer
+//!   carrying the final broker state and the telemetry [`Summary`] of
+//!   the recorded segment.
 //! * [`replay`] — loads a snapshot and a wire log, reconstructs a
 //!   live broker, re-executes every frame at its recorded epoch, and
 //!   checks the replayed final state and telemetry summary against
@@ -40,16 +40,17 @@ use hetmem_memsim::{AllocPolicy, FaultKind, FaultPlan, Machine, ManagerState, Re
 use hetmem_service::server::serve;
 use hetmem_service::wire::{kind_from_name, kind_name, Request};
 use hetmem_service::{
-    ArbitrationPolicy, Broker, BrokerState, LeaseEntry, Priority, ServiceError, StripeEntry,
-    TenantEntry,
+    ArbitrationPolicy, Broker, BrokerState, LeaseEntry, LeaseId, Priority, ServiceError,
+    StripeEntry, TenantEntry,
 };
-use hetmem_telemetry::compact::{put_bool, put_placement, put_str, put_u64, CodecError, Cursor};
-use hetmem_telemetry::{Summary, TelemetrySink};
+use hetmem_telemetry::{Collector, Event, Summary, TelemetrySink};
 use hetmem_topology::{MemoryKind, NodeId};
 use std::io::Write;
 use std::sync::Arc;
 
+mod codec;
 mod harness;
+use codec::{put_bool, put_placement, put_str, put_u64, Cursor};
 pub use harness::{chaos_record_replay, HarnessConfig, HarnessOutcome};
 
 /// First bytes of every snapshot file.
@@ -60,7 +61,8 @@ pub const WIRELOG_MAGIC: [u8; 4] = *b"HMWL";
 /// it writes.
 pub const SNAPSHOT_VERSION: u64 = 1;
 /// Highest wire-log format version this build reads and writes.
-pub const WIRELOG_VERSION: u64 = 1;
+/// Version 2 added the `revoke` frame; version-1 logs still read.
+pub const WIRELOG_VERSION: u64 = 2;
 
 /// Section tag of the broker-state section (required, exactly once).
 const SECTION_STATE: u8 = 1;
@@ -122,19 +124,6 @@ impl std::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
-
-/// Codec failures mean the input ended early or decoded to garbage;
-/// the codec's message says which.
-impl From<CodecError> for SnapshotError {
-    fn from(e: CodecError) -> SnapshotError {
-        let msg = e.to_string();
-        if msg.contains("truncated") {
-            SnapshotError::Truncated(msg)
-        } else {
-            SnapshotError::Corrupt(msg)
-        }
-    }
-}
 
 impl From<std::io::Error> for SnapshotError {
     fn from(e: std::io::Error) -> SnapshotError {
@@ -349,11 +338,11 @@ fn decode_sections(
 ) -> Result<(), SnapshotError> {
     let mut cur = open(bytes, SNAPSHOT_MAGIC, "snapshot", SNAPSHOT_VERSION)?;
     for _ in 0..cur.u64()? {
-        let tag = cur.take(1)?[0];
+        let tag = cur.byte()?;
         let len = cur.u64()? as usize;
         section(tag, cur.take(len)?)?;
     }
-    Ok(cur.done()?)
+    cur.done()
 }
 
 /// `value` encoded by `encode` into a fresh buffer.
@@ -419,7 +408,8 @@ fn read_kind_bytes(cur: &mut Cursor<'_>) -> Result<Vec<(MemoryKind, u64)>, Snaps
 /// Canonical encoding of a [`BrokerState`]. Two equal states always
 /// encode to identical bytes (every collection in the state is
 /// sorted), which is what makes byte-for-byte replay verification
-/// meaningful. Exposed so recorders and verifiers share one encoder.
+/// meaningful. Public so a live broker can be held to a replay's
+/// [`ReplayReport::state_bytes`].
 pub fn encode_state(state: &BrokerState, out: &mut Vec<u8>) {
     put_str(out, &state.machine);
     put_str(out, state.policy.as_str());
@@ -517,7 +507,7 @@ fn encode_policy(policy: &AllocPolicy, out: &mut Vec<u8>) {
 }
 
 /// Decodes one [`BrokerState`] (the inverse of [`encode_state`]).
-pub fn decode_state(cur: &mut Cursor<'_>) -> Result<BrokerState, SnapshotError> {
+fn decode_state(cur: &mut Cursor<'_>) -> Result<BrokerState, SnapshotError> {
     let machine = cur.str()?;
     let policy_name = cur.str()?;
     let policy = ArbitrationPolicy::from_str_opt(&policy_name).ok_or_else(|| {
@@ -574,11 +564,12 @@ pub fn decode_state(cur: &mut Cursor<'_>) -> Result<BrokerState, SnapshotError> 
             let node = cur.node()?;
             let free = cur.u64()?;
             let m = cur.u64()? as usize;
-            let used_by =
-                (0..m).map(|_| Ok((cur.u32()?, cur.u64()?))).collect::<Result<Vec<_>, _>>()?;
+            let used_by = (0..m)
+                .map(|_| Ok((cur.u32()?, cur.u64()?)))
+                .collect::<Result<Vec<_>, SnapshotError>>()?;
             Ok(StripeEntry { node, free, used_by })
         })
-        .collect::<Result<Vec<_>, CodecError>>()?;
+        .collect::<Result<Vec<_>, SnapshotError>>()?;
     let manager = decode_manager(cur)?;
     Ok(BrokerState {
         machine,
@@ -614,13 +605,13 @@ fn decode_manager(cur: &mut Cursor<'_>) -> Result<ManagerState, SnapshotError> {
     let next_id = cur.u64()?;
     let n = cur.u64()? as usize;
     let high_water =
-        (0..n).map(|_| Ok((cur.node()?, cur.u64()?))).collect::<Result<Vec<_>, CodecError>>()?;
+        (0..n).map(|_| Ok((cur.node()?, cur.u64()?))).collect::<Result<Vec<_>, SnapshotError>>()?;
     Ok(ManagerState { regions, next_id, high_water })
 }
 
 fn decode_policy(cur: &mut Cursor<'_>) -> Result<AllocPolicy, SnapshotError> {
-    let tag = cur.take(1)?[0];
-    let nodes = |cur: &mut Cursor<'_>| -> Result<Vec<NodeId>, CodecError> {
+    let tag = cur.byte()?;
+    let nodes = |cur: &mut Cursor<'_>| -> Result<Vec<NodeId>, SnapshotError> {
         let n = cur.u64()? as usize;
         (0..n).map(|_| cur.node()).collect()
     };
@@ -666,8 +657,7 @@ fn decode_fault_plan(cur: &mut Cursor<'_>) -> Result<FaultPlan, SnapshotError> {
     let mut plan = FaultPlan::new();
     for _ in 0..n {
         let epoch = cur.u64()?;
-        let tag = cur.take(1)?[0];
-        let kind = match tag {
+        let kind = match cur.byte()? {
             0 => FaultKind::TierDegraded { kind: read_kind(cur)?, epochs: cur.u64()? },
             1 => FaultKind::ClientDrop { victim: cur.u64()? },
             2 => FaultKind::SlowClient { victim: cur.u64()?, epochs: cur.u64()? },
@@ -686,8 +676,8 @@ fn decode_fault_plan(cur: &mut Cursor<'_>) -> Result<FaultPlan, SnapshotError> {
 /// One record in a wire log.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireFrame {
-    /// An accepted request frame, as JSON, stamped with the epoch the
-    /// server executed it in.
+    /// A request frame the server served (denials included), as JSON,
+    /// stamped with the epoch the server executed it in.
     Request {
         /// Execution epoch.
         epoch: u64,
@@ -723,6 +713,15 @@ pub enum WireFrame {
         /// `Summary::render()` of the recorded segment's telemetry.
         summary: String,
     },
+    /// A lease the server revoked outside any request, because the
+    /// connection holding it hung up or could not take a reply
+    /// (version 2).
+    Revoke {
+        /// Epoch the revocation ran in.
+        epoch: u64,
+        /// The revoked lease.
+        lease: u64,
+    },
 }
 
 impl WireFrame {
@@ -732,7 +731,8 @@ impl WireFrame {
             WireFrame::Request { epoch, .. }
             | WireFrame::TierFault { epoch, .. }
             | WireFrame::AllocStall { epoch, .. }
-            | WireFrame::Trailer { epoch, .. } => *epoch,
+            | WireFrame::Trailer { epoch, .. }
+            | WireFrame::Revoke { epoch, .. } => *epoch,
         }
     }
 
@@ -761,13 +761,17 @@ impl WireFrame {
                 out.extend_from_slice(state);
                 put_str(out, summary);
             }
+            WireFrame::Revoke { epoch, lease } => {
+                out.push(4);
+                put_u64(out, *epoch);
+                put_u64(out, *lease);
+            }
         }
     }
 
     fn decode(payload: &[u8]) -> Result<WireFrame, SnapshotError> {
         let mut cur = Cursor::new(payload);
-        let tag = cur.take(1)?[0];
-        let frame = match tag {
+        let frame = match cur.byte()? {
             0 => WireFrame::Request { epoch: cur.u64()?, json: cur.str()? },
             1 => WireFrame::TierFault {
                 epoch: cur.u64()?,
@@ -781,6 +785,7 @@ impl WireFrame {
                 let state = cur.take(len)?.to_vec();
                 WireFrame::Trailer { epoch, state, summary: cur.str()? }
             }
+            4 => WireFrame::Revoke { epoch: cur.u64()?, lease: cur.u64()? },
             t => return Err(SnapshotError::Corrupt(format!("unknown wire frame tag {t}"))),
         };
         cur.done()?;
@@ -789,7 +794,7 @@ impl WireFrame {
 }
 
 /// A decoded wire log: the machine and policy of the recording broker
-/// plus the frame stream.
+/// plus the frame stream. [`WireLogWriter`] writes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireLog {
     /// Machine name of the recording broker.
@@ -801,29 +806,9 @@ pub struct WireLog {
 }
 
 impl WireLog {
-    /// An empty log for a broker on `machine` under `policy`.
-    pub fn new(machine: &str, policy: ArbitrationPolicy) -> WireLog {
-        WireLog { machine: machine.to_string(), policy, frames: Vec::new() }
-    }
-
     /// The trailer frame, when the recording ended gracefully.
     pub fn trailer(&self) -> Option<&WireFrame> {
         self.frames.iter().rev().find(|f| matches!(f, WireFrame::Trailer { .. }))
-    }
-
-    /// Encodes the whole log (header + framed records).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = header(WIRELOG_MAGIC, WIRELOG_VERSION);
-        put_str(&mut out, &self.machine);
-        put_str(&mut out, self.policy.as_str());
-        let mut payload = Vec::new();
-        for frame in &self.frames {
-            payload.clear();
-            frame.encode(&mut payload);
-            put_u64(&mut out, payload.len() as u64);
-            out.extend_from_slice(&payload);
-        }
-        out
     }
 
     /// Decodes a wire log. A log without a trailer (the recorder died
@@ -844,57 +829,95 @@ impl WireLog {
         Ok(WireLog { machine, policy, frames })
     }
 
-    /// Encodes and writes the log to `path`.
-    pub fn write_file(&self, path: &std::path::Path) -> Result<(), SnapshotError> {
-        Ok(std::fs::write(path, self.encode())?)
-    }
-
     /// Reads and decodes a log from `path`.
     pub fn read_file(path: &std::path::Path) -> Result<WireLog, SnapshotError> {
         WireLog::decode(&std::fs::read(path)?)
     }
 }
 
-/// Streams wire-log records to a file as they happen (`hetmem-serve
-/// --record`). The header is written on construction; each frame is
-/// flushed immediately, so a crashed server leaves a decodable log —
-/// just one without a trailer.
-pub struct WireLogWriter {
-    out: std::io::BufWriter<std::fs::File>,
-    scratch: Vec<u8>,
+/// The one recorder of wire logs (the daemon's, the scenario
+/// runner's, the harnesses' and each federation member's). Every frame
+/// is flushed as it is appended, so a killed recording leaves a
+/// decodable log without a trailer; [`WireLogWriter::finish`] appends
+/// the trailer that [`replay`] verifies against.
+pub struct WireLogWriter<W: Write> {
+    out: W,
+    /// Takes the recorded segment's events for the trailer summary.
+    collector: Collector,
 }
 
-impl WireLogWriter {
-    /// Creates `path` (truncating) and writes the log header.
-    pub fn create(
-        path: &std::path::Path,
-        machine: &str,
-        policy: ArbitrationPolicy,
-    ) -> Result<WireLogWriter, SnapshotError> {
-        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+impl<W: Write> WireLogWriter<W> {
+    /// Starts a log of `broker` on `out`: writes the header (the
+    /// broker's machine and arbitration policy), then opens a
+    /// collector on the broker's sink and empties it, so the trailer
+    /// summarizes exactly the events from here on.
+    pub fn new(mut out: W, broker: &Broker) -> Result<WireLogWriter<W>, SnapshotError> {
         let mut head = header(WIRELOG_MAGIC, WIRELOG_VERSION);
-        put_str(&mut head, machine);
-        put_str(&mut head, policy.as_str());
+        put_str(&mut head, broker.machine().name());
+        put_str(&mut head, broker.policy().as_str());
         out.write_all(&head)?;
         out.flush()?;
-        Ok(WireLogWriter { out, scratch: Vec::new() })
+        let mut collector = broker.sink_handle().collector();
+        collector.drain_sorted();
+        Ok(WireLogWriter { out, collector })
     }
 
-    /// Appends one frame and flushes it.
-    pub fn append(&mut self, frame: &WireFrame) -> Result<(), SnapshotError> {
-        self.scratch.clear();
-        frame.encode(&mut self.scratch);
-        let mut len = Vec::new();
-        put_u64(&mut len, self.scratch.len() as u64);
-        self.out.write_all(&len)?;
-        self.out.write_all(&self.scratch)?;
+    /// Appends one frame, length-prefixed, and flushes it.
+    fn append(&mut self, frame: &WireFrame) -> Result<(), SnapshotError> {
+        let mut payload = Vec::new();
+        frame.encode(&mut payload);
+        let mut framed = Vec::with_capacity(payload.len() + 10);
+        put_u64(&mut framed, payload.len() as u64);
+        framed.append(&mut payload);
+        self.out.write_all(&framed)?;
         Ok(self.out.flush()?)
     }
 
-    /// Appends an accepted request stamped with its execution epoch.
-    pub fn append_request(&mut self, epoch: u64, request: &Request) -> Result<(), SnapshotError> {
+    /// Appends a request served in `epoch`.
+    pub fn request(&mut self, epoch: u64, request: &Request) -> Result<(), SnapshotError> {
         self.append(&WireFrame::Request { epoch, json: request.to_json() })
     }
+
+    /// Appends a tier degradation (`degraded`) or recovery.
+    pub fn tier_fault(
+        &mut self,
+        epoch: u64,
+        kind: MemoryKind,
+        degraded: bool,
+    ) -> Result<(), SnapshotError> {
+        self.append(&WireFrame::TierFault { epoch, kind, degraded })
+    }
+
+    /// Appends an allocation stall of `epochs` epochs.
+    pub fn alloc_stall(&mut self, epoch: u64, epochs: u64) -> Result<(), SnapshotError> {
+        self.append(&WireFrame::AllocStall { epoch, epochs })
+    }
+
+    /// Appends a revocation made outside any request.
+    pub fn revoke(&mut self, epoch: u64, lease: LeaseId) -> Result<(), SnapshotError> {
+        self.append(&WireFrame::Revoke { epoch, lease: lease.0 })
+    }
+
+    /// Closes the log with the trailer of `broker`'s current state,
+    /// computed as [`replay`] computes its verdict, and returns the
+    /// output.
+    pub fn finish(mut self, broker: &Broker) -> Result<W, SnapshotError> {
+        let (state, summary, _) = closing(broker, &mut self.collector);
+        self.append(&WireFrame::Trailer { epoch: broker.epoch(), state, summary })?;
+        Ok(self.out)
+    }
+}
+
+/// How a recorded segment ended: the broker's [`encode_state`] bytes,
+/// the rendered [`Summary`] of the events its sink emitted during the
+/// segment, and their count. A recorder writes it into the trailer
+/// ([`WireLogWriter::finish`]); [`replay`] takes it of the replayed
+/// broker to compare the two.
+fn closing(broker: &Broker, collector: &mut Collector) -> (Vec<u8>, String, u64) {
+    let events: Vec<Event> = collector.drain_sorted().into_iter().map(|e| e.event).collect();
+    let mut state = Vec::new();
+    encode_state(&broker.snapshot_state(), &mut state);
+    (state, Summary::from_events(&events).render(), events.len() as u64)
 }
 
 // ---------------------------------------------------------------------------
@@ -906,7 +929,7 @@ impl WireLogWriter {
 pub struct ReplayReport {
     /// Request frames re-executed.
     pub requests: u64,
-    /// Fault-control frames re-applied.
+    /// Fault-control and revocation frames re-applied.
     pub control_frames: u64,
     /// Epoch the replayed broker ended at.
     pub final_epoch: u64,
@@ -954,7 +977,6 @@ pub fn replay(
     broker.set_sink(sink);
     let mut requests = 0u64;
     let mut control_frames = 0u64;
-    let mut trailer: Option<(&[u8], &str)> = None;
     for frame in &log.frames {
         let target = frame.epoch();
         if target < broker.epoch() {
@@ -984,26 +1006,26 @@ pub fn replay(
                 broker.set_alloc_stall(*epochs);
                 control_frames += 1;
             }
-            WireFrame::Trailer { state, summary, .. } => {
-                trailer = Some((state.as_slice(), summary.as_str()));
+            WireFrame::Revoke { lease, .. } => {
+                // An expired lease fails here as it did when recorded.
+                let _ = broker.revoke(LeaseId(*lease), "disconnect");
+                control_frames += 1;
             }
+            WireFrame::Trailer { .. } => {}
         }
     }
-    let events: Vec<_> = collector.drain_sorted().into_iter().map(|e| e.event).collect();
-    let summary = Summary::from_events(&events).render();
-    let mut state_bytes = Vec::new();
-    encode_state(&broker.snapshot_state(), &mut state_bytes);
-    let (state_matched, summary_matched) = match trailer {
-        Some((expected_state, expected_summary)) => {
-            (Some(state_bytes == expected_state), Some(summary == expected_summary))
+    let (state_bytes, summary, events) = closing(&broker, &mut collector);
+    let (state_matched, summary_matched) = match log.trailer() {
+        Some(WireFrame::Trailer { state, summary: recorded, .. }) => {
+            (Some(state_bytes == *state), Some(summary == *recorded))
         }
-        None => (None, None),
+        _ => (None, None),
     };
     Ok(ReplayReport {
         requests,
         control_frames,
         final_epoch: broker.epoch(),
-        events: events.len() as u64,
+        events,
         summary,
         state_bytes,
         state_matched,

@@ -190,8 +190,8 @@ proptest! {
     #[test]
     fn wirelog_roundtrip(seed in any::<u64>()) {
         let mut rng = SplitMix64::new(seed);
-        let frames = (0..rng.next_u64() % 8)
-            .map(|i| match rng.next_u64() % 4 {
+        let frames: Vec<WireFrame> = (0..rng.next_u64() % 8)
+            .map(|i| match rng.next_u64() % 5 {
                 0 => WireFrame::Request {
                     epoch: i,
                     json: format!("{{\"op\":\"heartbeat\",\"tenant\":\"t{i}\"}}"),
@@ -202,6 +202,7 @@ proptest! {
                     degraded: rng.next_u64().is_multiple_of(2),
                 },
                 2 => WireFrame::AllocStall { epoch: i, epochs: rng.next_u64() % 9 },
+                3 => WireFrame::Revoke { epoch: i, lease: rng.next_u64() },
                 _ => WireFrame::Trailer {
                     epoch: i,
                     state: (0..rng.next_u64() % 40).map(|b| b as u8).collect(),
@@ -209,10 +210,47 @@ proptest! {
                 },
             })
             .collect();
-        let log = WireLog { machine: "knl-flat".into(), policy: ArbitrationPolicy::Fcfs, frames };
-        let decoded = WireLog::decode(&log.encode()).expect("roundtrip");
+        let broker = fcfs_knl_broker();
+        let decoded = WireLog::decode(&record_frames(&broker, &frames)).expect("roundtrip");
+        let log = WireLog {
+            machine: broker.machine().name().into(),
+            policy: ArbitrationPolicy::Fcfs,
+            frames,
+        };
         prop_assert_eq!(decoded, log);
     }
+}
+
+/// A broker for the hand-built logs to name in their headers.
+fn fcfs_knl_broker() -> Broker {
+    let machine = Arc::new(Machine::knl_snc4_flat());
+    let attrs = Arc::new(hetmem_core::discovery::from_firmware(&machine, true).expect("attrs"));
+    Broker::new(machine, attrs, ArbitrationPolicy::Fcfs)
+}
+
+/// The bytes the recorder writes for `frames`, in order, on a log of
+/// `broker`.
+fn record_frames(broker: &Broker, frames: &[WireFrame]) -> Vec<u8> {
+    let mut recorder = WireLogWriter::new(Vec::new(), broker).expect("header");
+    for frame in frames {
+        recorder.append(frame).expect("frame");
+    }
+    recorder.out
+}
+
+/// Version 2 only added a frame tag, so a version-1 log still reads.
+#[test]
+fn version_1_logs_still_read() {
+    let broker = fcfs_knl_broker();
+    let frames = [
+        WireFrame::Request { epoch: 0, json: "{\"op\":\"stats\"}".into() },
+        WireFrame::AllocStall { epoch: 2, epochs: 3 },
+    ];
+    let mut bytes = record_frames(&broker, &frames);
+    assert_eq!(bytes[WIRELOG_MAGIC.len()], WIRELOG_VERSION as u8);
+    bytes[WIRELOG_MAGIC.len()] = 1;
+    let log = WireLog::decode(&bytes).expect("a version-1 log decodes");
+    assert_eq!(log.frames, frames);
 }
 
 #[test]
@@ -339,8 +377,11 @@ fn replay_rejects_backwards_logs() {
     broker.advance_epoch();
     broker.advance_epoch();
     let snap = Snapshot::capture(&broker, None);
-    let mut log = WireLog::new(machine.name(), ArbitrationPolicy::FairShare);
-    log.frames.push(WireFrame::AllocStall { epoch: 0, epochs: 1 });
+    let log = WireLog {
+        machine: machine.name().into(),
+        policy: ArbitrationPolicy::FairShare,
+        frames: vec![WireFrame::AllocStall { epoch: 0, epochs: 1 }],
+    };
     assert!(matches!(replay(&snap, &log, machine, attrs), Err(SnapshotError::Replay(_))));
 }
 
@@ -350,11 +391,14 @@ fn replay_without_trailer_is_unverified() {
     let attrs = Arc::new(hetmem_core::discovery::from_firmware(&machine, true).expect("attrs"));
     let broker = Broker::new(machine.clone(), attrs.clone(), ArbitrationPolicy::FairShare);
     let snap = Snapshot::capture(&broker, None);
-    let mut log = WireLog::new(machine.name(), ArbitrationPolicy::FairShare);
-    log.frames.push(WireFrame::Request {
-        epoch: 0,
-        json: "{\"op\":\"register\",\"tenant\":\"a\",\"priority\":\"normal\"}".into(),
-    });
+    let log = WireLog {
+        machine: machine.name().into(),
+        policy: ArbitrationPolicy::FairShare,
+        frames: vec![WireFrame::Request {
+            epoch: 0,
+            json: "{\"op\":\"register\",\"tenant\":\"a\",\"priority\":\"normal\"}".into(),
+        }],
+    };
     let report = replay(&snap, &log, machine, attrs).expect("replays");
     assert_eq!(report.state_matched, None);
     assert!(!report.verified());

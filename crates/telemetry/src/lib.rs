@@ -27,14 +27,12 @@
 //! instrumented hot paths skip building events entirely.
 //! [`JsonlWriter`] streams one JSON object per line, the format the
 //! `--trace` flag of the repro binaries produces. [`Summary`] folds a
-//! stream of events into a per-run placement report. [`compact`] holds
-//! the varint primitives of the snapshot and wire-log files.
+//! stream of events into a per-run placement report.
 
 #![warn(missing_docs)]
 
 #[macro_use]
 mod codec;
-pub mod compact;
 pub mod json;
 mod sink;
 mod summary;

@@ -26,7 +26,7 @@ use crate::{Event, Summary};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default per-thread buffer capacity in events. A buffer retains
 /// this many events between collector passes; see OPERATIONS.md for
@@ -200,10 +200,10 @@ impl TelemetrySink {
                 return;
             }
             // First emission from this thread into this sink: drop
-            // writers whose sinks are gone, then register a new buffer.
-            writers.retain(|e| e.probe.strong_count() > 0);
-            let mut entry =
-                TlsEntry { id, probe: Arc::downgrade(&self.shared), writer: self.writer() };
+            // writers that hold the last reference to their sink (every
+            // other handle to it is gone), then register a new buffer.
+            writers.retain(|e| Arc::strong_count(&e.writer.shared) > 1);
+            let mut entry = TlsEntry { id, writer: self.writer() };
             entry.writer.emit(event);
             writers.push(entry);
         });
@@ -227,7 +227,6 @@ impl TelemetrySink {
 
 struct TlsEntry {
     id: u64,
-    probe: Weak<SinkShared>,
     writer: ThreadWriter,
 }
 
@@ -498,6 +497,21 @@ mod tests {
         w.emit(gauge(2));
         assert!(sink.collector().drain_sorted().is_empty());
         assert!(sink.collector().loss().is_empty());
+    }
+
+    /// A thread's cached writer for a sink whose every other handle is
+    /// gone is dropped at the thread's next first emission into another
+    /// sink, and the sink with its buffers goes with it.
+    #[test]
+    fn the_thread_cache_lets_go_of_dropped_sinks() {
+        let a = TelemetrySink::new();
+        a.emit(gauge(0));
+        let probe = Arc::downgrade(&a.shared);
+        drop(a);
+        assert!(probe.upgrade().is_some(), "the thread's cached writer holds the sink");
+        let b = TelemetrySink::new();
+        b.emit(gauge(1));
+        assert!(probe.upgrade().is_none(), "the cache still holds a sink nobody else does");
     }
 
     #[test]
